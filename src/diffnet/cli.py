@@ -73,7 +73,7 @@ def _cmd_compare(args) -> int:
     if not config.output:
         raise ConfigError("compare needs an output path (--out or 'output' in the config)")
     out_path = config.output
-    result = harness.run_experiment(replace(config, output=None))
+    # The theory comes first, so an unusable one fails before the simulation runs.
     theory_curve = None
     if config.npdlms_spec() is not None and all(
         isinstance(ns, noise.Gaussian) for ns in config.noise_specs
@@ -81,6 +81,7 @@ def _cmd_compare(args) -> int:
         curves, steady = _theory_curves(config)
         theory_curve = theory.to_db(curves.network_msd)
         print(f"theory steady-state MSD {theory.to_db(steady.steady_network_msd):.2f} dB")
+    result = harness.run_experiment(replace(config, output=None))
     header = "iteration," + ",".join(f"{label}_msd_db" for label in result.labels)
     if theory_curve is not None:
         header += ",theory_msd_db"

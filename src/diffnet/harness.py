@@ -6,13 +6,18 @@ realization derives its generator from SeedSequence([base_seed, index]), all
 measurement and noise draws are made up front in a fixed order, and every
 configured algorithm runs on the same draws, so comparisons are paired.
 Realizations are statistically independent and reduced in index order.
+
+One engine runs them: realizations go through in memory-bounded chunks of
+CHUNK_REALIZATIONS, stacked on a leading array axis, and every baseline family
+shares one time loop. Each product works on one realization's matrices, so a
+realization gives the same bits in any chunk as it does alone.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +25,12 @@ import yaml
 from scipy.special import expit
 
 from . import noise as noise_models
-from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, SharedData, error_gain
+from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, error_gain
 from .errors import ConfigError, DiffnetError, PartialFailure
 from .network import (
     CombinationMatrix,
     GroundTruth,
     NetworkTopology,
-    NodeProfile,
     RandomWalk,
     Stationary,
     build_topology,
@@ -36,7 +40,7 @@ from .network import (
     load_topology,
     noise_variance_from_snr,
 )
-from .npdlms import NPDLMS, EstimateBuffer, KernelParams, ThresholdParams, npdlms_adapt
+from .npdlms import NPDLMS, KernelParams, ThresholdParams
 from .theory import TheoryInputs, to_db
 
 DIVERGENCE_MSD = 1e6
@@ -109,14 +113,6 @@ class ExperimentConfig:
             if isinstance(spec.kind, NPDLMS):
                 return spec
         return None
-
-
-def node_profiles(config: ExperimentConfig, step_size: float = 1.0) -> list:
-    """Per-node signal profiles (step size is algorithm-dependent, pass it in)."""
-    return [
-        NodeProfile(regressor_covariance=cov, noise=spec, step_size=step_size)
-        for cov, spec in zip(config.covariances, config.noise_specs)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +274,11 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # simulation core
 
+# Realizations simulated together. A chunk holds its draws stacked, about
+# 0.9 MB per realization at T = 1000, N = 16, d = 5, plus the squared
+# deviations of every algorithm.
+CHUNK_REALIZATIONS = 16
+
 
 def realization_rng(base_seed: int, index: int):
     """Independent, reproducible stream for one realization."""
@@ -286,7 +287,11 @@ def realization_rng(base_seed: int, index: int):
 
 @dataclass
 class RealizationData:
-    """Pre-generated draws shared by every algorithm within one realization."""
+    """Pre-generated draws shared by every algorithm within one realization.
+
+    A batch of realizations uses the same fields with a realization axis
+    after the time axis: (T, R, d), (T, R, N, d), (T, R, N), (T, R, N).
+    """
 
     theta_path: np.ndarray  # (T, d)
     regressors: np.ndarray  # (T, N, d)
@@ -296,10 +301,7 @@ class RealizationData:
 
 def generate_realization_data(config: ExperimentConfig, rng) -> RealizationData:
     t_len, n, d = config.iterations, config.topology.node_count, config.dim
-    ground_truth = GroundTruth(config.theta_o, config.drift)
-    theta_path = np.empty((t_len, d))
-    for t in range(t_len):
-        theta_path[t] = ground_truth.advance(rng)
+    theta_path = GroundTruth(config.theta_o, config.drift).path(rng, t_len)
     z = rng.standard_normal((t_len, n, d))
     regressors = np.einsum("nij,tnj->tni", np.stack(config._chols), z)
     noises = np.empty((t_len, n))
@@ -310,164 +312,192 @@ def generate_realization_data(config: ExperimentConfig, rng) -> RealizationData:
                            targets=targets, noises=noises)
 
 
-def _record(theta: np.ndarray, theta_now: np.ndarray) -> np.ndarray:
-    dev = theta - theta_now[:, None]
-    return np.einsum("dk,dk->k", dev, dev)
+def _draw(config: ExperimentConfig, indices):
+    """Draw the given realizations, each from its own stream, into one batch.
+
+    Returns (batch, indices drawn, [(index, exception)] for draws that raised).
+    Rows are copied in as they are drawn, so only one realization's draws are
+    held beside the batch.
+    """
+    batch, drawn, failures = None, [], []
+    for index in indices:
+        try:
+            data = generate_realization_data(config, realization_rng(config.base_seed, index))
+        except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
+            failures.append((index, exc))
+            continue
+        parts = [getattr(data, f.name) for f in fields(RealizationData)]
+        if batch is None:
+            batch = [np.empty((x.shape[0], len(indices)) + x.shape[1:]) for x in parts]
+        for stacked, x in zip(batch, parts):
+            stacked[:, len(drawn)] = x
+        drawn.append(index)
+    if batch is not None:
+        batch = RealizationData(*(stacked[:, : len(drawn)] for stacked in batch))
+    return batch, drawn, failures
 
 
-def _run_baseline(config: ExperimentConfig, spec: AlgorithmSpec, data: RealizationData):
-    """Vectorized synchronous run of one baseline family; returns (sq, None, diverged)."""
+# Gains with g(e) * 0 == e * 0 bit for bit: g(e) has the sign of e, is finite
+# wherever e is, and is e itself or NaN where e is not. Off the neighbourhoods
+# their masked gain is then e * 0, so only neighbour pairs need the costly
+# evaluation.
+_SPARSE_GAINS = (DMCC, DLMSF)
+
+
+def _run_baselines(config: ExperimentConfig, specs: list, batch: RealizationData) -> np.ndarray:
+    """Every baseline family in one synchronous run; squared deviations (A, R, T, N).
+
+    The state is (A, R, d, N): family, realization, and the (d, N) matrix
+    whose column k is node k's estimate. Each product runs per (d, N) slice,
+    so every family and realization takes exactly the arithmetic of a run of
+    its own. Only the error gain differs per family.
+    """
     a = config.combination.matrix
     mask = config.topology.adjacency_mask()
-    t_len, n, d = config.iterations, config.topology.node_count, config.dim
-    theta = np.zeros((d, n))
-    sq = np.empty((t_len, n))
-    step = spec.step_size
+    nbr, own = np.nonzero(mask)                            # neighbour pairs (l, k)
+    t_len, reals, n, d = batch.regressors.shape
+    steps = np.array([spec.step_size for spec in specs]).reshape(-1, 1, 1, 1)
+    u_tr = batch.regressors.transpose(0, 1, 3, 2)         # (T, R, d, N)
+    targets = batch.targets[:, :, :, None]
+    theta_path = batch.theta_path[:, :, :, None]
+    theta = np.zeros((len(specs), reals, d, n))
+    gains = np.empty((len(specs), reals, n, n))
+    sq = np.empty((t_len, len(specs), reals, n))
     cta = config.strategy == "cta"
     with np.errstate(all="ignore"):
         for t in range(t_len):
-            u_t = data.regressors[t]
-            d_t = data.targets[t]
-            if cta:
-                phi = theta @ a
-                err = d_t[:, None] - u_t @ phi
-                theta = phi + step * (u_t.T @ (error_gain(spec.kind, err) * mask))
-            else:
-                err = d_t[:, None] - u_t @ theta
-                phi = theta + step * (u_t.T @ (error_gain(spec.kind, err) * mask))
-                theta = phi @ a
-            sq[t] = _record(theta, data.theta_path[t])
-    return sq, None, _diverged(sq)
+            point = theta @ a if cta else theta
+            err = targets[t] - batch.regressors[t] @ point     # err[., ., l, k]
+            for i, spec in enumerate(specs):
+                if isinstance(spec.kind, _SPARSE_GAINS):
+                    np.multiply(err[i], mask, out=gains[i])
+                    gains[i][:, nbr, own] = error_gain(spec.kind, err[i][:, nbr, own])
+                else:
+                    np.multiply(error_gain(spec.kind, err[i]), mask, out=gains[i])
+            adapted = point + steps * (u_tr[t] @ gains)
+            theta = adapted if cta else adapted @ a
+            dev = theta - theta_path[t]
+            np.einsum("...dk,...dk->...k", dev, dev, out=sq[t])
+    return sq.transpose(1, 2, 0, 3)
 
 
-def _diverged(sq: np.ndarray) -> bool:
-    if not np.all(np.isfinite(sq)):
-        return True
-    return bool(np.any(sq.mean(axis=1) > DIVERGENCE_MSD))
-
-
-def _run_npdlms_reference(config: ExperimentConfig, spec: AlgorithmSpec, data: RealizationData,
-                          trace_out: np.ndarray | None = None):
-    """Per-node run of the kernel-MAP update through the single-node ops.
-
-    The vectorized runner below is the production path; this one exists so the
-    two can be cross-checked on small cases.
-    """
-    algo: NPDLMS = spec.kind
-    topo = config.topology
-    a = config.combination.matrix
-    t_len, n, d = config.iterations, topo.node_count, config.dim
-    neighbor_ids = [topo.neighbors(k) for k in range(1, n + 1)]
-    neighbor_idx = [np.array([l - 1 for l in ids]) for ids in neighbor_ids]
-    buffers = [EstimateBuffer(algo.buffer_size, ids) for ids in neighbor_ids]
-    theta = np.zeros((n, d))
-    sq = np.empty((t_len, n))
-    updates = np.zeros(n)
-    cta = config.strategy == "cta"
-    for t in range(t_len):
-        u_t = data.regressors[t]
-        d_t = data.targets[t]
-        theta_prev = theta
-        combined = a.T @ theta_prev if cta else None
-        staged = np.empty_like(theta)
-        for k in range(n):
-            idx = neighbor_idx[k]
-            shared = SharedData(node=k + 1, neighbors=neighbor_ids[k], u=u_t[idx],
-                                d=d_t[idx], theta_prev=theta_prev[idx])
-            point = combined[k] if cta else theta_prev[k]
-            adapted, fired = npdlms_adapt(shared, buffers[k], algo.kernel, config.gate,
-                                          spec.step_size, point)
-            updates[k] += fired
-            staged[k] = adapted
-        theta = staged if cta else a.T @ staged
-        sq[t] = _record(theta.T, data.theta_path[t])
-        if trace_out is not None:
-            trace_out[t] = theta
-    return sq, updates, _diverged(sq)
-
-
-def _run_npdlms(config: ExperimentConfig, spec: AlgorithmSpec, data: RealizationData,
+def _run_npdlms(config: ExperimentConfig, spec: AlgorithmSpec, batch: RealizationData,
                 trace_out: np.ndarray | None = None):
-    """Vectorized synchronous run of the kernel-MAP update.
+    """Synchronous run of the kernel-MAP update on a batch of realizations.
 
     Every node's rings hold the same global history theta_{., n-1..n-B}, so
-    the per-node buffers collapse into one (B, N, d) array and the mu weights
-    into one (B, N, N) softmax. Matches `_run_npdlms_reference` to rounding.
+    the per-node buffers collapse into one (B, R, N, d) array and the mu
+    weights into one (B, R, N, N) softmax per realization; the reductions run
+    over the buffer axis. Returns squared deviations (R, T, N) and hard-gate
+    update counts (R, N); `trace_out`, if given, receives the (T, R, N, d)
+    estimates.
     """
     algo: NPDLMS = spec.kind
     kernel = algo.kernel
     topo = config.topology
-    a = config.combination.matrix
+    a_t = config.combination.matrix.T
     mask = topo.adjacency_mask()                  # mask[l, k] = 1 iff l in N_k
     cross = mask.copy()
     np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
-    t_len, n, d = config.iterations, topo.node_count, config.dim
+    t_len, reals, n, d = batch.regressors.shape
     step = spec.step_size
     sigma, h, delta = kernel.sigma, kernel.h, kernel.delta
     gate = config.gate
     cta = config.strategy == "cta"
 
-    theta = np.zeros((n, d))
-    history = np.zeros((0, n, d))                 # newest first, rows <= buffer_size
-    sq = np.empty((t_len, n))
-    updates = np.zeros(n)
+    u_tr = batch.regressors.transpose(0, 1, 3, 2)  # (T, R, d, N)
+    targets = batch.targets[:, :, :, None]
+    theta_path = batch.theta_path[:, :, None, :]
+    theta = np.zeros((reals, n, d))
+    history = np.zeros((0, reals, n, d))          # newest first, rows <= buffer_size
+    sq = np.empty((t_len, reals, n))
+    updates = np.zeros((reals, n))
     for t in range(t_len):
-        u_t = data.regressors[t]
-        d_t = data.targets[t]
         history = np.concatenate((theta[None], history[: algo.buffer_size - 1]))
-        point = a.T @ theta if cta else theta     # (N, d) evaluation points
+        point = a_t @ theta if cta else theta     # (R, N, d) evaluation points
 
-        err = d_t[:, None] - u_t @ point.T        # err[l, k] = d_l - u_l theta_eval_k
-        eps = np.einsum("lk,lk->k", err * err, mask)
+        # err[r, l, k] = d_l - u_l theta_eval_k
+        err = targets[t] - batch.regressors[t] @ point.transpose(0, 2, 1)
+        eps = np.einsum("rlk,lk->rk", err * err, mask)
         err = np.clip(err, -1e150, 1e150)
         gain = delta * (err / np.hypot(delta, err)) * mask
-        grad = (u_t.T @ gain) / h                 # (d, N)
+        grad = (u_tr[t] @ gain) / h               # (R, d, N)
 
         if history.shape[0] >= 2:
-            diff_own = history - point[None]      # (B, N, d)
-            lw_own = -np.einsum("bnd,bnd->bn", diff_own, diff_own) / (2.0 * sigma)
-            diff_nbr = history - theta[None]
-            lw_nbr = -np.einsum("bnd,bnd->bn", diff_nbr, diff_nbr) / (2.0 * sigma)
+            diff_own = history - point            # (B, R, N, d)
+            lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / (-2.0 * sigma)
+            diff_nbr = history - theta
+            lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / (-2.0 * sigma)
             mu_own = np.exp(lw_own - lw_own.max(axis=0))
             mu_own /= mu_own.sum(axis=0)
-            joint = lw_own[:, None, :] + lw_nbr[:, :, None]   # (B, l, k)
+            joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, R, l, k)
             mu_joint = np.exp(joint - joint.max(axis=0))
             mu_joint /= mu_joint.sum(axis=0)
-            mu_diff = (mu_joint - mu_own[:, None, :]) * cross[None]
-            np.nan_to_num(mu_diff, copy=False)    # underflowed pairs carry no prior signal
-            grad = grad + np.einsum("bkd,blk->dk", history, mu_diff) / sigma
+            mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
+            # NaN marks pairs whose kernel weights all underflowed; they carry
+            # no prior signal. The weights lie in [0, 1], so NaN is the only
+            # non-finite value here.
+            np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
+            grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
 
+        fired = eps > gate.eta
         if gate.mode == "hard":
-            open_gate = (eps > gate.eta).astype(float)
+            open_gate = fired.astype(float)
         else:
             open_gate = expit(2.0 * gate.slope * (eps - gate.eta))
-        updates += eps > gate.eta
-        adapted = point + step * open_gate[:, None] * grad.T
-        theta = adapted if cta else a.T @ adapted
-        sq[t] = _record(theta.T, data.theta_path[t])
+        updates += fired
+        adapted = point + step * open_gate[:, :, None] * grad.transpose(0, 2, 1)
+        theta = adapted if cta else a_t @ adapted
+        dev = theta - theta_path[t]
+        np.einsum("rkd,rkd->rk", dev, dev, out=sq[t])
         if trace_out is not None:
             trace_out[t] = theta
-    return sq, updates, _diverged(sq)
+    return sq.transpose(1, 0, 2), updates
+
+
+def _simulate(config: ExperimentConfig, batch: RealizationData) -> dict:
+    """All configured algorithms on one batch of shared measurement streams.
+
+    Returns {label: (squared deviations (R, T, N), update counts (R, N) or
+    None, diverged flags (R,))}. Recorded deviations are capped at
+    RECORD_CAP so diverged runs stay plottable; the flag carries the
+    divergence signal.
+    """
+    raw = {}
+    baselines = [spec for spec in config.algorithms if not isinstance(spec.kind, NPDLMS)]
+    if baselines:
+        for spec, sq in zip(baselines, _run_baselines(config, baselines, batch)):
+            raw[spec.label] = (sq, None)
+    out = {}
+    for spec in config.algorithms:
+        if isinstance(spec.kind, NPDLMS):
+            raw[spec.label] = _run_npdlms(config, spec, batch)
+        sq, updates = raw[spec.label]
+        broken = ~np.isfinite(sq)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diverged = broken.any(axis=(1, 2)) | (sq.mean(axis=2) > DIVERGENCE_MSD).any(axis=1)
+        np.copyto(sq, RECORD_CAP, where=broken)
+        np.minimum(sq, RECORD_CAP, out=sq)
+        out[spec.label] = (sq, updates, diverged)
+    return out
+
+
+def _realization(results: dict, row: int) -> dict:
+    return {label: (sq[row], None if updates is None else updates[row], bool(diverged[row]))
+            for label, (sq, updates, diverged) in results.items()}
 
 
 def run_realization(config: ExperimentConfig, index: int):
     """All configured algorithms on one shared measurement stream.
 
-    Returns {label: (per-node squared deviations (T, N), update counts or
-    None, diverged flag)}. Recorded deviations are capped at RECORD_CAP so
-    diverged runs stay plottable; the flag carries the divergence signal.
+    A batch of one through the same engine as `run_experiment`. Returns
+    {label: (per-node squared deviations (T, N), update counts or None,
+    diverged flag)}, deviations capped at RECORD_CAP.
     """
-    rng = realization_rng(config.base_seed, index)
-    data = generate_realization_data(config, rng)
-    out = {}
-    for spec in config.algorithms:
-        if isinstance(spec.kind, NPDLMS):
-            sq, updates, diverged = _run_npdlms(config, spec, data)
-        else:
-            sq, updates, diverged = _run_baseline(config, spec, data)
-        sq = np.where(np.isfinite(sq), np.minimum(sq, RECORD_CAP), RECORD_CAP)
-        out[spec.label] = (sq, updates, diverged)
-    return out
+    batch, _, failures = _draw(config, [index])
+    if failures:
+        raise failures[0][1]
+    return _realization(_simulate(config, batch), 0)
 
 
 @dataclass
@@ -507,7 +537,13 @@ class RunResult:
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Average squared errors over realizations (before the dB transform)."""
+    """Average squared errors over realizations (before the dB transform).
+
+    Realizations run CHUNK_REALIZATIONS at a time; sums are taken in index
+    order. A realization whose draw raises is reported by index in
+    `PartialFailure` while the rest of its chunk runs on; if the batched run
+    of a chunk raises, the chunk is re-run one realization at a time.
+    """
     started = time.perf_counter()
     t_len, n = config.iterations, config.topology.node_count
     sums = {spec.label: np.zeros((t_len, n)) for spec in config.algorithms}
@@ -515,19 +551,33 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
              for spec in config.algorithms}
     diverged = {spec.label: 0 for spec in config.algorithms}
     failures = []
-    for index in range(config.realizations):
-        try:
-            results = run_realization(config, index)
-        except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
-            failures.append((index, exc))
+    for start in range(0, config.realizations, CHUNK_REALIZATIONS):
+        indices = range(start, min(start + CHUNK_REALIZATIONS, config.realizations))
+        batch, drawn, failed = _draw(config, indices)
+        failures += failed
+        if not drawn:
             continue
-        for label, (sq, updates, flag) in results.items():
-            sums[label] += sq
-            if updates is not None:
-                kappa[label] += updates
-            diverged[label] += bool(flag)
+        try:
+            results = _simulate(config, batch)
+            outcomes = [_realization(results, row) for row in range(len(drawn))]
+        except Exception:  # noqa: BLE001 - retried one realization at a time
+            outcomes = []
+            for index in drawn:
+                try:
+                    outcomes.append(run_realization(config, index))
+                except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
+                    failures.append((index, exc))
+                    outcomes.append(None)
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            for label, (sq, updates, flag) in outcome.items():
+                sums[label] += sq
+                if updates is not None:
+                    kappa[label] += updates
+                diverged[label] += flag
     if failures:
-        raise PartialFailure(failures)
+        raise PartialFailure(sorted(failures, key=lambda failure: failure[0]))
     result = RunResult(
         labels=[spec.label for spec in config.algorithms],
         iterations=t_len,
@@ -548,11 +598,12 @@ def run_pilot_trace(config: ExperimentConfig, index: int = 0) -> np.ndarray:
     spec = config.npdlms_spec()
     if spec is None:
         raise ConfigError("pilot trace needs an npdlms algorithm in the config")
-    rng = realization_rng(config.base_seed, index)
-    data = generate_realization_data(config, rng)
-    trace = np.empty((config.iterations, config.topology.node_count, config.dim))
-    _run_npdlms(config, spec, data, trace_out=trace)
-    return trace
+    batch, _, failures = _draw(config, [index])
+    if failures:
+        raise failures[0][1]
+    trace = np.empty((config.iterations, 1, config.topology.node_count, config.dim))
+    _run_npdlms(config, spec, batch, trace_out=trace)
+    return trace[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +679,14 @@ def theory_inputs_from_config(config: ExperimentConfig, r_similar=None,
                               beta_bar=None) -> TheoryInputs:
     """Theory-side inputs for the configured kernel-MAP algorithm.
 
-    Requires Gaussian noise (the moment matrices need finite variances).
+    Requires Gaussian noise (the moment matrices need finite variances) and
+    the CTA strategy, the only one the moment recursion models.
     """
     spec = config.npdlms_spec()
     if spec is None:
         raise ConfigError("theory predictions need an npdlms algorithm in the config")
+    if config.strategy != "cta":
+        raise ConfigError(f"theory predictions model the cta strategy only, got {config.strategy!r}")
     variances = []
     for ns in config.noise_specs:
         if not isinstance(ns, noise_models.Gaussian):

@@ -228,11 +228,25 @@ class GroundTruth:
 
     def advance(self, rng) -> np.ndarray:
         """One step of the drift process; returns theta_{o,n}."""
-        if isinstance(self.drift, RandomWalk):
-            q = rng.standard_normal(self.theta_o.shape) * math.sqrt(self.drift.q_variance)
-            self._omega = self.drift.decay * self._omega + q
-            return self.theta_o + self._omega
-        return self.theta_o.copy()
+        return self.path(rng, 1)[0]
+
+    def path(self, rng, steps: int) -> np.ndarray:
+        """(steps, d) array of the next `steps` values of theta_{o,n}.
+
+        The random walk takes all its increments in one draw, which leaves the
+        generator where `steps` calls of `advance` would, then runs the decay
+        recurrence row by row.
+        """
+        if not isinstance(self.drift, RandomWalk):
+            return np.tile(self.theta_o, (steps, 1))
+        q_scale = math.sqrt(self.drift.q_variance)
+        omega = rng.standard_normal((steps,) + self.theta_o.shape) * q_scale
+        decay = self.drift.decay
+        omega[0] += decay * self._omega
+        for t in range(1, steps):
+            omega[t] += decay * omega[t - 1]
+        self._omega = omega[-1].copy()
+        return self.theta_o + omega
 
 
 def drift_step(ground_truth: GroundTruth, rng) -> np.ndarray:

@@ -104,3 +104,29 @@ def test_cli_override_flags(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out),
                  "--iterations", "4", "--realizations", "1", "--seed", "9"]) == 0
     assert len(out.read_text().splitlines()) == 5
+
+
+def test_theory_rejects_atc_strategy(tmp_path):
+    raw = small_config_dict(iterations=10, strategy="atc",
+                            algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "t.csv"
+    assert main(["theory", "--config", cfg, "--out", str(out)]) == 1
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
+    from diffnet import harness
+
+    def no_simulation(config):
+        raise AssertionError("compare simulated before checking the theory")
+
+    monkeypatch.setattr(harness, "run_experiment", no_simulation)
+    out = tmp_path / "cmp.csv"
+    unstable = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 5.0, "delta": 0.25}])
+    assert main(["compare", "--config", write_config(tmp_path, unstable), "--out", str(out)]) == 2
+    atc = small_config_dict(strategy="atc",
+                            algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
+    assert main(["compare", "--config", write_config(tmp_path, atc), "--out", str(out)]) == 1
+    assert not out.exists()

@@ -167,25 +167,31 @@ def test_dlms_converges_in_mean_below_remark_bound():
 
 
 def test_vectorized_baselines_match_per_node_ops():
-    """The harness fast path and the single-node ops are the same recursion."""
+    """Every family in the fused engine runs the recursion of the single-node ops."""
+    from diffnet import harness
+
     raw = small_config_dict(
         iterations=40,
+        realizations=2,
         algorithms=[
             {"kind": "dlms", "step_size": 0.05},
+            {"kind": "dse_lms", "step_size": 0.03},
             {"kind": "dmcc", "step_size": 0.05, "kernel_width": 1.3},
+            {"kind": "dlms_f", "step_size": 0.04, "mix": 0.5},
             {"kind": "dllad", "step_size": 0.05, "scale": 2.0},
         ],
     )
     for strategy in ("cta", "atc"):
         raw["strategy"] = strategy
         cfg = config_from_dict(raw)
-        from diffnet.harness import generate_realization_data, realization_rng, _run_baseline
-
-        data = generate_realization_data(cfg, realization_rng(cfg.base_seed, 0))
-        for spec in cfg.algorithms:
-            sq_fast, _, _ = _run_baseline(cfg, spec, data)
-            sq_ref = _reference_baseline(cfg, spec, data, strategy)
-            assert np.allclose(sq_fast, sq_ref, rtol=1e-10, atol=1e-14)
+        batch, drawn, _ = harness._draw(cfg, range(cfg.realizations))
+        sq_fast = harness._run_baselines(cfg, cfg.algorithms, batch)
+        assert sq_fast.shape == (5, 2, cfg.iterations, 5)
+        for r in drawn:
+            data = harness.generate_realization_data(cfg, harness.realization_rng(cfg.base_seed, r))
+            for i, spec in enumerate(cfg.algorithms):
+                sq_ref = _reference_baseline(cfg, spec, data, strategy)
+                assert np.allclose(sq_fast[i, r], sq_ref, rtol=1e-10, atol=1e-14)
 
 
 def _reference_baseline(cfg, spec, data, strategy):
@@ -230,3 +236,52 @@ def test_determinism_bit_identical_curves():
     first = run_experiment(config_from_dict(raw))
     second = run_experiment(config_from_dict(raw))
     assert np.array_equal(first.node_msd["dlms"], second.node_msd["dlms"])
+
+
+def test_sparse_gains_times_zero_equal_error_times_zero():
+    """The fused engine writes e * 0 off the neighbourhoods for its sparse gains.
+
+    That is exact only if g(e) * 0 and e * 0 agree bit for bit, signed zeros
+    and NaNs included, for every e.
+    """
+    from diffnet import harness
+
+    kinds = ALL_KINDS + [DMCC(kernel_width=0.005), DLMSF(mix=1e-3), DLLAD(scale=10.0)]
+    sparse = [kind for kind in kinds if isinstance(kind, harness._SPARSE_GAINS)]
+    assert sparse
+    e = np.array([0.0, 5e-324, 1e-200, 1e-5, 0.7, 3.0, 1e99, 1e100, 1e150, 1e200,
+                  np.finfo(float).max, np.inf, np.nan])
+    e = np.concatenate([e, -e])
+    for kind in sparse:
+        with np.errstate(invalid="ignore"):
+            lhs = error_gain(kind, e) * 0.0
+            rhs = e * 0.0
+        assert np.array_equal(np.isnan(lhs), np.isnan(rhs)), kind
+        finite = ~np.isnan(rhs)
+        assert np.array_equal(lhs[finite], rhs[finite]), kind
+        assert np.array_equal(np.signbit(lhs[finite]), np.signbit(rhs[finite])), kind
+
+
+def test_sparse_gain_evaluation_is_bit_identical_to_dense(monkeypatch):
+    """Evaluating dmcc and dlms_f on neighbour pairs only changes no bit, even past overflow."""
+    from diffnet import harness
+
+    raw = small_config_dict(
+        iterations=300, realizations=3,
+        noise={"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0},
+        algorithms=[
+            {"kind": "dlms_f", "step_size": 2.0},
+            {"kind": "dmcc", "step_size": 0.5, "kernel_width": 0.5},
+            {"kind": "dlms_f", "step_size": 0.05, "label": "dlms_f_slow"},
+        ],
+    )
+    for strategy in ("cta", "atc"):
+        raw["strategy"] = strategy
+        cfg = config_from_dict(raw)
+        batch, _, _ = harness._draw(cfg, range(cfg.realizations))
+        sparse = harness._run_baselines(cfg, cfg.algorithms, batch)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_SPARSE_GAINS", ())
+            dense = harness._run_baselines(cfg, cfg.algorithms, batch)
+        assert not np.isfinite(sparse[0]).all()
+        assert np.array_equal(sparse, dense, equal_nan=True)

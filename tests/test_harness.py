@@ -269,13 +269,110 @@ def test_partial_failure_reports_indices(monkeypatch):
 
     def flaky(config, rng):
         flaky.calls += 1
-        if flaky.calls == 2:
+        if flaky.calls == flaky.fail_on:
             raise RuntimeError("boom")
         return original(config, rng)
 
-    flaky.calls = 0
+    flaky.calls, flaky.fail_on = 0, 2
     monkeypatch.setattr(harness_mod, "generate_realization_data", flaky)
     cfg = config_from_dict(small_config_dict(realizations=3))
     with pytest.raises(PartialFailure) as err:
         harness_mod.run_experiment(cfg)
     assert [idx for idx, _ in err.value.failures] == [1]
+
+    # A failed draw in the middle of a chunk: the rest of the chunk still runs.
+    simulate = harness_mod._simulate
+    rows = []
+
+    def counting(config, batch):
+        rows.append(batch.targets.shape[1])
+        return simulate(config, batch)
+
+    monkeypatch.setattr(harness_mod, "_simulate", counting)
+    monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
+    flaky.calls, flaky.fail_on = 0, 3
+    cfg = config_from_dict(small_config_dict(realizations=6))
+    with pytest.raises(PartialFailure) as err:
+        harness_mod.run_experiment(cfg)
+    assert [idx for idx, _ in err.value.failures] == [2]
+    assert rows == [3, 2]
+
+
+def test_failed_chunk_reruns_one_realization_at_a_time(monkeypatch):
+    import diffnet.harness as harness_mod
+
+    cfg = config_from_dict(small_config_dict(realizations=5, algorithms=[
+        {"kind": "dlms", "step_size": 0.05},
+        {"kind": "npdlms", "step_size": 0.05},
+    ]))
+    expected = run_experiment(cfg)
+    bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
+    simulate = harness_mod._simulate
+
+    def fragile(config, batch):
+        # any batch of several rows fails, and so does realization 3 alone
+        if batch.targets.shape[1] > 1 or np.array_equal(batch.targets[:, 0], bad):
+            raise FloatingPointError("batch failed")
+        return simulate(config, batch)
+
+    monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
+    monkeypatch.setattr(harness_mod, "_simulate", fragile)
+    with pytest.raises(PartialFailure) as err:
+        run_experiment(cfg)
+    assert [idx for idx, _ in err.value.failures] == [3]
+
+    bad = None  # realization 3 now runs alone; every chunk still fails as a batch
+    result = run_experiment(cfg)
+    for label in result.labels:
+        assert np.array_equal(result.node_msd[label], expected.node_msd[label])
+    assert np.array_equal(result.kappa["npdlms"], expected.kappa["npdlms"])
+
+
+@pytest.mark.parametrize("strategy", ["cta", "atc"])
+def test_chunked_experiment_equals_index_order_sum_of_realizations(monkeypatch, strategy):
+    """Chunks change nothing: not the sums, not the counters, not one bit.
+
+    dlms diverges under this alpha-stable noise in some realizations only, and
+    an infinite target then turns one row's dlms run into NaN: neither may
+    reach the other rows of its batch.
+    """
+    import diffnet.harness as harness_mod
+
+    monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
+    raw = small_config_dict(
+        iterations=300, realizations=5, strategy=strategy,
+        noise={"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0},
+        algorithms=[
+            {"kind": "dlms", "step_size": 0.4},
+            {"kind": "dllad", "step_size": 0.05, "scale": 2.0},
+            {"kind": "npdlms", "step_size": 0.05},
+        ],
+    )
+    cfg = config_from_dict(raw)
+    result = run_experiment(cfg)
+    sums = {label: np.zeros((cfg.iterations, 5)) for label in result.labels}
+    kappa = np.zeros(5)
+    diverged = {label: 0 for label in result.labels}
+    for idx in range(cfg.realizations):
+        for label, (sq, updates, flag) in run_realization(cfg, idx).items():
+            sums[label] += sq
+            diverged[label] += flag
+            if updates is not None:
+                kappa += updates
+    assert 0 < diverged["dlms"] < cfg.realizations
+    assert diverged["dllad"] == diverged["npdlms"] == 0
+    assert result.diverged == diverged
+    for label in result.labels:
+        assert np.array_equal(result.node_msd[label], sums[label] / cfg.realizations)
+    assert np.array_equal(result.kappa["npdlms"], kappa / cfg.realizations)
+
+    batch, _, _ = harness_mod._draw(cfg, [0, 1])
+    batch.targets[50:, 0, 2] = np.inf
+    both = harness_mod._simulate(cfg, batch)
+    alone = run_realization(cfg, 1)
+    assert both["dlms"][2][0]
+    assert np.isnan(harness_mod._run_baselines(cfg, cfg.algorithms[:1], batch)[0, 0]).any()
+    for label in result.labels:
+        assert np.array_equal(both[label][0][1], alone[label][0])
+        assert both[label][2][1] == alone[label][2]
+    assert np.array_equal(both["npdlms"][1][1], alone["npdlms"][1])

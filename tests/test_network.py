@@ -211,6 +211,25 @@ def test_random_walk_stationary_variance(rng):
     assert abs(steps[1000:].var() - expected) / expected < 0.10
 
 
+@pytest.mark.parametrize("drift", [RandomWalk(q_variance=1e-4), Stationary()], ids=["walk", "fixed"])
+def test_drift_path_matches_stepwise_recursion(drift):
+    """One draw plus the decay recurrence gives the per-step process bit for bit."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        rng_ref = np.random.default_rng(seed)
+        gt = GroundTruth(THETA5, drift)
+        path = np.concatenate([gt.path(rng, 400), gt.path(rng, 1), gt.path(rng, 99)])
+        omega = np.zeros(5)
+        expected = []
+        for _ in range(500):
+            if isinstance(drift, RandomWalk):
+                q = rng_ref.standard_normal(5) * np.sqrt(drift.q_variance)
+                omega = drift.decay * omega + q
+            expected.append(THETA5 + omega)
+        assert np.array_equal(path, np.array(expected))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
 def test_negative_walk_variance_rejected():
     with pytest.raises(InvalidParameters):
         RandomWalk(q_variance=-1e-3)

@@ -440,3 +440,32 @@ def test_step_pushes_received_estimates():
     assert buffers.depth(1) == 1 and buffers.depth(2) == 1
     assert np.array_equal(buffers.history(1)[0], prev[0])
     assert np.array_equal(buffers.history(2)[0], prev[1])
+
+
+# --- batched engine against the per-node oracle ----------------------------
+
+
+@pytest.mark.parametrize("strategy,gate", [
+    ("cta", {"eta": 0.0, "mode": "hard"}),
+    ("atc", {"eta": 0.3, "mode": "smooth", "slope": 2.0}),
+])
+def test_batched_npdlms_matches_per_node_oracle(strategy, gate):
+    """Each row of a batched kernel-MAP run is the per-node recursion on its own draws."""
+    from diffnet import harness
+    from tests.conftest import small_config_dict
+    from tests.oracles import run_npdlms_reference
+
+    raw = small_config_dict(iterations=40, realizations=3, strategy=strategy, gate=gate,
+                            algorithms=[{"kind": "npdlms", "step_size": 0.08, "buffer": 3,
+                                         "sigma": 0.5}])
+    cfg = harness.config_from_dict(raw)
+    spec = cfg.npdlms_spec()
+    batch, drawn, failures = harness._draw(cfg, range(cfg.realizations))
+    assert drawn == [0, 1, 2] and not failures
+    sq, updates = harness._run_npdlms(cfg, spec, batch)
+    assert sq.shape == (3, cfg.iterations, 5) and updates.shape == (3, 5)
+    for r in drawn:
+        data = harness.generate_realization_data(cfg, harness.realization_rng(cfg.base_seed, r))
+        sq_ref, updates_ref = run_npdlms_reference(cfg, spec, data)
+        assert np.allclose(sq[r], sq_ref, rtol=1e-10, atol=0.0)
+        assert np.array_equal(updates[r], updates_ref)
