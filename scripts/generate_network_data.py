@@ -2,7 +2,7 @@
 """Regenerate the canonical 16-node network data files.
 
 The shipped topology is a random geometric graph (16 points in the unit
-square, connect within radius 0.42) drawn from a fixed seed, retried until
+square, connect within radius 0.32) drawn from a fixed seed, retried until
 connected. The regressor variance profile is 16 draws from U[0.8, 1.2],
 also from a fixed seed. Both files live in src/diffnet/data/ and are
 committed; this script only exists to document how they were produced.

@@ -2,7 +2,7 @@
 closed-form mean-square performance predictions."""
 
 from . import cli, diffusion, harness, network, noise, npdlms, theory
-from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, NodeState, SharedData
+from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, SharedData
 from .harness import (
     AlgorithmSpec,
     ExperimentConfig,
@@ -16,9 +16,7 @@ from .harness import (
 from .network import (
     CombinationMatrix,
     GroundTruth,
-    Measurement,
     NetworkTopology,
-    NodeProfile,
     RandomWalk,
     Stationary,
     build_topology,

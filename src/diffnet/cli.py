@@ -18,10 +18,6 @@ from .errors import ConfigError, DiffnetError, UnstableSystem
 CF_GRID = (0.1, 0.5, 1.0, 2.0)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _load(args) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
     overrides = {}
@@ -82,17 +78,8 @@ def _cmd_compare(args) -> int:
         theory_curve = theory.to_db(curves.network_msd)
         print(f"theory steady-state MSD {theory.to_db(steady.steady_network_msd):.2f} dB")
     result = harness.run_experiment(replace(config, output=None))
-    header = "iteration," + ",".join(f"{label}_msd_db" for label in result.labels)
-    if theory_curve is not None:
-        header += ",theory_msd_db"
-    lines = [header]
-    for t in range(result.iterations):
-        row = [str(t + 1)] + [_fmt(result.network_msd_db(label)[t]) for label in result.labels]
-        if theory_curve is not None:
-            row.append(_fmt(theory_curve[t + 1]))
-        lines.append(",".join(row))
-    with open(out_path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    extra = None if theory_curve is None else {"theory_msd_db": theory_curve[1:]}
+    harness.export_csv(result, out_path, extra)
     for label in result.labels:
         print(f"{label}: steady-state MSD {result.steady_state_msd_db(label):.2f} dB")
     print(f"wrote {out_path}")
@@ -124,18 +111,17 @@ def _cmd_validate_noise(args) -> int:
     spec = noise.AlphaStable(*parts)
     rng = np.random.default_rng(args.seed)
     samples = noise.sample(spec, rng, int(args.samples))
+    fmt = harness._fmt
     lines = ["t,re_emp,im_emp,re_theory,im_theory"]
     for t in CF_GRID:
         emp = noise.empirical_characteristic_function(samples, t)
         ref = noise.characteristic_function(spec, t)
-        lines.append(",".join([_fmt(t), _fmt(emp.real), _fmt(emp.imag), _fmt(ref.real), _fmt(ref.imag)]))
-    text = "\n".join(lines) + "\n"
+        lines.append(",".join([fmt(t), fmt(emp.real), fmt(emp.imag), fmt(ref.real), fmt(ref.imag)]))
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        harness._write_lines(args.out, lines)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text)
+        print("\n".join(lines))
     return 0
 
 

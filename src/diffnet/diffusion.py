@@ -1,14 +1,14 @@
-"""Per-node diffusion adaptive filtering.
+"""Baseline robust update families and the per-node data view.
 
-Defines the adapt/combine contract (ATC and CTA orderings) and the classical
-robust update families used as comparison baselines. Every family is written
-as an ascent direction g(e) * u', so the update is always
+Every baseline family is an error gain g(e), so a node's adapt step is
 
     theta <- theta_eval + step * sum_{l in N_k} g(e_l) u_l'
 
 where e_l = d_l - u_l theta_eval. All families consume the full neighbourhood
 measurement set so comparisons against the kernel-MAP update are like for
-like.
+like. The ATC and CTA orderings of that step live in the simulation engine
+(`harness`); `SharedData` is what one node sees in one iteration, the input of
+the single-node kernel-MAP math in `npdlms`.
 """
 
 from __future__ import annotations
@@ -19,14 +19,6 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameters
-
-
-@dataclass
-class NodeState:
-    """Current estimate and the last intermediate (combine or adapt) vector."""
-
-    theta: np.ndarray
-    phi: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -88,8 +80,7 @@ class SharedData:
 
     Arrays are aligned with `neighbors` (sorted 1-based ids, node included):
     regressor rows u, targets d, and the neighbours' previous-iteration
-    estimates. `phi` carries this-iteration adapt intermediates and is only
-    filled by the scheduler for the ATC combine phase.
+    estimates.
     """
 
     node: int
@@ -97,7 +88,6 @@ class SharedData:
     u: np.ndarray
     d: np.ndarray
     theta_prev: np.ndarray
-    phi: np.ndarray | None = None
 
     def __post_init__(self):
         m = len(self.neighbors)
@@ -105,10 +95,6 @@ class SharedData:
             raise DimensionMismatch(f"node {self.node} missing from its own neighbourhood")
         if self.u.shape[0] != m or self.d.shape[0] != m or self.theta_prev.shape[0] != m:
             raise DimensionMismatch("shared arrays must have one row per neighbour")
-
-    @property
-    def own_index(self) -> int:
-        return self.neighbors.index(self.node)
 
 
 def error_gain(kind: BaselineKind, e):
@@ -130,45 +116,3 @@ def error_gain(kind: BaselineKind, e):
         else:
             raise InvalidParameters(f"unknown baseline kind {kind!r}")
     return out
-
-
-def baseline_update_direction(kind: BaselineKind, e: float, u: np.ndarray) -> np.ndarray:
-    """Ascent direction g(e) * u' for one neighbour's data."""
-    return error_gain(kind, e) * np.asarray(u, dtype=float)
-
-
-def _adapt(theta_eval: np.ndarray, shared: SharedData, kind: BaselineKind, step_size: float) -> np.ndarray:
-    e = shared.d - shared.u @ theta_eval
-    return theta_eval + step_size * (shared.u.T @ error_gain(kind, e))
-
-
-def cta_step(state: NodeState, shared: SharedData, weights: np.ndarray,
-             kind: BaselineKind, step_size: float) -> NodeState:
-    """Combine-then-adapt: average neighbours' previous estimates, then adapt there."""
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != len(shared.neighbors):
-        raise DimensionMismatch("one combination weight per neighbour required")
-    phi = shared.theta_prev.T @ weights
-    theta = _adapt(phi, shared, kind, step_size)
-    return NodeState(theta=theta, phi=phi)
-
-
-def atc_step(state: NodeState, shared: SharedData, weights: np.ndarray,
-             kind: BaselineKind, step_size: float) -> NodeState:
-    """Adapt-then-combine: adapt the own estimate, then average intermediates.
-
-    Neighbours' this-iteration intermediates must be present in `shared.phi`
-    (the synchronous scheduler fills them); the own slot is recomputed locally.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != len(shared.neighbors):
-        raise DimensionMismatch("one combination weight per neighbour required")
-    phi_own = _adapt(state.theta, shared, kind, step_size)
-    if len(shared.neighbors) == 1:
-        return NodeState(theta=weights[0] * phi_own, phi=phi_own)
-    if shared.phi is None:
-        raise DimensionMismatch("ATC combine needs this-iteration intermediates in shared.phi")
-    phi_all = np.array(shared.phi, dtype=float)
-    phi_all[shared.own_index] = phi_own
-    theta = phi_all.T @ weights
-    return NodeState(theta=theta, phi=phi_own)

@@ -614,18 +614,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def export_csv(result: RunResult, path) -> None:
-    """`iteration,<label>_msd_db,...` with one row per iteration, LF endings."""
-    if not result.labels:
-        raise ConfigError("no algorithms to export")
-    curves = {label: result.network_msd_db(label) for label in result.labels}
-    header = "iteration," + ",".join(f"{label}_msd_db" for label in result.labels)
-    lines = [header]
-    for t in range(result.iterations):
-        row = [str(t + 1)] + [_fmt(curves[label][t]) for label in result.labels]
-        lines.append(",".join(row))
+def _write_lines(path, lines) -> None:
+    """Write `lines` to `path`, each ended by LF on every platform."""
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def export_csv(result: RunResult, path, extra_columns=None) -> None:
+    """`iteration,<label>_msd_db,...` with one row per iteration, LF endings.
+
+    `extra_columns` maps further column names to per-iteration values, which
+    follow the algorithms' columns.
+    """
+    if not result.labels:
+        raise ConfigError("no algorithms to export")
+    extra = extra_columns or {}
+    names = [f"{label}_msd_db" for label in result.labels] + list(extra)
+    curves = [result.network_msd_db(label) for label in result.labels] + list(extra.values())
+    lines = ["iteration," + ",".join(names)]
+    for t in range(result.iterations):
+        lines.append(",".join([str(t + 1)] + [_fmt(curve[t]) for curve in curves]))
+    _write_lines(path, lines)
 
 
 SWEEPABLE = ("eta", "h", "delta", "sigma")
@@ -633,19 +642,12 @@ SWEEPABLE = ("eta", "h", "delta", "sigma")
 
 def _override_sweep_value(config: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
     if parameter == "eta":
-        gate = ThresholdParams(eta=float(value), slope=config.gate.slope, mode=config.gate.mode)
-        return replace(config, gate=gate, output=None)
+        return replace(config, gate=replace(config.gate, eta=float(value)), output=None)
     algorithms = []
     for spec in config.algorithms:
         if isinstance(spec.kind, NPDLMS):
-            kernel = spec.kind.kernel
-            kernel = KernelParams(
-                sigma=float(value) if parameter == "sigma" else kernel.sigma,
-                h=float(value) if parameter == "h" else kernel.h,
-                delta=float(value) if parameter == "delta" else kernel.delta,
-            )
-            spec = AlgorithmSpec(kind=NPDLMS(buffer_size=spec.kind.buffer_size, kernel=kernel),
-                                 step_size=spec.step_size, label=spec.label)
+            kernel = replace(spec.kind.kernel, **{parameter: float(value)})
+            spec = replace(spec, kind=replace(spec.kind, kernel=kernel))
         algorithms.append(spec)
     return replace(config, algorithms=algorithms, output=None)
 
@@ -671,8 +673,7 @@ def export_sweep_csv(values, results, path) -> None:
         for t in range(result.iterations):
             row = [_fmt(value), str(t + 1)] + [_fmt(curves[label][t]) for label in labels]
             lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def theory_inputs_from_config(config: ExperimentConfig, r_similar=None,
@@ -719,5 +720,4 @@ def export_theory_csv(curves, steady, path) -> None:
     lines.append(
         "steady_state," + _fmt(to_db(steady.steady_network_msd)) + "," + _fmt(to_db(steady.steady_network_emse))
     )
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)

@@ -1,5 +1,5 @@
-"""Sensor-network model: topology, combination weights, per-node signal
-statistics, the linear measurement model, and ground-truth processes.
+"""Sensor-network model: topology, combination weights, the SNR-to-noise
+conversion, and ground-truth processes.
 
 Node ids are 1-based everywhere; every node has an implicit self-loop, so the
 neighbourhood N_k always contains k itself.
@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import noise as noise_models
 from .errors import (
     DimensionMismatch,
     DisconnectedGraph,
@@ -155,52 +154,6 @@ def noise_variance_from_snr(snr_db: float, r_u: np.ndarray, theta_o: np.ndarray)
     return signal_power * 10.0 ** (-snr_db / 10.0)
 
 
-@dataclass
-class NodeProfile:
-    """Per-node signal statistics: regressor covariance, noise law, step size."""
-
-    regressor_covariance: np.ndarray
-    noise: noise_models.NoiseSpec
-    step_size: float
-    _chol: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        r = np.asarray(self.regressor_covariance, dtype=float)
-        if r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise DimensionMismatch(f"covariance must be square, got {r.shape}")
-        if np.max(np.abs(r - r.T)) > 1e-12:
-            raise InvalidParameters("regressor covariance must be symmetric within 1e-12")
-        eigmin = float(np.linalg.eigvalsh(r)[0])
-        if eigmin <= 0.0:
-            raise InvalidParameters(f"regressor covariance must be positive definite (min eig {eigmin})")
-        if not self.step_size > 0.0:
-            raise InvalidParameters(f"step size must be > 0, got {self.step_size}")
-        self.regressor_covariance = r
-        self._chol = np.linalg.cholesky(r)
-
-    @property
-    def dim(self) -> int:
-        return self.regressor_covariance.shape[0]
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """One regressor/target pair; the realized noise is kept for diagnostics."""
-
-    u: np.ndarray
-    d: float
-    v: float
-
-
-def generate_measurement(profile: NodeProfile, theta_now: np.ndarray, rng) -> Measurement:
-    """Draw u ~ N(0, R_u), v ~ profile.noise, and form d = u theta + v."""
-    z = rng.standard_normal(profile.dim)
-    u = profile._chol @ z
-    v = noise_models.sample(profile.noise, rng)
-    d = float(u @ np.asarray(theta_now, dtype=float) + v)
-    return Measurement(u=u, d=d, v=v)
-
-
 @dataclass(frozen=True)
 class Stationary:
     """Fixed ground truth."""
@@ -247,10 +200,6 @@ class GroundTruth:
             omega[t] += decay * omega[t - 1]
         self._omega = omega[-1].copy()
         return self.theta_o + omega
-
-
-def drift_step(ground_truth: GroundTruth, rng) -> np.ndarray:
-    return ground_truth.advance(rng)
 
 
 def save_topology(topology: NetworkTopology, path) -> None:

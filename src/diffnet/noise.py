@@ -1,4 +1,4 @@
-"""Measurement-noise models: Gaussian and alpha-stable.
+"""Noise models of the measurements: Gaussian and alpha-stable.
 
 The alpha-stable family is pinned to the characteristic function
 

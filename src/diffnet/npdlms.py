@@ -26,7 +26,7 @@ from typing import Iterable, Mapping
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .diffusion import NodeState, SharedData
+from .diffusion import SharedData
 from .errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -328,36 +328,3 @@ def npdlms_adapt(shared: SharedData, buffers: EstimateBuffer, params: KernelPara
     eps = neighbor_error(theta_eval, shared)
     gate = threshold_gate(eps, threshold)
     return theta_eval + step_size * gate * grad, bool(eps > threshold.eta)
-
-
-def npdlms_step(state: NodeState, shared: SharedData, buffers: EstimateBuffer,
-                params: KernelParams, threshold: ThresholdParams, step_size: float,
-                weights: np.ndarray, strategy: str = "cta"):
-    """One synchronous iteration for one node.
-
-    CTA combines the received estimates and adapts at the combined point; ATC
-    adapts at the own previous estimate and combines this-iteration
-    intermediates (the scheduler provides the neighbours' ones in shared.phi).
-    Returns the new state plus whether the hard-gate condition eps > eta
-    fired. Under a closed gate the combine still happens; only the adapt is
-    suppressed.
-    """
-    if strategy not in ("cta", "atc"):
-        raise InvalidParameters(f"strategy must be 'cta' or 'atc', got {strategy!r}")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape[0] != len(shared.neighbors):
-        raise DimensionMismatch("one combination weight per neighbour required")
-
-    if strategy == "cta":
-        phi = shared.theta_prev.T @ weights
-        adapted, updated = npdlms_adapt(shared, buffers, params, threshold, step_size, phi)
-        return NodeState(theta=adapted, phi=phi), updated
-
-    adapted, updated = npdlms_adapt(shared, buffers, params, threshold, step_size, state.theta)
-    if len(shared.neighbors) == 1:
-        return NodeState(theta=weights[0] * adapted, phi=adapted), updated
-    if shared.phi is None:
-        raise DimensionMismatch("ATC combine needs this-iteration intermediates in shared.phi")
-    phi_all = np.array(shared.phi, dtype=float)
-    phi_all[shared.own_index] = adapted
-    return NodeState(theta=phi_all.T @ weights, phi=adapted), updated

@@ -277,13 +277,10 @@ class MomentSet:
     metrics raise UnstableSystem.
     """
 
-    step_matrix: np.ndarray       # M, block-diagonal alpha_k I_d
     coeff_covariance: np.ndarray  # C, block-diagonal -(1/h_k) sum_l s_lk R_l
-    noise_covariance: np.ndarray  # Xi = E[G_n G_n'], full Nd x Nd
     prior_bias: np.ndarray        # P, block-diagonal
     mean_transition: np.ndarray   # F = (I + M C - M P) A_ext
     xi_vec: np.ndarray            # vec(M (Xi + P_outer) M), length (Nd)^2
-    prior_outer: np.ndarray       # P theta_bar theta_bar' P'
     regressor_covariances: list
     theta_o: np.ndarray
     slopes: np.ndarray            # s_lk = E[g'(e_lk)], (N, N) indexed [l, k]
@@ -297,10 +294,6 @@ class MomentSet:
     @property
     def dim(self) -> int:
         return self.regressor_covariances[0].shape[0]
-
-    @property
-    def theta_stacked(self) -> np.ndarray:
-        return np.tile(self.theta_o, self.node_count)
 
     def big_transition(self) -> np.ndarray:
         """F' (x) F', materialized; meant for small instances and tests."""
@@ -360,13 +353,10 @@ def build_moments(inputs: TheoryInputs) -> MomentSet:
         slope, coeff, xi = _steady_fixed_point(lin, slope, coeff, xi)
 
     return MomentSet(
-        step_matrix=np.diag(step_diag),
         coeff_covariance=_block_diag(coeff),
-        noise_covariance=xi,
         prior_bias=prior_bias,
         mean_transition=lin.transition(lin.update_blocks(coeff)),
         xi_vec=lin.source(xi).flatten(order="F"),
-        prior_outer=prior_outer,
         regressor_covariances=inputs.regressor_covariances,
         theta_o=np.asarray(inputs.theta_o, dtype=float),
         slopes=slope,

@@ -2,8 +2,42 @@
 
 import numpy as np
 
-from diffnet.diffusion import SharedData
+from diffnet.diffusion import SharedData, error_gain
 from diffnet.npdlms import EstimateBuffer, npdlms_adapt
+
+
+def run_baseline_reference(config, spec, data, theta0=None):
+    """Per-node run of one baseline family in the configured ordering.
+
+    `data` holds one realization's draws; the run starts from `theta0`
+    ((N, d), zeros by default). Node k combines with its column a[idx, k] and
+    adapts with its neighbourhood's data as phi + step * u' g(d - u phi); CTA
+    combines the previous estimates and adapts there, ATC adapts every own
+    estimate and combines the results. Returns the (T, N, d) estimates.
+    """
+    topo = config.topology
+    a = config.combination.matrix
+    t_len, n, d = config.iterations, topo.node_count, config.dim
+    hoods = [np.array([l - 1 for l in topo.neighbors(k)]) for k in range(1, n + 1)]
+
+    def adapt(k, phi, u_t, d_t):
+        u = u_t[hoods[k]]
+        return phi + spec.step_size * (u.T @ error_gain(spec.kind, d_t[hoods[k]] - u @ phi))
+
+    def combine(k, estimates):
+        return estimates[hoods[k]].T @ a[hoods[k], k]
+
+    theta = np.zeros((n, d)) if theta0 is None else np.array(theta0, dtype=float)
+    trace = np.empty((t_len, n, d))
+    for t in range(t_len):
+        u_t, d_t = data.regressors[t], data.targets[t]
+        if config.strategy == "cta":
+            theta = np.array([adapt(k, combine(k, theta), u_t, d_t) for k in range(n)])
+        else:
+            adapted = np.array([adapt(k, theta[k], u_t, d_t) for k in range(n)])
+            theta = np.array([combine(k, adapted) for k in range(n)])
+        trace[t] = theta
+    return trace
 
 
 def run_npdlms_reference(config, spec, data):

@@ -1,5 +1,8 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import hashlib
+from pathlib import Path
+
 import yaml
 
 from diffnet.cli import main
@@ -130,3 +133,37 @@ def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
                             algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
     assert main(["compare", "--config", write_config(tmp_path, atc), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+# Golden SHA-256 digests of two small runs' CSV bytes. They pin the engine and
+# the CSV writer together and hold for the numpy 2.4.6 / scipy-openblas build
+# they were recorded on (the same caveat as bench/golden.json); another BLAS
+# or CPU family may change the last bits of a curve.
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ALL_FAMILIES = [
+    {"kind": "dlms", "step_size": 0.05},
+    {"kind": "dse_lms", "step_size": 0.03},
+    {"kind": "dmcc", "step_size": 0.05, "kernel_width": 1.3},
+    {"kind": "dlms_f", "step_size": 0.04, "mix": 0.5},
+    {"kind": "dllad", "step_size": 0.05, "scale": 2.0},
+    {"kind": "npdlms", "step_size": 0.05, "delta": 0.5},
+]
+SIMULATE_SHA256 = "7064432831ec3ca90a42e8f380da14a9e498a5995ea4133bb5cc684842b1bdb8"
+COMPARE_SHA256 = "dad54beee6a5e58f0eb2defb85a70961211c5fd2ae305c84ac6bf6fbdbf4f707"
+
+
+def test_simulate_golden_digest(tmp_path, capsys):
+    """Six algorithms over 20 realizations, more than one chunk."""
+    cfg = write_config(tmp_path, small_config_dict(realizations=20, algorithms=ALL_FAMILIES))
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256
+
+
+def test_compare_golden_digest(tmp_path, capsys):
+    """Simulation columns plus the theory overlay column."""
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--config", str(CONFIGS / "theory_small.yaml"),
+                 "--realizations", "4", "--iterations", "100", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "iteration,npdlms_msd_db,theory_msd_db"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_SHA256

@@ -1,24 +1,16 @@
 """Baseline update families and the ATC/CTA strategy contract."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from diffnet.diffusion import (
-    DLLAD,
-    DLMS,
-    DLMSF,
-    DMCC,
-    DSELMS,
-    NodeState,
-    SharedData,
-    atc_step,
-    baseline_update_direction,
-    cta_step,
-    error_gain,
-)
+from diffnet import harness
+from diffnet.diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, error_gain
 from diffnet.errors import InvalidParameters
-from diffnet.harness import config_from_dict, run_experiment
+from diffnet.harness import RealizationData, config_from_dict, run_experiment
 from tests.conftest import small_config_dict
+from tests.oracles import run_baseline_reference
 
 ALL_KINDS = [DLMS(), DSELMS(), DMCC(kernel_width=1.0), DLMSF(mix=1.0), DLLAD(scale=1.0)]
 
@@ -26,18 +18,17 @@ ALL_KINDS = [DLMS(), DSELMS(), DMCC(kernel_width=1.0), DLMSF(mix=1.0), DLLAD(sca
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.kind)
 def test_zero_error_gives_zero_direction(kind):
     u = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(baseline_update_direction(kind, 0.0, u), np.zeros(3))
+    assert np.array_equal(error_gain(kind, 0.0) * u, np.zeros(3))
+    assert np.array_equal(error_gain(kind, np.zeros(4)), np.zeros(4))
 
 
 def test_sign_error_clips():
-    direction = baseline_update_direction(DSELMS(), -3.7, np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(direction, np.array([-1.0, 0.0, 0.0]))
+    assert np.array_equal(error_gain(DSELMS(), np.array([-3.7, 0.2, 0.0])), [-1.0, 1.0, 0.0])
 
 
 def test_correntropy_weight_value():
-    direction = baseline_update_direction(DMCC(kernel_width=1.0), 1.0, np.array([1.0, 0.0]))
-    assert direction[0] == pytest.approx(np.exp(-0.5))
-    assert direction[1] == 0.0
+    assert error_gain(DMCC(kernel_width=1.0), 1.0) == pytest.approx(np.exp(-0.5))
+    assert error_gain(DMCC(kernel_width=2.0), -2.0) == pytest.approx(-2.0 * np.exp(-0.5))
 
 
 def test_lmsf_and_llad_gains():
@@ -54,86 +45,113 @@ def test_hyperparameters_strictly_positive():
             bad(0.0)
 
 
-def _shared_single_node(u, d, theta):
-    return SharedData(node=1, neighbors=(1,), u=np.atleast_2d(u),
-                      d=np.atleast_1d(d), theta_prev=np.atleast_2d(theta))
+def _config(nodes, edges, algorithms, iterations, strategy="cta"):
+    return config_from_dict({
+        "topology": {"nodes": nodes, "edges": edges}, "d": 2, "regressor_variances": 1.0,
+        "noise": {"kind": "gaussian", "variance": 0.01}, "algorithms": algorithms,
+        "iterations": iterations, "strategy": strategy,
+    })
 
 
-def test_cta_zero_step_is_pure_combination(rng):
-    theta_prev = rng.standard_normal((3, 2))
-    shared = SharedData(node=2, neighbors=(1, 2, 3), u=rng.standard_normal((3, 2)),
-                        d=rng.standard_normal(3), theta_prev=theta_prev)
-    weights = np.array([0.25, 0.5, 0.25])
-    state = cta_step(NodeState(theta=np.zeros(2)), shared, weights, DLMS(), step_size=1e-300)
-    assert np.allclose(state.theta, theta_prev.T @ weights, atol=1e-290)
+def _batch(regressors, targets, theta_path):
+    """A one-realization batch from (T, N, d) regressors, (T, N) targets and (T, d) truth."""
+    return RealizationData(theta_path=theta_path[:, None], regressors=regressors[:, None],
+                           targets=targets[:, None], noises=np.zeros_like(targets)[:, None])
+
+
+def _row(batch):
+    """The draws of a one-realization batch without the realization axis."""
+    return RealizationData(*(getattr(batch, f.name)[:, 0] for f in fields(RealizationData)))
+
+
+def _kind_specs(step):
+    return [{"kind": kind.kind, "step_size": step} for kind in ALL_KINDS]
+
+
+COMPLETE4 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+
+
+def _zero_step_is_pure_combination(strategy):
+    rng = np.random.default_rng(31)
+    cfg = config_from_dict(small_config_dict(
+        iterations=1, strategy=strategy, algorithms=[{"kind": "dlms", "step_size": 1e-300}]))
+    data = harness.generate_realization_data(cfg, harness.realization_rng(cfg.base_seed, 0))
+    theta0 = rng.standard_normal((5, 3))
+    trace = run_baseline_reference(cfg, cfg.algorithms[0], data, theta0)
+    a = cfg.combination.matrix
+    hoods = [[l - 1 for l in cfg.topology.neighbors(k)] for k in range(1, 6)]
+    combined = np.array([theta0[idx].T @ a[idx, k] for k, idx in enumerate(hoods)])
+    assert np.allclose(trace[0], combined, rtol=0.0, atol=1e-290)
+
+
+def test_cta_zero_step_is_pure_combination():
+    _zero_step_is_pure_combination("cta")
+
+
+def test_atc_zero_step_averages_previous():
+    _zero_step_is_pure_combination("atc")
 
 
 def test_single_node_cta_matches_standalone_lms(rng):
-    theta = np.zeros(2)
+    t_len, alpha = 50, 0.1
+    theta_o = np.array([1.0, -0.5])
+    u = rng.standard_normal((t_len, 1, 2))
+    d = u @ theta_o + 0.1 * rng.standard_normal((t_len, 1))
+    cfg = _config(1, [], [{"kind": "dlms", "step_size": alpha}], t_len)
+    sq = harness._run_baselines(cfg, cfg.algorithms, _batch(u, d, np.tile(theta_o, (t_len, 1))))
     theta_ref = np.zeros(2)
-    alpha = 0.1
-    for _ in range(50):
-        u = rng.standard_normal(2)
-        d = u @ np.array([1.0, -0.5]) + 0.1 * rng.standard_normal()
-        state = cta_step(NodeState(theta=theta.copy()),
-                         _shared_single_node(u, d, theta), np.array([1.0]), DLMS(), alpha)
-        theta = state.theta
-        theta_ref = theta_ref + alpha * (d - u @ theta_ref) * u
-        assert np.allclose(theta, theta_ref, atol=1e-12)
+    expected = []
+    for t in range(t_len):
+        theta_ref = theta_ref + alpha * (d[t, 0] - u[t, 0] @ theta_ref) * u[t, 0]
+        expected.append((theta_ref - theta_o) @ (theta_ref - theta_o))
+    assert np.allclose(sq[0, 0, :, 0], expected, rtol=1e-10, atol=1e-14)
 
 
 def test_single_node_atc_equals_cta(rng):
-    u = rng.standard_normal(2)
-    d = 0.7
-    theta = rng.standard_normal(2)
-    for kind in ALL_KINDS:
-        s_cta = cta_step(NodeState(theta=theta.copy()), _shared_single_node(u, d, theta),
-                         np.array([1.0]), kind, 0.2)
-        s_atc = atc_step(NodeState(theta=theta.copy()), _shared_single_node(u, d, theta),
-                         np.array([1.0]), kind, 0.2)
-        assert np.allclose(s_cta.theta, s_atc.theta, atol=1e-15)
+    t_len = 30
+    u = rng.standard_normal((t_len, 1, 2))
+    d = 0.7 + 0.5 * rng.standard_normal((t_len, 1))
+    batch = _batch(u, d, np.tile([0.3, -0.2], (t_len, 1)))
+    sq = {}
+    for strategy in ("cta", "atc"):
+        cfg = _config(1, [], _kind_specs(0.2), t_len, strategy)
+        sq[strategy] = harness._run_baselines(cfg, cfg.algorithms, batch)
+    assert np.allclose(sq["cta"], sq["atc"], rtol=0.0, atol=1e-15)
 
 
 def test_zero_noise_truth_is_fixed_point(rng):
-    theta_o = np.array([0.4, -1.2])
-    u = rng.standard_normal((3, 2))
+    # Dyadic data and weights 1/4 keep every product and sum exact, so the
+    # errors at the truth are exactly zero and the truth must not move.
+    t_len = 10
+    theta_o = np.array([0.5, -1.25])
+    u = rng.integers(-3, 4, size=(t_len, 4, 2)).astype(float)
     d = u @ theta_o
-    shared = SharedData(node=1, neighbors=(1, 2, 3), u=u, d=d,
-                        theta_prev=np.tile(theta_o, (3, 1)))
-    for kind in ALL_KINDS:
-        state = cta_step(NodeState(theta=theta_o.copy()), shared, np.full(3, 1 / 3), kind, 0.3)
-        assert np.allclose(state.theta, theta_o, atol=1e-14)
-
-
-def test_atc_zero_step_averages_previous(rng):
-    theta_prev = rng.standard_normal((2, 3))
-    phi = theta_prev.copy()  # zero step: intermediates equal previous estimates
-    shared = SharedData(node=1, neighbors=(1, 2), u=rng.standard_normal((2, 3)),
-                        d=rng.standard_normal(2), theta_prev=theta_prev, phi=phi)
-    state = atc_step(NodeState(theta=theta_prev[0].copy()), shared,
-                     np.array([0.5, 0.5]), DLMS(), step_size=1e-300)
-    assert np.allclose(state.theta, theta_prev.mean(axis=0), atol=1e-290)
+    data = _row(_batch(u, d, np.tile(theta_o, (t_len, 1))))
+    for strategy in ("cta", "atc"):
+        cfg = _config(4, COMPLETE4, _kind_specs(0.3), t_len, strategy)
+        for spec in cfg.algorithms:
+            trace = run_baseline_reference(cfg, spec, data, np.tile(theta_o, (4, 1)))
+            assert np.array_equal(trace, np.broadcast_to(theta_o, trace.shape)), spec.label
+        # The engine starts at zero; with a zero truth and zero noise it never moves.
+        zero = _batch(u, np.zeros((t_len, 4)), np.zeros((t_len, 2)))
+        assert not harness._run_baselines(cfg, cfg.algorithms, zero).any()
 
 
 def test_identical_data_keeps_nodes_identical():
     # Fully connected 3-node network, identical rows everywhere: symmetry must persist.
     rng = np.random.default_rng(5)
+    t_len = 30
     theta_o = np.array([1.0, -1.0])
-    nodes = (1, 2, 3)
-    thetas = [np.zeros(2) for _ in nodes]
-    for _ in range(30):
-        u = rng.standard_normal(2)
-        d = float(u @ theta_o + 0.1 * rng.standard_normal())
-        prev = np.stack(thetas)
-        new = []
-        for k in nodes:
-            shared = SharedData(node=k, neighbors=nodes, u=np.tile(u, (3, 1)),
-                                d=np.full(3, d), theta_prev=prev)
-            new.append(cta_step(NodeState(theta=prev[k - 1].copy()), shared,
-                                np.full(3, 1 / 3), DLMS(), 0.05).theta)
-        thetas = new
-        assert np.allclose(thetas[0], thetas[1], atol=1e-14)
-        assert np.allclose(thetas[0], thetas[2], atol=1e-14)
+    u = np.repeat(rng.standard_normal((t_len, 1, 2)), 3, axis=1)
+    d = np.repeat(u[:, :1] @ theta_o + 0.1 * rng.standard_normal((t_len, 1)), 3, axis=1)
+    batch = _batch(u, d, np.tile(theta_o, (t_len, 1)))
+    cfg = _config(3, [(1, 2), (2, 3), (1, 3)], [{"kind": "dlms", "step_size": 0.05}], t_len)
+    sq = harness._run_baselines(cfg, cfg.algorithms, batch)[0, 0]
+    assert np.allclose(sq[:, 0], sq[:, 1], atol=1e-14)
+    assert np.allclose(sq[:, 0], sq[:, 2], atol=1e-14)
+    trace = run_baseline_reference(cfg, cfg.algorithms[0], _row(batch))
+    assert np.allclose(trace[:, 0], trace[:, 1], atol=1e-14)
+    assert np.allclose(trace[:, 0], trace[:, 2], atol=1e-14)
 
 
 def test_dlms_converges_in_mean_below_remark_bound():
@@ -167,9 +185,7 @@ def test_dlms_converges_in_mean_below_remark_bound():
 
 
 def test_vectorized_baselines_match_per_node_ops():
-    """Every family in the fused engine runs the recursion of the single-node ops."""
-    from diffnet import harness
-
+    """Every family in the fused engine runs the recursion of the per-node oracle."""
     raw = small_config_dict(
         iterations=40,
         realizations=2,
@@ -190,45 +206,9 @@ def test_vectorized_baselines_match_per_node_ops():
         for r in drawn:
             data = harness.generate_realization_data(cfg, harness.realization_rng(cfg.base_seed, r))
             for i, spec in enumerate(cfg.algorithms):
-                sq_ref = _reference_baseline(cfg, spec, data, strategy)
+                dev = run_baseline_reference(cfg, spec, data) - data.theta_path[:, None]
+                sq_ref = np.einsum("tnd,tnd->tn", dev, dev)
                 assert np.allclose(sq_fast[i, r], sq_ref, rtol=1e-10, atol=1e-14)
-
-
-def _reference_baseline(cfg, spec, data, strategy):
-    topo = cfg.topology
-    n, d = topo.node_count, cfg.dim
-    a = cfg.combination.matrix
-    thetas = np.zeros((n, d))
-    sq = np.empty((cfg.iterations, n))
-    for t in range(cfg.iterations):
-        prev = thetas.copy()
-        u_t, d_t = data.regressors[t], data.targets[t]
-        staged = np.empty_like(prev)
-        phi_all = None
-        if strategy == "atc":
-            phi_all = np.empty_like(prev)
-            for k in range(1, n + 1):
-                idx = [l - 1 for l in topo.neighbors(k)]
-                shared = SharedData(node=k, neighbors=topo.neighbors(k), u=u_t[idx],
-                                    d=d_t[idx], theta_prev=prev[idx])
-                e = shared.d - shared.u @ prev[k - 1]
-                phi_all[k - 1] = prev[k - 1] + spec.step_size * (shared.u.T @ error_gain(spec.kind, e))
-        for k in range(1, n + 1):
-            ids = topo.neighbors(k)
-            idx = [l - 1 for l in ids]
-            weights = a[idx, k - 1]
-            shared = SharedData(node=k, neighbors=ids, u=u_t[idx], d=d_t[idx],
-                                theta_prev=prev[idx],
-                                phi=None if phi_all is None else phi_all[idx])
-            state = NodeState(theta=prev[k - 1].copy())
-            if strategy == "cta":
-                staged[k - 1] = cta_step(state, shared, weights, spec.kind, spec.step_size).theta
-            else:
-                staged[k - 1] = atc_step(state, shared, weights, spec.kind, spec.step_size).theta
-        thetas = staged
-        dev = thetas - data.theta_path[t]
-        sq[t] = np.einsum("nd,nd->n", dev, dev)
-    return sq
 
 
 def test_determinism_bit_identical_curves():
@@ -244,8 +224,6 @@ def test_sparse_gains_times_zero_equal_error_times_zero():
     That is exact only if g(e) * 0 and e * 0 agree bit for bit, signed zeros
     and NaNs included, for every e.
     """
-    from diffnet import harness
-
     kinds = ALL_KINDS + [DMCC(kernel_width=0.005), DLMSF(mix=1e-3), DLLAD(scale=10.0)]
     sparse = [kind for kind in kinds if isinstance(kind, harness._SPARSE_GAINS)]
     assert sparse
@@ -264,8 +242,6 @@ def test_sparse_gains_times_zero_equal_error_times_zero():
 
 def test_sparse_gain_evaluation_is_bit_identical_to_dense(monkeypatch):
     """Evaluating dmcc and dlms_f on neighbour pairs only changes no bit, even past overflow."""
-    from diffnet import harness
-
     raw = small_config_dict(
         iterations=300, realizations=3,
         noise={"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0},

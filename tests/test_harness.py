@@ -104,6 +104,15 @@ def test_csv_format(tmp_path):
     assert parsed == [curve[0], curve[1]]
 
 
+def test_csv_extra_columns_follow_the_algorithms(tmp_path):
+    result = run_experiment(config_from_dict(small_config_dict(iterations=3)))
+    path = tmp_path / "x.csv"
+    export_csv(result, path, {"theory_msd_db": np.array([-1.5, 0.1, 2.0 / 3.0])})
+    lines = path.read_text().splitlines()
+    assert lines[0] == "iteration,dlms_msd_db,theory_msd_db"
+    assert [float(line.split(",")[2]) for line in lines[1:]] == [-1.5, 0.1, 2.0 / 3.0]
+
+
 def test_empty_algorithm_list_is_config_error():
     with pytest.raises(ConfigError):
         config_from_dict(small_config_dict(algorithms=[]))
@@ -120,6 +129,14 @@ def test_duplicate_labels_rejected():
 def test_missing_step_size_rejected():
     with pytest.raises(ConfigError):
         config_from_dict(small_config_dict(algorithms=[{"kind": "dlms"}]))
+
+
+@pytest.mark.parametrize("variance", [0.0, -1.0])
+@pytest.mark.parametrize("noise", [{"kind": "gaussian", "snr_db": 20},
+                                   {"kind": "gaussian", "variance": 0.1}], ids=["snr", "variance"])
+def test_nonpositive_regressor_variance_is_config_error(noise, variance):
+    with pytest.raises(ConfigError):
+        config_from_dict(small_config_dict(noise=noise, regressor_variances=variance))
 
 
 def test_yaml_round_trip(tmp_path):

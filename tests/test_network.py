@@ -1,11 +1,14 @@
 """Topology, combination weights, SNR conversion, measurements, and drift."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diffnet.errors import (
+    ConfigError,
     DisconnectedGraph,
     IndexOutOfRange,
     InvalidParameters,
@@ -14,20 +17,18 @@ from diffnet.errors import (
 from diffnet.network import (
     CombinationMatrix,
     GroundTruth,
-    NodeProfile,
     RandomWalk,
     Stationary,
     build_topology,
     combination_weights,
     default_topology,
     default_variance_profile,
-    drift_step,
-    generate_measurement,
     load_topology,
     noise_variance_from_snr,
     save_topology,
 )
-from diffnet.noise import Gaussian
+from diffnet.harness import config_from_dict, generate_realization_data
+from tests.conftest import small_config_dict
 
 THETA5 = np.ones(5) / np.sqrt(5)
 
@@ -147,58 +148,74 @@ def test_snr_requires_signal_power():
         noise_variance_from_snr(10.0, np.eye(3), np.zeros(3))
 
 
+def _measurement_config(**overrides):
+    raw = small_config_dict(environment={"kind": "random_walk", "q_variance": 1e-3},
+                            noise={"kind": "gaussian", "variance": 0.5})
+    raw.update(overrides)
+    return config_from_dict(raw)
+
+
 def test_measurement_construction_identity(rng):
-    profile = NodeProfile(regressor_covariance=1.3 * np.eye(4), noise=Gaussian(0.5), step_size=0.1)
-    theta = rng.standard_normal(4)
-    m = generate_measurement(profile, theta, rng)
-    assert m.d == float(m.u @ theta + m.v)  # bit-exact by construction
+    data = generate_realization_data(_measurement_config(), rng)
+    expected = np.einsum("tnd,td->tn", data.regressors, data.theta_path) + data.noises
+    assert np.array_equal(data.targets, expected)  # bit-exact by construction
+    assert np.all(data.noises != 0.0)
 
 
 def test_measurement_zero_noise_zero_theta(rng):
-    profile = NodeProfile(regressor_covariance=np.eye(3), noise=Gaussian(0.0), step_size=0.1)
-    m = generate_measurement(profile, np.zeros(3), rng)
-    assert m.d == 0.0 and m.v == 0.0
+    cfg = _measurement_config(theta_o=[0.0, 0.0, 0.0], environment={"kind": "stationary"},
+                              noise={"kind": "gaussian", "variance": 0.0})
+    data = generate_realization_data(cfg, rng)
+    assert not data.targets.any() and not data.noises.any()
 
 
 def test_profile_validation():
-    with pytest.raises(InvalidParameters):
-        NodeProfile(regressor_covariance=np.array([[1.0, 0.2], [0.0, 1.0]]),
-                    noise=Gaussian(1.0), step_size=0.1)
-    with pytest.raises(InvalidParameters):
-        NodeProfile(regressor_covariance=-np.eye(2), noise=Gaussian(1.0), step_size=0.1)
-    with pytest.raises(InvalidParameters):
-        NodeProfile(regressor_covariance=np.eye(2), noise=Gaussian(1.0), step_size=0.0)
+    cfg = _measurement_config()
+    with pytest.raises(np.linalg.LinAlgError):
+        replace(cfg, covariances=[-np.eye(3)] * 5)
+    with pytest.raises(ConfigError):
+        _measurement_config(noise={"kind": "gaussian", "variance": -1.0})
+    with pytest.raises(ConfigError):
+        _measurement_config(algorithms=[{"kind": "dlms", "step_size": 0.0}])
+
+
+NON_DIAGONAL = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 1.2]])
+
+
+def _regressor_draws(rng, samples):
+    """(samples, N, 3) regressors of a 2-node config whose nodes share NON_DIAGONAL."""
+    cfg = config_from_dict(small_config_dict(
+        topology={"nodes": 2, "edges": [[1, 2]]}, regressor_variances=1.0,
+        noise={"kind": "gaussian", "variance": 0.0}, iterations=samples))
+    return generate_realization_data(replace(cfg, covariances=[NON_DIAGONAL] * 2), rng).regressors
 
 
 @pytest.mark.slow
 def test_regressor_sample_covariance(rng):
-    cov = np.array([[1.0, 0.3, 0.0], [0.3, 0.8, 0.1], [0.0, 0.1, 1.2]])
-    profile = NodeProfile(regressor_covariance=cov, noise=Gaussian(0.0), step_size=0.1)
-    draws = np.stack([generate_measurement(profile, np.zeros(3), rng).u for _ in range(10**5)])
-    sample_cov = draws.T @ draws / draws.shape[0]
-    assert np.linalg.norm(sample_cov - cov, "fro") / np.linalg.norm(cov, "fro") < 0.05
+    draws = _regressor_draws(rng, 10**5)
+    for k in range(2):
+        sample_cov = draws[:, k].T @ draws[:, k] / draws.shape[0]
+        rel = np.linalg.norm(sample_cov - NON_DIAGONAL, "fro") / np.linalg.norm(NON_DIAGONAL, "fro")
+        assert rel < 0.05
 
 
 @pytest.mark.slow
 def test_cross_node_regressor_independence(rng):
-    p1 = NodeProfile(regressor_covariance=np.eye(2), noise=Gaussian(0.0), step_size=0.1)
-    p2 = NodeProfile(regressor_covariance=np.eye(2), noise=Gaussian(0.0), step_size=0.1)
-    a = np.stack([generate_measurement(p1, np.zeros(2), rng).u for _ in range(10**5)])
-    b = np.stack([generate_measurement(p2, np.zeros(2), rng).u for _ in range(10**5)])
-    corr = np.corrcoef(a[:, 0], b[:, 0])[0, 1]
-    assert abs(corr) < 0.02
+    draws = _regressor_draws(rng, 10**5)
+    corr = np.corrcoef(draws[:, 0].T, draws[:, 1].T)[:3, 3:]
+    assert np.max(np.abs(corr)) < 0.02
 
 
 def test_stationary_ground_truth(rng):
     gt = GroundTruth(THETA5, Stationary())
     for _ in range(5):
-        assert np.array_equal(drift_step(gt, rng), THETA5)
+        assert np.array_equal(gt.advance(rng), THETA5)
 
 
 def test_zero_variance_walk_is_frozen(rng):
     gt = GroundTruth(THETA5, RandomWalk(q_variance=0.0))
     for _ in range(5):
-        assert np.array_equal(drift_step(gt, rng), THETA5)
+        assert np.array_equal(gt.advance(rng), THETA5)
 
 
 @pytest.mark.slow
@@ -206,7 +223,7 @@ def test_random_walk_stationary_variance(rng):
     # AR(1) with decay a and drive q has stationary variance q / (1 - a^2).
     q_var = 1e-4
     gt = GroundTruth(np.zeros(1), RandomWalk(q_variance=q_var))
-    steps = np.array([drift_step(gt, rng)[0] for _ in range(10**5)])
+    steps = np.array([gt.advance(rng)[0] for _ in range(10**5)])
     expected = q_var / (1.0 - 0.99**2)
     assert abs(steps[1000:].var() - expected) / expected < 0.10
 

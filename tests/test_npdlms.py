@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffnet.diffusion import NodeState, SharedData
+from diffnet import harness
+from diffnet.diffusion import SharedData
 from diffnet.errors import (
     DegenerateDenominator,
     DimensionMismatch,
@@ -24,11 +25,13 @@ from diffnet.npdlms import (
     log_local_objective,
     mu_weights,
     neighbor_error,
+    npdlms_adapt,
     npdlms_gradient,
-    npdlms_step,
     pseudo_huber,
     threshold_gate,
 )
+from tests.conftest import small_config_dict
+from tests.oracles import run_npdlms_reference
 
 
 # --- kernels and losses ----------------------------------------------------
@@ -360,7 +363,21 @@ def _prior_block(theta, shared, buffers, sigma):
     return total
 
 
-# --- full step --------------------------------------------------------------
+# --- one adapt step, and 1-node runs of the engine -------------------------
+
+
+def _single_node_config(strategy="cta", **algorithm):
+    return harness.config_from_dict({
+        "topology": {"nodes": 1, "edges": []}, "d": 3, "regressor_variances": 1.0,
+        "theta_o": [0.6, -1.1, 0.3], "noise": {"kind": "gaussian", "variance": 0.0025},
+        "algorithms": [{"kind": "npdlms", **algorithm}], "iterations": 100,
+        "gate": {"eta": 0.0, "mode": "hard"}, "strategy": strategy,
+    })
+
+
+def _run_engine(cfg):
+    batch, _, _ = harness._draw(cfg, range(cfg.realizations))
+    return batch, *harness._run_npdlms(cfg, cfg.npdlms_spec(), batch)
 
 
 def test_step_with_infinite_threshold_is_pure_combination(rng):
@@ -370,33 +387,35 @@ def test_step_with_infinite_threshold_is_pure_combination(rng):
     shared = SharedData(node=2, neighbors=(1, 2, 3), u=u, d=rng.standard_normal(3),
                         theta_prev=prev)
     buffers = EstimateBuffer(3, (1, 2, 3))
-    weights = np.array([0.3, 0.4, 0.3])
-    state, updated = npdlms_step(NodeState(theta=prev[1].copy()), shared, buffers,
-                                 KernelParams(), ThresholdParams(eta=np.inf, mode="hard"),
-                                 0.5, weights)
+    combined = prev.T @ np.array([0.3, 0.4, 0.3])
+    adapted, updated = npdlms_adapt(shared, buffers, KernelParams(),
+                                    ThresholdParams(eta=np.inf, mode="hard"), 0.5, combined)
     assert not updated
-    assert np.allclose(state.theta, prev.T @ weights, atol=1e-15)
+    assert np.array_equal(adapted, combined)
+    # In the engine a gate that never opens leaves every node at its zero start.
+    cfg = harness.config_from_dict(small_config_dict(
+        iterations=30, gate={"eta": float("inf"), "mode": "hard"},
+        algorithms=[{"kind": "npdlms", "step_size": 0.5}]))
+    batch, sq, updates = _run_engine(cfg)
+    truth = np.einsum("trd,trd->rt", batch.theta_path, batch.theta_path)
+    assert not updates.any()
+    assert np.array_equal(sq, np.repeat(truth[:, :, None], 5, axis=2))
 
 
-def test_step_single_node_b1_matches_lms_trajectory(rng):
+def test_step_single_node_b1_matches_lms_trajectory():
     # B=1, no neighbours, huge delta, eta=0: exactly LMS with step alpha/h
-    d, alpha, h = 3, 0.08, 1.6
-    theta_o = rng.standard_normal(d)
-    theta = np.zeros(d)
-    theta_ref = np.zeros(d)
-    buffers = EstimateBuffer(1, (1,))
-    params = KernelParams(sigma=1.0, h=h, delta=1e12)
-    gate = ThresholdParams(eta=0.0, mode="hard")
-    for _ in range(100):
-        u = rng.standard_normal((1, d))
-        d_val = np.array([u[0] @ theta_o + 0.05 * rng.standard_normal()])
-        shared = SharedData(node=1, neighbors=(1,), u=u, d=d_val, theta_prev=theta[None])
-        state, updated = npdlms_step(NodeState(theta=theta.copy()), shared, buffers,
-                                     params, gate, alpha, np.array([1.0]))
-        theta = state.theta
-        theta_ref = theta_ref + (alpha / h) * (d_val[0] - u[0] @ theta_ref) * u[0]
-        assert updated
-        assert np.max(np.abs(theta - theta_ref)) <= 1e-10
+    alpha, h = 0.08, 1.6
+    cfg = _single_node_config(step_size=alpha, buffer=1, h=h, delta=1e12)
+    batch, sq, updates = _run_engine(cfg)
+    theta_o = cfg.theta_o
+    theta_ref = np.zeros(3)
+    expected = []
+    for t in range(cfg.iterations):
+        u, d_val = batch.regressors[t, 0, 0], batch.targets[t, 0, 0]
+        theta_ref = theta_ref + (alpha / h) * (d_val - u @ theta_ref) * u
+        expected.append((theta_ref - theta_o) @ (theta_ref - theta_o))
+    assert np.array_equal(updates, [[cfg.iterations]])
+    assert np.allclose(sq[0, :, 0], expected, rtol=1e-9, atol=1e-20)
 
 
 def test_step_zero_noise_fixed_point(rng):
@@ -406,28 +425,18 @@ def test_step_zero_noise_fixed_point(rng):
     shared = SharedData(node=1, neighbors=(1, 2), u=u, d=u @ theta_o,
                         theta_prev=np.stack([theta_o, theta_o]))
     buffers = EstimateBuffer(3, (1, 2))
-    state, updated = npdlms_step(NodeState(theta=theta_o.copy()), shared, buffers,
-                                 KernelParams(), ThresholdParams(eta=1e-6, mode="hard"),
-                                 0.3, np.array([0.5, 0.5]))
-    assert np.allclose(state.theta, theta_o, atol=1e-14)
+    combined = shared.theta_prev.T @ np.array([0.5, 0.5])
+    adapted, updated = npdlms_adapt(shared, buffers, KernelParams(),
+                                    ThresholdParams(eta=1e-6, mode="hard"), 0.3, combined)
+    assert np.allclose(adapted, theta_o, atol=1e-14)
     assert not updated  # zero error cannot clear a positive threshold
 
 
-def test_step_atc_single_node_equals_cta(rng):
-    d = 2
-    theta = rng.standard_normal(d)
-    u = rng.standard_normal((1, d))
-    d_val = np.array([0.4])
-    params = KernelParams()
-    gate = ThresholdParams(eta=0.0, mode="hard")
-    out = {}
-    for strategy in ("cta", "atc"):
-        buffers = EstimateBuffer(2, (1,))
-        shared = SharedData(node=1, neighbors=(1,), u=u, d=d_val, theta_prev=theta[None])
-        state, _ = npdlms_step(NodeState(theta=theta.copy()), shared, buffers,
-                               params, gate, 0.1, np.array([1.0]), strategy=strategy)
-        out[strategy] = state.theta
-    assert np.allclose(out["cta"], out["atc"], atol=1e-15)
+def test_step_atc_single_node_equals_cta():
+    _, sq_cta, updates_cta = _run_engine(_single_node_config("cta", step_size=0.1, buffer=2))
+    _, sq_atc, updates_atc = _run_engine(_single_node_config("atc", step_size=0.1, buffer=2))
+    assert np.allclose(sq_cta, sq_atc, rtol=0.0, atol=1e-15)
+    assert np.array_equal(updates_cta, updates_atc)
 
 
 def test_step_pushes_received_estimates():
@@ -435,8 +444,8 @@ def test_step_pushes_received_estimates():
     shared = SharedData(node=1, neighbors=(1, 2), u=np.zeros((2, 2)),
                         d=np.zeros(2), theta_prev=prev)
     buffers = EstimateBuffer(3, (1, 2))
-    npdlms_step(NodeState(theta=prev[0].copy()), shared, buffers, KernelParams(),
-                ThresholdParams(eta=0.0, mode="hard"), 0.1, np.array([0.5, 0.5]))
+    npdlms_adapt(shared, buffers, KernelParams(), ThresholdParams(eta=0.0, mode="hard"),
+                 0.1, prev.T @ np.array([0.5, 0.5]))
     assert buffers.depth(1) == 1 and buffers.depth(2) == 1
     assert np.array_equal(buffers.history(1)[0], prev[0])
     assert np.array_equal(buffers.history(2)[0], prev[1])
@@ -451,10 +460,6 @@ def test_step_pushes_received_estimates():
 ])
 def test_batched_npdlms_matches_per_node_oracle(strategy, gate):
     """Each row of a batched kernel-MAP run is the per-node recursion on its own draws."""
-    from diffnet import harness
-    from tests.conftest import small_config_dict
-    from tests.oracles import run_npdlms_reference
-
     raw = small_config_dict(iterations=40, realizations=3, strategy=strategy, gate=gate,
                             algorithms=[{"kind": "npdlms", "step_size": 0.08, "buffer": 3,
                                          "sigma": 0.5}])
