@@ -38,7 +38,7 @@ class DegenerateDenominator(DiffnetError):
 
 
 class NoConvergence(DiffnetError):
-    """Iterative eigenvalue estimation hit its iteration cap."""
+    """The steady-state fixed point did not settle within its cap on Stein solves."""
 
 
 class UnstableSystem(DiffnetError):

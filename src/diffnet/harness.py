@@ -40,7 +40,7 @@ from .network import (
     load_topology,
     noise_variance_from_snr,
 )
-from .npdlms import NPDLMS, KernelParams, ThresholdParams
+from .npdlms import NPDLMS, KernelParams, ThresholdParams, bounded_error_gain
 from .theory import TheoryInputs, to_db
 
 DIVERGENCE_MSD = 1e6
@@ -72,7 +72,7 @@ class ExperimentConfig:
     combination: CombinationMatrix
     theta_o: np.ndarray
     drift: Stationary | RandomWalk
-    covariances: list
+    regressor_variances: np.ndarray  # (N,); node k's regressors have R_u,k = v_k I
     noise_specs: list
     algorithms: list
     iterations: int
@@ -85,14 +85,13 @@ class ExperimentConfig:
     def __post_init__(self):
         n = self.topology.node_count
         self.theta_o = np.asarray(self.theta_o, dtype=float)
-        d = self.theta_o.shape[0]
         if self.iterations < 1 or self.realizations < 1:
             raise ConfigError("iterations and realizations must be >= 1")
-        if len(self.covariances) != n or len(self.noise_specs) != n:
-            raise ConfigError(f"need per-node covariances and noise specs for {n} nodes")
-        for cov in self.covariances:
-            if np.asarray(cov).shape != (d, d):
-                raise ConfigError(f"covariances must be ({d}, {d}) to match theta_o")
+        self.regressor_variances = np.asarray(self.regressor_variances, dtype=float)
+        if self.regressor_variances.shape != (n,) or len(self.noise_specs) != n:
+            raise ConfigError(f"need per-node regressor variances and noise specs for {n} nodes")
+        if not np.all(np.isfinite(self.regressor_variances) & (self.regressor_variances > 0)):
+            raise ConfigError(f"regressor variances must be finite and > 0, got {self.regressor_variances}")
         if not self.algorithms:
             raise ConfigError("at least one algorithm must be configured")
         labels = [spec.label for spec in self.algorithms]
@@ -102,7 +101,6 @@ class ExperimentConfig:
             raise ConfigError(f"strategy must be 'cta' or 'atc', got {self.strategy!r}")
         if self.combination.node_count != n:
             raise ConfigError("combination matrix size does not match topology")
-        self._chols = [np.linalg.cholesky(np.asarray(c, dtype=float)) for c in self.covariances]
 
     @property
     def dim(self) -> int:
@@ -153,8 +151,8 @@ def _parse_variances(raw, n):
     return arr
 
 
-def _parse_noise(raw, covariances, theta_o):
-    n = len(covariances)
+def _parse_noise(raw, variances, theta_o):
+    n = len(variances)
     if raw is None:
         raise ConfigError("a 'noise' section is required")
     kind = raw.get("kind")
@@ -162,8 +160,8 @@ def _parse_noise(raw, covariances, theta_o):
         if "snr_db" in raw:
             snr = float(raw["snr_db"])
             return [
-                noise_models.Gaussian(noise_variance_from_snr(snr, covariances[k], theta_o))
-                for k in range(n)
+                noise_models.Gaussian(noise_variance_from_snr(snr, v * np.eye(len(theta_o)), theta_o))
+                for v in variances
             ]
         if "variance" in raw:
             var = np.asarray(raw["variance"], dtype=float)
@@ -218,7 +216,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         dim = int(raw.get("d", 5))
         theta_o = _parse_theta(raw.get("theta_o"), dim)
         variances = _parse_variances(raw.get("regressor_variances"), n)
-        covariances = [v * np.eye(dim) for v in variances]
 
         env = raw.get("environment") or {"kind": "stationary"}
         if env.get("kind") == "stationary":
@@ -228,7 +225,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         else:
             raise ConfigError(f"unknown environment kind {env.get('kind')!r}")
 
-        noise_specs = _parse_noise(raw.get("noise"), covariances, theta_o)
+        noise_specs = _parse_noise(raw.get("noise"), variances, theta_o)
         algorithms = [_parse_algorithm(a) for a in raw.get("algorithms", [])]
 
         gate_raw = raw.get("gate") or {}
@@ -243,7 +240,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             combination=combination_weights(topology, rule),
             theta_o=theta_o,
             drift=drift,
-            covariances=covariances,
+            regressor_variances=variances,
             noise_specs=noise_specs,
             algorithms=algorithms,
             iterations=int(raw.get("iterations", 500)),
@@ -303,7 +300,7 @@ def generate_realization_data(config: ExperimentConfig, rng) -> RealizationData:
     t_len, n, d = config.iterations, config.topology.node_count, config.dim
     theta_path = GroundTruth(config.theta_o, config.drift).path(rng, t_len)
     z = rng.standard_normal((t_len, n, d))
-    regressors = np.einsum("nij,tnj->tni", np.stack(config._chols), z)
+    regressors = np.sqrt(config.regressor_variances)[None, :, None] * z
     noises = np.empty((t_len, n))
     for k in range(n):
         noises[:, k] = noise_models.sample(config.noise_specs[k], rng, t_len)
@@ -420,7 +417,7 @@ def _run_npdlms(config: ExperimentConfig, spec: AlgorithmSpec, batch: Realizatio
         err = targets[t] - batch.regressors[t] @ point.transpose(0, 2, 1)
         eps = np.einsum("rlk,lk->rk", err * err, mask)
         err = np.clip(err, -1e150, 1e150)
-        gain = delta * (err / np.hypot(delta, err)) * mask
+        gain = bounded_error_gain(delta, err) * mask
         grad = (u_tr[t] @ gain) / h               # (R, d, N)
 
         if history.shape[0] >= 2:
@@ -524,10 +521,6 @@ class RunResult:
     def steady_state_msd_db(self, label: str) -> float:
         curve = self.network_msd(label)
         return float(to_db(curve[-self.steady_window():].mean()))
-
-    def node_steady_state_msd_db(self, label: str) -> np.ndarray:
-        node = self.node_msd[label]
-        return to_db(node[-self.steady_window():].mean(axis=0))
 
     def kappa_mean(self, label: str) -> float:
         counts = self.kappa[label]
@@ -676,12 +669,13 @@ def export_sweep_csv(values, results, path) -> None:
     _write_lines(path, lines)
 
 
-def theory_inputs_from_config(config: ExperimentConfig, r_similar=None,
-                              beta_bar=None) -> TheoryInputs:
+def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
     """Theory-side inputs for the configured kernel-MAP algorithm.
 
     Requires Gaussian noise (the moment matrices need finite variances) and
-    the CTA strategy, the only one the moment recursion models.
+    the CTA strategy, the only one the moment recursion models. Pilot
+    estimates of `r_similar` and `beta_bar` go in through
+    `dataclasses.replace`, which validates them again.
     """
     spec = config.npdlms_spec()
     if spec is None:
@@ -697,7 +691,7 @@ def theory_inputs_from_config(config: ExperimentConfig, r_similar=None,
     return TheoryInputs(
         topology=config.topology,
         combination=config.combination,
-        regressor_covariances=config.covariances,
+        regressor_covariances=[v * np.eye(config.dim) for v in config.regressor_variances],
         noise_variances=np.array(variances),
         step_sizes=np.full(config.topology.node_count, spec.step_size),
         theta_o=config.theta_o,
@@ -705,8 +699,6 @@ def theory_inputs_from_config(config: ExperimentConfig, r_similar=None,
         sigma=algo.kernel.sigma,
         delta=algo.kernel.delta,
         buffer_size=algo.buffer_size,
-        r_similar=r_similar,
-        beta_bar=beta_bar,
     )
 
 

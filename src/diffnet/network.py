@@ -211,16 +211,21 @@ def save_topology(topology: NetworkTopology, path) -> None:
 
 def load_topology(path) -> NetworkTopology:
     """Parse the plain-text topology format written by `save_topology`."""
-    raw = Path(path).read_text().split("\n")
-    rows = [line.strip() for line in raw if line.strip() and not line.strip().startswith("#")]
+    return _parse_topology(Path(path).read_text(), path)
+
+
+def _parse_topology(text: str, source) -> NetworkTopology:
+    """Topology from the text of a `save_topology` file; `source` names it in errors."""
+    rows = [line.strip() for line in text.split("\n")]
+    rows = [row for row in rows if row and not row.startswith("#")]
     if not rows:
-        raise InvalidParameters(f"empty topology file {path}")
+        raise InvalidParameters(f"empty topology file {source}")
     node_count = int(rows[0])
     edges = []
     for line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise InvalidParameters(f"bad edge line {line!r} in {path}")
+            raise InvalidParameters(f"bad edge line {line!r} in {source}")
         edges.append((int(parts[0]), int(parts[1])))
     return build_topology(node_count, edges)
 
@@ -231,10 +236,7 @@ def _data_text(name: str) -> str:
 
 def default_topology() -> NetworkTopology:
     """The canonical committed 16-node connected topology."""
-    rows = [line.strip() for line in _data_text("topology16.txt").split("\n") if line.strip()]
-    node_count = int(rows[0])
-    edges = [tuple(int(x) for x in line.split()) for line in rows[1:]]
-    return build_topology(node_count, edges)
+    return _parse_topology(_data_text("topology16.txt"), "topology16.txt")
 
 
 def default_variance_profile() -> np.ndarray:

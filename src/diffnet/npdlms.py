@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -101,10 +101,6 @@ class EstimateBuffer:
             raise InvalidParameters(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._rings = {int(node): deque(maxlen=capacity) for node in tracked}
-
-    @property
-    def tracked(self) -> tuple:
-        return tuple(self._rings)
 
     def push(self, node: int, theta) -> None:
         self._rings[node].appendleft(np.array(theta, dtype=float, copy=True))
@@ -238,15 +234,8 @@ def threshold_gate(epsilon: float, params: ThresholdParams) -> float:
     return float(expit(2.0 * params.slope * (epsilon - params.eta)))
 
 
-def _neighbor_sigma(sigma_by_node, node, default):
-    if sigma_by_node is None:
-        return default
-    return sigma_by_node[node]
-
-
 def log_local_objective(theta_k, shared: SharedData, buffers: EstimateBuffer,
-                        params: KernelParams,
-                        sigma_by_node: Mapping[int, float] | None = None) -> float:
+                        params: KernelParams) -> float:
     """Log posterior of theta_k given neighbourhood data and buffered history.
 
     The neighbour-prior block log f(theta_l) is evaluated at the shared
@@ -261,26 +250,23 @@ def log_local_objective(theta_k, shared: SharedData, buffers: EstimateBuffer,
         e = shared.d[i] - shared.u[i] @ theta_k
         loss, _ = pseudo_huber(params.delta, e)
         total -= loss / params.h
-        sigma_l = _neighbor_sigma(sigma_by_node, l, params.sigma)
         hist_l = buffers.history(l)
-        lw_l = _log_weights(shared.theta_prev[i], hist_l, sigma_l)
-        total += logsumexp(lw_l) - math.log(len(hist_l) * sigma_l)
+        lw_l = _log_weights(shared.theta_prev[i], hist_l, params.sigma)
+        total += logsumexp(lw_l) - math.log(len(hist_l) * params.sigma)
     hist_k = buffers.history(shared.node)
     lw_own = _log_weights(theta_k, hist_k, params.sigma)
     log_prior = logsumexp(lw_own) - math.log(len(hist_k) * params.sigma)
     for i, l in enumerate(shared.neighbors):
         if l == shared.node:
             continue
-        sigma_l = _neighbor_sigma(sigma_by_node, l, params.sigma)
         log_cond = _log_conditional(hist_k, buffers.history(l), theta_k,
-                                    shared.theta_prev[i], params.sigma, sigma_l)
+                                    shared.theta_prev[i], params.sigma, params.sigma)
         total += log_cond - log_prior
     return float(total)
 
 
 def npdlms_gradient(theta_eval, shared: SharedData, buffers: EstimateBuffer,
-                    params: KernelParams,
-                    sigma_by_node: Mapping[int, float] | None = None) -> np.ndarray:
+                    params: KernelParams) -> np.ndarray:
     """Ascent direction of the log posterior at theta_eval.
 
     The likelihood part is (1/h) sum_l bounded_error_gain(delta, e_l) u_l';
@@ -304,8 +290,7 @@ def npdlms_gradient(theta_eval, shared: SharedData, buffers: EstimateBuffer,
     for i, l in enumerate(shared.neighbors):
         if l == shared.node:
             continue
-        sigma_l = _neighbor_sigma(sigma_by_node, l, params.sigma)
-        lw_joint = lw_own + _log_weights(shared.theta_prev[i], buffers.history(l), sigma_l)
+        lw_joint = lw_own + _log_weights(shared.theta_prev[i], buffers.history(l), params.sigma)
         if not np.isfinite(np.max(lw_joint)):
             continue
         mu_kli = _softmax(lw_joint)

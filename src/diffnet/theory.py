@@ -14,10 +14,12 @@ of the stacked error at the evaluation point. Then:
 
 Both expectations have closed forms (`gain_moments`). The slopes depend on the
 error, so the transient is the covariance recursion
-P_{n+1} = F_n P_n F_n' + M Xi_n M with the slopes refreshed every step, and the
-steady state is its fixed point, found by alternating Stein solves with slope
-updates. The slopes tend to 1 as the error variance falls to 0, so any
-delta > 0 is admissible.
+P_{n+1} = F_n P_n F_n' + M Xi_n M with the slopes refreshed every step. One
+`MomentSet` holds that recursion: its fixed pieces, the slopes, F and Xi at the
+steady state, and the steady covariance itself. `build_moments` finds the
+steady state as the recursion's fixed point by alternating Stein solves with
+slope updates, and the steady-state metrics read the last solve. The slopes
+tend to 1 as the error variance falls to 0, so any delta > 0 is admissible.
 
 Stability and the step-size bound use the small-error slopes E[g'(v_l)],
 v_l ~ N(0, sigma_v,l^2). A bounded gain contracts at every step size once the
@@ -110,8 +112,8 @@ class TheoryInputs:
     noise_variances: np.ndarray
     step_sizes: np.ndarray
     theta_o: np.ndarray
-    h: np.ndarray = 1.0
-    sigma: np.ndarray = 1.0
+    h: float = 1.0
+    sigma: float = 1.0
     delta: float = 0.25
     buffer_size: int = 3
     r_similar: np.ndarray | None = None
@@ -134,14 +136,14 @@ class TheoryInputs:
             raise DimensionMismatch("combination matrix does not match topology size")
         self.noise_variances = _per_node(self.noise_variances, n, "noise_variances")
         self.step_sizes = _per_node(self.step_sizes, n, "step_sizes")
-        self.h = _per_node(self.h, n, "h")
-        self.sigma = _per_node(self.sigma, n, "sigma")
         if np.any(self.noise_variances < 0):
             raise InvalidParameters("noise variances must be >= 0")
-        if np.any(self.step_sizes <= 0) or np.any(self.h <= 0) or np.any(self.sigma <= 0):
-            raise InvalidParameters("step sizes and bandwidths must be > 0")
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise InvalidParameters(f"delta must be finite and > 0, got {self.delta}")
+        if np.any(self.step_sizes <= 0):
+            raise InvalidParameters("step sizes must be > 0")
+        for name in ("h", "sigma", "delta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
         if self.buffer_size < 1:
             raise InvalidParameters("buffer_size must be >= 1")
         if self.r_similar is None:
@@ -179,11 +181,27 @@ class TheoryInputs:
         return beta_sum * (lag_weight @ cross / self.sigma)[:, None]
 
 
-@dataclass(frozen=True)
-class _Linearization:
-    """The pieces of the recursion that stay fixed while the slopes change.
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Dense block-diagonal matrix from an (N, d, d) stack."""
+    n, d = blocks.shape[:2]
+    out = np.zeros((n, d, n, d))
+    diag = np.arange(n)
+    out[diag, :, diag, :] = blocks
+    return out.reshape(n * d, n * d)
 
-    Block-diagonal matrices are kept as (N, d, d) stacks of their blocks.
+
+@dataclass
+class MomentSet:
+    """The statistically linearized error recursion and its steady state.
+
+    The first fields are the pieces that stay fixed while the slopes change;
+    block-diagonal matrices among them are kept as (N, d, d) stacks of their
+    blocks. `build_moments` fills in the rest. When the small-error slopes are
+    mean-stable, the slope-dependent fields hold their values at the
+    steady-state fixed point and `steady_covariance` is the Stein solution of
+    `mean_transition` and `xi_vec`. Otherwise they hold the small-error
+    values, `small_error_radius` is >= 1, `steady_covariance` is None, and the
+    metrics raise UnstableSystem.
     """
 
     combination: np.ndarray     # A
@@ -192,19 +210,41 @@ class _Linearization:
     covs: np.ndarray            # (N, d, d) regressor covariances R_l
     noise_variances: np.ndarray
     delta: float
-    inv_h: np.ndarray           # 1 / h_k
-    inv_h_outer: np.ndarray     # 1 / (h_k h_k'), shaped (1, N, N)
+    inv_h: float                # 1 / h
     prior_blocks: np.ndarray    # I - alpha_k P_k
     step_sizes: np.ndarray      # alpha_k
     step_outer: np.ndarray      # alpha_k alpha_k' spread over the d x d blocks
     prior_source: np.ndarray    # M P theta_bar theta_bar' P' M
+    prior_bias: np.ndarray      # P, block-diagonal
+    theta_o: np.ndarray
+    slopes: np.ndarray = field(init=False)             # s_lk = E[g'(e_lk)], [l, k]
+    small_error_radius: float = field(init=False)      # rho(F) at the small-error slopes
+    coeff_covariance: np.ndarray = field(init=False)   # C, blocks -(1/h) sum_l s_lk R_l
+    mean_transition: np.ndarray = field(init=False)    # F = (I + M C - M P) A_ext
+    xi_vec: np.ndarray = field(init=False)             # vec(M (Xi + P_outer) M)
+    steady_covariance: np.ndarray | None = field(init=False, default=None)
+
+    @property
+    def node_count(self) -> int:
+        return self.covs.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.covs.shape[1]
+
+    def big_transition(self) -> np.ndarray:
+        """F' (x) F', materialized; meant for small instances and tests."""
+        ft = self.mean_transition.T
+        return np.kron(ft, ft)
 
     def gain_statistics(self, phi: np.ndarray):
-        """Slopes, second moments and variances of every e_lk at Phi = `phi`.
+        """(slope, second moment, variance) of every e_lk, each (N, N) indexed
+        [l, k] and zero where l is not in N_k, when the error at the
+        evaluation point has second moment `phi`."""
+        return self._statistics(np.asarray(phi, dtype=float))[:3]
 
-        Returns (N, N) arrays indexed [l, k], zero where l is not in N_k, plus
-        the cross traces tr(R_l Phi_kk') as an (N, N, N) array [l, k, k'].
-        """
+    def _statistics(self, phi: np.ndarray):
+        """`gain_statistics` plus the cross traces tr(R_l Phi_kk') [l, k, k']."""
         n, d = self.covs.shape[:2]
         phi4 = phi.reshape(n, d, n, d)
         traces = (self.covs.reshape(n, d * d)
@@ -220,11 +260,11 @@ class _Linearization:
     def linearize(self, phi: np.ndarray):
         """Slopes s_lk, the blocks of C, and the noise covariance Xi at Phi = `phi`."""
         n, d = self.covs.shape[:2]
-        slope, second, _, traces = self.gain_statistics(phi)
+        slope, second, _, traces = self._statistics(phi)
         diag = np.arange(n)
         pair = slope[:, :, None] * slope[:, None, :] * (self.noise_variances[:, None, None] + traces)
         pair[:, diag, diag] = second
-        pair *= self.inv_h_outer
+        pair *= self.inv_h * self.inv_h
         xi = ((pair.reshape(n, n * n).T @ self.covs.reshape(n, d * d))
               .reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d))
         coeff = -((slope * self.inv_h).T @ self.covs.reshape(n, d * d)).reshape(n, d, d)
@@ -257,82 +297,32 @@ class _Linearization:
         return _block_diag(blocks) @ self.a_ext
 
 
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """Dense block-diagonal matrix from an (N, d, d) stack."""
-    n, d = blocks.shape[:2]
-    out = np.zeros((n, d, n, d))
-    diag = np.arange(n)
-    out[diag, :, diag, :] = blocks
-    return out.reshape(n * d, n * d)
-
-
-@dataclass
-class MomentSet:
-    """Block moment matrices of the statistically linearized error recursion.
-
-    When the small-error slopes are mean-stable, the slope-dependent fields
-    hold their values at the steady-state fixed point, so the steady state is
-    exactly the Stein solution of `mean_transition` and `xi_vec`. Otherwise
-    they hold the small-error values, `small_error_radius` is >= 1, and the
-    metrics raise UnstableSystem.
-    """
-
-    coeff_covariance: np.ndarray  # C, block-diagonal -(1/h_k) sum_l s_lk R_l
-    prior_bias: np.ndarray        # P, block-diagonal
-    mean_transition: np.ndarray   # F = (I + M C - M P) A_ext
-    xi_vec: np.ndarray            # vec(M (Xi + P_outer) M), length (Nd)^2
-    regressor_covariances: list
-    theta_o: np.ndarray
-    slopes: np.ndarray            # s_lk = E[g'(e_lk)], (N, N) indexed [l, k]
-    small_error_radius: float     # spectral radius of F at the small-error slopes
-    linearization: _Linearization = field(repr=False)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.regressor_covariances)
-
-    @property
-    def dim(self) -> int:
-        return self.regressor_covariances[0].shape[0]
-
-    def big_transition(self) -> np.ndarray:
-        """F' (x) F', materialized; meant for small instances and tests."""
-        ft = self.mean_transition.T
-        return np.kron(ft, ft)
-
-    def gain_statistics(self, phi: np.ndarray):
-        """(slope, second moment, variance) of every e_lk, each (N, N) indexed
-        [l, k], when the error at the evaluation point has second moment `phi`."""
-        return self.linearization.gain_statistics(np.asarray(phi, dtype=float))[:3]
-
-
-def _steady_fixed_point(lin: _Linearization, slope, coeff, xi):
+def _steady_fixed_point(moments: MomentSet, slope, coeff, xi):
     """Alternate Stein solves with slope updates until the covariance settles.
 
     Starts from the small-error linearization; returns the slopes, C blocks
-    and Xi whose Stein solution is the fixed point.
+    and Xi at the fixed point, and their Stein solution.
     """
     p = None
     for _ in range(FIXED_POINT_MAX_SOLVES):
-        p_next = _solve_stein(lin.transition(lin.update_blocks(coeff)), lin.source(xi))
+        p_next = _solve_stein(moments.transition(moments.update_blocks(coeff)), moments.source(xi))
         if p is not None and (np.linalg.norm(p_next - p)
                               <= FIXED_POINT_TOL * np.linalg.norm(p_next)):
-            return slope, coeff, xi
+            return slope, coeff, xi, p_next
         p = p_next
-        slope, coeff, xi = lin.linearize(lin.combine(p))
+        slope, coeff, xi = moments.linearize(moments.combine(p))
     raise NoConvergence(f"steady-state slopes did not settle in {FIXED_POINT_MAX_SOLVES} solves")
 
 
 def build_moments(inputs: TheoryInputs) -> MomentSet:
-    """Assemble the moment matrices of the linearized recursion."""
+    """Assemble the linearized recursion and solve for its steady state."""
     n, d = inputs.topology.node_count, inputs.dim
     step_diag = np.repeat(inputs.step_sizes, d)
     step_outer = np.outer(step_diag, step_diag)
     bias = inputs.prior_bias_diagonals()
     prior_bias = np.diag(bias.ravel())
     p_theta = prior_bias @ np.tile(inputs.theta_o, n)
-    prior_outer = np.outer(p_theta, p_theta)
-    lin = _Linearization(
+    moments = MomentSet(
         combination=inputs.combination.matrix,
         a_ext=np.kron(inputs.combination.matrix.T, np.eye(d)),
         pairs=np.nonzero(inputs.topology.adjacency_mask()),
@@ -340,36 +330,30 @@ def build_moments(inputs: TheoryInputs) -> MomentSet:
         noise_variances=inputs.noise_variances,
         delta=inputs.delta,
         inv_h=1.0 / inputs.h,
-        inv_h_outer=np.outer(1.0 / inputs.h, 1.0 / inputs.h)[None],
         prior_blocks=np.eye(d) - inputs.step_sizes[:, None, None] * (bias[:, :, None] * np.eye(d)),
         step_sizes=inputs.step_sizes,
         step_outer=step_outer,
-        prior_source=step_outer * prior_outer,
-    )
-
-    slope, coeff, xi = lin.linearize(np.zeros((n * d, n * d)))
-    radius = spectral_radius(lin.transition(lin.update_blocks(coeff)))
-    if radius < 1.0:
-        slope, coeff, xi = _steady_fixed_point(lin, slope, coeff, xi)
-
-    return MomentSet(
-        coeff_covariance=_block_diag(coeff),
+        prior_source=step_outer * np.outer(p_theta, p_theta),
         prior_bias=prior_bias,
-        mean_transition=lin.transition(lin.update_blocks(coeff)),
-        xi_vec=lin.source(xi).flatten(order="F"),
-        regressor_covariances=inputs.regressor_covariances,
-        theta_o=np.asarray(inputs.theta_o, dtype=float),
-        slopes=slope,
-        small_error_radius=radius,
-        linearization=lin,
+        theta_o=inputs.theta_o,
     )
+
+    slope, coeff, xi = moments.linearize(np.zeros((n * d, n * d)))
+    moments.small_error_radius = spectral_radius(moments.transition(moments.update_blocks(coeff)))
+    if moments.small_error_radius < 1.0:
+        slope, coeff, xi, moments.steady_covariance = _steady_fixed_point(moments, slope, coeff, xi)
+    moments.slopes = slope
+    moments.coeff_covariance = _block_diag(coeff)
+    moments.mean_transition = moments.transition(moments.update_blocks(coeff))
+    moments.xi_vec = moments.source(xi).flatten(order="F")
+    return moments
 
 
 def stepsize_upper_bound(inputs: TheoryInputs, k: int) -> float:
     """Largest mean-stable step size for node k at the small-error slopes."""
     neighbors = [l - 1 for l in inputs.topology.neighbors(k)]
     slopes = inputs.small_error_slopes()
-    hessian = sum(slopes[l] * inputs.regressor_covariances[l] for l in neighbors) / inputs.h[k - 1]
+    hessian = sum(slopes[l] * inputs.regressor_covariances[l] for l in neighbors) / inputs.h
     hessian = hessian + np.diag(inputs.prior_bias_diagonals()[k - 1])
     lam_max = float(np.linalg.eigvalsh(hessian)[-1])
     if lam_max <= 0.0:
@@ -446,20 +430,18 @@ def _require_stable(moments: MomentSet) -> None:
         )
 
 
-def _node_metrics(blocks: np.ndarray, covs: np.ndarray):
-    """MSD tr(P_kk) and EMSE tr(P_kk R_k) from the (N, d, d) diagonal blocks."""
+def _node_metrics(p: np.ndarray, covs: np.ndarray):
+    """MSD tr(P_kk) and EMSE tr(P_kk R_k) from the diagonal blocks of P."""
+    n, d = covs.shape[:2]
+    diag = np.arange(n)
+    blocks = p.reshape(n, d, n, d)[diag, :, diag, :]
     return np.einsum("kii->k", blocks), np.einsum("kij,kji->k", blocks, covs)
 
 
 def steady_state_metrics(moments: MomentSet) -> PerformanceCurves:
     """Steady-state per-node and network MSD/EMSE of the linearized recursion."""
     _require_stable(moments)
-    n, d = moments.node_count, moments.dim
-    source = moments.xi_vec.reshape(n * d, n * d, order="F")
-    y = _solve_stein(moments.mean_transition, source)
-    diag = np.arange(n)
-    node_msd, node_emse = _node_metrics(y.reshape(n, d, n, d)[diag, :, diag, :],
-                                        moments.linearization.covs)
+    node_msd, node_emse = _node_metrics(moments.steady_covariance, moments.covs)
     return PerformanceCurves(
         steady_node_msd=node_msd,
         steady_node_emse=node_emse,
@@ -468,8 +450,7 @@ def steady_state_metrics(moments: MomentSet) -> PerformanceCurves:
     )
 
 
-def transient_curves(moments: MomentSet, theta_o: np.ndarray | None = None,
-                     n_max: int = 500) -> PerformanceCurves:
+def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
     """Iteration-indexed MSD/EMSE predictions from the covariance recursion.
 
     Carries the error second moment P_n forward from theta_bar theta_bar',
@@ -478,23 +459,16 @@ def transient_curves(moments: MomentSet, theta_o: np.ndarray | None = None,
     Phi_n = A_ext P_n A_ext' and B_n = I + M C_n - M P block-diagonal.
     """
     _require_stable(moments)
-    if theta_o is None:
-        theta_o = moments.theta_o
-    theta_bar = np.tile(np.asarray(theta_o, dtype=float), moments.node_count)
-    lin = moments.linearization
-    n, d = moments.node_count, moments.dim
-    diag = np.arange(n)
-
-    node_msd = np.empty((n_max + 1, n))
-    node_emse = np.empty((n_max + 1, n))
+    theta_bar = np.tile(moments.theta_o, moments.node_count)
+    node_msd = np.empty((n_max + 1, moments.node_count))
+    node_emse = np.empty((n_max + 1, moments.node_count))
     p = np.outer(theta_bar, theta_bar)
-    node_msd[0], node_emse[0] = _node_metrics(p.reshape(n, d, n, d)[diag, :, diag, :], lin.covs)
+    node_msd[0], node_emse[0] = _node_metrics(p, moments.covs)
     for step in range(1, n_max + 1):
-        phi = lin.combine(p)
-        _, coeff, xi = lin.linearize(phi)
-        p = lin.propagate(lin.update_blocks(coeff), phi) + lin.source(xi)
-        node_msd[step], node_emse[step] = _node_metrics(p.reshape(n, d, n, d)[diag, :, diag, :],
-                                                        lin.covs)
+        phi = moments.combine(p)
+        _, coeff, xi = moments.linearize(phi)
+        p = moments.propagate(moments.update_blocks(coeff), phi) + moments.source(xi)
+        node_msd[step], node_emse[step] = _node_metrics(p, moments.covs)
 
     return PerformanceCurves(
         node_msd=node_msd,

@@ -135,7 +135,7 @@ def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-# Golden SHA-256 digests of two small runs' CSV bytes. They pin the engine and
+# Golden SHA-256 digests of three small runs' CSV bytes. They pin the engine and
 # the CSV writer together and hold for the numpy 2.4.6 / scipy-openblas build
 # they were recorded on (the same caveat as bench/golden.json); another BLAS
 # or CPU family may change the last bits of a curve.
@@ -150,6 +150,7 @@ ALL_FAMILIES = [
 ]
 SIMULATE_SHA256 = "7064432831ec3ca90a42e8f380da14a9e498a5995ea4133bb5cc684842b1bdb8"
 COMPARE_SHA256 = "dad54beee6a5e58f0eb2defb85a70961211c5fd2ae305c84ac6bf6fbdbf4f707"
+THEORY_SHA256 = "4e7686bb968d04e830c3e2576d54a481d2046132f76b100f6550486c894c64c7"
 
 
 def test_simulate_golden_digest(tmp_path, capsys):
@@ -167,3 +168,12 @@ def test_compare_golden_digest(tmp_path, capsys):
                  "--realizations", "4", "--iterations", "100", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "iteration,npdlms_msd_db,theory_msd_db"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_SHA256
+
+
+def test_theory_golden_digest(tmp_path, capsys):
+    """Transient rows plus the steady_state summary row."""
+    out = tmp_path / "theory.csv"
+    assert main(["theory", "--config", str(CONFIGS / "theory_small.yaml"),
+                 "--iterations", "100", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[-1].startswith("steady_state,")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == THEORY_SHA256

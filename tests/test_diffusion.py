@@ -162,7 +162,7 @@ def test_dlms_converges_in_mean_below_remark_bound():
                             algorithms=[{"kind": "dlms", "step_size": 0.12}])
     cfg = config_from_dict(raw)
     lam_max = max(
-        sum(cfg.covariances[l - 1][0, 0] for l in cfg.topology.neighbors(k))
+        sum(cfg.regressor_variances[l - 1] for l in cfg.topology.neighbors(k))
         for k in range(1, 6)
     )
     assert 0.12 < 2.0 / lam_max

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from diffnet import theory
 from diffnet.errors import (
     DimensionMismatch,
     InsufficientPilot,
@@ -281,6 +283,35 @@ def test_scalar_closed_form_steady_state():
     assert steady.steady_network_emse == pytest.approx(r_val * expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("seed", [21, 22, 23, 24, 25])
+def test_steady_state_matches_independent_lyapunov(seed, monkeypatch):
+    """Per-node MSD and EMSE against scipy's dense Lyapunov solve of F and Xi.
+
+    The metrics read the fixed point's last Stein solve; they solve nothing.
+    """
+    inputs = random_inputs(seed)
+    n, d = inputs.topology.node_count, inputs.dim
+    inputs.step_sizes = 0.5 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
+    moments = build_moments(inputs)
+    solves = []
+    solve = theory._solve_stein
+
+    def counting_solve(f, q):
+        solves.append(f)
+        return solve(f, q)
+
+    monkeypatch.setattr(theory, "_solve_stein", counting_solve)
+    steady = steady_state_metrics(moments)
+    assert not solves
+    xi = moments.xi_vec.reshape(n * d, n * d, order="F")
+    y = scipy.linalg.solve_discrete_lyapunov(moments.mean_transition, xi)
+    blocks = [y[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(n)]
+    expected_msd = [np.trace(b) for b in blocks]
+    expected_emse = [np.trace(b @ r) for b, r in zip(blocks, inputs.regressor_covariances)]
+    assert np.allclose(steady.steady_node_msd, expected_msd, rtol=1e-6, atol=0.0)
+    assert np.allclose(steady.steady_node_emse, expected_emse, rtol=1e-6, atol=0.0)
+
+
 def test_symmetric_two_node_network_is_symmetric():
     topo = build_topology(2, [(1, 2)])
     inputs = TheoryInputs(
@@ -442,3 +473,9 @@ def test_theory_inputs_validation():
                      regressor_covariances=[np.eye(2), np.eye(2)], noise_variances=1.0,
                      step_sizes=0.1, theta_o=np.ones(2), delta=0.25,
                      r_similar=np.array([0.5, 2.0]))
+    for name in ("h", "sigma"):
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InvalidParameters):
+                TheoryInputs(topology=topo, combination=combination_weights(topo),
+                             regressor_covariances=[np.eye(2), np.eye(2)], noise_variances=1.0,
+                             step_sizes=0.1, theta_o=np.ones(2), **{name: bad})
