@@ -2,7 +2,7 @@
 closed-form mean-square performance predictions."""
 
 from . import cli, diffusion, harness, network, noise, npdlms, theory
-from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, SharedData
+from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS
 from .harness import (
     AlgorithmSpec,
     ExperimentConfig,
@@ -23,7 +23,7 @@ from .network import (
     combination_weights,
 )
 from .noise import AlphaStable, Gaussian
-from .npdlms import NPDLMS, EstimateBuffer, KernelParams, MuWeights, ThresholdParams
+from .npdlms import NPDLMS, KernelParams, ThresholdParams
 from .theory import MomentSet, PerformanceCurves, TheoryInputs, build_moments
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Baseline robust update families and the per-node data view.
+"""Baseline robust update families and their error gains.
 
 Every baseline family is an error gain g(e), so a node's adapt step is
 
@@ -7,8 +7,7 @@ Every baseline family is an error gain g(e), so a node's adapt step is
 where e_l = d_l - u_l theta_eval. All families consume the full neighbourhood
 measurement set so comparisons against the kernel-MAP update are like for
 like. The ATC and CTA orderings of that step live in the simulation engine
-(`harness`); `SharedData` is what one node sees in one iteration, the input of
-the single-node kernel-MAP math in `npdlms`.
+(`harness`).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameters
+from .errors import InvalidParameters
 
 
 @dataclass(frozen=True)
@@ -72,29 +71,6 @@ class DLLAD:
 
 
 BaselineKind = DLMS | DSELMS | DMCC | DLMSF | DLLAD
-
-
-@dataclass
-class SharedData:
-    """Everything node `node` sees in one iteration.
-
-    Arrays are aligned with `neighbors` (sorted 1-based ids, node included):
-    regressor rows u, targets d, and the neighbours' previous-iteration
-    estimates.
-    """
-
-    node: int
-    neighbors: tuple
-    u: np.ndarray
-    d: np.ndarray
-    theta_prev: np.ndarray
-
-    def __post_init__(self):
-        m = len(self.neighbors)
-        if self.node not in self.neighbors:
-            raise DimensionMismatch(f"node {self.node} missing from its own neighbourhood")
-        if self.u.shape[0] != m or self.d.shape[0] != m or self.theta_prev.shape[0] != m:
-            raise DimensionMismatch("shared arrays must have one row per neighbour")
 
 
 def error_gain(kind: BaselineKind, e):

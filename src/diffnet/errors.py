@@ -25,18 +25,6 @@ class DimensionMismatch(DiffnetError):
     """Vector or matrix shapes are inconsistent."""
 
 
-class NonPositiveBandwidth(DiffnetError):
-    """Kernel bandwidth must be strictly positive."""
-
-
-class EmptyBuffer(DiffnetError):
-    """A kernel density was requested over an empty estimate buffer."""
-
-
-class DegenerateDenominator(DiffnetError):
-    """Kernel normalisation fully underflowed; the prior term carries no signal."""
-
-
 class NoConvergence(DiffnetError):
     """The steady-state fixed point did not settle within its cap on Stein solves."""
 

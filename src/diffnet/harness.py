@@ -672,9 +672,10 @@ def export_sweep_csv(values, results, path) -> None:
 def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
     """Theory-side inputs for the configured kernel-MAP algorithm.
 
-    Requires Gaussian noise (the moment matrices need finite variances) and
-    the CTA strategy, the only one the moment recursion models. Pilot
-    estimates of `r_similar` and `beta_bar` go in through
+    Requires Gaussian noise (the moment matrices need finite variances), the
+    CTA strategy, a stationary environment and a hard gate at eta = 0 (an
+    update at every iteration), the only case the moment recursion models.
+    Pilot estimates of `r_similar` and `beta_bar` go in through
     `dataclasses.replace`, which validates them again.
     """
     spec = config.npdlms_spec()
@@ -682,6 +683,12 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
         raise ConfigError("theory predictions need an npdlms algorithm in the config")
     if config.strategy != "cta":
         raise ConfigError(f"theory predictions model the cta strategy only, got {config.strategy!r}")
+    if not isinstance(config.drift, Stationary):
+        raise ConfigError("theory predictions model a stationary environment only, "
+                          f"got a random walk with q_variance = {config.drift.q_variance:g}")
+    if config.gate.mode != "hard" or config.gate.eta != 0:
+        raise ConfigError("theory predictions model the hard gate at eta = 0 only, got "
+                          f"mode {config.gate.mode!r} with eta = {config.gate.eta:g}")
     variances = []
     for ns in config.noise_specs:
         if not isinstance(ns, noise_models.Gaussian):

@@ -1,39 +1,24 @@
-"""Kernel-density MAP update for diffusion networks (NPDLMS).
+"""Parameters of the kernel-density MAP update for diffusion networks (NPDLMS).
 
-Each node keeps short ring buffers of recent parameter estimates, its own and
-one ring per neighbour, aligned index-wise so the i-th entries of every ring
-come from the same past iteration. A Gaussian-kernel mixture over the buffers
-acts as the prior; the data likelihood is a pseudo-Huber penalty on the
-neighbourhood prediction errors, so each likelihood term contributes at most
-`delta` in magnitude regardless of how wild the error is. The update ascends
-the resulting log-posterior, optionally gated by a threshold on the
-neighbourhood squared error so that quiet iterations skip the adapt step but
-still combine.
-
-Sign convention: `npdlms_gradient` returns the ascent direction of
-`log_local_objective`, and the update is always theta <- theta_eval +
-step * gate * gradient. The two agree with central finite differences to
-machine-level accuracy; that check is part of the test suite.
+The update ascends a log-posterior built from a Gaussian-kernel prior over
+buffered estimates and a pseudo-Huber likelihood on the neighbourhood
+prediction errors, gated by a threshold on the neighbourhood squared error.
+`KernelParams` holds the prior and likelihood bandwidths and the pseudo-Huber
+steepness, `ThresholdParams` the gate, and `NPDLMS` the buffer length with the
+kernel parameters. `bounded_error_gain` is the pseudo-Huber derivative that
+the simulation engine (`harness`) applies to every neighbourhood error; its
+magnitude never exceeds `delta`, and `theory.gain_moments` gives its
+Gaussian-expected slope and second moment in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
-from .diffusion import SharedData
-from .errors import (
-    DegenerateDenominator,
-    DimensionMismatch,
-    EmptyBuffer,
-    InvalidParameters,
-    NonPositiveBandwidth,
-)
+from .errors import InvalidParameters
 
 
 @dataclass(frozen=True)
@@ -69,14 +54,6 @@ class ThresholdParams:
 
 
 @dataclass(frozen=True)
-class MuWeights:
-    """Per-buffer-entry responsibilities; each vector sums to one."""
-
-    mu_kli: np.ndarray
-    mu_ki: np.ndarray
-
-
-@dataclass(frozen=True)
 class NPDLMS:
     """Algorithm configuration: buffer length plus kernel parameters."""
 
@@ -89,45 +66,6 @@ class NPDLMS:
             raise InvalidParameters(f"buffer_size must be >= 1, got {self.buffer_size}")
 
 
-class EstimateBuffer:
-    """Fixed-capacity rings of recent parameter vectors, newest first.
-
-    One ring per tracked node; pushing at capacity evicts the oldest entry.
-    """
-
-    def __init__(self, capacity: int, tracked: Iterable[int]):
-        capacity = int(capacity)
-        if capacity < 1:
-            raise InvalidParameters(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._rings = {int(node): deque(maxlen=capacity) for node in tracked}
-
-    def push(self, node: int, theta) -> None:
-        self._rings[node].appendleft(np.array(theta, dtype=float, copy=True))
-
-    def depth(self, node: int) -> int:
-        return len(self._rings[node])
-
-    def history(self, node: int) -> np.ndarray:
-        """(m, d) array of buffered vectors for `node`, newest first."""
-        ring = self._rings[node]
-        if not ring:
-            raise EmptyBuffer(f"no buffered estimates for node {node}")
-        return np.stack(ring)
-
-
-def gaussian_kernel(t: float, x, y) -> float:
-    """K_t(x - y) = (1/t) exp(-||x - y||^2 / (2t))."""
-    if not t > 0:
-        raise NonPositiveBandwidth(f"bandwidth must be > 0, got {t}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"kernel arguments differ in shape: {x.shape} vs {y.shape}")
-    diff = x - y
-    return float(np.exp(-(diff @ diff) / (2.0 * t)) / t)
-
-
 def bounded_error_gain(delta: float, a):
     """d/da of the pseudo-Huber loss: a / sqrt(1 + (a/delta)^2).
 
@@ -136,180 +74,3 @@ def bounded_error_gain(delta: float, a):
     """
     a = np.asarray(a, dtype=float)
     return delta * (a / np.hypot(delta, a))
-
-
-def pseudo_huber(delta: float, a):
-    """Pseudo-Huber loss and its derivative at a.
-
-    loss = delta^2 (sqrt(1 + (a/delta)^2) - 1), quadratic near zero and
-    asymptotically delta|a| - delta^2.
-    """
-    if not delta > 0:
-        raise InvalidParameters(f"delta must be > 0, got {delta}")
-    a_arr = np.asarray(a, dtype=float)
-    r = a_arr / delta
-    root = np.hypot(1.0, r)
-    loss = delta * delta * (r * r) / (1.0 + root)  # sqrt(1+r^2)-1 without cancellation
-    dloss = bounded_error_gain(delta, a_arr)
-    if np.isscalar(a) or np.asarray(a).ndim == 0:
-        return float(loss), float(dloss)
-    return loss, dloss
-
-
-def _log_weights(theta, history, sigma):
-    """Log kernel weights -||theta - history_i||^2 / (2 sigma), no prefactor."""
-    diff = np.asarray(history, dtype=float) - np.asarray(theta, dtype=float)
-    return -np.einsum("ij,ij->i", diff, diff) / (2.0 * sigma)
-
-
-def _check_bandwidths(*values):
-    for v in values:
-        if not v > 0:
-            raise NonPositiveBandwidth(f"bandwidth must be > 0, got {v}")
-
-
-def kde_prior(buffer, theta, sigma: float) -> float:
-    """Mixture density (1/m) sum_i K_sigma(theta - theta_i) over buffered vectors."""
-    _check_bandwidths(sigma)
-    history = np.asarray(buffer, dtype=float)
-    if history.size == 0:
-        raise EmptyBuffer("kde_prior needs at least one buffered vector")
-    lw = _log_weights(theta, history, sigma)
-    return float(np.exp(logsumexp(lw)) / (len(history) * sigma))
-
-
-def _log_conditional(buf_k, buf_l, theta_k, theta_l, sigma_k, sigma_l):
-    lw_k = _log_weights(theta_k, buf_k, sigma_k)
-    lw_l = _log_weights(theta_l, buf_l, sigma_l)
-    if not np.isfinite(np.max(lw_l)):
-        raise DegenerateDenominator("conditional kernel denominator underflowed")
-    return logsumexp(lw_k + lw_l) - logsumexp(lw_l) - math.log(sigma_k)
-
-
-def conditional_kde(buf_k, buf_l, theta_k, theta_l, sigma_k: float, sigma_l: float) -> float:
-    """Conditional mixture sum_i K_k(.)K_l(.) / sum_i K_l(.), index-aligned buffers."""
-    _check_bandwidths(sigma_k, sigma_l)
-    buf_k = np.asarray(buf_k, dtype=float)
-    buf_l = np.asarray(buf_l, dtype=float)
-    if buf_k.size == 0 or buf_l.size == 0:
-        raise EmptyBuffer("conditional_kde needs nonempty buffers")
-    if len(buf_k) != len(buf_l):
-        raise DimensionMismatch("buffers must be aligned index-wise")
-    return float(np.exp(_log_conditional(buf_k, buf_l, theta_k, theta_l, sigma_k, sigma_l)))
-
-
-def _softmax(lw):
-    shifted = np.exp(lw - np.max(lw))
-    return shifted / shifted.sum()
-
-
-def mu_weights(buf_k, buf_l, theta_k, theta_l, sigma_k: float, sigma_l: float) -> MuWeights:
-    """Joint-kernel and own-kernel responsibilities over the buffer entries."""
-    _check_bandwidths(sigma_k, sigma_l)
-    buf_k = np.asarray(buf_k, dtype=float)
-    buf_l = np.asarray(buf_l, dtype=float)
-    if buf_k.size == 0 or buf_l.size == 0:
-        raise EmptyBuffer("mu_weights needs nonempty buffers")
-    if len(buf_k) != len(buf_l):
-        raise DimensionMismatch("buffers must be aligned index-wise")
-    lw_k = _log_weights(theta_k, buf_k, sigma_k)
-    lw_joint = lw_k + _log_weights(theta_l, buf_l, sigma_l)
-    if not np.isfinite(np.max(lw_k)):
-        raise DegenerateDenominator("own-kernel normalisation underflowed")
-    if not np.isfinite(np.max(lw_joint)):
-        raise DegenerateDenominator("joint-kernel normalisation underflowed")
-    return MuWeights(mu_kli=_softmax(lw_joint), mu_ki=_softmax(lw_k))
-
-
-def neighbor_error(theta, shared: SharedData) -> float:
-    """Neighbourhood squared error eps = sum_{l in N_k} (d_l - u_l theta)^2."""
-    e = shared.d - shared.u @ np.asarray(theta, dtype=float)
-    return float(e @ e)
-
-
-def threshold_gate(epsilon: float, params: ThresholdParams) -> float:
-    """Gate value in [0, 1]: sigmoid around eta, or a hard indicator."""
-    if params.mode == "hard":
-        return 1.0 if epsilon > params.eta else 0.0
-    return float(expit(2.0 * params.slope * (epsilon - params.eta)))
-
-
-def log_local_objective(theta_k, shared: SharedData, buffers: EstimateBuffer,
-                        params: KernelParams) -> float:
-    """Log posterior of theta_k given neighbourhood data and buffered history.
-
-    The neighbour-prior block log f(theta_l) is evaluated at the shared
-    (fixed) estimates, so it is constant in theta_k; only the likelihood and
-    the conditional-minus-own prior terms move under differentiation. Additive
-    constants of the likelihood are dropped.
-    """
-    theta_k = np.asarray(theta_k, dtype=float)
-    total = 0.0
-    hist_k = None
-    for i, l in enumerate(shared.neighbors):
-        e = shared.d[i] - shared.u[i] @ theta_k
-        loss, _ = pseudo_huber(params.delta, e)
-        total -= loss / params.h
-        hist_l = buffers.history(l)
-        lw_l = _log_weights(shared.theta_prev[i], hist_l, params.sigma)
-        total += logsumexp(lw_l) - math.log(len(hist_l) * params.sigma)
-    hist_k = buffers.history(shared.node)
-    lw_own = _log_weights(theta_k, hist_k, params.sigma)
-    log_prior = logsumexp(lw_own) - math.log(len(hist_k) * params.sigma)
-    for i, l in enumerate(shared.neighbors):
-        if l == shared.node:
-            continue
-        log_cond = _log_conditional(hist_k, buffers.history(l), theta_k,
-                                    shared.theta_prev[i], params.sigma, params.sigma)
-        total += log_cond - log_prior
-    return float(total)
-
-
-def npdlms_gradient(theta_eval, shared: SharedData, buffers: EstimateBuffer,
-                    params: KernelParams) -> np.ndarray:
-    """Ascent direction of the log posterior at theta_eval.
-
-    The likelihood part is (1/h) sum_l bounded_error_gain(delta, e_l) u_l';
-    the prior part weighs the node's own buffered vectors by the responsibility
-    gaps (mu_kli - mu_ki) across neighbours. Until a ring holds two entries
-    the prior carries no information and is zeroed; a neighbour whose kernel
-    weights fully underflow is skipped the same way.
-    """
-    theta_eval = np.asarray(theta_eval, dtype=float)
-    e = shared.d - shared.u @ theta_eval
-    e = np.clip(e, -1e150, 1e150)  # infinite impulses still saturate the gain at delta
-    grad = shared.u.T @ bounded_error_gain(params.delta, e) / params.h
-
-    if buffers.depth(shared.node) < 2:
-        return grad
-    hist_k = buffers.history(shared.node)
-    lw_own = _log_weights(theta_eval, hist_k, params.sigma)
-    if not np.isfinite(np.max(lw_own)):
-        return grad
-    mu_ki = _softmax(lw_own)
-    for i, l in enumerate(shared.neighbors):
-        if l == shared.node:
-            continue
-        lw_joint = lw_own + _log_weights(shared.theta_prev[i], buffers.history(l), params.sigma)
-        if not np.isfinite(np.max(lw_joint)):
-            continue
-        mu_kli = _softmax(lw_joint)
-        grad = grad + hist_k.T @ (mu_kli - mu_ki) / params.sigma
-    return grad
-
-
-def npdlms_adapt(shared: SharedData, buffers: EstimateBuffer, params: KernelParams,
-                 threshold: ThresholdParams, step_size: float, theta_eval):
-    """Push the carried estimates into the rings and run one gated ascent.
-
-    The rings receive exactly what this iteration's messages carry: every
-    neighbour's previous-iteration estimate, the node's own included, so all
-    rings stay aligned index-wise. Returns (adapted vector, hard-gate fired).
-    """
-    for i, l in enumerate(shared.neighbors):
-        buffers.push(l, shared.theta_prev[i])
-    theta_eval = np.asarray(theta_eval, dtype=float)
-    grad = npdlms_gradient(theta_eval, shared, buffers, params)
-    eps = neighbor_error(theta_eval, shared)
-    gate = threshold_gate(eps, threshold)
-    return theta_eval + step_size * gate * grad, bool(eps > threshold.eta)

@@ -128,6 +128,11 @@ class TheoryInputs:
         for r in covs:
             if r.shape != (d, d):
                 raise DimensionMismatch("regressor covariances must share one square shape")
+            if not np.all(np.isfinite(r)):
+                raise InvalidParameters("regressor covariances must be finite")
+            tol = 1e-12 * np.linalg.norm(r)
+            if np.linalg.norm(r - r.T) > tol or np.linalg.eigvalsh(r)[0] < -tol:
+                raise InvalidParameters("regressor covariances must be symmetric positive semidefinite")
         self.regressor_covariances = covs
         self.theta_o = np.asarray(self.theta_o, dtype=float)
         if self.theta_o.shape != (d,):

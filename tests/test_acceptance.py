@@ -13,7 +13,6 @@ rather than as package defaults.
 import numpy as np
 import pytest
 
-from diffnet.diffusion import SharedData
 from diffnet.harness import (
     config_from_dict,
     export_csv,
@@ -22,14 +21,7 @@ from diffnet.harness import (
     theory_inputs_from_config,
 )
 from diffnet.network import build_topology, combination_weights
-from diffnet.npdlms import (
-    EstimateBuffer,
-    KernelParams,
-    bounded_error_gain,
-    log_local_objective,
-    mu_weights,
-    npdlms_gradient,
-)
+from diffnet.npdlms import KernelParams, bounded_error_gain
 from diffnet.noise import AlphaStable, characteristic_function, empirical_characteristic_function, sample
 from diffnet.theory import (
     TheoryInputs,
@@ -40,6 +32,7 @@ from diffnet.theory import (
     to_db,
     transient_curves,
 )
+from oracles import EstimateBuffer, SharedData, log_local_objective, mu_weights, npdlms_gradient
 
 pytestmark = pytest.mark.acceptance
 

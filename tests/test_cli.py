@@ -6,7 +6,7 @@ from pathlib import Path
 import yaml
 
 from diffnet.cli import main
-from tests.conftest import small_config_dict
+from conftest import small_config_dict
 
 
 def write_config(tmp_path, raw):
@@ -109,14 +109,25 @@ def test_cli_override_flags(tmp_path):
     assert len(out.read_text().splitlines()) == 5
 
 
+# Configurations the moment theory does not model: it must refuse them rather
+# than print the stationary, always-updating CTA prediction.
+UNMODELLED = [
+    {"strategy": "atc"},
+    {"environment": {"kind": "random_walk", "q_variance": 1e-4}},
+    {"gate": {"eta": 0.0, "mode": "smooth", "slope": 5.0}},
+    {"gate": {"eta": 0.05, "mode": "hard"}},
+]
+
+
 def test_theory_rejects_atc_strategy(tmp_path):
-    raw = small_config_dict(iterations=10, strategy="atc",
-                            algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
-    cfg = write_config(tmp_path, raw)
-    out = tmp_path / "t.csv"
-    assert main(["theory", "--config", cfg, "--out", str(out)]) == 1
-    assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
-    assert not out.exists()
+    for overrides in UNMODELLED:
+        raw = small_config_dict(iterations=10, **overrides,
+                                algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
+        cfg = write_config(tmp_path, raw)
+        out = tmp_path / "t.csv"
+        assert main(["theory", "--config", cfg, "--out", str(out)]) == 1, overrides
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1, overrides
+        assert not out.exists()
 
 
 def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
@@ -129,9 +140,10 @@ def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
     out = tmp_path / "cmp.csv"
     unstable = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 5.0, "delta": 0.25}])
     assert main(["compare", "--config", write_config(tmp_path, unstable), "--out", str(out)]) == 2
-    atc = small_config_dict(strategy="atc",
-                            algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
-    assert main(["compare", "--config", write_config(tmp_path, atc), "--out", str(out)]) == 1
+    for overrides in UNMODELLED:
+        raw = small_config_dict(**overrides,
+                                algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
+        assert main(["compare", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
     assert not out.exists()
 
 

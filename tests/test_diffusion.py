@@ -9,8 +9,8 @@ from diffnet import harness
 from diffnet.diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, error_gain
 from diffnet.errors import InvalidParameters
 from diffnet.harness import RealizationData, config_from_dict, run_experiment
-from tests.conftest import small_config_dict
-from tests.oracles import run_baseline_reference
+from conftest import small_config_dict
+from oracles import run_baseline_reference
 
 ALL_KINDS = [DLMS(), DSELMS(), DMCC(kernel_width=1.0), DLMSF(mix=1.0), DLLAD(scale=1.0)]
 

@@ -18,7 +18,7 @@ from diffnet.harness import (
     sweep,
     theory_inputs_from_config,
 )
-from tests.conftest import small_config_dict
+from conftest import small_config_dict
 
 
 def test_zero_step_single_iteration_msd_is_initial_deviation():

@@ -28,7 +28,7 @@ from diffnet.network import (
     save_topology,
 )
 from diffnet.harness import config_from_dict, generate_realization_data
-from tests.conftest import small_config_dict
+from conftest import small_config_dict
 
 THETA5 = np.ones(5) / np.sqrt(5)
 

@@ -5,20 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_config_dict
 from diffnet import harness
-from diffnet.diffusion import SharedData
-from diffnet.errors import (
+from diffnet.errors import DimensionMismatch, InvalidParameters
+from diffnet.npdlms import KernelParams, ThresholdParams, bounded_error_gain
+from oracles import (
     DegenerateDenominator,
-    DimensionMismatch,
     EmptyBuffer,
-    InvalidParameters,
-    NonPositiveBandwidth,
-)
-from diffnet.npdlms import (
     EstimateBuffer,
-    KernelParams,
-    ThresholdParams,
-    bounded_error_gain,
+    NonPositiveBandwidth,
+    SharedData,
     conditional_kde,
     gaussian_kernel,
     kde_prior,
@@ -28,10 +24,9 @@ from diffnet.npdlms import (
     npdlms_adapt,
     npdlms_gradient,
     pseudo_huber,
+    run_npdlms_reference,
     threshold_gate,
 )
-from tests.conftest import small_config_dict
-from tests.oracles import run_npdlms_reference
 
 
 # --- kernels and losses ----------------------------------------------------

@@ -479,3 +479,11 @@ def test_theory_inputs_validation():
                 TheoryInputs(topology=topo, combination=combination_weights(topo),
                              regressor_covariances=[np.eye(2), np.eye(2)], noise_variances=1.0,
                              step_sizes=0.1, theta_o=np.ones(2), **{name: bad})
+    # Covariances must be finite, symmetric and positive semidefinite: a
+    # non-symmetric matrix used to yield a steady MSD, and -I was reported as
+    # an unstable system rather than as invalid input.
+    for bad in (np.array([[1.0, 0.9], [0.0, 1.0]]), -np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]])):
+        with pytest.raises(InvalidParameters):
+            TheoryInputs(topology=topo, combination=combination_weights(topo),
+                         regressor_covariances=[np.eye(2), bad], noise_variances=1.0,
+                         step_sizes=0.1, theta_o=np.ones(2))
