@@ -20,15 +20,9 @@ CF_GRID = (0.1, 0.5, 1.0, 2.0)
 
 def _load(args) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["base_seed"] = args.seed
-    if getattr(args, "realizations", None) is not None:
-        overrides["realizations"] = args.realizations
-    if getattr(args, "iterations", None) is not None:
-        overrides["iterations"] = args.iterations
-    if getattr(args, "out", None) is not None:
-        overrides["output"] = args.out
+    overrides = {"base_seed": args.seed, "realizations": args.realizations,
+                 "iterations": args.iterations, "output": args.out}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     return replace(config, **overrides) if overrides else config
 
 
@@ -70,16 +64,10 @@ def _cmd_compare(args) -> int:
         raise ConfigError("compare needs an output path (--out or 'output' in the config)")
     out_path = config.output
     # The theory comes first, so an unusable one fails before the simulation runs.
-    theory_curve = None
-    if config.npdlms_spec() is not None and all(
-        isinstance(ns, noise.Gaussian) for ns in config.noise_specs
-    ):
-        curves, steady = _theory_curves(config)
-        theory_curve = theory.to_db(curves.network_msd)
-        print(f"theory steady-state MSD {theory.to_db(steady.steady_network_msd):.2f} dB")
+    curves, steady = _theory_curves(config)
+    print(f"theory steady-state MSD {theory.to_db(steady.steady_network_msd):.2f} dB")
     result = harness.run_experiment(replace(config, output=None))
-    extra = None if theory_curve is None else {"theory_msd_db": theory_curve[1:]}
-    harness.export_csv(result, out_path, extra)
+    harness.export_csv(result, out_path, {"theory_msd_db": theory.to_db(curves.network_msd)[1:]})
     for label in result.labels:
         print(f"{label}: steady-state MSD {result.steady_state_msd_db(label):.2f} dB")
     print(f"wrote {out_path}")
@@ -129,13 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="diffnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_run_overrides=True):
+    def add_common(p):
         p.add_argument("--config", required=True, help="YAML experiment configuration")
         p.add_argument("--out", help="output CSV path (overrides 'output' in the config)")
-        if with_run_overrides:
-            p.add_argument("--seed", type=int, help="override base_seed")
-            p.add_argument("--realizations", type=int, help="override realization count")
-            p.add_argument("--iterations", type=int, help="override iteration count")
+        p.add_argument("--seed", type=int, help="override base_seed")
+        p.add_argument("--realizations", type=int, help="override realization count")
+        p.add_argument("--iterations", type=int, help="override iteration count")
 
     p = sub.add_parser("simulate", help="run the configured algorithms, export MSD curves")
     add_common(p)
@@ -145,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_theory)
 
-    p = sub.add_parser("compare", help="simulate plus theory overlay where applicable")
+    p = sub.add_parser("compare",
+                       help="simulate plus the theory overlay; needs a config the theory models")
     add_common(p)
     p.set_defaults(func=_cmd_compare)
 

@@ -33,10 +33,6 @@ class UnstableSystem(DiffnetError):
     """The mean transition matrix has spectral radius >= 1."""
 
 
-class SingularSolve(DiffnetError):
-    """The steady-state linear solve failed to reach its residual tolerance."""
-
-
 class InsufficientPilot(DiffnetError):
     """The pilot trace is too short to estimate buffer statistics."""
 

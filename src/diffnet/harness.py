@@ -39,6 +39,7 @@ from .network import (
     default_variance_profile,
     load_topology,
     noise_variance_from_snr,
+    per_node,
 )
 from .npdlms import NPDLMS, KernelParams, ThresholdParams, bounded_error_gain
 from .theory import TheoryInputs, to_db
@@ -126,10 +127,34 @@ def _parse_theta(raw, dim):
     return theta
 
 
+_TOP_KEYS = ("topology", "d", "theta_o", "regressor_variances", "environment", "noise",
+             "algorithms", "gate", "combination", "iterations", "realizations", "base_seed",
+             "strategy", "output")
+# The parameter modules postpone annotation evaluation, so field types are names.
+_CASTS = {"float": float, "int": int, "str": str}
+
+
+def _check_keys(raw: dict, known, where: str) -> None:
+    """A key the parser does not read is an error, so a misspelling cannot pass."""
+    unread = set(raw) - set(known)
+    if unread:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unread)))}")
+
+
+def _build(cls, raw: dict, where: str, read=(), **defaults):
+    """Dataclass `cls` from the entries of `raw` named after its fields, cast
+    to the field types, with `defaults` for fields that `raw` leaves out.
+    `raw` may hold no other keys than those and `read`."""
+    _check_keys(raw, [f.name for f in fields(cls)] + list(read), where)
+    given = {f.name: _CASTS[f.type](raw[f.name]) for f in fields(cls) if f.name in raw}
+    return cls(**{**defaults, **given})
+
+
 def _parse_topology(raw):
     if raw is None or raw == "builtin:16":
         return default_topology()
     if isinstance(raw, dict):
+        _check_keys(raw, ("nodes", "edges"), "topology")
         try:
             return build_topology(int(raw["nodes"]), [tuple(e) for e in raw.get("edges", [])])
         except KeyError as exc:
@@ -143,12 +168,7 @@ def _parse_variances(raw, n):
         if n != profile.shape[0]:
             raise ConfigError(f"builtin variance profile is for 16 nodes, topology has {n}")
         return profile
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise ConfigError(f"regressor_variances must be scalar or length {n}")
-    return arr
+    return per_node(raw, n, "regressor_variances")
 
 
 def _parse_noise(raw, variances, theta_o):
@@ -157,6 +177,7 @@ def _parse_noise(raw, variances, theta_o):
         raise ConfigError("a 'noise' section is required")
     kind = raw.get("kind")
     if kind == "gaussian":
+        _check_keys(raw, ("kind", "snr_db", "variance"), "noise")
         if "snr_db" in raw:
             snr = float(raw["snr_db"])
             return [
@@ -164,19 +185,11 @@ def _parse_noise(raw, variances, theta_o):
                 for v in variances
             ]
         if "variance" in raw:
-            var = np.asarray(raw["variance"], dtype=float)
-            if var.ndim == 0:
-                var = np.full(n, float(var))
-            if var.shape != (n,):
-                raise ConfigError(f"gaussian variance must be scalar or length {n}")
-            return [noise_models.Gaussian(float(v)) for v in var]
+            return [noise_models.Gaussian(float(v))
+                    for v in per_node(raw["variance"], n, "gaussian variance")]
         raise ConfigError("gaussian noise needs 'snr_db' or 'variance'")
     if kind == "alpha_stable":
-        spec = noise_models.AlphaStable(
-            alpha=float(raw["alpha"]), beta=float(raw.get("beta", 0.0)),
-            gamma=float(raw.get("gamma", 1.0)), delta=float(raw.get("delta", 0.0)),
-        )
-        return [spec] * n
+        return [_build(noise_models.AlphaStable, raw, "noise", ("kind",), beta=0.0, gamma=1.0)] * n
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
@@ -185,31 +198,20 @@ def _parse_algorithm(raw) -> AlgorithmSpec:
     step = raw.get("step_size")
     if step is None:
         raise ConfigError(f"algorithm {kind_name!r} is missing step_size")
-    label = raw.get("label", "")
+    where, read = f"algorithm {kind_name!r}", ("kind", "step_size", "label")
     if kind_name == "npdlms":
-        kernel = KernelParams(
-            sigma=float(raw.get("sigma", 1.0)),
-            h=float(raw.get("h", 1.0)),
-            delta=float(raw.get("delta", 0.25)),
-        )
-        kind = NPDLMS(buffer_size=int(raw.get("buffer", 3)), kernel=kernel)
+        buffer = {"buffer_size": int(raw["buffer"])} if "buffer" in raw else {}
+        kind = NPDLMS(kernel=_build(KernelParams, raw, where, read + ("buffer",)), **buffer)
     elif kind_name in _BASELINES:
-        cls = _BASELINES[kind_name]
-        kwargs = {}
-        if kind_name == "dmcc" and "kernel_width" in raw:
-            kwargs["kernel_width"] = float(raw["kernel_width"])
-        if kind_name == "dlms_f" and "mix" in raw:
-            kwargs["mix"] = float(raw["mix"])
-        if kind_name == "dllad" and "scale" in raw:
-            kwargs["scale"] = float(raw["scale"])
-        kind = cls(**kwargs)
+        kind = _build(_BASELINES[kind_name], raw, where, read)
     else:
         raise ConfigError(f"unknown algorithm kind {kind_name!r}")
-    return AlgorithmSpec(kind=kind, step_size=float(step), label=label)
+    return AlgorithmSpec(kind=kind, step_size=float(step), label=raw.get("label", ""))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build and validate a config from plain nested dictionaries."""
+    _check_keys(raw, _TOP_KEYS, "the configuration")
     try:
         topology = _parse_topology(raw.get("topology"))
         n = topology.node_count
@@ -218,6 +220,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         variances = _parse_variances(raw.get("regressor_variances"), n)
 
         env = raw.get("environment") or {"kind": "stationary"}
+        _check_keys(env, ("kind", "q_variance"), "environment")
         if env.get("kind") == "stationary":
             drift = Stationary()
         elif env.get("kind") == "random_walk":
@@ -228,12 +231,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         noise_specs = _parse_noise(raw.get("noise"), variances, theta_o)
         algorithms = [_parse_algorithm(a) for a in raw.get("algorithms", [])]
 
-        gate_raw = raw.get("gate") or {}
-        gate = ThresholdParams(
-            eta=float(gate_raw.get("eta", 0.0)),
-            slope=float(gate_raw.get("slope", 5.0)),
-            mode=gate_raw.get("mode", "smooth"),
-        )
         rule = raw.get("combination", "uniform")
         return ExperimentConfig(
             topology=topology,
@@ -246,9 +243,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             iterations=int(raw.get("iterations", 500)),
             realizations=int(raw.get("realizations", 1)),
             base_seed=int(raw.get("base_seed", 0)),
-            gate=gate,
-            strategy=raw.get("strategy", "cta"),
-            output=raw.get("output"),
+            gate=_build(ThresholdParams, raw.get("gate") or {}, "gate"),
+            **{key: raw[key] for key in ("strategy", "output") if key in raw},
         )
     except ConfigError:
         raise

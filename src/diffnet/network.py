@@ -144,6 +144,16 @@ def combination_weights(topology: NetworkTopology, rule: str = "uniform") -> Com
     return CombinationMatrix(a)
 
 
+def per_node(value, n: int, name: str) -> np.ndarray:
+    """A length-n float array from a scalar (repeated) or a length-n sequence."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(n, float(arr))
+    if arr.shape != (n,):
+        raise DimensionMismatch(f"{name} must be scalar or length-{n}, got shape {arr.shape}")
+    return arr
+
+
 def noise_variance_from_snr(snr_db: float, r_u: np.ndarray, theta_o: np.ndarray) -> float:
     """Model-noise variance for a target SNR, with sigma_d^2 = theta_o' R_u theta_o."""
     theta_o = np.asarray(theta_o, dtype=float)

@@ -27,10 +27,11 @@ error is large, so only the small-error linearization separates stable from
 unstable step sizes.
 
 All block matrices follow the stacked-error convention: the global error is
-col{theta_o - theta_k} with d-sized blocks and the combine matrix extends to
-A' (x) I_d. Solves and recursions work on Nd x Nd matrices; the (Nd)^2
-transition F' (x) F', with (F' (x) F') vec(S) = vec(F' S F), is materialized
-only by `MomentSet.big_transition`, for tests.
+col{theta_o - theta_k} with d-sized blocks, and the combine step applies A' to
+the node blocks. Block-diagonal matrices are kept as (N, d, d) stacks of their
+blocks. The mean transition F = B A_ext of the CTA recursion (Cattivelli &
+Sayed, IEEE TSP 58(3), 2010) is built from them directly: its (k, l) block is
+a_lk B_k. Solves and recursions work on Nd x Nd matrices.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.special import erfcx, k0e, k1e
 
 from .errors import (
@@ -47,10 +47,9 @@ from .errors import (
     InsufficientPilot,
     InvalidParameters,
     NoConvergence,
-    SingularSolve,
     UnstableSystem,
 )
-from .network import CombinationMatrix, NetworkTopology
+from .network import CombinationMatrix, NetworkTopology, per_node
 
 STEIN_TOL = 1e-10
 FIXED_POINT_TOL = 1e-10
@@ -85,15 +84,6 @@ def gain_moments(variance, delta: float):
         slope = np.where(small, np.polyval(_SLOPE_SERIES, c), slope)
         second = np.where(small, c * np.polyval(_SECOND_SERIES, c), second)
     return slope, delta * delta * second
-
-
-def _per_node(value, n, name):
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise DimensionMismatch(f"{name} must be scalar or length-{n}, got shape {arr.shape}")
-    return arr
 
 
 @dataclass
@@ -139,8 +129,8 @@ class TheoryInputs:
             raise DimensionMismatch(f"theta_o must have length {d}")
         if self.combination.node_count != n:
             raise DimensionMismatch("combination matrix does not match topology size")
-        self.noise_variances = _per_node(self.noise_variances, n, "noise_variances")
-        self.step_sizes = _per_node(self.step_sizes, n, "step_sizes")
+        self.noise_variances = per_node(self.noise_variances, n, "noise_variances")
+        self.step_sizes = per_node(self.step_sizes, n, "step_sizes")
         if np.any(self.noise_variances < 0):
             raise InvalidParameters("noise variances must be >= 0")
         if np.any(self.step_sizes <= 0):
@@ -154,7 +144,7 @@ class TheoryInputs:
         if self.r_similar is None:
             self.r_similar = np.full(n, float(self.buffer_size))
         else:
-            self.r_similar = _per_node(self.r_similar, n, "r_similar")
+            self.r_similar = per_node(self.r_similar, n, "r_similar")
             if np.any(self.r_similar < 1) or np.any(self.r_similar > self.buffer_size):
                 raise InvalidParameters("r_similar entries must lie in [1, buffer_size]")
         if self.beta_bar is None:
@@ -186,31 +176,22 @@ class TheoryInputs:
         return beta_sum * (lag_weight @ cross / self.sigma)[:, None]
 
 
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """Dense block-diagonal matrix from an (N, d, d) stack."""
-    n, d = blocks.shape[:2]
-    out = np.zeros((n, d, n, d))
-    diag = np.arange(n)
-    out[diag, :, diag, :] = blocks
-    return out.reshape(n * d, n * d)
-
-
 @dataclass
 class MomentSet:
     """The statistically linearized error recursion and its steady state.
 
     The first fields are the pieces that stay fixed while the slopes change;
     block-diagonal matrices among them are kept as (N, d, d) stacks of their
-    blocks. `build_moments` fills in the rest. When the small-error slopes are
+    blocks, and `transition` builds the dense F from such a stack and A.
+    `build_moments` fills in the rest. When the small-error slopes are
     mean-stable, the slope-dependent fields hold their values at the
     steady-state fixed point and `steady_covariance` is the Stein solution of
-    `mean_transition` and `xi_vec`. Otherwise they hold the small-error
-    values, `small_error_radius` is >= 1, `steady_covariance` is None, and the
-    metrics raise UnstableSystem.
+    `mean_transition` and `xi_vec`, both kept from the last solve. Otherwise
+    they hold the small-error values, `small_error_radius` is >= 1,
+    `steady_covariance` is None, and the metrics raise UnstableSystem.
     """
 
     combination: np.ndarray     # A
-    a_ext: np.ndarray           # A' (x) I_d
     pairs: tuple                # (l, k) index arrays of every l in N_k
     covs: np.ndarray            # (N, d, d) regressor covariances R_l
     noise_variances: np.ndarray
@@ -220,11 +201,9 @@ class MomentSet:
     step_sizes: np.ndarray      # alpha_k
     step_outer: np.ndarray      # alpha_k alpha_k' spread over the d x d blocks
     prior_source: np.ndarray    # M P theta_bar theta_bar' P' M
-    prior_bias: np.ndarray      # P, block-diagonal
     theta_o: np.ndarray
     slopes: np.ndarray = field(init=False)             # s_lk = E[g'(e_lk)], [l, k]
     small_error_radius: float = field(init=False)      # rho(F) at the small-error slopes
-    coeff_covariance: np.ndarray = field(init=False)   # C, blocks -(1/h) sum_l s_lk R_l
     mean_transition: np.ndarray = field(init=False)    # F = (I + M C - M P) A_ext
     xi_vec: np.ndarray = field(init=False)             # vec(M (Xi + P_outer) M)
     steady_covariance: np.ndarray | None = field(init=False, default=None)
@@ -236,11 +215,6 @@ class MomentSet:
     @property
     def dim(self) -> int:
         return self.covs.shape[1]
-
-    def big_transition(self) -> np.ndarray:
-        """F' (x) F', materialized; meant for small instances and tests."""
-        ft = self.mean_transition.T
-        return np.kron(ft, ft)
 
     def gain_statistics(self, phi: np.ndarray):
         """(slope, second moment, variance) of every e_lk, each (N, N) indexed
@@ -298,24 +272,32 @@ class MomentSet:
         return (blocks @ left.T.reshape(n, d, nd)).reshape(nd, nd)
 
     def transition(self, blocks: np.ndarray) -> np.ndarray:
-        """Dense F = B A_ext."""
-        return _block_diag(blocks) @ self.a_ext
+        """Dense F = B A_ext for block-diagonal B: block (k, l) is a_lk B_k."""
+        n, d = blocks.shape[:2]
+        f = blocks[:, None] * self.combination.T[:, :, None, None]   # [k, l, i, j]
+        return f.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+    def recursion(self, phi: np.ndarray):
+        """Slopes, dense F and Q = M (Xi + P_outer) M at Phi = `phi`."""
+        slope, coeff, xi = self.linearize(phi)
+        return slope, self.transition(self.update_blocks(coeff)), self.source(xi)
 
 
-def _steady_fixed_point(moments: MomentSet, slope, coeff, xi):
+def _steady_fixed_point(moments: MomentSet, slope, f, q):
     """Alternate Stein solves with slope updates until the covariance settles.
 
-    Starts from the small-error linearization; returns the slopes, C blocks
-    and Xi at the fixed point, and their Stein solution.
+    Starts from the small-error slopes, F and Q; returns the slopes, F and Q
+    of the last solve and its solution. Raises UnstableSystem when an iterate's
+    F has spectral radius >= 1.
     """
     p = None
     for _ in range(FIXED_POINT_MAX_SOLVES):
-        p_next = _solve_stein(moments.transition(moments.update_blocks(coeff)), moments.source(xi))
+        p_next = _solve_stein(f, q)
         if p is not None and (np.linalg.norm(p_next - p)
                               <= FIXED_POINT_TOL * np.linalg.norm(p_next)):
-            return slope, coeff, xi, p_next
+            return slope, f, q, p_next
         p = p_next
-        slope, coeff, xi = moments.linearize(moments.combine(p))
+        slope, f, q = moments.recursion(moments.combine(p))
     raise NoConvergence(f"steady-state slopes did not settle in {FIXED_POINT_MAX_SOLVES} solves")
 
 
@@ -325,11 +307,9 @@ def build_moments(inputs: TheoryInputs) -> MomentSet:
     step_diag = np.repeat(inputs.step_sizes, d)
     step_outer = np.outer(step_diag, step_diag)
     bias = inputs.prior_bias_diagonals()
-    prior_bias = np.diag(bias.ravel())
-    p_theta = prior_bias @ np.tile(inputs.theta_o, n)
+    p_theta = (bias * inputs.theta_o).ravel()
     moments = MomentSet(
         combination=inputs.combination.matrix,
-        a_ext=np.kron(inputs.combination.matrix.T, np.eye(d)),
         pairs=np.nonzero(inputs.topology.adjacency_mask()),
         covs=np.stack(inputs.regressor_covariances),
         noise_variances=inputs.noise_variances,
@@ -339,18 +319,16 @@ def build_moments(inputs: TheoryInputs) -> MomentSet:
         step_sizes=inputs.step_sizes,
         step_outer=step_outer,
         prior_source=step_outer * np.outer(p_theta, p_theta),
-        prior_bias=prior_bias,
         theta_o=inputs.theta_o,
     )
 
-    slope, coeff, xi = moments.linearize(np.zeros((n * d, n * d)))
-    moments.small_error_radius = spectral_radius(moments.transition(moments.update_blocks(coeff)))
+    slope, f, q = moments.recursion(np.zeros((n * d, n * d)))
+    moments.small_error_radius = spectral_radius(f)
     if moments.small_error_radius < 1.0:
-        slope, coeff, xi, moments.steady_covariance = _steady_fixed_point(moments, slope, coeff, xi)
+        slope, f, q, moments.steady_covariance = _steady_fixed_point(moments, slope, f, q)
     moments.slopes = slope
-    moments.coeff_covariance = _block_diag(coeff)
-    moments.mean_transition = moments.transition(moments.update_blocks(coeff))
-    moments.xi_vec = moments.source(xi).flatten(order="F")
+    moments.mean_transition = f
+    moments.xi_vec = q.flatten(order="F")
     return moments
 
 
@@ -377,28 +355,34 @@ def spectral_radius(matrix: np.ndarray) -> float:
 
 
 def _solve_stein(f: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Solve X = F X F' + Q by Smith squaring; dense Lyapunov solve as fallback."""
+    """Solve X = F X F' + Q by Smith squaring.
+
+    After i squarings X holds the first 2^i terms of sum_j F^j Q F'^j. The
+    iterate is accepted once its increment has settled, with finite norms,
+    and the residual of the equation passes the same tolerance. Otherwise
+    UnstableSystem is raised, naming rho(F): at rho(F) >= 1 the series does
+    not settle unless Q avoids the unstable modes, and its norm may overflow
+    while every entry is still finite.
+    """
     x = q.copy()
     a = f.copy()
-    for _ in range(120):
-        x_next = x + a @ x @ a.T
-        a = a @ a
-        if not np.all(np.isfinite(x_next)):
-            x = None
-            break
-        delta = np.linalg.norm(x_next - x, "fro")
-        x = x_next
-        if delta <= STEIN_TOL * max(1.0, np.linalg.norm(x, "fro")):
-            break
-    if x is not None:
-        residual = np.linalg.norm(x - f @ x @ f.T - q, "fro")
-        if residual <= STEIN_TOL * max(1.0, np.linalg.norm(x, "fro")):
-            return x
-    x = scipy.linalg.solve_discrete_lyapunov(f, q)
-    residual = np.linalg.norm(x - f @ x @ f.T - q, "fro")
-    if not np.all(np.isfinite(x)) or residual > 1e-8 * max(1.0, np.linalg.norm(x, "fro")):
-        raise SingularSolve(f"Stein solve residual {residual:.3e} above tolerance")
-    return x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(120):
+            x_next = x + a @ x @ a.T
+            a = a @ a
+            delta = np.linalg.norm(x_next - x, "fro")
+            x = x_next
+            norm = np.linalg.norm(x, "fro")
+            if not (np.isfinite(delta) and np.isfinite(norm)):
+                break
+            tol = STEIN_TOL * max(1.0, norm)
+            if delta <= tol:
+                if np.linalg.norm(x - f @ x @ f.T - q, "fro") <= tol:
+                    return x
+                break
+    raise UnstableSystem(
+        f"Stein solve did not settle: mean transition spectral radius {spectral_radius(f):.6f}"
+    )
 
 
 def to_db(values):
@@ -501,17 +485,15 @@ def estimate_beta_and_r(trace: np.ndarray, buffer_size: int, sigma: float,
             f"need at least {11 * buffer_size} post-burn-in iterations, got {t_len}"
         )
     beta_bar = np.empty((n, buffer_size, d))
-    r_similar = np.empty(n)
-    for k in range(n):
-        cur = post[buffer_size:, k, :]                      # theta_{k,t}
-        safe = np.abs(cur) >= 1e-8
-        counts = np.zeros(t_len - buffer_size)
-        for i in range(1, buffer_size + 1):
-            past = post[buffer_size - i:t_len - i, k, :]    # theta_{k,t-i}
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(safe, past / cur, 1.0)
-            beta_bar[k, i - 1] = np.clip(ratio, -2.0, 2.0).mean(axis=0)
-            sq = ((cur - past) ** 2).sum(axis=1)
-            counts += np.exp(-sq / (2.0 * sigma)) >= 0.9
-        r_similar[k] = min(buffer_size, max(1, round(counts.mean())))
+    cur = post[buffer_size:]                            # theta_{k,t}, (T', N, d)
+    safe = np.abs(cur) >= 1e-8
+    counts = np.zeros((t_len - buffer_size, n))
+    for i in range(1, buffer_size + 1):
+        past = post[buffer_size - i:t_len - i]          # theta_{k,t-i}
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(safe, past / cur, 1.0)
+        beta_bar[:, i - 1] = np.clip(ratio, -2.0, 2.0).mean(axis=0)
+        sq = ((cur - past) ** 2).sum(axis=2)
+        counts += np.exp(-sq / (2.0 * sigma)) >= 0.9
+    r_similar = np.clip(np.round(counts.mean(axis=0)), 1, buffer_size)
     return beta_bar, r_similar

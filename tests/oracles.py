@@ -1,5 +1,5 @@
 """Slow per-node reference implementations that the batched simulation engine
-is checked against.
+and the vectorized pilot estimator are checked against.
 
 The baseline runner and the kernel-MAP chain below work one node at a time,
 the way the algorithms are written down, and share nothing with the batched
@@ -371,3 +371,24 @@ def run_npdlms_reference(config, spec, data):
         dev = theta - data.theta_path[t]
         sq[t] = np.einsum("nd,nd->n", dev, dev)
     return sq, updates
+
+
+def estimate_beta_and_r_reference(trace, buffer_size: int, sigma: float, burn_in: int = 0):
+    """`theory.estimate_beta_and_r`, one node and one lag at a time."""
+    post = np.asarray(trace, dtype=float)[burn_in:]
+    t_len, n, d = post.shape
+    beta_bar = np.empty((n, buffer_size, d))
+    r_similar = np.empty(n)
+    for k in range(n):
+        cur = post[buffer_size:, k, :]                      # theta_{k,t}
+        safe = np.abs(cur) >= 1e-8
+        counts = np.zeros(t_len - buffer_size)
+        for i in range(1, buffer_size + 1):
+            past = post[buffer_size - i:t_len - i, k, :]    # theta_{k,t-i}
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(safe, past / cur, 1.0)
+            beta_bar[k, i - 1] = np.clip(ratio, -2.0, 2.0).mean(axis=0)
+            sq = ((cur - past) ** 2).sum(axis=1)
+            counts += np.exp(-sq / (2.0 * sigma)) >= 0.9
+        r_similar[k] = min(buffer_size, max(1, round(counts.mean())))
+    return beta_bar, r_similar

@@ -116,13 +116,15 @@ UNMODELLED = [
     {"environment": {"kind": "random_walk", "q_variance": 1e-4}},
     {"gate": {"eta": 0.0, "mode": "smooth", "slope": 5.0}},
     {"gate": {"eta": 0.05, "mode": "hard"}},
+    {"noise": {"kind": "alpha_stable", "alpha": 1.2, "beta": 0.0, "gamma": 1.0}},
+    {"algorithms": [{"kind": "dlms", "step_size": 0.05}]},
 ]
+NPDLMS_ONLY = [{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}]
 
 
 def test_theory_rejects_atc_strategy(tmp_path):
     for overrides in UNMODELLED:
-        raw = small_config_dict(iterations=10, **overrides,
-                                algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
+        raw = small_config_dict(**{"iterations": 10, "algorithms": NPDLMS_ONLY, **overrides})
         cfg = write_config(tmp_path, raw)
         out = tmp_path / "t.csv"
         assert main(["theory", "--config", cfg, "--out", str(out)]) == 1, overrides
@@ -141,8 +143,7 @@ def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
     unstable = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 5.0, "delta": 0.25}])
     assert main(["compare", "--config", write_config(tmp_path, unstable), "--out", str(out)]) == 2
     for overrides in UNMODELLED:
-        raw = small_config_dict(**overrides,
-                                algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}])
+        raw = small_config_dict(**{"algorithms": NPDLMS_ONLY, **overrides})
         assert main(["compare", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
     assert not out.exists()
 

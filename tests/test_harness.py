@@ -131,6 +131,21 @@ def test_missing_step_size_rejected():
         config_from_dict(small_config_dict(algorithms=[{"kind": "dlms"}]))
 
 
+def test_misspelt_algorithm_key_rejected():
+    # A misspelt parameter used to run DMCC at the default kernel width.
+    raw = small_config_dict(algorithms=[{"kind": "dmcc", "step_size": 0.1, "kernel_widht": 0.005}])
+    with pytest.raises(ConfigError, match="kernel_widht"):
+        config_from_dict(raw)
+
+
+def test_misspelt_top_level_key_rejected():
+    # A misspelt count used to run a single realization.
+    raw = small_config_dict()
+    raw["realisations"] = 200
+    with pytest.raises(ConfigError, match="realisations"):
+        config_from_dict(raw)
+
+
 @pytest.mark.parametrize("variance", [0.0, -1.0])
 @pytest.mark.parametrize("noise", [{"kind": "gaussian", "snr_db": 20},
                                    {"kind": "gaussian", "variance": 0.1}], ids=["snr", "variance"])

@@ -17,6 +17,7 @@ from diffnet.errors import (
 )
 from diffnet.network import build_topology, combination_weights
 from diffnet.npdlms import bounded_error_gain
+from oracles import estimate_beta_and_r_reference
 from diffnet.theory import (
     MomentSet,
     TheoryInputs,
@@ -128,7 +129,7 @@ def test_gain_moments_match_quadrature(ratio):
 
 
 def test_single_node_maclaurin_block():
-    """Single node, R = I: the coefficient block is -s I and F = (1 - alpha s) I.
+    """Single node, R = I: the coefficient block is -s I, so F = (1 - alpha s) I.
 
     s is the Gaussian-expected slope at the steady-state error variance. The
     Maclaurin constant (2 delta^2 - 1) / (2 delta^2 h) = -7 that this test
@@ -138,14 +139,13 @@ def test_single_node_maclaurin_block():
     inputs = single_node_inputs(alpha=alpha, sv2=sv2, delta=0.25, h=1.0, d=d)
     moments = build_moments(inputs)
     _, s, _ = scalar_fixed_point(alpha, sv2, r=1.0, d=d, delta=0.25)
-    assert np.allclose(moments.coeff_covariance, -s * np.eye(d), rtol=0.0, atol=1e-9)
-    assert np.allclose(moments.prior_bias, 0.0)
+    assert np.allclose(inputs.prior_bias_diagonals(), 0.0)
     assert np.allclose(moments.mean_transition, (1 - alpha * s) * np.eye(d), rtol=0.0, atol=1e-11)
 
 
 def test_prior_bias_vanishes_when_buffers_match():
     inputs = random_inputs(1, randomize_r=False)  # r_l = B
-    assert np.allclose(build_moments(inputs).prior_bias, 0.0)
+    assert np.allclose(inputs.prior_bias_diagonals(), 0.0)
 
 
 def test_zero_step_transition_is_combination_extension():
@@ -168,24 +168,21 @@ def test_delta_outside_contraction_range_rejected():
             single_node_inputs(delta=delta)
 
 
-def test_big_transition_is_kronecker_square():
-    inputs = random_inputs(3)
-    moments = build_moments(inputs)
-    f = moments.mean_transition
-    assert np.max(np.abs(moments.big_transition() - np.kron(f.T, f.T))) <= 1e-12
+@pytest.mark.parametrize("seed", [3, 4, 8, 9])
+def test_transition_matches_dense_block_product(seed):
+    """F built from its blocks equals the dense B A_ext with A_ext = A' (x) I_d.
 
-
-def test_vec_identity_for_big_transition():
-    # (F' (x) F') vec(S) = vec(F' S F) under column-major vec
-    inputs = random_inputs(4)
+    Checked on the moments' own update blocks and on random blocks.
+    """
+    inputs = random_inputs(seed)
     moments = build_moments(inputs)
-    f = moments.mean_transition
-    nd = f.shape[0]
-    r = np.random.default_rng(0)
-    s = r.standard_normal((nd, nd))
-    lhs = moments.big_transition() @ s.flatten(order="F")
-    rhs = (f.T @ s @ f).flatten(order="F")
-    assert np.allclose(lhs, rhs, atol=1e-12)
+    n, d = inputs.topology.node_count, inputs.dim
+    a_ext = np.kron(inputs.combination.matrix.T, np.eye(d))
+    _, coeff, _ = moments.linearize(np.zeros((n * d, n * d)))
+    for blocks in (moments.update_blocks(coeff),
+                   np.random.default_rng(seed).standard_normal((n, d, d))):
+        expected = scipy.linalg.block_diag(*blocks) @ a_ext
+        assert np.array_equal(moments.transition(blocks), expected)
 
 
 # --- step-size bound ---------------------------------------------------------
@@ -332,6 +329,31 @@ def test_unstable_system_raises():
         transient_curves(build_moments(inputs), n_max=10)
 
 
+@pytest.mark.parametrize("f", [np.eye(2), np.diag([1.5, 0.2])])
+def test_stein_solve_rejects_non_contracting_transition(f):
+    """With rho(F) >= 1 the Smith series never settles, so no iterate may be
+    returned: at F = I it doubles each squaring, and at F = diag(1.5, 0.2) its
+    Frobenius norm overflows while every entry is still finite."""
+    with pytest.raises(UnstableSystem, match="spectral radius"):
+        theory._solve_stein(f, np.eye(2))
+
+
+def test_fixed_point_iterate_with_unstable_transition_raises():
+    """Mean-stable at the small-error slopes (rho = 0.153), but a negative
+    prior bias P = -0.2 drives the fixed-point iteration to an F with
+    rho >= 1; there is no steady state to report."""
+    topo = build_topology(2, [(1, 2)])
+    inputs = TheoryInputs(
+        topology=topo, combination=combination_weights(topo),
+        regressor_covariances=[np.eye(1), np.eye(1)], noise_variances=1e-4, step_sizes=0.5,
+        theta_o=np.ones(1), delta=0.05, buffer_size=3, r_similar=np.array([1.0, 1.0]),
+        beta_bar=np.full((2, 3, 1), -0.1),
+    )
+    assert np.allclose(inputs.prior_bias_diagonals(), -0.2)
+    with pytest.raises(UnstableSystem, match="spectral radius"):
+        build_moments(inputs)
+
+
 def test_network_average_identity_bit_exact():
     inputs = random_inputs(7, randomize_r=False)
     inputs.step_sizes = 0.3 * np.array(
@@ -455,6 +477,19 @@ def test_estimate_beta_clips_ratios(rng):
     trace[50:, 0, 0] = 1e-3  # huge past/current ratios before the jump settles
     beta, _ = estimate_beta_and_r(trace, buffer_size=2, sigma=1.0)
     assert np.all(beta <= 2.0) and np.all(beta >= -2.0)
+
+
+@pytest.mark.parametrize("buffer_size", [2, 3, 5])
+def test_estimate_beta_and_r_matches_per_node_oracle(buffer_size):
+    # Same arithmetic as the per-node loop, so the results must be equal.
+    r = np.random.default_rng(buffer_size)
+    trace = np.cumsum(0.05 * r.standard_normal((300, 4, 3)), axis=0) + 0.3
+    trace[:, 0, 0] = 0.0  # exercises the neutral ratio for tiny denominators
+    beta, r_similar = estimate_beta_and_r(trace, buffer_size, sigma=0.05, burn_in=20)
+    beta_ref, r_ref = estimate_beta_and_r_reference(trace, buffer_size, sigma=0.05, burn_in=20)
+    assert np.array_equal(beta, beta_ref)
+    assert np.array_equal(r_similar, r_ref)
+    assert len(set(r_ref)) > 1
 
 
 def test_estimate_requires_long_enough_pilot():
