@@ -11,6 +11,12 @@ One engine runs them: realizations go through in memory-bounded chunks of
 CHUNK_REALIZATIONS, stacked on a leading array axis, and every baseline family
 shares one time loop. Each product works on one realization's matrices, so a
 realization gives the same bits in any chunk as it does alone.
+
+A sweep is one pass of the same chunk loop. The sweep values share each
+chunk's draws and its baseline run, since neither depends on the gate or the
+kernel parameters, and the kernel-MAP update runs once on V x R rows, one
+block of R per value, with the draws broadcast rather than copied. Memory is
+one chunk's draws plus the rows' kernel-MAP state and squared deviations.
 """
 
 from __future__ import annotations
@@ -134,9 +140,22 @@ _TOP_KEYS = ("topology", "d", "theta_o", "regressor_variances", "environment", "
 _CASTS = {"float": float, "int": int, "str": str}
 
 
+def _mapping(raw, where: str) -> dict:
+    """`raw` itself, which must be a mapping: the section named `where`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping, got {raw!r}")
+    return raw
+
+
+def _section(raw: dict, key: str) -> dict:
+    """The mapping under `key`, or {} where the config leaves it out or empty."""
+    value = raw.get(key)
+    return {} if value is None else _mapping(value, key)
+
+
 def _check_keys(raw: dict, known, where: str) -> None:
     """A key the parser does not read is an error, so a misspelling cannot pass."""
-    unread = set(raw) - set(known)
+    unread = set(_mapping(raw, where)) - set(known)
     if unread:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(map(str, unread)))}")
 
@@ -153,13 +172,13 @@ def _build(cls, raw: dict, where: str, read=(), **defaults):
 def _parse_topology(raw):
     if raw is None or raw == "builtin:16":
         return default_topology()
-    if isinstance(raw, dict):
-        _check_keys(raw, ("nodes", "edges"), "topology")
-        try:
-            return build_topology(int(raw["nodes"]), [tuple(e) for e in raw.get("edges", [])])
-        except KeyError as exc:
-            raise ConfigError(f"inline topology needs 'nodes': {exc}") from exc
-    return load_topology(raw)
+    if isinstance(raw, str):
+        return load_topology(raw)
+    _check_keys(raw, ("nodes", "edges"), "topology")
+    try:
+        return build_topology(int(raw["nodes"]), [tuple(e) for e in raw.get("edges", [])])
+    except KeyError as exc:
+        raise ConfigError(f"inline topology needs 'nodes': {exc}") from exc
 
 
 def _parse_variances(raw, n):
@@ -175,9 +194,11 @@ def _parse_noise(raw, variances, theta_o):
     n = len(variances)
     if raw is None:
         raise ConfigError("a 'noise' section is required")
-    kind = raw.get("kind")
+    kind = _mapping(raw, "noise").get("kind")
     if kind == "gaussian":
         _check_keys(raw, ("kind", "snr_db", "variance"), "noise")
+        if "snr_db" in raw and "variance" in raw:
+            raise ConfigError("gaussian noise takes 'snr_db' or 'variance', not both")
         if "snr_db" in raw:
             snr = float(raw["snr_db"])
             return [
@@ -194,7 +215,7 @@ def _parse_noise(raw, variances, theta_o):
 
 
 def _parse_algorithm(raw) -> AlgorithmSpec:
-    kind_name = raw.get("kind")
+    kind_name = _mapping(raw, "each algorithm entry").get("kind")
     step = raw.get("step_size")
     if step is None:
         raise ConfigError(f"algorithm {kind_name!r} is missing step_size")
@@ -219,17 +240,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         theta_o = _parse_theta(raw.get("theta_o"), dim)
         variances = _parse_variances(raw.get("regressor_variances"), n)
 
-        env = raw.get("environment") or {"kind": "stationary"}
-        _check_keys(env, ("kind", "q_variance"), "environment")
-        if env.get("kind") == "stationary":
+        env = _section(raw, "environment")
+        if env.get("kind", "stationary") == "stationary":
+            _check_keys(env, ("kind",), "stationary environment")
             drift = Stationary()
         elif env.get("kind") == "random_walk":
+            _check_keys(env, ("kind", "q_variance"), "environment")
             drift = RandomWalk(q_variance=float(env.get("q_variance", 1e-4)))
         else:
             raise ConfigError(f"unknown environment kind {env.get('kind')!r}")
 
         noise_specs = _parse_noise(raw.get("noise"), variances, theta_o)
-        algorithms = [_parse_algorithm(a) for a in raw.get("algorithms", [])]
+        algorithms = raw.get("algorithms", [])
+        if not isinstance(algorithms, list):
+            raise ConfigError(f"algorithms must be a list of mappings, got {algorithms!r}")
+        algorithms = [_parse_algorithm(a) for a in algorithms]
 
         rule = raw.get("combination", "uniform")
         return ExperimentConfig(
@@ -243,7 +268,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             iterations=int(raw.get("iterations", 500)),
             realizations=int(raw.get("realizations", 1)),
             base_seed=int(raw.get("base_seed", 0)),
-            gate=_build(ThresholdParams, raw.get("gate") or {}, "gate"),
+            gate=_build(ThresholdParams, _section(raw, "gate"), "gate"),
             **{key: raw[key] for key in ("strategy", "output") if key in raw},
         )
     except ConfigError:
@@ -374,56 +399,77 @@ def _run_baselines(config: ExperimentConfig, specs: list, batch: RealizationData
     return sq.transpose(1, 2, 0, 3)
 
 
-def _run_npdlms(config: ExperimentConfig, spec: AlgorithmSpec, batch: RealizationData,
-                trace_out: np.ndarray | None = None):
-    """Synchronous run of the kernel-MAP update on a batch of realizations.
+def _run_npdlms(runs: list, batch: RealizationData, trace_out: np.ndarray | None = None):
+    """Synchronous run of the kernel-MAP update at several parameter values.
+
+    `runs` lists one (config, spec) pair per value. The pairs share the
+    network, strategy, step size, buffer length and gate mode and slope; the
+    gate threshold eta and the kernel parameters sigma, h and delta may
+    differ. Value v takes rows v*R .. v*R + R - 1 of a (V*R, ...) state, and
+    the (T, R, ...) draws broadcast against a (V, R, ...) view of it, so they
+    are never copied per value.
 
     Every node's rings hold the same global history theta_{., n-1..n-B}, so
-    the per-node buffers collapse into one (B, R, N, d) array and the mu
-    weights into one (B, R, N, N) softmax per realization; the reductions run
-    over the buffer axis. Returns squared deviations (R, T, N) and hard-gate
-    update counts (R, N); `trace_out`, if given, receives the (T, R, N, d)
+    the per-node buffers collapse into one (B, V*R, N, d) array and the mu
+    weights into one (B, V*R, N, N) softmax per row; the reductions run over
+    the buffer axis. Returns squared deviations (V*R, T, N) and hard-gate
+    update counts (V*R, N); `trace_out`, if given, receives the (T, V*R, N, d)
     estimates.
     """
+    config, spec = runs[0]
     algo: NPDLMS = spec.kind
-    kernel = algo.kernel
     topo = config.topology
     a_t = config.combination.matrix.T
     mask = topo.adjacency_mask()                  # mask[l, k] = 1 iff l in N_k
     cross = mask.copy()
     np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
     t_len, reals, n, d = batch.regressors.shape
+    values = len(runs)
+    rows = values * reals
     step = spec.step_size
-    sigma, h, delta = kernel.sigma, kernel.h, kernel.delta
     gate = config.gate
     cta = config.strategy == "cta"
+
+    def per_row(params, ndim):
+        # A parameter all values share stays a scalar, which numpy applies faster.
+        if len(set(params)) == 1:
+            return params[0]
+        return np.repeat(np.array(params, dtype=float), reals).reshape((rows,) + (1,) * ndim)
+
+    eta = per_row([cfg.gate.eta for cfg, _ in runs], 1)
+    sigmas = [s.kind.kernel.sigma for _, s in runs]
+    lw_scale = -2.0 * per_row(sigmas, 1)
+    sigma = per_row(sigmas, 2)
+    h = per_row([s.kind.kernel.h for _, s in runs], 2)
+    delta = per_row([s.kind.kernel.delta for _, s in runs], 2)
 
     u_tr = batch.regressors.transpose(0, 1, 3, 2)  # (T, R, d, N)
     targets = batch.targets[:, :, :, None]
     theta_path = batch.theta_path[:, :, None, :]
-    theta = np.zeros((reals, n, d))
-    history = np.zeros((0, reals, n, d))          # newest first, rows <= buffer_size
-    sq = np.empty((t_len, reals, n))
-    updates = np.zeros((reals, n))
+    theta = np.zeros((rows, n, d))
+    history = np.zeros((0, rows, n, d))           # newest first, rows <= buffer_size
+    sq = np.empty((t_len, rows, n))
+    updates = np.zeros((rows, n))
     for t in range(t_len):
         history = np.concatenate((theta[None], history[: algo.buffer_size - 1]))
-        point = a_t @ theta if cta else theta     # (R, N, d) evaluation points
+        point = a_t @ theta if cta else theta     # (V*R, N, d) evaluation points
 
-        # err[r, l, k] = d_l - u_l theta_eval_k
-        err = targets[t] - batch.regressors[t] @ point.transpose(0, 2, 1)
+        # err[row, l, k] = d_l - u_l theta_eval_k
+        points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
+        err = (targets[t] - batch.regressors[t] @ points).reshape(rows, n, n)
         eps = np.einsum("rlk,lk->rk", err * err, mask)
         err = np.clip(err, -1e150, 1e150)
-        gain = bounded_error_gain(delta, err) * mask
-        grad = (u_tr[t] @ gain) / h               # (R, d, N)
+        gain = (bounded_error_gain(delta, err) * mask).reshape(values, reals, n, n)
+        grad = (u_tr[t] @ gain).reshape(rows, d, n) / h   # (V*R, d, N)
 
         if history.shape[0] >= 2:
-            diff_own = history - point            # (B, R, N, d)
-            lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / (-2.0 * sigma)
+            diff_own = history - point            # (B, V*R, N, d)
+            lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / lw_scale
             diff_nbr = history - theta
-            lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / (-2.0 * sigma)
+            lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / lw_scale
             mu_own = np.exp(lw_own - lw_own.max(axis=0))
             mu_own /= mu_own.sum(axis=0)
-            joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, R, l, k)
+            joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, V*R, l, k)
             mu_joint = np.exp(joint - joint.max(axis=0))
             mu_joint /= mu_joint.sum(axis=0)
             mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
@@ -433,45 +479,58 @@ def _run_npdlms(config: ExperimentConfig, spec: AlgorithmSpec, batch: Realizatio
             np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
             grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
 
-        fired = eps > gate.eta
+        fired = eps > eta
         if gate.mode == "hard":
             open_gate = fired.astype(float)
         else:
-            open_gate = expit(2.0 * gate.slope * (eps - gate.eta))
+            open_gate = expit(2.0 * gate.slope * (eps - eta))
         updates += fired
         adapted = point + step * open_gate[:, :, None] * grad.transpose(0, 2, 1)
         theta = adapted if cta else a_t @ adapted
-        dev = theta - theta_path[t]
+        dev = (theta.reshape(values, reals, n, d) - theta_path[t]).reshape(rows, n, d)
         np.einsum("rkd,rkd->rk", dev, dev, out=sq[t])
         if trace_out is not None:
             trace_out[t] = theta
     return sq.transpose(1, 0, 2), updates
 
 
-def _simulate(config: ExperimentConfig, batch: RealizationData) -> dict:
-    """All configured algorithms on one batch of shared measurement streams.
+def _finish(sq: np.ndarray, updates) -> tuple:
+    """(sq, updates, diverged flags) with the deviations capped at RECORD_CAP."""
+    broken = ~np.isfinite(sq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diverged = broken.any(axis=(1, 2)) | (sq.mean(axis=2) > DIVERGENCE_MSD).any(axis=1)
+    np.copyto(sq, RECORD_CAP, where=broken)
+    np.minimum(sq, RECORD_CAP, out=sq)
+    return sq, updates, diverged
 
-    Returns {label: (squared deviations (R, T, N), update counts (R, N) or
-    None, diverged flags (R,))}. Recorded deviations are capped at
-    RECORD_CAP so diverged runs stay plottable; the flag carries the
-    divergence signal.
+
+def _simulate(configs: list, batch: RealizationData) -> list:
+    """All configured algorithms at every value on one batch of shared draws.
+
+    `configs` holds one config per value, alike but for the gate threshold
+    and the kernel parameters, which only the kernel-MAP update reads: the
+    baselines run once for all values, and each kernel-MAP algorithm runs
+    once on V x R rows. Returns one dict per value, {label: (squared
+    deviations (R, T, N), update counts (R, N) or None, diverged flags
+    (R,))}. Recorded deviations are capped at RECORD_CAP so diverged runs
+    stay plottable; the flag carries the divergence signal.
     """
-    raw = {}
+    config = configs[0]
+    reals = batch.targets.shape[1]
     baselines = [spec for spec in config.algorithms if not isinstance(spec.kind, NPDLMS)]
-    if baselines:
-        for spec, sq in zip(baselines, _run_baselines(config, baselines, batch)):
-            raw[spec.label] = (sq, None)
-    out = {}
-    for spec in config.algorithms:
+    shared = dict(zip([spec.label for spec in baselines],
+                      _run_baselines(config, baselines, batch) if baselines else []))
+    out = [{} for _ in configs]
+    for i, spec in enumerate(config.algorithms):
         if isinstance(spec.kind, NPDLMS):
-            raw[spec.label] = _run_npdlms(config, spec, batch)
-        sq, updates = raw[spec.label]
-        broken = ~np.isfinite(sq)
-        with np.errstate(over="ignore", invalid="ignore"):
-            diverged = broken.any(axis=(1, 2)) | (sq.mean(axis=2) > DIVERGENCE_MSD).any(axis=1)
-        np.copyto(sq, RECORD_CAP, where=broken)
-        np.minimum(sq, RECORD_CAP, out=sq)
-        out[spec.label] = (sq, updates, diverged)
+            runs = [(value, value.algorithms[i]) for value in configs]
+            sq, updates, diverged = _finish(*_run_npdlms(runs, batch))
+            blocks = [slice(v * reals, (v + 1) * reals) for v in range(len(configs))]
+            per_value = [(sq[rows], updates[rows], diverged[rows]) for rows in blocks]
+        else:
+            per_value = [_finish(shared[spec.label], None)] * len(configs)
+        for results, entry in zip(out, per_value):
+            results[spec.label] = entry
     return out
 
 
@@ -490,7 +549,7 @@ def run_realization(config: ExperimentConfig, index: int):
     batch, _, failures = _draw(config, [index])
     if failures:
         raise failures[0][1]
-    return _realization(_simulate(config, batch), 0)
+    return _realization(_simulate([config], batch)[0], 0)
 
 
 @dataclass
@@ -525,58 +584,71 @@ class RunResult:
         return float(counts.mean())
 
 
-def run_experiment(config: ExperimentConfig) -> RunResult:
-    """Average squared errors over realizations (before the dB transform).
+def _run_values(configs: list) -> list:
+    """One RunResult per config, from one chunked pass over shared draws.
 
-    Realizations run CHUNK_REALIZATIONS at a time; sums are taken in index
-    order. A realization whose draw raises is reported by index in
-    `PartialFailure` while the rest of its chunk runs on; if the batched run
-    of a chunk raises, the chunk is re-run one realization at a time.
+    The configs differ at most in the gate threshold and the kernel
+    parameters (see `_simulate`); the first one's draws and baselines serve
+    them all. Realizations run CHUNK_REALIZATIONS at a time, and each value's
+    sums are taken in index order. A realization whose draw raises is
+    reported by index in `PartialFailure` while the rest of its chunk runs on;
+    if the batched run of a chunk raises, the chunk is re-run one value and
+    one realization at a time.
     """
     started = time.perf_counter()
+    config = configs[0]
     t_len, n = config.iterations, config.topology.node_count
-    sums = {spec.label: np.zeros((t_len, n)) for spec in config.algorithms}
-    kappa = {spec.label: np.zeros(n) if isinstance(spec.kind, NPDLMS) else None
-             for spec in config.algorithms}
-    diverged = {spec.label: 0 for spec in config.algorithms}
-    failures = []
+    sums = [{spec.label: np.zeros((t_len, n)) for spec in config.algorithms} for _ in configs]
+    kappa = [{spec.label: np.zeros(n) if isinstance(spec.kind, NPDLMS) else None
+              for spec in config.algorithms} for _ in configs]
+    diverged = [{spec.label: 0 for spec in config.algorithms} for _ in configs]
+    failures = {}
     for start in range(0, config.realizations, CHUNK_REALIZATIONS):
         indices = range(start, min(start + CHUNK_REALIZATIONS, config.realizations))
         batch, drawn, failed = _draw(config, indices)
-        failures += failed
+        failures.update(failed)
         if not drawn:
             continue
         try:
-            results = _simulate(config, batch)
-            outcomes = [_realization(results, row) for row in range(len(drawn))]
-        except Exception:  # noqa: BLE001 - retried one realization at a time
-            outcomes = []
-            for index in drawn:
-                try:
-                    outcomes.append(run_realization(config, index))
-                except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
-                    failures.append((index, exc))
-                    outcomes.append(None)
-        for outcome in outcomes:
-            if outcome is None:
-                continue
-            for label, (sq, updates, flag) in outcome.items():
-                sums[label] += sq
-                if updates is not None:
-                    kappa[label] += updates
-                diverged[label] += flag
+            outcomes = [[_realization(results, row) for row in range(len(drawn))]
+                        for results in _simulate(configs, batch)]
+        except Exception:  # noqa: BLE001 - retried one value and realization at a time
+            outcomes = [[] for _ in configs]
+            for value, outcome in zip(configs, outcomes):
+                for index in drawn:
+                    try:
+                        outcome.append(run_realization(value, index))
+                    except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
+                        failures.setdefault(index, exc)
+        for v, outcome in enumerate(outcomes):
+            for realization in outcome:
+                for label, (sq, updates, flag) in realization.items():
+                    sums[v][label] += sq
+                    if updates is not None:
+                        kappa[v][label] += updates
+                    diverged[v][label] += flag
     if failures:
-        raise PartialFailure(sorted(failures, key=lambda failure: failure[0]))
-    result = RunResult(
+        raise PartialFailure(sorted(failures.items(), key=lambda failure: failure[0]))
+    wall_time = time.perf_counter() - started
+    return [RunResult(
         labels=[spec.label for spec in config.algorithms],
         iterations=t_len,
         realizations=config.realizations,
-        node_msd={label: s / config.realizations for label, s in sums.items()},
+        node_msd={label: s / config.realizations for label, s in sums[v].items()},
         kappa={label: (k / config.realizations if k is not None else None)
-               for label, k in kappa.items()},
-        diverged=diverged,
-        wall_time_s=time.perf_counter() - started,
-    )
+               for label, k in kappa[v].items()},
+        diverged=diverged[v],
+        wall_time_s=wall_time,
+    ) for v in range(len(configs))]
+
+
+def run_experiment(config: ExperimentConfig) -> RunResult:
+    """Average squared errors over realizations (before the dB transform).
+
+    The one-value case of a sweep: see `_run_values` for the chunking and
+    for how failed realizations are reported.
+    """
+    result = _run_values([config])[0]
     if config.output:
         export_csv(result, config.output)
     return result
@@ -591,7 +663,7 @@ def run_pilot_trace(config: ExperimentConfig, index: int = 0) -> np.ndarray:
     if failures:
         raise failures[0][1]
     trace = np.empty((config.iterations, 1, config.topology.node_count, config.dim))
-    _run_npdlms(config, spec, batch, trace_out=trace)
+    _run_npdlms([(config, spec)], batch, trace_out=trace)
     return trace[:, 0]
 
 
@@ -642,12 +714,18 @@ def _override_sweep_value(config: ExperimentConfig, parameter: str, value: float
 
 
 def sweep(config: ExperimentConfig, parameter: str, values) -> list:
-    """One experiment per value, same base seed throughout (paired comparison)."""
+    """One RunResult per value, each equal to `run_experiment` at that value.
+
+    Every value sees the same draws (paired comparison), and one chunked
+    pass serves them all: per chunk the draws are made and the baselines run
+    once, and the kernel-MAP update runs once on the rows of every value.
+    """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {parameter!r}")
     if config.npdlms_spec() is None:
         raise ConfigError("sweeps apply to the npdlms algorithm; none configured")
-    return [run_experiment(_override_sweep_value(config, parameter, v)) for v in values]
+    configs = [_override_sweep_value(config, parameter, v) for v in values]
+    return _run_values(configs) if configs else []
 
 
 def export_sweep_csv(values, results, path) -> None:

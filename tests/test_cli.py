@@ -46,8 +46,12 @@ def test_simulate_without_output_is_config_error(tmp_path):
 
 
 def test_bad_config_exit_code(tmp_path):
-    cfg = write_config(tmp_path, small_config_dict(algorithms=[]))
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1
+    # A section that is not a mapping, such as `algorithms: [dlms]`, used to end
+    # in an AttributeError traceback.
+    for overrides in ({"algorithms": []}, {"algorithms": ["dlms"]}, {"noise": "gaussian"},
+                      {"environment": "stationary"}):
+        cfg = write_config(tmp_path, small_config_dict(**overrides))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1, overrides
 
 
 def test_theory_subcommand(tmp_path, capsys):
@@ -148,7 +152,7 @@ def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-# Golden SHA-256 digests of three small runs' CSV bytes. They pin the engine and
+# Golden SHA-256 digests of four small runs' CSV bytes. They pin the engine and
 # the CSV writer together and hold for the numpy 2.4.6 / scipy-openblas build
 # they were recorded on (the same caveat as bench/golden.json); another BLAS
 # or CPU family may change the last bits of a curve.
@@ -164,6 +168,7 @@ ALL_FAMILIES = [
 SIMULATE_SHA256 = "7064432831ec3ca90a42e8f380da14a9e498a5995ea4133bb5cc684842b1bdb8"
 COMPARE_SHA256 = "dad54beee6a5e58f0eb2defb85a70961211c5fd2ae305c84ac6bf6fbdbf4f707"
 THEORY_SHA256 = "4e7686bb968d04e830c3e2576d54a481d2046132f76b100f6550486c894c64c7"
+SWEEP_SHA256 = "da6eca5abe0343764edd3ae5e281820850bd8bc12faedc01fff618d8a785950f"
 
 
 def test_simulate_golden_digest(tmp_path, capsys):
@@ -190,3 +195,13 @@ def test_theory_golden_digest(tmp_path, capsys):
                  "--iterations", "100", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[-1].startswith("steady_state,")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == THEORY_SHA256
+
+
+def test_sweep_golden_digest(tmp_path, capsys):
+    """Three gate thresholds over three realizations, sharing one pass."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(CONFIGS / "threshold_sweep.yaml"), "--param", "eta",
+                 "--values", "0,100,1000", "--realizations", "3", "--iterations", "100",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == "param_value,iteration,npdlms_msd_db"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256

@@ -316,9 +316,9 @@ def test_partial_failure_reports_indices(monkeypatch):
     simulate = harness_mod._simulate
     rows = []
 
-    def counting(config, batch):
+    def counting(configs, batch):
         rows.append(batch.targets.shape[1])
-        return simulate(config, batch)
+        return simulate(configs, batch)
 
     monkeypatch.setattr(harness_mod, "_simulate", counting)
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
@@ -341,11 +341,11 @@ def test_failed_chunk_reruns_one_realization_at_a_time(monkeypatch):
     bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
     simulate = harness_mod._simulate
 
-    def fragile(config, batch):
+    def fragile(configs, batch):
         # any batch of several rows fails, and so does realization 3 alone
         if batch.targets.shape[1] > 1 or np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("batch failed")
-        return simulate(config, batch)
+        return simulate(configs, batch)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
     monkeypatch.setattr(harness_mod, "_simulate", fragile)
@@ -400,7 +400,7 @@ def test_chunked_experiment_equals_index_order_sum_of_realizations(monkeypatch, 
 
     batch, _, _ = harness_mod._draw(cfg, [0, 1])
     batch.targets[50:, 0, 2] = np.inf
-    both = harness_mod._simulate(cfg, batch)
+    both = harness_mod._simulate([cfg], batch)[0]
     alone = run_realization(cfg, 1)
     assert both["dlms"][2][0]
     assert np.isnan(harness_mod._run_baselines(cfg, cfg.algorithms[:1], batch)[0, 0]).any()
@@ -408,3 +408,161 @@ def test_chunked_experiment_equals_index_order_sum_of_realizations(monkeypatch, 
         assert np.array_equal(both[label][0][1], alone[label][0])
         assert both[label][2][1] == alone[label][2]
     assert np.array_equal(both["npdlms"][1][1], alone["npdlms"][1])
+
+
+# --- sweeps: one chunked pass over shared draws --------------------------------
+
+
+def _five_families_and_npdlms():
+    return [
+        {"kind": "dlms", "step_size": 0.05},
+        {"kind": "dse_lms", "step_size": 0.03},
+        {"kind": "dmcc", "step_size": 0.05, "kernel_width": 1.3},
+        {"kind": "dlms_f", "step_size": 0.04, "mix": 0.5},
+        {"kind": "dllad", "step_size": 0.05, "scale": 2.0},
+        {"kind": "npdlms", "step_size": 0.08, "delta": 0.5},
+    ]
+
+
+def _assert_same_result(result, reference):
+    assert result.labels == reference.labels
+    for label in result.labels:
+        assert np.array_equal(result.node_msd[label], reference.node_msd[label])
+        kappa, expected = result.kappa[label], reference.kappa[label]
+        assert (kappa is None and expected is None) or np.array_equal(kappa, expected)
+        assert result.diverged[label] == reference.diverged[label]
+
+
+SWEEP_CASES = {
+    "eta-hard": ({"gate": {"eta": 0.0, "mode": "hard"}}, "eta", [0.0, 0.05, 0.3]),
+    "delta-smooth": ({"gate": {"eta": 0.1, "mode": "smooth", "slope": 3.0}}, "delta",
+                     [0.1, 0.5, 2.0]),
+    "sigma-atc": ({"strategy": "atc"}, "sigma", [0.3, 1.0, 3.0]),
+    "h-baselines": ({"algorithms": _five_families_and_npdlms()}, "h", [0.5, 1.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES, ids=list(SWEEP_CASES))
+def test_sweep_equals_run_experiment_per_value(monkeypatch, case):
+    """Every value of a sweep gives the bits of its own `run_experiment`, and
+    the baselines, which read neither the gate nor the kernel, run once per
+    chunk for all values."""
+    import diffnet.harness as harness_mod
+
+    overrides, parameter, values = SWEEP_CASES[case]
+    raw = small_config_dict(iterations=50, realizations=5,
+                            algorithms=[{"kind": "npdlms", "step_size": 0.08}])
+    raw.update(overrides)
+    cfg = config_from_dict(raw)
+    monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
+    run_baselines = harness_mod._run_baselines
+    calls = []
+
+    def counting(config, specs, batch):
+        calls.append(batch.targets.shape[1])
+        return run_baselines(config, specs, batch)
+
+    monkeypatch.setattr(harness_mod, "_run_baselines", counting)
+    swept = sweep(cfg, parameter, values)
+    assert calls == ([2, 2, 1] if len(cfg.algorithms) > 1 else [])
+    assert len(swept) == len(values)
+    for value, result in zip(values, swept):
+        direct = run_experiment(harness_mod._override_sweep_value(cfg, parameter, value))
+        _assert_same_result(result, direct)
+    curves = [result.network_msd("npdlms") for result in swept]
+    assert not np.array_equal(curves[0], curves[-1])
+
+
+def _fails_on(cfg, index):
+    """A stand-in for `generate_realization_data` that raises on realization `index`."""
+    import diffnet.harness as harness_mod
+
+    generate = harness_mod.generate_realization_data
+    marker = realization_rng(cfg.base_seed, index).bit_generator.state
+
+    def flaky(config, rng):
+        if rng.bit_generator.state == marker:
+            raise RuntimeError(f"draw {index} failed")
+        return generate(config, rng)
+
+    return flaky
+
+
+def test_sweep_reports_a_failed_draw_once_and_runs_the_rest_of_its_chunk(monkeypatch):
+    import diffnet.harness as harness_mod
+
+    cfg = config_from_dict(small_config_dict(realizations=6, algorithms=[
+        {"kind": "dlms", "step_size": 0.05}, {"kind": "npdlms", "step_size": 0.05}]))
+    simulate = harness_mod._simulate
+    calls = []
+
+    def counting(configs, batch):
+        calls.append((len(configs), batch.targets.shape[1]))
+        return simulate(configs, batch)
+
+    monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
+    monkeypatch.setattr(harness_mod, "_simulate", counting)
+    monkeypatch.setattr(harness_mod, "generate_realization_data", _fails_on(cfg, 2))
+    with pytest.raises(PartialFailure) as err:
+        sweep(cfg, "eta", [0.0, 0.5, 2.0])
+    assert [idx for idx, _ in err.value.failures] == [2]
+    assert calls == [(3, 3), (3, 2)]
+
+
+def test_sweep_falls_back_per_value_and_realization(monkeypatch):
+    import diffnet.harness as harness_mod
+
+    cfg = config_from_dict(small_config_dict(realizations=5, algorithms=[
+        {"kind": "dlms", "step_size": 0.05}, {"kind": "npdlms", "step_size": 0.05}]))
+    values = [0.0, 0.5, 2.0]
+    expected = sweep(cfg, "eta", values)
+    bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
+    simulate = harness_mod._simulate
+    singles = []
+
+    def fragile(configs, batch):
+        # any run of several rows fails, and so does realization 3 at eta = 0.5
+        if len(configs) > 1 or batch.targets.shape[1] > 1:
+            raise FloatingPointError("batch failed")
+        singles.append(configs[0].gate.eta)
+        if configs[0].gate.eta == 0.5 and np.array_equal(batch.targets[:, 0], bad):
+            raise FloatingPointError("realization failed")
+        return simulate(configs, batch)
+
+    monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
+    monkeypatch.setattr(harness_mod, "_simulate", fragile)
+    with pytest.raises(PartialFailure) as err:
+        sweep(cfg, "eta", values)
+    assert [idx for idx, _ in err.value.failures] == [3]
+    assert sorted(singles) == sorted(values * 5)
+
+    bad = None
+    for result, reference in zip(sweep(cfg, "eta", values), expected):
+        _assert_same_result(result, reference)
+
+
+# --- configuration sections ------------------------------------------------------
+
+
+@pytest.mark.parametrize("section,value,named", [
+    ("algorithms", ["dlms"], "algorithm entry"),
+    ("algorithms", "dlms", "algorithms"),
+    ("noise", "gaussian", "noise"),
+    ("environment", "stationary", "environment"),
+    ("gate", "hard", "gate"),
+    ("topology", [[1, 2]], "topology"),
+], ids=["algorithm-entry", "algorithm-list", "noise", "environment", "gate", "topology"])
+def test_config_section_must_be_a_mapping(section, value, named):
+    with pytest.raises(ConfigError, match=f"{named} must be a"):
+        config_from_dict(small_config_dict(**{section: value}))
+
+
+@pytest.mark.parametrize("section,value,named", [
+    ("noise", {"kind": "gaussian", "snr_db": 20, "variance": 5.0}, "not both"),
+    ("environment", {"kind": "stationary", "q_variance": 1e-3}, "q_variance"),
+], ids=["noise", "environment"])
+def test_conflicting_keys_rejected(section, value, named):
+    # Each used to pass: the variance beside snr_db and a stationary q_variance
+    # were silently ignored.
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict(small_config_dict(**{section: value}))

@@ -372,7 +372,7 @@ def _single_node_config(strategy="cta", **algorithm):
 
 def _run_engine(cfg):
     batch, _, _ = harness._draw(cfg, range(cfg.realizations))
-    return batch, *harness._run_npdlms(cfg, cfg.npdlms_spec(), batch)
+    return batch, *harness._run_npdlms([(cfg, cfg.npdlms_spec())], batch)
 
 
 def test_step_with_infinite_threshold_is_pure_combination(rng):
@@ -462,7 +462,7 @@ def test_batched_npdlms_matches_per_node_oracle(strategy, gate):
     spec = cfg.npdlms_spec()
     batch, drawn, failures = harness._draw(cfg, range(cfg.realizations))
     assert drawn == [0, 1, 2] and not failures
-    sq, updates = harness._run_npdlms(cfg, spec, batch)
+    sq, updates = harness._run_npdlms([(cfg, spec)], batch)
     assert sq.shape == (3, cfg.iterations, 5) and updates.shape == (3, 5)
     for r in drawn:
         data = harness.generate_realization_data(cfg, harness.realization_rng(cfg.base_seed, r))
