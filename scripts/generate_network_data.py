@@ -12,6 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+from diffnet.errors import DisconnectedGraph
+from diffnet.network import build_topology, save_topology
+
 TOPOLOGY_SEED = 22
 VARIANCE_SEED = 17
 RADIUS = 0.32
@@ -30,42 +33,25 @@ def geometric_graph(rng):
     return edges
 
 
-def is_connected(edges):
-    adj = {k: set() for k in range(1, N + 1)}
-    for l, k in edges:
-        adj[l].add(k)
-        adj[k].add(l)
-    seen, stack = {1}, [1]
-    while stack:
-        node = stack.pop()
-        for other in adj[node]:
-            if other not in seen:
-                seen.add(other)
-                stack.append(other)
-    return len(seen) == N
-
-
 def main():
     rng = np.random.default_rng(TOPOLOGY_SEED)
     while True:
-        edges = geometric_graph(rng)
-        if is_connected(edges):
+        try:
+            topology = build_topology(N, geometric_graph(rng))
             break
+        except DisconnectedGraph:
+            continue
 
     DATA_DIR.mkdir(parents=True, exist_ok=True)
-    topo_lines = [str(N)] + [f"{l} {k}" for l, k in sorted(edges)]
-    (DATA_DIR / "topology16.txt").write_text("\n".join(topo_lines) + "\n")
+    save_topology(topology, DATA_DIR / "topology16.txt")
 
     variances = np.random.default_rng(VARIANCE_SEED).uniform(0.8, 1.2, N)
     (DATA_DIR / "regressor_variances16.txt").write_text(
         "\n".join(f"{v:.17g}" for v in variances) + "\n"
     )
 
-    degrees = {k: 1 for k in range(1, N + 1)}  # self-loop
-    for l, k in edges:
-        degrees[l] += 1
-        degrees[k] += 1
-    print(f"wrote {len(edges)} edges; |N_k| range {min(degrees.values())}..{max(degrees.values())}")
+    degrees = [topology.degree(k) for k in range(1, N + 1)]
+    print(f"wrote {len(topology.edges)} edges; |N_k| range {min(degrees)}..{max(degrees)}")
     print(f"variances in [{variances.min():.3f}, {variances.max():.3f}]")
 
 

@@ -28,7 +28,7 @@ def steady_state_for_step(config, label, step):
     return result.steady_state_msd_db(label)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", required=True)
@@ -39,11 +39,11 @@ def main() -> int:
     parser.add_argument("--tol-db", type=float, default=0.25)
     parser.add_argument("--max-iters", type=int, default=20)
     parser.add_argument("--realizations", type=int, help="override realization count")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     config = harness.load_config(args.config)
-    if args.realizations:
-        config.realizations = args.realizations
+    if args.realizations is not None:
+        config = replace(config, realizations=args.realizations)
     if args.algorithm not in [s.label for s in config.algorithms]:
         print(f"no algorithm labelled {args.algorithm!r} in the config", file=sys.stderr)
         return 1

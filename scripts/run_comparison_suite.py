@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the three comparison experiments plus the threshold sweep and drop
-CSVs into results/. Equivalent to calling the CLI on each file in configs/.
+CSVs into results/. This is `diffnet simulate` on each comparison config in
+configs/ and `diffnet sweep` over eta on the threshold-sweep config.
 
 Full scale (200 realizations each) takes a few minutes; pass --quick for a
 10-realization smoke version.
@@ -10,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from diffnet import harness
+from diffnet import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPERIMENTS = [
@@ -18,38 +19,25 @@ EXPERIMENTS = [
     "stationary_alpha_stable",
     "nonstationary_alpha_stable",
 ]
-SWEEP_VALUES = [0.0, 100.0, 200.0, 300.0, 400.0, 600.0, 1000.0]
+SWEEP_VALUES = "0,100,200,300,400,600,1000"
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="10 realizations instead of 200")
     parser.add_argument("--out-dir", default=ROOT / "results", type=Path)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    for name in EXPERIMENTS:
-        config = harness.load_config(ROOT / "configs" / f"{name}.yaml")
-        if args.quick:
-            config.realizations = 10
-        result = harness.run_experiment(config)
-        out = args.out_dir / f"{name}.csv"
-        harness.export_csv(result, out)
-        print(f"{name}: wrote {out} ({result.wall_time_s:.1f}s)")
-        for label in result.labels:
-            note = f", {result.diverged[label]} diverged" if result.diverged[label] else ""
-            print(f"  {label:8s} steady-state {result.steady_state_msd_db(label):8.2f} dB{note}")
-
-    config = harness.load_config(ROOT / "configs" / "threshold_sweep.yaml")
-    if args.quick:
-        config.realizations = 10
-    results = harness.sweep(config, "eta", SWEEP_VALUES)
-    out = args.out_dir / "threshold_sweep.csv"
-    harness.export_sweep_csv(SWEEP_VALUES, results, out)
-    print(f"threshold_sweep: wrote {out}")
-    for eta, result in zip(SWEEP_VALUES, results):
-        print(f"  eta={eta:6.0f}: kappa {result.kappa_mean('npdlms'):6.1f}, "
-              f"steady-state {result.steady_state_msd_db('npdlms'):7.2f} dB")
+    runs = [["simulate", name] for name in EXPERIMENTS]
+    runs.append(["sweep", "threshold_sweep", "--param", "eta", "--values", SWEEP_VALUES])
+    for command, name, *extra in runs:
+        print(f"{name}:")
+        line = [command, "--config", str(ROOT / "configs" / f"{name}.yaml"),
+                "--out", str(args.out_dir / f"{name}.csv"), *extra]
+        status = cli.main(line + (["--realizations", "10"] if args.quick else []))
+        if status:
+            return status
     return 0
 
 

@@ -23,13 +23,14 @@ def _load(args) -> harness.ExperimentConfig:
     overrides = {"base_seed": args.seed, "realizations": args.realizations,
                  "iterations": args.iterations, "output": args.out}
     overrides = {key: value for key, value in overrides.items() if value is not None}
-    return replace(config, **overrides) if overrides else config
+    config = replace(config, **overrides) if overrides else config
+    if not config.output:
+        raise ConfigError(f"{args.command} needs an output path (--out or 'output' in the config)")
+    return config
 
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
-    if not config.output:
-        raise ConfigError("simulate needs an output path (--out or 'output' in the config)")
     result = harness.run_experiment(config)
     for label in result.labels:
         note = f" ({result.diverged[label]}/{result.realizations} diverged)" if result.diverged[label] else ""
@@ -48,8 +49,6 @@ def _theory_curves(config: harness.ExperimentConfig):
 
 def _cmd_theory(args) -> int:
     config = _load(args)
-    if not config.output:
-        raise ConfigError("theory needs an output path (--out or 'output' in the config)")
     curves, steady = _theory_curves(config)
     harness.export_theory_csv(curves, steady, config.output)
     print(f"steady-state MSD {theory.to_db(steady.steady_network_msd):.2f} dB, "
@@ -60,8 +59,6 @@ def _cmd_theory(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load(args)
-    if not config.output:
-        raise ConfigError("compare needs an output path (--out or 'output' in the config)")
     out_path = config.output
     # The theory comes first, so an unusable one fails before the simulation runs.
     curves, steady = _theory_curves(config)
@@ -76,8 +73,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    if not config.output:
-        raise ConfigError("sweep needs an output path (--out or 'output' in the config)")
     values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     if not values:
         raise ConfigError("--values must list at least one number")

@@ -94,6 +94,8 @@ class ExperimentConfig:
         self.theta_o = np.asarray(self.theta_o, dtype=float)
         if self.iterations < 1 or self.realizations < 1:
             raise ConfigError("iterations and realizations must be >= 1")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         self.regressor_variances = np.asarray(self.regressor_variances, dtype=float)
         if self.regressor_variances.shape != (n,) or len(self.noise_specs) != n:
             raise ConfigError(f"need per-node regressor variances and noise specs for {n} nodes")
@@ -136,8 +138,17 @@ def _parse_theta(raw, dim):
 _TOP_KEYS = ("topology", "d", "theta_o", "regressor_variances", "environment", "noise",
              "algorithms", "gate", "combination", "iterations", "realizations", "base_seed",
              "strategy", "output")
+
+
+def _integer(value, key: str = "value") -> int:
+    """`value` as an int; integral floats pass, fractions and booleans do not."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 # The parameter modules postpone annotation evaluation, so field types are names.
-_CASTS = {"float": float, "int": int, "str": str}
+_CASTS = {"float": float, "int": _integer, "str": str}
 
 
 def _mapping(raw, where: str) -> dict:
@@ -176,7 +187,7 @@ def _parse_topology(raw):
         return load_topology(raw)
     _check_keys(raw, ("nodes", "edges"), "topology")
     try:
-        return build_topology(int(raw["nodes"]), [tuple(e) for e in raw.get("edges", [])])
+        return build_topology(_integer(raw["nodes"], "nodes"), [tuple(e) for e in raw.get("edges", [])])
     except KeyError as exc:
         raise ConfigError(f"inline topology needs 'nodes': {exc}") from exc
 
@@ -221,7 +232,7 @@ def _parse_algorithm(raw) -> AlgorithmSpec:
         raise ConfigError(f"algorithm {kind_name!r} is missing step_size")
     where, read = f"algorithm {kind_name!r}", ("kind", "step_size", "label")
     if kind_name == "npdlms":
-        buffer = {"buffer_size": int(raw["buffer"])} if "buffer" in raw else {}
+        buffer = {"buffer_size": _integer(raw["buffer"], "buffer")} if "buffer" in raw else {}
         kind = NPDLMS(kernel=_build(KernelParams, raw, where, read + ("buffer",)), **buffer)
     elif kind_name in _BASELINES:
         kind = _build(_BASELINES[kind_name], raw, where, read)
@@ -236,7 +247,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
         topology = _parse_topology(raw.get("topology"))
         n = topology.node_count
-        dim = int(raw.get("d", 5))
+        dim = _integer(raw.get("d", 5), "d")
         theta_o = _parse_theta(raw.get("theta_o"), dim)
         variances = _parse_variances(raw.get("regressor_variances"), n)
 
@@ -265,9 +276,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             regressor_variances=variances,
             noise_specs=noise_specs,
             algorithms=algorithms,
-            iterations=int(raw.get("iterations", 500)),
-            realizations=int(raw.get("realizations", 1)),
-            base_seed=int(raw.get("base_seed", 0)),
+            iterations=_integer(raw.get("iterations", 500), "iterations"),
+            realizations=_integer(raw.get("realizations", 1), "realizations"),
+            base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
             gate=_build(ThresholdParams, _section(raw, "gate"), "gate"),
             **{key: raw[key] for key in ("strategy", "output") if key in raw},
         )
@@ -473,9 +484,10 @@ def _run_npdlms(runs: list, batch: RealizationData, trace_out: np.ndarray | None
             mu_joint = np.exp(joint - joint.max(axis=0))
             mu_joint /= mu_joint.sum(axis=0)
             mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
-            # NaN marks pairs whose kernel weights all underflowed; they carry
-            # no prior signal. The weights lie in [0, 1], so NaN is the only
-            # non-finite value here.
+            # The max is subtracted, so a pair's largest weight is exactly 1 and
+            # the weights, in [0, 1], cannot all underflow. NaN, their only
+            # non-finite value, marks pairs whose log-weights are all -inf or
+            # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
             np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
             grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
 

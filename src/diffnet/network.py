@@ -109,9 +109,6 @@ class CombinationMatrix:
     def node_count(self) -> int:
         return self.matrix.shape[0]
 
-    def column(self, k: int) -> np.ndarray:
-        return self.matrix[:, k - 1]
-
     def to_csv(self, path) -> None:
         """Plain CSV export, one matrix row per line."""
         np.savetxt(path, self.matrix, delimiter=",", fmt="%.17g")
@@ -124,21 +121,14 @@ def combination_weights(topology: NetworkTopology, rule: str = "uniform") -> Com
     network-wide max-degree reciprocal off-diagonal and lets the diagonal
     absorb the remainder.
     """
-    n = topology.node_count
-    a = np.zeros((n, n))
+    mask = topology.adjacency_mask()
+    sizes = mask.sum(axis=0)                      # |N_k|
     if rule == "uniform":
-        for k in range(1, n + 1):
-            nbrs = topology.neighbors(k)
-            for l in nbrs:
-                a[l - 1, k - 1] = 1.0 / len(nbrs)
+        a = mask / sizes
     elif rule == "metropolis":
-        max_degree = max(topology.degree(k) for k in range(1, n + 1))
-        for k in range(1, n + 1):
-            nbrs = topology.neighbors(k)
-            for l in nbrs:
-                if l != k:
-                    a[l - 1, k - 1] = 1.0 / max_degree
-            a[k - 1, k - 1] = 1.0 - (len(nbrs) - 1) / max_degree
+        max_degree = sizes.max()
+        a = (mask - np.eye(topology.node_count)) / max_degree
+        np.fill_diagonal(a, 1.0 - (sizes - 1) / max_degree)
     else:
         raise InvalidParameters(f"unknown combination rule {rule!r}")
     return CombinationMatrix(a)
@@ -189,16 +179,12 @@ class GroundTruth:
         self.drift = drift
         self._omega = np.zeros_like(self.theta_o)
 
-    def advance(self, rng) -> np.ndarray:
-        """One step of the drift process; returns theta_{o,n}."""
-        return self.path(rng, 1)[0]
-
     def path(self, rng, steps: int) -> np.ndarray:
         """(steps, d) array of the next `steps` values of theta_{o,n}.
 
         The random walk takes all its increments in one draw, which leaves the
-        generator where `steps` calls of `advance` would, then runs the decay
-        recurrence row by row.
+        generator where `steps` calls of `path(rng, 1)` would, then runs the
+        decay recurrence row by row.
         """
         if not isinstance(self.drift, RandomWalk):
             return np.tile(self.theta_o, (steps, 1))

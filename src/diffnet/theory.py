@@ -217,15 +217,12 @@ class MomentSet:
         return self.covs.shape[1]
 
     def gain_statistics(self, phi: np.ndarray):
-        """(slope, second moment, variance) of every e_lk, each (N, N) indexed
-        [l, k] and zero where l is not in N_k, when the error at the
-        evaluation point has second moment `phi`."""
-        return self._statistics(np.asarray(phi, dtype=float))[:3]
-
-    def _statistics(self, phi: np.ndarray):
-        """`gain_statistics` plus the cross traces tr(R_l Phi_kk') [l, k, k']."""
+        """(slope, second moment, variance, traces) when the error at the
+        evaluation point has second moment `phi`. The first three hold one
+        entry per e_lk, each (N, N) indexed [l, k] and zero where l is not in
+        N_k; traces[l, k, k'] is the cross trace tr(R_l Phi_kk')."""
         n, d = self.covs.shape[:2]
-        phi4 = phi.reshape(n, d, n, d)
+        phi4 = np.asarray(phi, dtype=float).reshape(n, d, n, d)
         traces = (self.covs.reshape(n, d * d)
                   @ phi4.transpose(3, 1, 0, 2).reshape(d * d, n * n)).reshape(n, n, n)
         l_idx, k_idx = self.pairs
@@ -239,7 +236,7 @@ class MomentSet:
     def linearize(self, phi: np.ndarray):
         """Slopes s_lk, the blocks of C, and the noise covariance Xi at Phi = `phi`."""
         n, d = self.covs.shape[:2]
-        slope, second, _, traces = self._statistics(phi)
+        slope, second, _, traces = self.gain_statistics(phi)
         diag = np.arange(n)
         pair = slope[:, :, None] * slope[:, None, :] * (self.noise_variances[:, None, None] + traces)
         pair[:, diag, diag] = second

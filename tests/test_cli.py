@@ -45,6 +45,16 @@ def test_simulate_without_output_is_config_error(tmp_path):
     assert main(["simulate", "--config", cfg]) == 1
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    # It used to spend the draws and exit 1 with "realizations failed".
+    cfg = write_config(tmp_path, small_config_dict())
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "base_seed" in err
+    assert not out.exists()
+
+
 def test_bad_config_exit_code(tmp_path):
     # A section that is not a mapping, such as `algorithms: [dlms]`, used to end
     # in an AttributeError traceback.

@@ -1,5 +1,7 @@
 """Experiment orchestration: determinism, pairing, CSV export, sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,43 @@ def test_misspelt_top_level_key_rejected():
     raw["realisations"] = 200
     with pytest.raises(ConfigError, match="realisations"):
         config_from_dict(raw)
+
+
+def test_negative_base_seed_is_config_error():
+    # It used to load, and then every realization failed inside SeedSequence.
+    with pytest.raises(ConfigError, match="base_seed"):
+        config_from_dict(small_config_dict(base_seed=-3))
+    with pytest.raises(ConfigError, match="base_seed"):
+        replace(config_from_dict(small_config_dict()), base_seed=-1)
+
+
+def _integer_key_config(key, value):
+    """The small config with `value` under `key`; nodes makes it a one-node network."""
+    if key == "buffer":
+        return small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 0.02, "buffer": value}])
+    if key == "nodes":
+        return small_config_dict(topology={"nodes": value, "edges": []}, regressor_variances=1.0)
+    return small_config_dict(**{key: value})
+
+
+_INTEGER_KEYS = {
+    "d": lambda cfg: cfg.dim,
+    "iterations": lambda cfg: cfg.iterations,
+    "realizations": lambda cfg: cfg.realizations,
+    "base_seed": lambda cfg: cfg.base_seed,
+    "buffer": lambda cfg: cfg.algorithms[0].kind.buffer_size,
+    "nodes": lambda cfg: cfg.topology.node_count,
+}
+
+
+@pytest.mark.parametrize("key", _INTEGER_KEYS)
+def test_integer_keys_refuse_fractions_and_booleans(key):
+    # 1.5 used to be truncated to 1 and `true` read as 1.
+    for value in (1.5, True):
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(_integer_key_config(key, value))
+    value = _INTEGER_KEYS[key](config_from_dict(_integer_key_config(key, 1.0)))
+    assert value == 1 and type(value) is int
 
 
 @pytest.mark.parametrize("variance", [0.0, -1.0])

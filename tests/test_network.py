@@ -87,7 +87,7 @@ def test_topology_file_round_trip(tmp_path):
 def test_uniform_weights_equal_split():
     topo = build_topology(4, [(1, 2), (1, 3), (1, 4)])
     a = combination_weights(topo, "uniform")
-    assert np.allclose(a.column(1), [0.25, 0.25, 0.25, 0.25])
+    assert np.allclose(a.matrix[:, 0], [0.25, 0.25, 0.25, 0.25])
 
 
 def test_single_node_combination_matrix():
@@ -135,6 +135,33 @@ def test_weights_left_stochastic_and_sparse(topo, rule):
         for l in range(1, topo.node_count + 1):
             if l not in in_nbrs:
                 assert a.matrix[l - 1, k - 1] == 0.0
+
+
+def _loop_weights(topo, rule):
+    """Reference: both rules written out neighbourhood by neighbourhood."""
+    n = topo.node_count
+    a = np.zeros((n, n))
+    max_degree = max(topo.degree(k) for k in range(1, n + 1))
+    for k in range(1, n + 1):
+        nbrs = topo.neighbors(k)
+        for l in nbrs:
+            if rule == "uniform":
+                a[l - 1, k - 1] = 1.0 / len(nbrs)
+            elif l != k:
+                a[l - 1, k - 1] = 1.0 / max_degree
+        if rule == "metropolis":
+            a[k - 1, k - 1] = 1.0 - (len(nbrs) - 1) / max_degree
+    return a
+
+
+@given(topo=topologies(), rule=st.sampled_from(["uniform", "metropolis"]))
+@settings(max_examples=80, deadline=None)
+def test_mask_weights_match_loop_reference(topo, rule):
+    """The mask-built weights equal the per-neighbourhood loop bit for bit."""
+    a = combination_weights(topo, rule).matrix
+    ref = _loop_weights(topo, rule)
+    assert np.array_equal(a, ref)
+    assert np.array_equal(np.signbit(a), np.signbit(ref))
 
 
 def test_snr_conversion_examples():
@@ -211,13 +238,13 @@ def test_cross_node_regressor_independence(rng):
 def test_stationary_ground_truth(rng):
     gt = GroundTruth(THETA5, Stationary())
     for _ in range(5):
-        assert np.array_equal(gt.advance(rng), THETA5)
+        assert np.array_equal(gt.path(rng, 1)[0], THETA5)
 
 
 def test_zero_variance_walk_is_frozen(rng):
     gt = GroundTruth(THETA5, RandomWalk(q_variance=0.0))
     for _ in range(5):
-        assert np.array_equal(gt.advance(rng), THETA5)
+        assert np.array_equal(gt.path(rng, 1)[0], THETA5)
 
 
 @pytest.mark.slow
@@ -225,7 +252,7 @@ def test_random_walk_stationary_variance(rng):
     # AR(1) with decay a and drive q has stationary variance q / (1 - a^2).
     q_var = 1e-4
     gt = GroundTruth(np.zeros(1), RandomWalk(q_variance=q_var))
-    steps = np.array([gt.advance(rng)[0] for _ in range(10**5)])
+    steps = np.array([gt.path(rng, 1)[0, 0] for _ in range(10**5)])
     expected = q_var / (1.0 - 0.99**2)
     assert abs(steps[1000:].var() - expected) / expected < 0.10
 

@@ -431,7 +431,7 @@ def test_monte_carlo_linearized_recursion_consistency():
     mc = np.empty((t_len, n))
     for t in range(t_len):
         ta = tilde @ a_ext.T                       # error at the evaluation point
-        slope, second, variance = moments.gain_statistics(ta.T @ ta / reals)
+        slope, second, variance, _ = moments.gain_statistics(ta.T @ ta / reals)
         residual_sd = np.sqrt(np.maximum(second - slope ** 2 * variance, 0.0))
         us = rng.standard_normal((reals, n, d)) * scale[None]
         v = rng.standard_normal((reals, n)) * np.sqrt(sv2)[None]
