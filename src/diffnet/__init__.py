@@ -23,7 +23,7 @@ from .network import (
     combination_weights,
 )
 from .noise import AlphaStable, Gaussian
-from .npdlms import NPDLMS, KernelParams, ThresholdParams
+from .npdlms import NPDLMS
 from .theory import MomentSet, PerformanceCurves, TheoryInputs, build_moments
 
 __version__ = "0.1.0"

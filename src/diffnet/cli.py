@@ -18,6 +18,14 @@ from .errors import ConfigError, DiffnetError, UnstableSystem
 CF_GRID = (0.1, 0.5, 1.0, 2.0)
 
 
+def _numbers(text: str, flag: str) -> list:
+    """The comma-separated numbers given to `flag`."""
+    try:
+        return [float(v) for v in text.split(",") if v.strip() != ""]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} must be comma-separated numbers, got {text!r}") from exc
+
+
 def _load(args) -> harness.ExperimentConfig:
     config = harness.load_config(args.config)
     overrides = {"base_seed": args.seed, "realizations": args.realizations,
@@ -73,7 +81,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    values = _numbers(args.values, "--values")
     if not values:
         raise ConfigError("--values must list at least one number")
     results = harness.sweep(replace(config, output=None), args.param, values)
@@ -88,12 +96,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate_noise(args) -> int:
-    parts = [float(x) for x in args.spec.split(",")]
+    parts = _numbers(args.spec, "--spec")
     if len(parts) != 4:
         raise ConfigError("--spec must be 'alpha,beta,gamma,delta'")
+    if args.samples < 1 or args.seed < 0:
+        raise ConfigError(f"--samples must be >= 1 and --seed >= 0, got {args.samples} and {args.seed}")
     spec = noise.AlphaStable(*parts)
-    rng = np.random.default_rng(args.seed)
-    samples = noise.sample(spec, rng, int(args.samples))
+    samples = noise.sample(spec, np.random.default_rng(args.seed), args.samples)
     fmt = harness._fmt
     lines = ["t,re_emp,im_emp,re_theory,im_theory"]
     for t in CF_GRID:

@@ -12,11 +12,12 @@ CHUNK_REALIZATIONS, stacked on a leading array axis, and every baseline family
 shares one time loop. Each product works on one realization's matrices, so a
 realization gives the same bits in any chunk as it does alone.
 
-A sweep is one pass of the same chunk loop. The sweep values share each
-chunk's draws and its baseline run, since neither depends on the gate or the
-kernel parameters, and the kernel-MAP update runs once on V x R rows, one
-block of R per value, with the draws broadcast rather than copied. Memory is
-one chunk's draws plus the rows' kernel-MAP state and squared deviations.
+A sweep is one pass of the same chunk loop over variants of the kernel-MAP
+record, one per value. The variants share each chunk's draws and its baseline
+run, since neither depends on that record, and the kernel-MAP update runs
+once on V x R rows, one block of R per variant, with the draws broadcast
+rather than copied. Memory is one chunk's draws plus the rows' kernel-MAP
+state and squared deviations.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from scipy.special import expit
 
 from . import noise as noise_models
 from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, error_gain
-from .errors import ConfigError, DiffnetError, PartialFailure
+from .errors import ConfigError, DiffnetError, InvalidParameters, PartialFailure
 from .network import (
     CombinationMatrix,
     GroundTruth,
@@ -47,13 +48,15 @@ from .network import (
     noise_variance_from_snr,
     per_node,
 )
-from .npdlms import NPDLMS, KernelParams, ThresholdParams, bounded_error_gain
+from .npdlms import NPDLMS, bounded_error_gain
 from .theory import TheoryInputs, to_db
 
 DIVERGENCE_MSD = 1e6
 RECORD_CAP = 1e12
 
 _BASELINES = {"dlms": DLMS, "dse_lms": DSELMS, "dmcc": DMCC, "dlms_f": DLMSF, "dllad": DLLAD}
+_KINDS = {**_BASELINES, "npdlms": NPDLMS}
+_GATE = ("eta", "slope", "mode")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,6 @@ class ExperimentConfig:
     iterations: int
     realizations: int
     base_seed: int
-    gate: ThresholdParams = ThresholdParams()
     strategy: str = "cta"
     output: str | None = None
 
@@ -106,10 +108,14 @@ class ExperimentConfig:
         labels = [spec.label for spec in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"algorithm labels must be unique, got {labels}")
+        if sum(isinstance(spec.kind, NPDLMS) for spec in self.algorithms) > 1:
+            raise ConfigError("at most one npdlms algorithm may be configured")
         if self.strategy not in ("cta", "atc"):
             raise ConfigError(f"strategy must be 'cta' or 'atc', got {self.strategy!r}")
         if self.combination.node_count != n:
             raise ConfigError("combination matrix size does not match topology")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a path string, got {self.output!r}")
 
     @property
     def dim(self) -> int:
@@ -140,7 +146,7 @@ _TOP_KEYS = ("topology", "d", "theta_o", "regressor_variances", "environment", "
              "strategy", "output")
 
 
-def _integer(value, key: str = "value") -> int:
+def _integer(value, key: str) -> int:
     """`value` as an int; integral floats pass, fractions and booleans do not."""
     if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
@@ -148,7 +154,7 @@ def _integer(value, key: str = "value") -> int:
 
 
 # The parameter modules postpone annotation evaluation, so field types are names.
-_CASTS = {"float": float, "int": _integer, "str": str}
+_CASTS = {"float": lambda value, key: float(value), "int": _integer, "str": lambda value, key: str(value)}
 
 
 def _mapping(raw, where: str) -> dict:
@@ -176,8 +182,15 @@ def _build(cls, raw: dict, where: str, read=(), **defaults):
     to the field types, with `defaults` for fields that `raw` leaves out.
     `raw` may hold no other keys than those and `read`."""
     _check_keys(raw, [f.name for f in fields(cls)] + list(read), where)
-    given = {f.name: _CASTS[f.type](raw[f.name]) for f in fields(cls) if f.name in raw}
+    given = {f.name: _CASTS[f.type](raw[f.name], f.name) for f in fields(cls) if f.name in raw}
     return cls(**{**defaults, **given})
+
+
+def _edge(edge) -> tuple:
+    """An inline topology edge: a pair of integer node indices."""
+    if not isinstance(edge, (list, tuple)) or len(edge) != 2:
+        raise ConfigError(f"topology edge {edge!r} must be a pair of node indices")
+    return tuple(_integer(k, f"node index in topology edge {edge!r}") for k in edge)
 
 
 def _parse_topology(raw):
@@ -187,7 +200,7 @@ def _parse_topology(raw):
         return load_topology(raw)
     _check_keys(raw, ("nodes", "edges"), "topology")
     try:
-        return build_topology(_integer(raw["nodes"], "nodes"), [tuple(e) for e in raw.get("edges", [])])
+        return build_topology(_integer(raw["nodes"], "nodes"), [_edge(e) for e in raw.get("edges", [])])
     except KeyError as exc:
         raise ConfigError(f"inline topology needs 'nodes': {exc}") from exc
 
@@ -225,19 +238,17 @@ def _parse_noise(raw, variances, theta_o):
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
-def _parse_algorithm(raw) -> AlgorithmSpec:
+def _parse_algorithm(raw, gate: NPDLMS) -> AlgorithmSpec:
+    """One algorithm entry; an npdlms entry takes the gate section's `gate`."""
     kind_name = _mapping(raw, "each algorithm entry").get("kind")
     step = raw.get("step_size")
     if step is None:
         raise ConfigError(f"algorithm {kind_name!r} is missing step_size")
-    where, read = f"algorithm {kind_name!r}", ("kind", "step_size", "label")
-    if kind_name == "npdlms":
-        buffer = {"buffer_size": _integer(raw["buffer"], "buffer")} if "buffer" in raw else {}
-        kind = NPDLMS(kernel=_build(KernelParams, raw, where, read + ("buffer",)), **buffer)
-    elif kind_name in _BASELINES:
-        kind = _build(_BASELINES[kind_name], raw, where, read)
-    else:
+    if kind_name not in _KINDS:
         raise ConfigError(f"unknown algorithm kind {kind_name!r}")
+    where, cls = f"algorithm {kind_name!r}", _KINDS[kind_name]
+    _check_keys(raw, set(raw) - set(_GATE), where)  # the gate has one place to be set
+    kind = _build(cls, raw, where, ("kind", "step_size", "label"), **(vars(gate) if cls is NPDLMS else {}))
     return AlgorithmSpec(kind=kind, step_size=float(step), label=raw.get("label", ""))
 
 
@@ -262,10 +273,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown environment kind {env.get('kind')!r}")
 
         noise_specs = _parse_noise(raw.get("noise"), variances, theta_o)
+        gate = _section(raw, "gate")
+        _check_keys(gate, _GATE, "gate")
+        gate = _build(NPDLMS, gate, "gate")  # checked even where no npdlms entry reads it
         algorithms = raw.get("algorithms", [])
         if not isinstance(algorithms, list):
             raise ConfigError(f"algorithms must be a list of mappings, got {algorithms!r}")
-        algorithms = [_parse_algorithm(a) for a in algorithms]
+        algorithms = [_parse_algorithm(a, gate) for a in algorithms]
 
         rule = raw.get("combination", "uniform")
         return ExperimentConfig(
@@ -279,7 +293,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             iterations=_integer(raw.get("iterations", 500), "iterations"),
             realizations=_integer(raw.get("realizations", 1), "realizations"),
             base_seed=_integer(raw.get("base_seed", 0), "base_seed"),
-            gate=_build(ThresholdParams, _section(raw, "gate"), "gate"),
             **{key: raw[key] for key in ("strategy", "output") if key in raw},
         )
     except ConfigError:
@@ -410,15 +423,14 @@ def _run_baselines(config: ExperimentConfig, specs: list, batch: RealizationData
     return sq.transpose(1, 2, 0, 3)
 
 
-def _run_npdlms(runs: list, batch: RealizationData, trace_out: np.ndarray | None = None):
-    """Synchronous run of the kernel-MAP update at several parameter values.
+def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData, trace_out=None):
+    """Synchronous run of the config's kernel-MAP algorithm at several variants.
 
-    `runs` lists one (config, spec) pair per value. The pairs share the
-    network, strategy, step size, buffer length and gate mode and slope; the
-    gate threshold eta and the kernel parameters sigma, h and delta may
-    differ. Value v takes rows v*R .. v*R + R - 1 of a (V*R, ...) state, and
-    the (T, R, ...) draws broadcast against a (V, R, ...) view of it, so they
-    are never copied per value.
+    `variants` lists one `NPDLMS` record per value; they share the first's
+    buffer length and gate mode and slope, and may differ in eta, sigma, h
+    and delta. Variant v takes rows v*R .. v*R + R - 1 of a (V*R, ...) state,
+    and the (T, R, ...) draws broadcast against a (V, R, ...) view of it, so
+    they are never copied per variant.
 
     Every node's rings hold the same global history theta_{., n-1..n-B}, so
     the per-node buffers collapse into one (B, V*R, N, d) array and the mu
@@ -427,82 +439,81 @@ def _run_npdlms(runs: list, batch: RealizationData, trace_out: np.ndarray | None
     update counts (V*R, N); `trace_out`, if given, receives the (T, V*R, N, d)
     estimates.
     """
-    config, spec = runs[0]
-    algo: NPDLMS = spec.kind
+    algo: NPDLMS = variants[0]
     topo = config.topology
     a_t = config.combination.matrix.T
     mask = topo.adjacency_mask()                  # mask[l, k] = 1 iff l in N_k
     cross = mask.copy()
     np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
     t_len, reals, n, d = batch.regressors.shape
-    values = len(runs)
+    values = len(variants)
     rows = values * reals
-    step = spec.step_size
-    gate = config.gate
+    step = config.npdlms_spec().step_size
     cta = config.strategy == "cta"
 
-    def per_row(params, ndim):
-        # A parameter all values share stays a scalar, which numpy applies faster.
+    def per_row(name, ndim):
+        # A parameter all variants share stays a scalar, which numpy applies faster.
+        params = [getattr(variant, name) for variant in variants]
         if len(set(params)) == 1:
             return params[0]
         return np.repeat(np.array(params, dtype=float), reals).reshape((rows,) + (1,) * ndim)
 
-    eta = per_row([cfg.gate.eta for cfg, _ in runs], 1)
-    sigmas = [s.kind.kernel.sigma for _, s in runs]
-    lw_scale = -2.0 * per_row(sigmas, 1)
-    sigma = per_row(sigmas, 2)
-    h = per_row([s.kind.kernel.h for _, s in runs], 2)
-    delta = per_row([s.kind.kernel.delta for _, s in runs], 2)
+    eta = per_row("eta", 1)
+    lw_scale = -2.0 * per_row("sigma", 1)
+    sigma = per_row("sigma", 2)
+    h = per_row("h", 2)
+    delta = per_row("delta", 2)
 
     u_tr = batch.regressors.transpose(0, 1, 3, 2)  # (T, R, d, N)
     targets = batch.targets[:, :, :, None]
     theta_path = batch.theta_path[:, :, None, :]
     theta = np.zeros((rows, n, d))
-    history = np.zeros((0, rows, n, d))           # newest first, rows <= buffer_size
+    history = np.zeros((0, rows, n, d))           # newest first, at most B entries
     sq = np.empty((t_len, rows, n))
     updates = np.zeros((rows, n))
-    for t in range(t_len):
-        history = np.concatenate((theta[None], history[: algo.buffer_size - 1]))
-        point = a_t @ theta if cta else theta     # (V*R, N, d) evaluation points
+    with np.errstate(all="ignore"):  # divergence is flagged by _finish
+        for t in range(t_len):
+            history = np.concatenate((theta[None], history[: algo.buffer - 1]))
+            point = a_t @ theta if cta else theta     # (V*R, N, d) evaluation points
 
-        # err[row, l, k] = d_l - u_l theta_eval_k
-        points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
-        err = (targets[t] - batch.regressors[t] @ points).reshape(rows, n, n)
-        eps = np.einsum("rlk,lk->rk", err * err, mask)
-        err = np.clip(err, -1e150, 1e150)
-        gain = (bounded_error_gain(delta, err) * mask).reshape(values, reals, n, n)
-        grad = (u_tr[t] @ gain).reshape(rows, d, n) / h   # (V*R, d, N)
+            # err[row, l, k] = d_l - u_l theta_eval_k
+            points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
+            err = (targets[t] - batch.regressors[t] @ points).reshape(rows, n, n)
+            eps = np.einsum("rlk,lk->rk", err * err, mask)
+            err = np.clip(err, -1e150, 1e150)
+            gain = (bounded_error_gain(delta, err) * mask).reshape(values, reals, n, n)
+            grad = (u_tr[t] @ gain).reshape(rows, d, n) / h   # (V*R, d, N)
 
-        if history.shape[0] >= 2:
-            diff_own = history - point            # (B, V*R, N, d)
-            lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / lw_scale
-            diff_nbr = history - theta
-            lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / lw_scale
-            mu_own = np.exp(lw_own - lw_own.max(axis=0))
-            mu_own /= mu_own.sum(axis=0)
-            joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, V*R, l, k)
-            mu_joint = np.exp(joint - joint.max(axis=0))
-            mu_joint /= mu_joint.sum(axis=0)
-            mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
-            # The max is subtracted, so a pair's largest weight is exactly 1 and
-            # the weights, in [0, 1], cannot all underflow. NaN, their only
-            # non-finite value, marks pairs whose log-weights are all -inf or
-            # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
-            np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
-            grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
+            if history.shape[0] >= 2:
+                diff_own = history - point            # (B, V*R, N, d)
+                lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / lw_scale
+                diff_nbr = history - theta
+                lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / lw_scale
+                mu_own = np.exp(lw_own - lw_own.max(axis=0))
+                mu_own /= mu_own.sum(axis=0)
+                joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, V*R, l, k)
+                mu_joint = np.exp(joint - joint.max(axis=0))
+                mu_joint /= mu_joint.sum(axis=0)
+                mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
+                # The max is subtracted, so a pair's largest weight is exactly 1 and
+                # the weights, in [0, 1], cannot all underflow. NaN, their only
+                # non-finite value, marks pairs whose log-weights are all -inf or
+                # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
+                np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
+                grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
 
-        fired = eps > eta
-        if gate.mode == "hard":
-            open_gate = fired.astype(float)
-        else:
-            open_gate = expit(2.0 * gate.slope * (eps - eta))
-        updates += fired
-        adapted = point + step * open_gate[:, :, None] * grad.transpose(0, 2, 1)
-        theta = adapted if cta else a_t @ adapted
-        dev = (theta.reshape(values, reals, n, d) - theta_path[t]).reshape(rows, n, d)
-        np.einsum("rkd,rkd->rk", dev, dev, out=sq[t])
-        if trace_out is not None:
-            trace_out[t] = theta
+            fired = eps > eta
+            if algo.mode == "hard":
+                open_gate = fired.astype(float)
+            else:
+                open_gate = expit(2.0 * algo.slope * (eps - eta))
+            updates += fired
+            adapted = point + step * open_gate[:, :, None] * grad.transpose(0, 2, 1)
+            theta = adapted if cta else a_t @ adapted
+            dev = (theta.reshape(values, reals, n, d) - theta_path[t]).reshape(rows, n, d)
+            np.einsum("rkd,rkd->rk", dev, dev, out=sq[t])
+            if trace_out is not None:
+                trace_out[t] = theta
     return sq.transpose(1, 0, 2), updates
 
 
@@ -516,31 +527,29 @@ def _finish(sq: np.ndarray, updates) -> tuple:
     return sq, updates, diverged
 
 
-def _simulate(configs: list, batch: RealizationData) -> list:
-    """All configured algorithms at every value on one batch of shared draws.
+def _simulate(config: ExperimentConfig, variants: list, batch: RealizationData) -> list:
+    """All configured algorithms, kernel-MAP at every variant, on shared draws.
 
-    `configs` holds one config per value, alike but for the gate threshold
-    and the kernel parameters, which only the kernel-MAP update reads: the
-    baselines run once for all values, and each kernel-MAP algorithm runs
-    once on V x R rows. Returns one dict per value, {label: (squared
-    deviations (R, T, N), update counts (R, N) or None, diverged flags
-    (R,))}. Recorded deviations are capped at RECORD_CAP so diverged runs
-    stay plottable; the flag carries the divergence signal.
+    `variants` holds one kernel-MAP record per value (see `_run_npdlms`), or
+    [None] where the config has no kernel-MAP algorithm. The baselines run
+    once for all variants, and the kernel-MAP update once on V x R rows.
+    Returns one dict per variant, {label: (squared deviations (R, T, N),
+    update counts (R, N) or None, diverged flags (R,))}. Recorded deviations
+    are capped at RECORD_CAP so diverged runs stay plottable; the flag
+    carries the divergence signal.
     """
-    config = configs[0]
     reals = batch.targets.shape[1]
     baselines = [spec for spec in config.algorithms if not isinstance(spec.kind, NPDLMS)]
     shared = dict(zip([spec.label for spec in baselines],
                       _run_baselines(config, baselines, batch) if baselines else []))
-    out = [{} for _ in configs]
-    for i, spec in enumerate(config.algorithms):
+    out = [{} for _ in variants]
+    for spec in config.algorithms:
         if isinstance(spec.kind, NPDLMS):
-            runs = [(value, value.algorithms[i]) for value in configs]
-            sq, updates, diverged = _finish(*_run_npdlms(runs, batch))
-            blocks = [slice(v * reals, (v + 1) * reals) for v in range(len(configs))]
+            sq, updates, diverged = _finish(*_run_npdlms(config, variants, batch))
+            blocks = [slice(v * reals, (v + 1) * reals) for v in range(len(variants))]
             per_value = [(sq[rows], updates[rows], diverged[rows]) for rows in blocks]
         else:
-            per_value = [_finish(shared[spec.label], None)] * len(configs)
+            per_value = [_finish(shared[spec.label], None)] * len(variants)
         for results, entry in zip(out, per_value):
             results[spec.label] = entry
     return out
@@ -561,7 +570,7 @@ def run_realization(config: ExperimentConfig, index: int):
     batch, _, failures = _draw(config, [index])
     if failures:
         raise failures[0][1]
-    return _realization(_simulate([config], batch)[0], 0)
+    return _realization(_simulate(config, [getattr(config.npdlms_spec(), "kind", None)], batch)[0], 0)
 
 
 @dataclass
@@ -596,24 +605,22 @@ class RunResult:
         return float(counts.mean())
 
 
-def _run_values(configs: list) -> list:
-    """One RunResult per config, from one chunked pass over shared draws.
+def _run_values(config: ExperimentConfig, variants: list) -> list:
+    """One RunResult per kernel-MAP variant, from one chunked pass.
 
-    The configs differ at most in the gate threshold and the kernel
-    parameters (see `_simulate`); the first one's draws and baselines serve
-    them all. Realizations run CHUNK_REALIZATIONS at a time, and each value's
-    sums are taken in index order. A realization whose draw raises is
-    reported by index in `PartialFailure` while the rest of its chunk runs on;
-    if the batched run of a chunk raises, the chunk is re-run one value and
-    one realization at a time.
+    The draws and the baselines serve every variant (see `_simulate`).
+    Realizations run CHUNK_REALIZATIONS at a time, and each variant's sums are
+    taken in index order. A realization whose draw raises is reported by
+    index in `PartialFailure` while the rest of its chunk runs on; if the
+    batched run of a chunk raises, the chunk is re-run one variant and one
+    realization at a time.
     """
     started = time.perf_counter()
-    config = configs[0]
     t_len, n = config.iterations, config.topology.node_count
-    sums = [{spec.label: np.zeros((t_len, n)) for spec in config.algorithms} for _ in configs]
+    sums = [{spec.label: np.zeros((t_len, n)) for spec in config.algorithms} for _ in variants]
     kappa = [{spec.label: np.zeros(n) if isinstance(spec.kind, NPDLMS) else None
-              for spec in config.algorithms} for _ in configs]
-    diverged = [{spec.label: 0 for spec in config.algorithms} for _ in configs]
+              for spec in config.algorithms} for _ in variants]
+    diverged = [{spec.label: 0 for spec in config.algorithms} for _ in variants]
     failures = {}
     for start in range(0, config.realizations, CHUNK_REALIZATIONS):
         indices = range(start, min(start + CHUNK_REALIZATIONS, config.realizations))
@@ -623,13 +630,14 @@ def _run_values(configs: list) -> list:
             continue
         try:
             outcomes = [[_realization(results, row) for row in range(len(drawn))]
-                        for results in _simulate(configs, batch)]
-        except Exception:  # noqa: BLE001 - retried one value and realization at a time
-            outcomes = [[] for _ in configs]
-            for value, outcome in zip(configs, outcomes):
+                        for results in _simulate(config, variants, batch)]
+        except Exception:  # noqa: BLE001 - retried one variant and realization at a time
+            outcomes = [[] for _ in variants]
+            for variant, outcome in zip(variants, outcomes):
                 for index in drawn:
                     try:
-                        outcome.append(run_realization(value, index))
+                        alone, _, _ = _draw(config, [index])
+                        outcome.append(_realization(_simulate(config, [variant], alone)[0], 0))
                     except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
                         failures.setdefault(index, exc)
         for v, outcome in enumerate(outcomes):
@@ -651,7 +659,7 @@ def _run_values(configs: list) -> list:
                for label, k in kappa[v].items()},
         diverged=diverged[v],
         wall_time_s=wall_time,
-    ) for v in range(len(configs))]
+    ) for v in range(len(variants))]
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -660,7 +668,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     The one-value case of a sweep: see `_run_values` for the chunking and
     for how failed realizations are reported.
     """
-    result = _run_values([config])[0]
+    result = _run_values(config, [getattr(config.npdlms_spec(), "kind", None)])[0]
     if config.output:
         export_csv(result, config.output)
     return result
@@ -675,7 +683,7 @@ def run_pilot_trace(config: ExperimentConfig, index: int = 0) -> np.ndarray:
     if failures:
         raise failures[0][1]
     trace = np.empty((config.iterations, 1, config.topology.node_count, config.dim))
-    _run_npdlms([(config, spec)], batch, trace_out=trace)
+    _run_npdlms(config, [spec.kind], batch, trace_out=trace)
     return trace[:, 0]
 
 
@@ -713,18 +721,6 @@ def export_csv(result: RunResult, path, extra_columns=None) -> None:
 SWEEPABLE = ("eta", "h", "delta", "sigma")
 
 
-def _override_sweep_value(config: ExperimentConfig, parameter: str, value: float) -> ExperimentConfig:
-    if parameter == "eta":
-        return replace(config, gate=replace(config.gate, eta=float(value)), output=None)
-    algorithms = []
-    for spec in config.algorithms:
-        if isinstance(spec.kind, NPDLMS):
-            kernel = replace(spec.kind.kernel, **{parameter: float(value)})
-            spec = replace(spec, kind=replace(spec.kind, kernel=kernel))
-        algorithms.append(spec)
-    return replace(config, algorithms=algorithms, output=None)
-
-
 def sweep(config: ExperimentConfig, parameter: str, values) -> list:
     """One RunResult per value, each equal to `run_experiment` at that value.
 
@@ -734,10 +730,14 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list:
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {parameter!r}")
-    if config.npdlms_spec() is None:
+    spec = config.npdlms_spec()
+    if spec is None:
         raise ConfigError("sweeps apply to the npdlms algorithm; none configured")
-    configs = [_override_sweep_value(config, parameter, v) for v in values]
-    return _run_values(configs) if configs else []
+    try:
+        variants = [replace(spec.kind, **{parameter: float(v)}) for v in values]
+    except InvalidParameters as exc:  # a value out of the record's range
+        raise ConfigError(str(exc)) from exc
+    return _run_values(config, variants) if variants else []
 
 
 def export_sweep_csv(values, results, path) -> None:
@@ -772,15 +772,15 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
     if not isinstance(config.drift, Stationary):
         raise ConfigError("theory predictions model a stationary environment only, "
                           f"got a random walk with q_variance = {config.drift.q_variance:g}")
-    if config.gate.mode != "hard" or config.gate.eta != 0:
+    algo: NPDLMS = spec.kind
+    if algo.mode != "hard" or algo.eta != 0:
         raise ConfigError("theory predictions model the hard gate at eta = 0 only, got "
-                          f"mode {config.gate.mode!r} with eta = {config.gate.eta:g}")
+                          f"mode {algo.mode!r} with eta = {algo.eta:g}")
     variances = []
     for ns in config.noise_specs:
         if not isinstance(ns, noise_models.Gaussian):
             raise ConfigError("theory predictions require gaussian noise")
         variances.append(ns.variance)
-    algo: NPDLMS = spec.kind
     return TheoryInputs(
         topology=config.topology,
         combination=config.combination,
@@ -788,10 +788,10 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
         noise_variances=np.array(variances),
         step_sizes=np.full(config.topology.node_count, spec.step_size),
         theta_o=config.theta_o,
-        h=algo.kernel.h,
-        sigma=algo.kernel.sigma,
-        delta=algo.kernel.delta,
-        buffer_size=algo.buffer_size,
+        h=algo.h,
+        sigma=algo.sigma,
+        delta=algo.delta,
+        buffer_size=algo.buffer,
     )
 
 

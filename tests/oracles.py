@@ -3,7 +3,7 @@ and the vectorized pilot estimator are checked against.
 
 The baseline runner and the kernel-MAP chain below work one node at a time,
 the way the algorithms are written down, and share nothing with the batched
-engine in `diffnet.harness` but the parameter classes and the scalar gains
+engine in `diffnet.harness` but the parameter records and the scalar gains
 (`error_gain`, `bounded_error_gain`).
 
 Kernel-MAP chain: each node keeps short ring buffers of recent parameter
@@ -32,7 +32,7 @@ from scipy.special import expit, logsumexp
 
 from diffnet.diffusion import error_gain
 from diffnet.errors import DiffnetError, DimensionMismatch, InvalidParameters
-from diffnet.npdlms import KernelParams, ThresholdParams, bounded_error_gain
+from diffnet.npdlms import NPDLMS, bounded_error_gain
 
 
 class NonPositiveBandwidth(DiffnetError):
@@ -246,7 +246,7 @@ def neighbor_error(theta, shared: SharedData) -> float:
     return float(e @ e)
 
 
-def threshold_gate(epsilon: float, params: ThresholdParams) -> float:
+def threshold_gate(epsilon: float, params: NPDLMS) -> float:
     """Gate value in [0, 1]: sigmoid around eta, or a hard indicator."""
     if params.mode == "hard":
         return 1.0 if epsilon > params.eta else 0.0
@@ -254,7 +254,7 @@ def threshold_gate(epsilon: float, params: ThresholdParams) -> float:
 
 
 def log_local_objective(theta_k, shared: SharedData, buffers: EstimateBuffer,
-                        params: KernelParams) -> float:
+                        params: NPDLMS) -> float:
     """Log posterior of theta_k given neighbourhood data and buffered history.
 
     The neighbour-prior block log f(theta_l) is evaluated at the shared
@@ -284,7 +284,7 @@ def log_local_objective(theta_k, shared: SharedData, buffers: EstimateBuffer,
 
 
 def npdlms_gradient(theta_eval, shared: SharedData, buffers: EstimateBuffer,
-                    params: KernelParams) -> np.ndarray:
+                    params: NPDLMS) -> np.ndarray:
     """Ascent direction of the log posterior at theta_eval.
 
     The likelihood part is (1/h) sum_l bounded_error_gain(delta, e_l) u_l';
@@ -316,8 +316,8 @@ def npdlms_gradient(theta_eval, shared: SharedData, buffers: EstimateBuffer,
     return grad
 
 
-def npdlms_adapt(shared: SharedData, buffers: EstimateBuffer, params: KernelParams,
-                 threshold: ThresholdParams, step_size: float, theta_eval):
+def npdlms_adapt(shared: SharedData, buffers: EstimateBuffer, params: NPDLMS,
+                 threshold: NPDLMS, step_size: float, theta_eval):
     """Push the carried estimates into the rings and run one gated ascent.
 
     The rings receive exactly what this iteration's messages carry: every
@@ -338,7 +338,7 @@ def run_npdlms_reference(config, spec, data):
 
     `data` holds one realization's draws. Every node keeps its own rings and
     goes through `npdlms_adapt`, so nothing is shared with the batched runner
-    but the parameter classes and the bounded gain. Returns (squared
+    but the parameter record and the bounded gain. Returns (squared
     deviations (T, N), hard-gate update counts (N,)).
     """
     algo = spec.kind
@@ -347,7 +347,7 @@ def run_npdlms_reference(config, spec, data):
     t_len, n, d = config.iterations, topo.node_count, config.dim
     neighbor_ids = [topo.neighbors(k) for k in range(1, n + 1)]
     neighbor_idx = [np.array([l - 1 for l in ids]) for ids in neighbor_ids]
-    buffers = [EstimateBuffer(algo.buffer_size, ids) for ids in neighbor_ids]
+    buffers = [EstimateBuffer(algo.buffer, ids) for ids in neighbor_ids]
     theta = np.zeros((n, d))
     sq = np.empty((t_len, n))
     updates = np.zeros(n)
@@ -363,7 +363,7 @@ def run_npdlms_reference(config, spec, data):
             shared = SharedData(node=k + 1, neighbors=neighbor_ids[k], u=u_t[idx],
                                 d=d_t[idx], theta_prev=theta_prev[idx])
             point = combined[k] if cta else theta_prev[k]
-            adapted, fired = npdlms_adapt(shared, buffers[k], algo.kernel, config.gate,
+            adapted, fired = npdlms_adapt(shared, buffers[k], algo, algo,
                                           spec.step_size, point)
             updates[k] += fired
             staged[k] = adapted

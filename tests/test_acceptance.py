@@ -21,7 +21,7 @@ from diffnet.harness import (
     theory_inputs_from_config,
 )
 from diffnet.network import build_topology, combination_weights
-from diffnet.npdlms import KernelParams, bounded_error_gain
+from diffnet.npdlms import NPDLMS, bounded_error_gain
 from diffnet.noise import AlphaStable, characteristic_function, empirical_characteristic_function, sample
 from diffnet.theory import (
     TheoryInputs,
@@ -59,8 +59,8 @@ def test_criterion_1_gradient_matches_finite_differences():
                 buffers.push(l, r.normal(0, 1, d))
         shared = SharedData(node=1, neighbors=neighbors, u=r.normal(0, 1, (m, d)),
                             d=r.normal(0, 1, m), theta_prev=r.normal(0, 1, (m, d)))
-        params = KernelParams(sigma=float(r.uniform(0.5, 2)), h=float(r.uniform(0.5, 2)),
-                              delta=float(r.uniform(0.1, 1)))
+        params = NPDLMS(sigma=float(r.uniform(0.5, 2)), h=float(r.uniform(0.5, 2)),
+                        delta=float(r.uniform(0.1, 1)))
         theta = r.normal(0, 1, d)
         grad = npdlms_gradient(theta, shared, buffers, params)
         fd = np.zeros(d)

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import hashlib
+import warnings
 from pathlib import Path
 
+import pytest
 import yaml
 
 from diffnet.cli import main
@@ -53,6 +55,40 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "base_seed" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("output", [True, 2], ids=["boolean", "integer"])
+def test_non_string_output_is_config_error(tmp_path, capsys, output):
+    # `open` took these as file descriptors: stdout was written and closed, or
+    # the CSV went to stderr.
+    cfg = write_config(tmp_path, small_config_dict(output=output))
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:") and "output" in captured.err
+    assert not captured.out
+
+
+BAD_NUMBERS = {
+    "spec-text": ["validate-noise", "--spec", "a,b,c,d"],
+    "samples-negative": ["validate-noise", "--spec", "1.2,0,1,0", "--samples", "-1"],
+    "samples-zero": ["validate-noise", "--spec", "1.2,0,1,0", "--samples", "0"],
+    "seed-negative": ["validate-noise", "--spec", "1.2,0,1,0", "--samples", "10", "--seed", "-1"],
+    "values-text": ["sweep", "--param", "eta", "--values", "1,abc"],
+    "values-out-of-range": ["sweep", "--param", "eta", "--values", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS, ids=list(BAD_NUMBERS))
+def test_bad_numeric_argument_is_config_error(tmp_path, capsys, case):
+    # Each used to end in a traceback, print NaN rows, or report a plain error.
+    args = BAD_NUMBERS[case]
+    if args[0] == "sweep":
+        raw = small_config_dict(iterations=5, algorithms=[{"kind": "npdlms", "step_size": 0.05}])
+        args = args + ["--config", write_config(tmp_path, raw), "--out", str(tmp_path / "s.csv")]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert not captured.out
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -215,3 +251,15 @@ def test_sweep_golden_digest(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "param_value,iteration,npdlms_msd_db"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda path: path.stem)
+def test_shipped_config_simulates(path, tmp_path, capsys):
+    """Every shipped config parses and runs, and no numpy warning escapes."""
+    labels = [a.get("label", a["kind"]) for a in yaml.safe_load(path.read_text())["algorithms"]]
+    out = tmp_path / "sim.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(path), "--realizations", "1",
+                     "--iterations", "20", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == ",".join(["iteration"] + [f"{label}_msd_db" for label in labels])

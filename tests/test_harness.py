@@ -1,5 +1,7 @@
 """Experiment orchestration: determinism, pairing, CSV export, sweeps."""
 
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -170,7 +172,7 @@ _INTEGER_KEYS = {
     "iterations": lambda cfg: cfg.iterations,
     "realizations": lambda cfg: cfg.realizations,
     "base_seed": lambda cfg: cfg.base_seed,
-    "buffer": lambda cfg: cfg.algorithms[0].kind.buffer_size,
+    "buffer": lambda cfg: cfg.algorithms[0].kind.buffer,
     "nodes": lambda cfg: cfg.topology.node_count,
 }
 
@@ -183,6 +185,32 @@ def test_integer_keys_refuse_fractions_and_booleans(key):
             config_from_dict(_integer_key_config(key, value))
     value = _INTEGER_KEYS[key](config_from_dict(_integer_key_config(key, 1.0)))
     assert value == 1 and type(value) is int
+
+
+@pytest.mark.parametrize("edge", [[1, 2.7], [True, 5], [1, 2, 3], [1]],
+                         ids=["fraction", "boolean", "triple", "single"])
+def test_inline_edge_must_be_a_pair_of_integers(edge):
+    # These used to load as the edges (1, 2), (1, 5) and (1, 2), and [1] ended
+    # in an IndexError.
+    topology = {"nodes": 5, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], edge]}
+    with pytest.raises(ConfigError, match=re.escape(repr(edge))):
+        config_from_dict(small_config_dict(topology=topology))
+
+
+@pytest.mark.parametrize("overrides,named", [
+    ({"gate": {"eta": 0.0, "mood": "hard"}}, "mood"),
+    ({"gate": {"eta": -1.0}}, "eta"),
+    ({"gate": {"eta": float("nan"), "mode": "hard"}}, "eta"),
+    ({"gate": {"slope": 0.0}, "algorithms": [{"kind": "npdlms", "step_size": 0.05}]}, "slope"),
+    ({"gate": {"buffer": 2}, "algorithms": [{"kind": "npdlms", "step_size": 0.05}]}, "buffer"),
+    ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "eta": 1.0}]}, "eta"),
+    ({"algorithms": [{"kind": "npdlms", "step_size": 0.05},
+                     {"kind": "npdlms", "step_size": 0.08, "label": "second"}]}, "one npdlms"),
+], ids=["unknown-key", "eta-beside-dlms", "eta-nan", "slope-beside-npdlms", "kernel-key-in-gate",
+        "gate-key-in-entry", "two-npdlms"])
+def test_gate_section_is_checked_and_the_only_place_for_the_gate(overrides, named):
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict(small_config_dict(**overrides))
 
 
 @pytest.mark.parametrize("variance", [0.0, -1.0])
@@ -245,6 +273,19 @@ def test_sweep_csv_has_param_column(tmp_path):
     assert len(lines) == 1 + 2 * 3
     assert lines[1].startswith("0,1,")
     assert lines[4].startswith("2,1,")
+
+
+def test_diverging_npdlms_run_emits_no_numpy_warning():
+    # Overflow and NaN warnings used to escape the kernel-MAP loop; under an
+    # "error" filter they failed every realization.
+    raw = small_config_dict(
+        iterations=200, noise={"kind": "alpha_stable", "alpha": 0.6, "beta": 0, "gamma": 1},
+        algorithms=[{"kind": "npdlms", "step_size": 50.0}])
+    cfg = config_from_dict(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_experiment(cfg)
+    assert result.diverged["npdlms"] == cfg.realizations
 
 
 def test_divergence_flagged_not_raised():
@@ -355,9 +396,9 @@ def test_partial_failure_reports_indices(monkeypatch):
     simulate = harness_mod._simulate
     rows = []
 
-    def counting(configs, batch):
+    def counting(config, variants, batch):
         rows.append(batch.targets.shape[1])
-        return simulate(configs, batch)
+        return simulate(config, variants, batch)
 
     monkeypatch.setattr(harness_mod, "_simulate", counting)
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
@@ -380,11 +421,11 @@ def test_failed_chunk_reruns_one_realization_at_a_time(monkeypatch):
     bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
     simulate = harness_mod._simulate
 
-    def fragile(configs, batch):
+    def fragile(config, variants, batch):
         # any batch of several rows fails, and so does realization 3 alone
         if batch.targets.shape[1] > 1 or np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("batch failed")
-        return simulate(configs, batch)
+        return simulate(config, variants, batch)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
     monkeypatch.setattr(harness_mod, "_simulate", fragile)
@@ -439,7 +480,7 @@ def test_chunked_experiment_equals_index_order_sum_of_realizations(monkeypatch, 
 
     batch, _, _ = harness_mod._draw(cfg, [0, 1])
     batch.targets[50:, 0, 2] = np.inf
-    both = harness_mod._simulate([cfg], batch)[0]
+    both = harness_mod._simulate(cfg, [cfg.npdlms_spec().kind], batch)[0]
     alone = run_realization(cfg, 1)
     assert both["dlms"][2][0]
     assert np.isnan(harness_mod._run_baselines(cfg, cfg.algorithms[:1], batch)[0, 0]).any()
@@ -506,7 +547,9 @@ def test_sweep_equals_run_experiment_per_value(monkeypatch, case):
     assert calls == ([2, 2, 1] if len(cfg.algorithms) > 1 else [])
     assert len(swept) == len(values)
     for value, result in zip(values, swept):
-        direct = run_experiment(harness_mod._override_sweep_value(cfg, parameter, value))
+        algorithms = [replace(spec, kind=replace(spec.kind, **{parameter: value}))
+                      if spec is cfg.npdlms_spec() else spec for spec in cfg.algorithms]
+        direct = run_experiment(replace(cfg, algorithms=algorithms))
         _assert_same_result(result, direct)
     curves = [result.network_msd("npdlms") for result in swept]
     assert not np.array_equal(curves[0], curves[-1])
@@ -535,9 +578,9 @@ def test_sweep_reports_a_failed_draw_once_and_runs_the_rest_of_its_chunk(monkeyp
     simulate = harness_mod._simulate
     calls = []
 
-    def counting(configs, batch):
-        calls.append((len(configs), batch.targets.shape[1]))
-        return simulate(configs, batch)
+    def counting(config, variants, batch):
+        calls.append((len(variants), batch.targets.shape[1]))
+        return simulate(config, variants, batch)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
     monkeypatch.setattr(harness_mod, "_simulate", counting)
@@ -559,14 +602,14 @@ def test_sweep_falls_back_per_value_and_realization(monkeypatch):
     simulate = harness_mod._simulate
     singles = []
 
-    def fragile(configs, batch):
+    def fragile(config, variants, batch):
         # any run of several rows fails, and so does realization 3 at eta = 0.5
-        if len(configs) > 1 or batch.targets.shape[1] > 1:
+        if len(variants) > 1 or batch.targets.shape[1] > 1:
             raise FloatingPointError("batch failed")
-        singles.append(configs[0].gate.eta)
-        if configs[0].gate.eta == 0.5 and np.array_equal(batch.targets[:, 0], bad):
+        singles.append(variants[0].eta)
+        if variants[0].eta == 0.5 and np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("realization failed")
-        return simulate(configs, batch)
+        return simulate(config, variants, batch)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
     monkeypatch.setattr(harness_mod, "_simulate", fragile)

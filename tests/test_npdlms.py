@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import small_config_dict
 from diffnet import harness
 from diffnet.errors import DimensionMismatch, InvalidParameters
-from diffnet.npdlms import KernelParams, ThresholdParams, bounded_error_gain
+from diffnet.npdlms import NPDLMS, bounded_error_gain
 from oracles import (
     DegenerateDenominator,
     EmptyBuffer,
@@ -209,28 +209,28 @@ def test_neighbor_error_examples(rng):
 
 
 def test_threshold_gate_examples():
-    assert threshold_gate(3.0, ThresholdParams(eta=3.0, slope=5.0, mode="smooth")) == 0.5
-    assert threshold_gate(0.5, ThresholdParams(eta=0.0, mode="hard")) == 1.0
-    assert threshold_gate(0.0, ThresholdParams(eta=0.0, mode="hard")) == 0.0
-    value = threshold_gate(4.0, ThresholdParams(eta=3.0, slope=10.0, mode="smooth"))
+    assert threshold_gate(3.0, NPDLMS(eta=3.0, slope=5.0, mode="smooth")) == 0.5
+    assert threshold_gate(0.5, NPDLMS(eta=0.0, mode="hard")) == 1.0
+    assert threshold_gate(0.0, NPDLMS(eta=0.0, mode="hard")) == 0.0
+    value = threshold_gate(4.0, NPDLMS(eta=3.0, slope=10.0, mode="smooth"))
     assert value == pytest.approx(1.0 / (1.0 + np.exp(-20.0)), rel=1e-12)
 
 
 @given(st.floats(0.0, 50.0), st.floats(0.0, 50.0))
 @settings(max_examples=100, deadline=None)
 def test_smooth_gate_monotone(e1, e2):
-    params = ThresholdParams(eta=10.0, slope=2.0, mode="smooth")
+    params = NPDLMS(eta=10.0, slope=2.0, mode="smooth")
     lo, hi = sorted((e1, e2))
     assert threshold_gate(lo, params) <= threshold_gate(hi, params)
 
 
 def test_threshold_params_validation():
     with pytest.raises(InvalidParameters):
-        ThresholdParams(eta=-1.0)
+        NPDLMS(eta=-1.0)
     with pytest.raises(InvalidParameters):
-        ThresholdParams(slope=0.0)
+        NPDLMS(slope=0.0)
     with pytest.raises(InvalidParameters):
-        ThresholdParams(mode="sometimes")
+        NPDLMS(mode="sometimes")
 
 
 # --- estimate buffers -------------------------------------------------------
@@ -278,8 +278,8 @@ def _random_instance(r, max_dim=4, max_buf=5, max_nbrs=3):
             buffers.push(l, r.normal(0, 1, d))
     shared = SharedData(node=1, neighbors=neighbors, u=r.normal(0, 1, (m, d)),
                         d=r.normal(0, 1, m), theta_prev=r.normal(0, 1, (m, d)))
-    params = KernelParams(sigma=float(r.uniform(0.5, 2.0)), h=float(r.uniform(0.5, 2.0)),
-                          delta=float(r.uniform(0.1, 1.0)))
+    params = NPDLMS(sigma=float(r.uniform(0.5, 2.0)), h=float(r.uniform(0.5, 2.0)),
+                    delta=float(r.uniform(0.1, 1.0)))
     return shared, buffers, params, r.normal(0, 1, d)
 
 
@@ -314,7 +314,7 @@ def test_gradient_zero_at_stationary_point(rng):
     for _ in range(3):
         buffers.push(1, theta)
         buffers.push(2, theta)
-    grad = npdlms_gradient(theta, shared, buffers, KernelParams())
+    grad = npdlms_gradient(theta, shared, buffers, NPDLMS())
     assert np.allclose(grad, 0.0, atol=1e-14)
 
 
@@ -327,7 +327,7 @@ def test_gradient_reduces_to_scaled_lms_for_small_errors(rng):
     shared = SharedData(node=1, neighbors=(1,), u=u, d=d_val, theta_prev=theta[None])
     buffers = EstimateBuffer(2, (1,))
     buffers.push(1, theta)
-    params = KernelParams(h=1.7, delta=1e9)
+    params = NPDLMS(h=1.7, delta=1e9)
     grad = npdlms_gradient(theta, shared, buffers, params)
     err = d_val[0] - u[0] @ theta
     assert np.allclose(grad, err * u[0] / 1.7, rtol=1e-9)
@@ -337,8 +337,8 @@ def test_objective_likelihood_scales_with_h(rng):
     shared, buffers, params, theta = _random_instance(np.random.default_rng(3))
     # doubling h halves the likelihood block at fixed errors; verify on the
     # pure-likelihood part by cancelling the prior blocks
-    p1 = KernelParams(sigma=params.sigma, h=1.0, delta=params.delta)
-    p2 = KernelParams(sigma=params.sigma, h=2.0, delta=params.delta)
+    p1 = NPDLMS(sigma=params.sigma, h=1.0, delta=params.delta)
+    p2 = NPDLMS(sigma=params.sigma, h=2.0, delta=params.delta)
     like1 = log_local_objective(theta, shared, buffers, p1)
     like2 = log_local_objective(theta, shared, buffers, p2)
     prior_only = _prior_block(theta, shared, buffers, params.sigma)
@@ -372,7 +372,7 @@ def _single_node_config(strategy="cta", **algorithm):
 
 def _run_engine(cfg):
     batch, _, _ = harness._draw(cfg, range(cfg.realizations))
-    return batch, *harness._run_npdlms([(cfg, cfg.npdlms_spec())], batch)
+    return batch, *harness._run_npdlms(cfg, [cfg.npdlms_spec().kind], batch)
 
 
 def test_step_with_infinite_threshold_is_pure_combination(rng):
@@ -383,8 +383,8 @@ def test_step_with_infinite_threshold_is_pure_combination(rng):
                         theta_prev=prev)
     buffers = EstimateBuffer(3, (1, 2, 3))
     combined = prev.T @ np.array([0.3, 0.4, 0.3])
-    adapted, updated = npdlms_adapt(shared, buffers, KernelParams(),
-                                    ThresholdParams(eta=np.inf, mode="hard"), 0.5, combined)
+    adapted, updated = npdlms_adapt(shared, buffers, NPDLMS(),
+                                    NPDLMS(eta=np.inf, mode="hard"), 0.5, combined)
     assert not updated
     assert np.array_equal(adapted, combined)
     # In the engine a gate that never opens leaves every node at its zero start.
@@ -421,8 +421,8 @@ def test_step_zero_noise_fixed_point(rng):
                         theta_prev=np.stack([theta_o, theta_o]))
     buffers = EstimateBuffer(3, (1, 2))
     combined = shared.theta_prev.T @ np.array([0.5, 0.5])
-    adapted, updated = npdlms_adapt(shared, buffers, KernelParams(),
-                                    ThresholdParams(eta=1e-6, mode="hard"), 0.3, combined)
+    adapted, updated = npdlms_adapt(shared, buffers, NPDLMS(),
+                                    NPDLMS(eta=1e-6, mode="hard"), 0.3, combined)
     assert np.allclose(adapted, theta_o, atol=1e-14)
     assert not updated  # zero error cannot clear a positive threshold
 
@@ -439,7 +439,7 @@ def test_step_pushes_received_estimates():
     shared = SharedData(node=1, neighbors=(1, 2), u=np.zeros((2, 2)),
                         d=np.zeros(2), theta_prev=prev)
     buffers = EstimateBuffer(3, (1, 2))
-    npdlms_adapt(shared, buffers, KernelParams(), ThresholdParams(eta=0.0, mode="hard"),
+    npdlms_adapt(shared, buffers, NPDLMS(), NPDLMS(eta=0.0, mode="hard"),
                  0.1, prev.T @ np.array([0.5, 0.5]))
     assert buffers.depth(1) == 1 and buffers.depth(2) == 1
     assert np.array_equal(buffers.history(1)[0], prev[0])
@@ -462,7 +462,7 @@ def test_batched_npdlms_matches_per_node_oracle(strategy, gate):
     spec = cfg.npdlms_spec()
     batch, drawn, failures = harness._draw(cfg, range(cfg.realizations))
     assert drawn == [0, 1, 2] and not failures
-    sq, updates = harness._run_npdlms([(cfg, spec)], batch)
+    sq, updates = harness._run_npdlms(cfg, [spec.kind], batch)
     assert sq.shape == (3, cfg.iterations, 5) and updates.shape == (3, 5)
     for r in drawn:
         data = harness.generate_realization_data(cfg, harness.realization_rng(cfg.base_seed, r))
