@@ -13,9 +13,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import harness, noise, theory
-from .errors import ConfigError, DiffnetError, UnstableSystem
+from .errors import ConfigError, DiffnetError, InvalidParameters, UnstableSystem
 
 CF_GRID = (0.1, 0.5, 1.0, 2.0)
+# validate-noise draws all its samples at once, about 50 bytes each at peak.
+MAX_SAMPLES = 10**7
 
 
 def _numbers(text: str, flag: str) -> list:
@@ -99,9 +101,13 @@ def _cmd_validate_noise(args) -> int:
     parts = _numbers(args.spec, "--spec")
     if len(parts) != 4:
         raise ConfigError("--spec must be 'alpha,beta,gamma,delta'")
-    if args.samples < 1 or args.seed < 0:
-        raise ConfigError(f"--samples must be >= 1 and --seed >= 0, got {args.samples} and {args.seed}")
-    spec = noise.AlphaStable(*parts)
+    if not 1 <= args.samples <= MAX_SAMPLES or args.seed < 0:
+        raise ConfigError(f"--samples must lie in [1, {MAX_SAMPLES}] and --seed be >= 0, "
+                          f"got {args.samples} and {args.seed}")
+    try:
+        spec = noise.AlphaStable(*parts)
+    except InvalidParameters as exc:
+        raise ConfigError(f"--spec: {exc}") from exc
     samples = noise.sample(spec, np.random.default_rng(args.seed), args.samples)
     fmt = harness._fmt
     lines = ["t,re_emp,im_emp,re_theory,im_theory"]
@@ -149,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-noise", help="empirical vs closed-form characteristic function")
     p.add_argument("--spec", required=True, help="alpha,beta,gamma,delta")
-    p.add_argument("--samples", type=int, default=10**6)
+    p.add_argument("--samples", type=int, default=10**6,
+                   help=f"number of draws, 1 to {MAX_SAMPLES} (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=_cmd_validate_noise)

@@ -18,6 +18,13 @@ run, since neither depends on that record, and the kernel-MAP update runs
 once on V x R rows, one block of R per variant, with the draws broadcast
 rather than copied. Memory is one chunk's draws plus the rows' kernel-MAP
 state and squared deviations.
+
+The kernel-MAP prior couples each node only with its cross neighbours, so it
+runs on a per-node table of neighbour slots (`_neighbour_slots`) rather than
+on all N x N node pairs, and the pseudo-Huber gain is evaluated on neighbour
+pairs only. Its sums add the same nonzero products in the same order as a
+dense step over every pair, from +0.0, so the bits do not change; the dense
+step stays in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -423,6 +430,29 @@ def _run_baselines(config: ExperimentConfig, specs: list, batch: RealizationData
     return sq.transpose(1, 2, 0, 3)
 
 
+def _neighbour_slots(mask: np.ndarray):
+    """Per-node slot table of the kernel prior: (index (S, N), on (S, N)).
+
+    Slot j < S - 1 of node k holds k's j-th cross neighbour l in N_k \\ {k},
+    in ascending l; S - 1 is the largest cross degree plus one. Index N points
+    at a column of -0.0 beside the N log-weights; the pads after a node's
+    last neighbour and the last, "own", slot point there, so their joint
+    log-weight is the node's own one and the own slot's softmax is mu_own.
+    `on` is 1 on neighbour slots and 0 on pads and the own slot.
+    """
+    cross = mask.copy()
+    np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
+    n = mask.shape[0]
+    nbr, node = np.nonzero(cross)                 # ascending l within each node
+    rank = (np.cumsum(cross, axis=0) - 1.0)[nbr, node].astype(int)
+    slots = int(cross.sum(axis=0).max()) + 1
+    index = np.full((slots, n), n)
+    on = np.zeros((slots, n))
+    index[rank, node] = nbr
+    on[rank, node] = 1.0
+    return index, on
+
+
 def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData, trace_out=None):
     """Synchronous run of the config's kernel-MAP algorithm at several variants.
 
@@ -433,18 +463,33 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
     they are never copied per variant.
 
     Every node's rings hold the same global history theta_{., n-1..n-B}, so
-    the per-node buffers collapse into one (B, V*R, N, d) array and the mu
-    weights into one (B, V*R, N, N) softmax per row; the reductions run over
-    the buffer axis. Returns squared deviations (V*R, T, N) and hard-gate
-    update counts (V*R, N); `trace_out`, if given, receives the (T, V*R, N, d)
-    estimates.
+    the per-node buffers collapse into one (B, V*R, N, d) array, newest
+    first. The prior couples node k only with its cross neighbours, so its
+    terms live on the slot table of `_neighbour_slots`: one (B, S, V*R, N)
+    softmax over the buffer axis gives the joint weights on the neighbour
+    slots and the own weights on the last slot. The pseudo-Huber gain is
+    evaluated on neighbour pairs only; off them the masked gain is e * 0,
+    which g(e) * 0 equals bit for bit (see _SPARSE_GAINS). Every buffer of
+    the step is allocated once per call.
+
+    Sum order: the prior's contraction adds the products history * (mu_joint
+    - mu_own) over the flattened (b, slot) axis from +0.0, b outer and slots
+    in ascending l with the own slot last. That is the order of a dense
+    contraction over every pair (l, k), minus its products history * (+-0)
+    off the neighbourhoods, which leave a sum that started at +0.0 unchanged;
+    the own slot's zero weight still turns a non-finite history entry into
+    the NaN such a product gives. So every bit matches the dense step kept
+    in `tests/oracles.py`.
+
+    Returns squared deviations (V*R, T, N) and hard-gate update counts
+    (V*R, N); `trace_out`, if given, receives the (T, V*R, N, d) estimates.
     """
     algo: NPDLMS = variants[0]
     topo = config.topology
     a_t = config.combination.matrix.T
     mask = topo.adjacency_mask()                  # mask[l, k] = 1 iff l in N_k
-    cross = mask.copy()
-    np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
+    index, on = _neighbour_slots(mask)
+    slots = index.shape[0]
     t_len, reals, n, d = batch.regressors.shape
     values = len(variants)
     rows = values * reals
@@ -462,45 +507,85 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
     lw_scale = -2.0 * per_row("sigma", 1)
     sigma = per_row("sigma", 2)
     h = per_row("h", 2)
-    delta = per_row("delta", 2)
+    delta = per_row("delta", 1)
 
     u_tr = batch.regressors.transpose(0, 1, 3, 2)  # (T, R, d, N)
     targets = batch.targets[:, :, :, None]
     theta_path = batch.theta_path[:, :, None, :]
     theta = np.zeros((rows, n, d))
-    history = np.zeros((0, rows, n, d))           # newest first, at most B entries
     sq = np.empty((t_len, rows, n))
     updates = np.zeros((rows, n))
+    # Flat (row, l, k) indices of the neighbour pairs; every index is in range,
+    # so take and put run with mode="clip", which skips their bounds checks.
+    pairs = np.arange(rows)[:, None] * n * n + np.flatnonzero(mask)
+    gain = np.empty((rows, n, n))
+    pair_err = np.empty(pairs.shape)
+
+    # Buffers of the prior term, each used through its first `filled` entries.
+    buffer = algo.buffer
+    history = np.empty((buffer, rows, n, d))      # newest first
+    columns = np.empty((buffer, d, rows, n))      # the same, laid out for the contraction
+    evals = np.empty((2, rows, n, d))             # own evaluation point, neighbour estimates
+    diff = np.empty((buffer, 2, rows, n, d))
+    lw = np.full((buffer, 2, rows, n + 1), -0.0)  # column n stays -0.0 (see _neighbour_slots)
+    gather = np.arange(rows)[:, None] * (n + 1) + index[:, None, :]   # (S, V*R, N) into lw[b, 1]
+    mu = np.empty((buffer, slots, rows, n))
+    mu_own = np.empty((buffer, 1, rows, n))
+    nan = np.empty(mu.shape, dtype=bool)
+    peak = np.empty((slots, rows, n))
+    total = np.empty((slots, rows, n))
+    prod = np.empty((buffer, slots, d, rows, n))
+    prior = np.empty((d, rows, n))
+    on = on[:, None, :]
+    filled = 0
     with np.errstate(all="ignore"):  # divergence is flagged by _finish
         for t in range(t_len):
-            history = np.concatenate((theta[None], history[: algo.buffer - 1]))
+            kept = min(filled, buffer - 1)
+            history[1 : kept + 1] = history[:kept]
+            history[0] = theta
+            columns[1 : kept + 1] = columns[:kept]
+            columns[0] = theta.transpose(2, 0, 1)
+            filled = kept + 1
             point = a_t @ theta if cta else theta     # (V*R, N, d) evaluation points
 
             # err[row, l, k] = d_l - u_l theta_eval_k
             points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
             err = (targets[t] - batch.regressors[t] @ points).reshape(rows, n, n)
             eps = np.einsum("rlk,lk->rk", err * err, mask)
-            err = np.clip(err, -1e150, 1e150)
-            gain = (bounded_error_gain(delta, err) * mask).reshape(values, reals, n, n)
-            grad = (u_tr[t] @ gain).reshape(rows, d, n) / h   # (V*R, d, N)
+            np.clip(err, -1e150, 1e150, out=err)
+            np.multiply(err, mask, out=gain)
+            np.take(err, pairs, out=pair_err, mode="clip")
+            np.put(gain, pairs, bounded_error_gain(delta, pair_err), mode="clip")
+            grad = (u_tr[t] @ gain.reshape(values, reals, n, n)).reshape(rows, d, n) / h
 
-            if history.shape[0] >= 2:
-                diff_own = history - point            # (B, V*R, N, d)
-                lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / lw_scale
-                diff_nbr = history - theta
-                lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / lw_scale
-                mu_own = np.exp(lw_own - lw_own.max(axis=0))
-                mu_own /= mu_own.sum(axis=0)
-                joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, V*R, l, k)
-                mu_joint = np.exp(joint - joint.max(axis=0))
-                mu_joint /= mu_joint.sum(axis=0)
-                mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
+            if filled >= 2:
+                evals[0] = point
+                evals[1] = theta
+                dv = np.subtract(history[:filled, None], evals, out=diff[:filled])
+                lw_b = lw[:filled]
+                np.einsum("bsrnd,bsrnd->bsrn", dv, dv, out=lw_b[..., :n])
+                np.divide(lw_b[..., :n], lw_scale, out=lw_b[..., :n])
+                # joint[b, j, r, k] = lw_own[b, r, k] + lw_nbr[b, r, index[j, k]]
+                mu_b = np.take(lw_b[:, 1].reshape(filled, -1), gather, axis=1,
+                               out=mu[:filled], mode="clip")
+                np.add(lw_b[:, :1, :, :n], mu_b, out=mu_b)
+                np.max(mu_b, axis=0, out=peak)
+                np.subtract(mu_b, peak, out=mu_b)
+                np.exp(mu_b, out=mu_b)
+                np.sum(mu_b, axis=0, out=total)
+                np.divide(mu_b, total, out=mu_b)
+                np.copyto(mu_own[:filled], mu_b[:, -1:])
+                np.subtract(mu_b, mu_own[:filled], out=mu_b)
+                np.multiply(mu_b, on, out=mu_b)
                 # The max is subtracted, so a pair's largest weight is exactly 1 and
                 # the weights, in [0, 1], cannot all underflow. NaN, their only
                 # non-finite value, marks pairs whose log-weights are all -inf or
                 # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
-                np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
-                grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
+                np.copyto(mu_b, 0.0, where=np.isnan(mu_b, out=nan[:filled]))
+                terms = np.multiply(columns[:filled, None], mu_b[:, :, None], out=prod[:filled])
+                np.add.reduce(terms.reshape(filled * slots, d, rows, n), axis=0,
+                              initial=0.0, out=prior)
+                grad = grad + prior.transpose(1, 0, 2) / sigma
 
             fired = eps > eta
             if algo.mode == "hard":

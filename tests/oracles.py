@@ -16,6 +16,9 @@ wild the error is. The update ascends the resulting log-posterior, optionally
 gated by a threshold on the neighbourhood squared error so that quiet
 iterations skip the adapt step but still combine.
 
+`run_npdlms_dense_reference` is the batched engine's kernel-MAP step in its
+earlier dense form, over every node pair; the engine must reproduce its bits.
+
 Sign convention: `npdlms_gradient` returns the ascent direction of
 `log_local_objective`, and the update is always theta <- theta_eval +
 step * gate * gradient. The two agree with central finite differences to
@@ -371,6 +374,96 @@ def run_npdlms_reference(config, spec, data):
         dev = theta - data.theta_path[t]
         sq[t] = np.einsum("nd,nd->n", dev, dev)
     return sq, updates
+
+
+def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
+    """The engine's kernel-MAP step as it stood before the neighbour-slot
+    layout: the prior's softmax and contraction, and the pseudo-Huber gain,
+    over every node pair (l, k) with the off-neighbourhood pairs masked.
+
+    Same arguments and returns as `harness._run_npdlms`, which must match it
+    bit for bit, NaN positions and signs of zero included: the slot layout
+    only drops products history * (+-0) from sums that start at +0.0.
+    Every node's rings hold the same global history, so they collapse into
+    one (B, V*R, N, d) array and the mu weights into one (B, V*R, N, N)
+    softmax per row.
+    """
+    algo = variants[0]
+    topo = config.topology
+    a_t = config.combination.matrix.T
+    mask = topo.adjacency_mask()                  # mask[l, k] = 1 iff l in N_k
+    cross = mask.copy()
+    np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
+    t_len, reals, n, d = batch.regressors.shape
+    values = len(variants)
+    rows = values * reals
+    step = config.npdlms_spec().step_size
+    cta = config.strategy == "cta"
+
+    def per_row(name, ndim):
+        # A parameter all variants share stays a scalar, which numpy applies faster.
+        params = [getattr(variant, name) for variant in variants]
+        if len(set(params)) == 1:
+            return params[0]
+        return np.repeat(np.array(params, dtype=float), reals).reshape((rows,) + (1,) * ndim)
+
+    eta = per_row("eta", 1)
+    lw_scale = -2.0 * per_row("sigma", 1)
+    sigma = per_row("sigma", 2)
+    h = per_row("h", 2)
+    delta = per_row("delta", 2)
+
+    u_tr = batch.regressors.transpose(0, 1, 3, 2)  # (T, R, d, N)
+    targets = batch.targets[:, :, :, None]
+    theta_path = batch.theta_path[:, :, None, :]
+    theta = np.zeros((rows, n, d))
+    history = np.zeros((0, rows, n, d))           # newest first, at most B entries
+    sq = np.empty((t_len, rows, n))
+    updates = np.zeros((rows, n))
+    with np.errstate(all="ignore"):
+        for t in range(t_len):
+            history = np.concatenate((theta[None], history[: algo.buffer - 1]))
+            point = a_t @ theta if cta else theta     # (V*R, N, d) evaluation points
+
+            # err[row, l, k] = d_l - u_l theta_eval_k
+            points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
+            err = (targets[t] - batch.regressors[t] @ points).reshape(rows, n, n)
+            eps = np.einsum("rlk,lk->rk", err * err, mask)
+            err = np.clip(err, -1e150, 1e150)
+            gain = (bounded_error_gain(delta, err) * mask).reshape(values, reals, n, n)
+            grad = (u_tr[t] @ gain).reshape(rows, d, n) / h   # (V*R, d, N)
+
+            if history.shape[0] >= 2:
+                diff_own = history - point            # (B, V*R, N, d)
+                lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / lw_scale
+                diff_nbr = history - theta
+                lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / lw_scale
+                mu_own = np.exp(lw_own - lw_own.max(axis=0))
+                mu_own /= mu_own.sum(axis=0)
+                joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, V*R, l, k)
+                mu_joint = np.exp(joint - joint.max(axis=0))
+                mu_joint /= mu_joint.sum(axis=0)
+                mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
+                # The max is subtracted, so a pair's largest weight is exactly 1 and
+                # the weights, in [0, 1], cannot all underflow. NaN, their only
+                # non-finite value, marks pairs whose log-weights are all -inf or
+                # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
+                np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
+                grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
+
+            fired = eps > eta
+            if algo.mode == "hard":
+                open_gate = fired.astype(float)
+            else:
+                open_gate = expit(2.0 * algo.slope * (eps - eta))
+            updates += fired
+            adapted = point + step * open_gate[:, :, None] * grad.transpose(0, 2, 1)
+            theta = adapted if cta else a_t @ adapted
+            dev = (theta.reshape(values, reals, n, d) - theta_path[t]).reshape(rows, n, d)
+            np.einsum("rkd,rkd->rk", dev, dev, out=sq[t])
+            if trace_out is not None:
+                trace_out[t] = theta
+    return sq.transpose(1, 0, 2), updates
 
 
 def estimate_beta_and_r_reference(trace, buffer_size: int, sigma: float, burn_in: int = 0):

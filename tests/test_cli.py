@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from diffnet.cli import main
+from diffnet import noise
+from diffnet.cli import MAX_SAMPLES, main
 from conftest import small_config_dict
 
 
@@ -73,6 +74,8 @@ BAD_NUMBERS = {
     "samples-negative": ["validate-noise", "--spec", "1.2,0,1,0", "--samples", "-1"],
     "samples-zero": ["validate-noise", "--spec", "1.2,0,1,0", "--samples", "0"],
     "seed-negative": ["validate-noise", "--spec", "1.2,0,1,0", "--samples", "10", "--seed", "-1"],
+    "spec-alpha-out-of-range": ["validate-noise", "--spec", "3,0,1,0", "--samples", "10"],
+    "spec-alpha-nan": ["validate-noise", "--spec", "nan,0,1,0", "--samples", "10"],
     "values-text": ["sweep", "--param", "eta", "--values", "1,abc"],
     "values-out-of-range": ["sweep", "--param", "eta", "--values", "-1"],
 }
@@ -89,6 +92,22 @@ def test_bad_numeric_argument_is_config_error(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("configuration error:")
     assert not captured.out
+
+
+def test_validate_noise_samples_ceiling_is_checked_before_drawing(monkeypatch, capsys):
+    # 10**11 samples used to end in a numpy out-of-memory traceback.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("validate-noise drew samples past its ceiling")
+
+    monkeypatch.setattr(noise, "sample", no_draw)
+    for samples in (MAX_SAMPLES + 1, 10**11):
+        assert main(["validate-noise", "--spec", "1.2,0,1,0", "--samples", str(samples)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error:") and str(MAX_SAMPLES) in captured.err
+        assert not captured.out
+    with pytest.raises(SystemExit):
+        main(["validate-noise", "--help"])
+    assert str(MAX_SAMPLES) in capsys.readouterr().out
 
 
 def test_bad_config_exit_code(tmp_path):

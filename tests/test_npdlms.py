@@ -1,5 +1,8 @@
 """Kernel-MAP update: kernels, mu weights, gradient oracle, gate, buffers."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,9 +27,12 @@ from oracles import (
     npdlms_adapt,
     npdlms_gradient,
     pseudo_huber,
+    run_npdlms_dense_reference,
     run_npdlms_reference,
     threshold_gate,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # --- kernels and losses ----------------------------------------------------
@@ -469,3 +475,104 @@ def test_batched_npdlms_matches_per_node_oracle(strategy, gate):
         sq_ref, updates_ref = run_npdlms_reference(cfg, spec, data)
         assert np.allclose(sq[r], sq_ref, rtol=1e-10, atol=0.0)
         assert np.array_equal(updates[r], updates_ref)
+
+
+# --- neighbour-slot engine against the dense step, bit for bit --------------
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values, NaN positions and signs, the signs of zeros included."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def _assert_matches_dense_step(cfg, variants):
+    """The engine reproduces every bit of the dense step; returns (sq, trace)."""
+    batch, drawn, _ = harness._draw(cfg, range(cfg.realizations))
+    assert drawn == list(range(cfg.realizations))
+    shape = (cfg.iterations, len(variants) * cfg.realizations, cfg.topology.node_count, cfg.dim)
+    trace, trace_ref = np.empty(shape), np.empty(shape)
+    sq, updates = harness._run_npdlms(cfg, variants, batch, trace_out=trace)
+    sq_ref, updates_ref = run_npdlms_dense_reference(cfg, variants, batch, trace_out=trace_ref)
+    assert _same_bits(sq, sq_ref)
+    assert _same_bits(updates, updates_ref)
+    assert _same_bits(trace, trace_ref)
+    return sq_ref, trace_ref
+
+
+def _shipped(name, seed=None, realizations=2, step_size=None, strategy=None, **kernel):
+    """A shipped config at `seed`, with its kernel-MAP record changed by `kernel`."""
+    cfg = harness.load_config(CONFIGS / f"{name}.yaml")
+    spec = cfg.npdlms_spec()
+    cfg = replace(cfg, realizations=realizations,
+                  base_seed=cfg.base_seed if seed is None else seed,
+                  strategy=strategy or cfg.strategy,
+                  algorithms=[replace(spec, step_size=step_size or spec.step_size)])
+    return cfg, [replace(spec.kind, **kernel)]
+
+
+def _swept(parameter, values):
+    cfg, (kind,) = _shipped("threshold_sweep")
+    return cfg, [replace(kind, **{parameter: value}) for value in values]
+
+
+SHIPPED = sorted(path.stem for path in CONFIGS.glob("*.yaml"))
+SLOT_CASES = {
+    **{f"{name}-seed{seed}": (lambda name=name, seed=seed: _shipped(name, seed))
+       for name in SHIPPED for seed in (11, 0, 42)},
+    "eta-sweep": lambda: _swept("eta", (0, 100, 200, 300, 400, 600, 1000)),
+    "delta-sweep": lambda: _swept("delta", (0.1, 0.5, 2.0)),
+    "sigma-sweep": lambda: _swept("sigma", (0.01, 0.1, 1.0, 10.0)),
+    "buffer-1": lambda: _shipped("threshold_sweep", buffer=1),
+    "buffer-8": lambda: _shipped("threshold_sweep", realizations=8, buffer=8, sigma=0.1),
+    "smooth-gate": lambda: _shipped("threshold_sweep", mode="smooth", slope=2.0, eta=0.3),
+    "atc": lambda: _shipped("stationary_alpha_stable", strategy="atc"),
+    "step-50": lambda: _shipped("threshold_sweep", step_size=50.0),
+    "overflow": lambda: _shipped("threshold_sweep", h=1e-300, step_size=1e10),
+}
+DIVERGING = ("sigma-sweep", "step-50", "overflow")
+
+
+@pytest.mark.parametrize("case", SLOT_CASES, ids=list(SLOT_CASES))
+def test_slot_engine_matches_dense_step_bit_for_bit(case):
+    sq, trace = _assert_matches_dense_step(*SLOT_CASES[case]())
+    # Diverging cases overflow the squared distances, so the prior's log-weights
+    # go non-finite; "overflow" also feeds inf and NaN estimates into its sums.
+    assert np.isfinite(sq).all() != (case in DIVERGING)
+    assert np.isnan(trace).any() == (case == "overflow")
+
+
+def _graph_config(nodes, edges, strategy="cta", seed=5, **algorithm):
+    raw = small_config_dict(
+        topology={"nodes": nodes, "edges": edges}, d=2, regressor_variances=1.0,
+        theta_o=[0.6, -0.8], iterations=40, realizations=2, base_seed=seed, strategy=strategy,
+        algorithms=[{"kind": "npdlms", "step_size": 0.1, "sigma": 0.5, **algorithm}])
+    cfg = harness.config_from_dict(raw)
+    return cfg, [cfg.npdlms_spec().kind]
+
+
+def test_slot_engine_matches_dense_step_on_star_and_single_node():
+    star = [[1, k] for k in range(2, 9)]                 # hub degree N - 1
+    for strategy in ("cta", "atc"):
+        _assert_matches_dense_step(*_graph_config(8, star, strategy, buffer=4))
+        _assert_matches_dense_step(*_graph_config(1, [], strategy, buffer=3))
+
+
+@st.composite
+def graphs(draw):
+    """Connected graphs: a random tree plus extra edges, or a star."""
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        return n, [[1, k] for k in range(2, n + 1)]
+    parents = [draw(st.integers(1, k - 1)) for k in range(2, n + 1)]
+    extra = draw(st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2), max_size=10))
+    return n, [[p, k] for k, p in zip(range(2, n + 1), parents)] + extra
+
+
+@given(graph=graphs(), strategy=st.sampled_from(["cta", "atc"]), buffer=st.integers(1, 5),
+       sigma=st.sampled_from([0.01, 0.3, 2.0]), seed=st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_slot_engine_matches_dense_step_on_random_graphs(graph, strategy, buffer, sigma, seed):
+    nodes, edges = graph
+    _assert_matches_dense_step(*_graph_config(nodes, edges, strategy, seed, buffer=buffer,
+                                              sigma=sigma))
