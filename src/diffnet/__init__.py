@@ -1,7 +1,11 @@
 """Diffusion adaptive networks: simulation, robust kernel-MAP updates, and
-closed-form mean-square performance predictions."""
+closed-form mean-square performance predictions.
 
-from . import cli, diffusion, harness, network, noise, npdlms, theory
+The command-line front end `diffnet.cli` is not imported here, so that
+`python -m diffnet.cli` (or `python -m diffnet`) loads it only once.
+"""
+
+from . import diffusion, harness, network, noise, npdlms, theory
 from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS
 from .harness import (
     AlgorithmSpec,

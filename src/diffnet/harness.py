@@ -10,7 +10,10 @@ Realizations are statistically independent and reduced in index order.
 One engine runs them: realizations go through in memory-bounded chunks of
 CHUNK_REALIZATIONS, stacked on a leading array axis, and every baseline family
 shares one time loop. Each product works on one realization's matrices, so a
-realization gives the same bits in any chunk as it does alone.
+realization gives the same bits in any chunk as it does alone. The nonlinear
+baseline gains are evaluated on the neighbour pairs only, through one gather
+and one scatter for all families, and both time loops run on buffers
+allocated once per call.
 
 A sweep is one pass of the same chunk loop over variants of the kernel-MAP
 record, one per value. The variants share each chunk's draws and its baseline
@@ -39,7 +42,7 @@ import yaml
 from scipy.special import expit
 
 from . import noise as noise_models
-from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, error_gain
+from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS
 from .errors import ConfigError, DiffnetError, InvalidParameters, PartialFailure
 from .network import (
     CombinationMatrix,
@@ -386,13 +389,6 @@ def _draw(config: ExperimentConfig, indices):
     return batch, drawn, failures
 
 
-# Gains with g(e) * 0 == e * 0 bit for bit: g(e) has the sign of e, is finite
-# wherever e is, and is e itself or NaN where e is not. Off the neighbourhoods
-# their masked gain is then e * 0, so only neighbour pairs need the costly
-# evaluation.
-_SPARSE_GAINS = (DMCC, DLMSF)
-
-
 def _run_baselines(config: ExperimentConfig, specs: list, batch: RealizationData) -> np.ndarray:
     """Every baseline family in one synchronous run; squared deviations (A, R, T, N).
 
@@ -400,45 +396,72 @@ def _run_baselines(config: ExperimentConfig, specs: list, batch: RealizationData
     whose column k is node k's estimate. Each product runs per (d, N) slice,
     so every family and realization takes exactly the arithmetic of a run of
     its own. Only the error gain differs per family.
+
+    Each step masks every family's errors (A, R, N, N) in one multiply, the
+    `signed` families' after their sign, and evaluates the `pairwise` gains
+    on the neighbour pairs only: one flat index serves all of those
+    families, for one take and one put. Off the neighbourhoods the masked
+    base equals g(e) * 0 bit for bit (see `diffusion`). Every buffer of the
+    step is allocated once per call, and the dense step stays in
+    `tests/oracles.py` as the reference.
     """
     a = config.combination.matrix
     mask = config.topology.adjacency_mask()
-    nbr, own = np.nonzero(mask)                            # neighbour pairs (l, k)
     t_len, reals, n, d = batch.regressors.shape
+    kinds = [spec.kind for spec in specs]
+    signed = [i for i, kind in enumerate(kinds) if kind.signed]
+    pairwise = [i for i, kind in enumerate(kinds) if kind.pairwise]
     steps = np.array([spec.step_size for spec in specs]).reshape(-1, 1, 1, 1)
     u_tr = batch.regressors.transpose(0, 1, 3, 2)         # (T, R, d, N)
     targets = batch.targets[:, :, :, None]
     theta_path = batch.theta_path[:, :, :, None]
-    theta = np.zeros((len(specs), reals, d, n))
-    gains = np.empty((len(specs), reals, n, n))
-    sq = np.empty((t_len, len(specs), reals, n))
     cta = config.strategy == "cta"
+    theta = np.zeros((len(specs), reals, d, n))
+    point = np.empty(theta.shape) if cta else theta     # CTA combines, then adapts
+    adapted = theta if cta else np.empty(theta.shape)   # ATC adapts, then combines
+    err = np.empty((len(specs), reals, n, n))             # err[., ., l, k], then the gains
+    grad = np.empty(theta.shape)
+    dev = np.empty(theta.shape)
+    sq = np.empty((t_len, len(specs), reals, n))
+    # Flat (family, row, l, k) indices of the pairwise families' neighbour pairs;
+    # every index is in range, so take and put run with mode="clip", which
+    # skips their bounds checks.
+    stack = np.arange(len(specs) * reals).reshape(len(specs), reals)   # (A, R) rows
+    flat = np.flatnonzero(mask)
+    pairs = (stack[pairwise, :, None] * n * n + flat).reshape(len(pairwise), reals * len(flat))
+    pair_err = np.empty(pairs.shape)
+    pair_gain = np.empty(pairs.shape)
     with np.errstate(all="ignore"):
         for t in range(t_len):
-            point = theta @ a if cta else theta
-            err = targets[t] - batch.regressors[t] @ point     # err[., ., l, k]
-            for i, spec in enumerate(specs):
-                if isinstance(spec.kind, _SPARSE_GAINS):
-                    np.multiply(err[i], mask, out=gains[i])
-                    gains[i][:, nbr, own] = error_gain(spec.kind, err[i][:, nbr, own])
-                else:
-                    np.multiply(error_gain(spec.kind, err[i]), mask, out=gains[i])
-            adapted = point + steps * (u_tr[t] @ gains)
-            theta = adapted if cta else adapted @ a
-            dev = theta - theta_path[t]
+            if cta:
+                np.matmul(theta, a, out=point)
+            np.matmul(batch.regressors[t], point, out=err)
+            np.subtract(targets[t], err, out=err)
+            np.take(err, pairs, out=pair_err, mode="clip")
+            for i in signed:
+                np.sign(err[i], out=err[i])
+            np.multiply(err, mask, out=err)
+            for j, i in enumerate(pairwise):
+                pair_gain[j] = kinds[i].gain(pair_err[j])
+            np.put(err, pairs, pair_gain, mode="clip")
+            np.matmul(u_tr[t], err, out=grad)
+            np.multiply(steps, grad, out=grad)
+            np.add(point, grad, out=adapted)
+            if not cta:
+                np.matmul(adapted, a, out=theta)
+            np.subtract(theta, theta_path[t], out=dev)
             np.einsum("...dk,...dk->...k", dev, dev, out=sq[t])
     return sq.transpose(1, 2, 0, 3)
 
 
-def _neighbour_slots(mask: np.ndarray):
-    """Per-node slot table of the kernel prior: (index (S, N), on (S, N)).
+def _neighbour_slots(mask: np.ndarray) -> np.ndarray:
+    """Per-node slot table of the kernel prior: index (S, N).
 
     Slot j < S - 1 of node k holds k's j-th cross neighbour l in N_k \\ {k},
     in ascending l; S - 1 is the largest cross degree plus one. Index N points
     at a column of -0.0 beside the N log-weights; the pads after a node's
     last neighbour and the last, "own", slot point there, so their joint
-    log-weight is the node's own one and the own slot's softmax is mu_own.
-    `on` is 1 on neighbour slots and 0 on pads and the own slot.
+    log-weight is the node's own one and their softmax is mu_own.
     """
     cross = mask.copy()
     np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
@@ -447,10 +470,8 @@ def _neighbour_slots(mask: np.ndarray):
     rank = (np.cumsum(cross, axis=0) - 1.0)[nbr, node].astype(int)
     slots = int(cross.sum(axis=0).max()) + 1
     index = np.full((slots, n), n)
-    on = np.zeros((slots, n))
     index[rank, node] = nbr
-    on[rank, node] = 1.0
-    return index, on
+    return index
 
 
 def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData, trace_out=None):
@@ -469,8 +490,9 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
     softmax over the buffer axis gives the joint weights on the neighbour
     slots and the own weights on the last slot. The pseudo-Huber gain is
     evaluated on neighbour pairs only; off them the masked gain is e * 0,
-    which g(e) * 0 equals bit for bit (see _SPARSE_GAINS). Every buffer of
-    the step is allocated once per call.
+    which g(e) * 0 equals bit for bit: the clipped errors are finite or NaN,
+    and g(e) has their sign, is finite wherever they are and NaN where they
+    are. Every buffer of the step is allocated once per call.
 
     Sum order: the prior's contraction adds the products history * (mu_joint
     - mu_own) over the flattened (b, slot) axis from +0.0, b outer and slots
@@ -488,7 +510,7 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
     topo = config.topology
     a_t = config.combination.matrix.T
     mask = topo.adjacency_mask()                  # mask[l, k] = 1 iff l in N_k
-    index, on = _neighbour_slots(mask)
+    index = _neighbour_slots(mask)
     slots = index.shape[0]
     t_len, reals, n, d = batch.regressors.shape
     values = len(variants)
@@ -504,8 +526,8 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
         return np.repeat(np.array(params, dtype=float), reals).reshape((rows,) + (1,) * ndim)
 
     eta = per_row("eta", 1)
-    lw_scale = -2.0 * per_row("sigma", 1)
-    sigma = per_row("sigma", 2)
+    sigma = per_row("sigma", 1)
+    lw_scale = -2.0 * sigma
     h = per_row("h", 2)
     delta = per_row("delta", 1)
 
@@ -513,8 +535,18 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
     targets = batch.targets[:, :, :, None]
     theta_path = batch.theta_path[:, :, None, :]
     theta = np.zeros((rows, n, d))
+    point = np.empty(theta.shape) if cta else theta     # (V*R, N, d) evaluation points
+    adapted = theta if cta else np.empty(theta.shape)
+    step_dir = np.empty(theta.shape)
+    dev = np.empty(theta.shape)
     sq = np.empty((t_len, rows, n))
     updates = np.zeros((rows, n))
+    err = np.empty((rows, n, n))                  # err[row, l, k] = d_l - u_l theta_eval_k
+    err_sq = np.empty(err.shape)
+    eps = np.empty((rows, n))
+    fired = np.empty((rows, n), dtype=bool)
+    open_gate = np.empty((rows, n))
+    grad = np.empty((rows, d, n))
     # Flat (row, l, k) indices of the neighbour pairs; every index is in range,
     # so take and put run with mode="clip", which skips their bounds checks.
     pairs = np.arange(rows)[:, None] * n * n + np.flatnonzero(mask)
@@ -536,7 +568,14 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
     total = np.empty((slots, rows, n))
     prod = np.empty((buffer, slots, d, rows, n))
     prior = np.empty((d, rows, n))
-    on = on[:, None, :]
+    # Per-variant views: the (V, R, ...) layout meets the (R, ...) draws.
+    points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
+    thetas = theta.reshape(values, reals, n, d)
+    devs = dev.reshape(values, reals, n, d)
+    errs = err.reshape(values, reals, n, n)
+    gains = gain.reshape(values, reals, n, n)
+    grads = grad.reshape(values, reals, d, n)
+    grad_t = grad.transpose(0, 2, 1)              # (V*R, N, d)
     filled = 0
     with np.errstate(all="ignore"):  # divergence is flagged by _finish
         for t in range(t_len):
@@ -546,17 +585,19 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
             columns[1 : kept + 1] = columns[:kept]
             columns[0] = theta.transpose(2, 0, 1)
             filled = kept + 1
-            point = a_t @ theta if cta else theta     # (V*R, N, d) evaluation points
+            if cta:
+                np.matmul(a_t, theta, out=point)
 
-            # err[row, l, k] = d_l - u_l theta_eval_k
-            points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
-            err = (targets[t] - batch.regressors[t] @ points).reshape(rows, n, n)
-            eps = np.einsum("rlk,lk->rk", err * err, mask)
-            np.clip(err, -1e150, 1e150, out=err)
+            np.matmul(batch.regressors[t], points, out=errs)
+            np.subtract(targets[t], errs, out=errs)
+            np.einsum("rlk,lk->rk", np.multiply(err, err, out=err_sq), mask, out=eps)
+            np.minimum(err, 1e150, out=err)       # clip to +-1e150
+            np.maximum(err, -1e150, out=err)
             np.multiply(err, mask, out=gain)
             np.take(err, pairs, out=pair_err, mode="clip")
             np.put(gain, pairs, bounded_error_gain(delta, pair_err), mode="clip")
-            grad = (u_tr[t] @ gain.reshape(values, reals, n, n)).reshape(rows, d, n) / h
+            np.matmul(u_tr[t], gains, out=grads)
+            np.divide(grad, h, out=grad)
 
             if filled >= 2:
                 evals[0] = point
@@ -569,14 +610,15 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
                 mu_b = np.take(lw_b[:, 1].reshape(filled, -1), gather, axis=1,
                                out=mu[:filled], mode="clip")
                 np.add(lw_b[:, :1, :, :n], mu_b, out=mu_b)
-                np.max(mu_b, axis=0, out=peak)
+                np.maximum.reduce(mu_b, axis=0, out=peak)
                 np.subtract(mu_b, peak, out=mu_b)
                 np.exp(mu_b, out=mu_b)
-                np.sum(mu_b, axis=0, out=total)
+                np.add.reduce(mu_b, axis=0, out=total)
                 np.divide(mu_b, total, out=mu_b)
+                # Pads and the own slot gather the same -0.0 column, so their
+                # weight is mu_own's to the bit and their difference +0.0 or NaN.
                 np.copyto(mu_own[:filled], mu_b[:, -1:])
                 np.subtract(mu_b, mu_own[:filled], out=mu_b)
-                np.multiply(mu_b, on, out=mu_b)
                 # The max is subtracted, so a pair's largest weight is exactly 1 and
                 # the weights, in [0, 1], cannot all underflow. NaN, their only
                 # non-finite value, marks pairs whose log-weights are all -inf or
@@ -585,17 +627,20 @@ def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData
                 terms = np.multiply(columns[:filled, None], mu_b[:, :, None], out=prod[:filled])
                 np.add.reduce(terms.reshape(filled * slots, d, rows, n), axis=0,
                               initial=0.0, out=prior)
-                grad = grad + prior.transpose(1, 0, 2) / sigma
+                np.add(grad, np.divide(prior, sigma, out=prior).transpose(1, 0, 2), out=grad)
 
-            fired = eps > eta
+            np.greater(eps, eta, out=fired)
+            np.add(updates, fired, out=updates)
             if algo.mode == "hard":
-                open_gate = fired.astype(float)
+                np.multiply(step, fired, out=open_gate)
             else:
-                open_gate = expit(2.0 * algo.slope * (eps - eta))
-            updates += fired
-            adapted = point + step * open_gate[:, :, None] * grad.transpose(0, 2, 1)
-            theta = adapted if cta else a_t @ adapted
-            dev = (theta.reshape(values, reals, n, d) - theta_path[t]).reshape(rows, n, d)
+                np.multiply(2.0 * algo.slope, np.subtract(eps, eta, out=open_gate), out=open_gate)
+                np.multiply(step, expit(open_gate, out=open_gate), out=open_gate)
+            np.multiply(open_gate[:, :, None], grad_t, out=step_dir)
+            np.add(point, step_dir, out=adapted)
+            if not cta:
+                np.matmul(a_t, adapted, out=theta)
+            np.subtract(thetas, theta_path[t], out=devs)
             np.einsum("rkd,rkd->rk", dev, dev, out=sq[t])
             if trace_out is not None:
                 trace_out[t] = theta

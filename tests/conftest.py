@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 
 @pytest.fixture
@@ -28,3 +29,20 @@ def small_config_dict(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, NaN positions and signs, the signs of zeros included."""
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@st.composite
+def graphs(draw):
+    """Connected graphs: a random tree plus extra edges, or a star."""
+    n = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        return n, [[1, k] for k in range(2, n + 1)]
+    parents = [draw(st.integers(1, k - 1)) for k in range(2, n + 1)]
+    extra = draw(st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2), max_size=10))
+    return n, [[p, k] for k, p in zip(range(2, n + 1), parents)] + extra

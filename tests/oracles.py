@@ -16,8 +16,9 @@ wild the error is. The update ascends the resulting log-posterior, optionally
 gated by a threshold on the neighbourhood squared error so that quiet
 iterations skip the adapt step but still combine.
 
-`run_npdlms_dense_reference` is the batched engine's kernel-MAP step in its
-earlier dense form, over every node pair; the engine must reproduce its bits.
+`run_npdlms_dense_reference` and `run_baselines_dense_reference` are the
+batched engine's kernel-MAP and baseline steps in their earlier forms, over
+every node pair; the engine must reproduce their bits.
 
 Sign convention: `npdlms_gradient` returns the ascent direction of
 `log_local_objective`, and the update is always theta <- theta_eval +
@@ -33,7 +34,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from diffnet.diffusion import error_gain
+from diffnet.diffusion import DLMSF, DMCC, error_gain
 from diffnet.errors import DiffnetError, DimensionMismatch, InvalidParameters
 from diffnet.npdlms import NPDLMS, bounded_error_gain
 
@@ -85,6 +86,57 @@ def run_baseline_reference(config, spec, data, theta0=None):
             theta = np.array([combine(k, adapted) for k in range(n)])
         trace[t] = theta
     return trace
+
+
+# Gains with g(e) * 0 == e * 0 bit for bit: g(e) has the sign of e, is finite
+# wherever e is, and is e itself or NaN where e is not. Off the neighbourhoods
+# their masked gain is then e * 0, so only neighbour pairs need the costly
+# evaluation. Set it to () for a step that evaluates every gain on every pair.
+_SPARSE_GAINS = (DMCC, DLMSF)
+
+
+def run_baselines_dense_reference(config, specs: list, batch) -> np.ndarray:
+    """Every baseline family in one synchronous run; squared deviations (A, R, T, N).
+
+    The state is (A, R, d, N): family, realization, and the (d, N) matrix
+    whose column k is node k's estimate. Each product runs per (d, N) slice,
+    so every family and realization takes exactly the arithmetic of a run of
+    its own. Only the error gain differs per family.
+
+    The engine's baseline step as it stood before its one gather/scatter of
+    the neighbour pairs: each family's gain is dispatched through
+    `error_gain` and masked over every node pair (l, k), except the
+    `_SPARSE_GAINS`, which it evaluates on the neighbour pairs through fancy
+    indexing. `harness._run_baselines` must match it bit for bit, NaN
+    positions and signs included.
+    """
+    a = config.combination.matrix
+    mask = config.topology.adjacency_mask()
+    nbr, own = np.nonzero(mask)                            # neighbour pairs (l, k)
+    t_len, reals, n, d = batch.regressors.shape
+    steps = np.array([spec.step_size for spec in specs]).reshape(-1, 1, 1, 1)
+    u_tr = batch.regressors.transpose(0, 1, 3, 2)         # (T, R, d, N)
+    targets = batch.targets[:, :, :, None]
+    theta_path = batch.theta_path[:, :, :, None]
+    theta = np.zeros((len(specs), reals, d, n))
+    gains = np.empty((len(specs), reals, n, n))
+    sq = np.empty((t_len, len(specs), reals, n))
+    cta = config.strategy == "cta"
+    with np.errstate(all="ignore"):
+        for t in range(t_len):
+            point = theta @ a if cta else theta
+            err = targets[t] - batch.regressors[t] @ point     # err[., ., l, k]
+            for i, spec in enumerate(specs):
+                if isinstance(spec.kind, _SPARSE_GAINS):
+                    np.multiply(err[i], mask, out=gains[i])
+                    gains[i][:, nbr, own] = error_gain(spec.kind, err[i][:, nbr, own])
+                else:
+                    np.multiply(error_gain(spec.kind, err[i]), mask, out=gains[i])
+            adapted = point + steps * (u_tr[t] @ gains)
+            theta = adapted if cta else adapted @ a
+            dev = theta - theta_path[t]
+            np.einsum("...dk,...dk->...k", dev, dev, out=sq[t])
+    return sq.transpose(1, 2, 0, 3)
 
 
 # --- kernel-MAP chain, one node at a time ------------------------------------

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -282,3 +285,15 @@ def test_shipped_config_simulates(path, tmp_path, capsys):
         assert main(["simulate", "--config", str(path), "--realizations", "1",
                      "--iterations", "20", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == ",".join(["iteration"] + [f"{label}_msd_db" for label in labels])
+
+
+@pytest.mark.parametrize("module", ["diffnet", "diffnet.cli"])
+def test_module_entry_points_print_help_without_warnings(module):
+    """Both `python -m` forms run the front end and write nothing to stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", module, "--help"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("usage: diffnet")

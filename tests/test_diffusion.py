@@ -1,16 +1,23 @@
 """Baseline update families and the ATC/CTA strategy contract."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from conftest import graphs, same_bits, small_config_dict
 from diffnet import harness
 from diffnet.diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, error_gain
 from diffnet.errors import InvalidParameters
 from diffnet.harness import RealizationData, config_from_dict, run_experiment
-from conftest import small_config_dict
-from oracles import run_baseline_reference
+from diffnet.npdlms import NPDLMS
+from oracles import run_baseline_reference, run_baselines_dense_reference
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 ALL_KINDS = [DLMS(), DSELMS(), DMCC(kernel_width=1.0), DLMSF(mix=1.0), DLLAD(scale=1.0)]
 
@@ -219,45 +226,135 @@ def test_determinism_bit_identical_curves():
 
 
 def test_sparse_gains_times_zero_equal_error_times_zero():
-    """The fused engine writes e * 0 off the neighbourhoods for its sparse gains.
+    """Off the neighbourhoods the engine writes each family's masked base,
+    sign(e) * 0 for the `signed` families and e * 0 for the rest, where a
+    dense step writes g(e) * 0; on them it writes g(e), or the base itself
+    for families that are not `pairwise`.
 
-    That is exact only if g(e) * 0 and e * 0 agree bit for bit, signed zeros
-    and NaNs included, for every e.
+    That is exact only if g(e) * 0 equals the base times 0 bit for bit,
+    signed zeros and NaNs included, for every e; and if g is the base to the
+    bit where it is not evaluated separately.
     """
     kinds = ALL_KINDS + [DMCC(kernel_width=0.005), DLMSF(mix=1e-3), DLLAD(scale=10.0)]
-    sparse = [kind for kind in kinds if isinstance(kind, harness._SPARSE_GAINS)]
-    assert sparse
+    assert {type(kind) for kind in kinds if kind.pairwise} == {DMCC, DLMSF, DLLAD}
+    assert {type(kind) for kind in kinds if kind.signed} == {DSELMS, DLLAD}
     e = np.array([0.0, 5e-324, 1e-200, 1e-5, 0.7, 3.0, 1e99, 1e100, 1e150, 1e200,
                   np.finfo(float).max, np.inf, np.nan])
     e = np.concatenate([e, -e])
-    for kind in sparse:
+    for kind in kinds:
+        base = np.sign(e) if kind.signed else e
         with np.errstate(invalid="ignore"):
             lhs = error_gain(kind, e) * 0.0
-            rhs = e * 0.0
+            rhs = base * 0.0
         assert np.array_equal(np.isnan(lhs), np.isnan(rhs)), kind
         finite = ~np.isnan(rhs)
         assert np.array_equal(lhs[finite], rhs[finite]), kind
         assert np.array_equal(np.signbit(lhs[finite]), np.signbit(rhs[finite])), kind
+        if not kind.pairwise:
+            assert same_bits(error_gain(kind, e), base), kind
+    # The masked base is what makes the signed families exact: at +-inf and at
+    # -0.0, e * 0 differs from their g(e) * 0.
+    with np.errstate(invalid="ignore"):
+        assert not same_bits(error_gain(DLLAD(), e) * 0.0, e * 0.0)
+
+
+ALPHA_STABLE = {"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0}
+# dlms_f at step 2 overflows under alpha-stable noise; the other two stay finite.
+SPARSE_OVERFLOW = [{"kind": "dlms_f", "step_size": 2.0},
+                   {"kind": "dmcc", "step_size": 0.5, "kernel_width": 0.5},
+                   {"kind": "dlms_f", "step_size": 0.05, "label": "dlms_f_slow"}]
 
 
 def test_sparse_gain_evaluation_is_bit_identical_to_dense(monkeypatch):
     """Evaluating dmcc and dlms_f on neighbour pairs only changes no bit, even past overflow."""
-    raw = small_config_dict(
-        iterations=300, realizations=3,
-        noise={"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0},
-        algorithms=[
-            {"kind": "dlms_f", "step_size": 2.0},
-            {"kind": "dmcc", "step_size": 0.5, "kernel_width": 0.5},
-            {"kind": "dlms_f", "step_size": 0.05, "label": "dlms_f_slow"},
-        ],
-    )
+    raw = small_config_dict(iterations=300, realizations=3, noise=ALPHA_STABLE,
+                            algorithms=SPARSE_OVERFLOW)
     for strategy in ("cta", "atc"):
         raw["strategy"] = strategy
         cfg = config_from_dict(raw)
         batch, _, _ = harness._draw(cfg, range(cfg.realizations))
         sparse = harness._run_baselines(cfg, cfg.algorithms, batch)
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "_SPARSE_GAINS", ())
-            dense = harness._run_baselines(cfg, cfg.algorithms, batch)
+            patch.setattr(oracles, "_SPARSE_GAINS", ())
+            dense = run_baselines_dense_reference(cfg, cfg.algorithms, batch)
         assert not np.isfinite(sparse[0]).all()
         assert np.array_equal(sparse, dense, equal_nan=True)
+
+
+# --- fused engine against the dense step, bit for bit ----------------------
+
+
+def _assert_matches_dense_step(cfg):
+    """The engine reproduces every bit of the dense step; returns the deviations."""
+    specs = [spec for spec in cfg.algorithms if not isinstance(spec.kind, NPDLMS)]
+    batch, drawn, _ = harness._draw(cfg, range(cfg.realizations))
+    assert drawn == list(range(cfg.realizations))
+    sq = harness._run_baselines(cfg, specs, batch)
+    assert same_bits(sq, run_baselines_dense_reference(cfg, specs, batch))
+    return sq
+
+
+FIVE = [{"kind": "dlms", "step_size": 0.05}, {"kind": "dse_lms", "step_size": 0.03},
+        {"kind": "dmcc", "step_size": 0.05, "kernel_width": 1.3},
+        {"kind": "dlms_f", "step_size": 0.04, "mix": 0.5},
+        {"kind": "dllad", "step_size": 0.05, "scale": 2.0}]
+# Steps that overflow every family under alpha-stable noise: the bounded gains
+# need a step near the largest float before u' theta overflows to +-inf.
+OVERFLOWING = [{"kind": "dlms", "step_size": 2.0}, {"kind": "dse_lms", "step_size": 1e306},
+               {"kind": "dmcc", "step_size": 1e306, "kernel_width": 0.5},
+               {"kind": "dlms_f", "step_size": 2.0}, {"kind": "dllad", "step_size": 1e306}]
+# With regressors of variance 1e100, u' theta overflows while theta is still
+# finite, so off-neighbour errors reach +-inf, where e * 0 is NaN but the
+# signed families' g(e) * 0 is not.
+WIDE = [{"kind": "dse_lms", "step_size": 1e306}, {"kind": "dllad", "step_size": 1e306}]
+
+
+def _families(strategy, algorithms=FIVE, **raw):
+    return config_from_dict(small_config_dict(**{"iterations": 200, "realizations": 3, **raw},
+                                              strategy=strategy, algorithms=algorithms))
+
+
+def _shipped_baselines(name, seed, realizations):
+    return replace(harness.load_config(CONFIGS / f"{name}.yaml"), base_seed=seed,
+                   realizations=realizations)
+
+
+BASELINE_CASES = {
+    **{f"families-{s}": (lambda s=s: _families(s)) for s in ("cta", "atc")},
+    **{f"overflow-{s}": (lambda s=s: _families(s, OVERFLOWING, iterations=300, noise=ALPHA_STABLE))
+       for s in ("cta", "atc")},
+    **{f"overflow-sparse-{s}": (lambda s=s: _families(s, SPARSE_OVERFLOW, iterations=300,
+                                                      noise=ALPHA_STABLE))
+       for s in ("cta", "atc")},
+    **{f"overflow-wide-{s}": (lambda s=s: _families(s, WIDE, iterations=100, noise=ALPHA_STABLE,
+                                                    regressor_variances=1e100))
+       for s in ("cta", "atc")},
+    **{f"{name}-seed{seed}-R{reals}":
+       (lambda name=name, seed=seed, reals=reals: _shipped_baselines(name, seed, reals))
+       for name in ("stationary_gaussian_snr30", "stationary_alpha_stable",
+                    "nonstationary_alpha_stable")
+       for seed in (11, 0, 42) for reals in (1, 2, 4, 16)},
+}
+
+
+@pytest.mark.parametrize("case", BASELINE_CASES, ids=list(BASELINE_CASES))
+def test_baseline_engine_matches_dense_step_bit_for_bit(case):
+    sq = _assert_matches_dense_step(BASELINE_CASES[case]())
+    # Every family of the overflow cases leaves the floats but "overflow-sparse"'s
+    # last two; the other cases stay finite.
+    finite = [not case.startswith("overflow")] * len(sq)
+    if case.startswith("overflow-sparse"):
+        finite = [False, True, True]
+    assert np.isfinite(sq).all(axis=(1, 2, 3)).tolist() == finite
+
+
+@given(graph=graphs(), strategy=st.sampled_from(["cta", "atc"]), seed=st.integers(0, 10**6),
+       algorithms=st.sampled_from([FIVE, OVERFLOWING]), variance=st.sampled_from([1.0, 1e100]))
+@settings(max_examples=40, deadline=None)
+def test_baseline_engine_matches_dense_step_on_random_graphs(graph, strategy, seed, algorithms,
+                                                             variance):
+    nodes, edges = graph
+    _assert_matches_dense_step(config_from_dict(small_config_dict(
+        topology={"nodes": nodes, "edges": edges}, d=2, regressor_variances=variance,
+        theta_o=[0.6, -0.8], iterations=60, realizations=2, base_seed=seed, strategy=strategy,
+        noise=ALPHA_STABLE, algorithms=algorithms)))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_config_dict
+from conftest import graphs, same_bits, small_config_dict
 from diffnet import harness
 from diffnet.errors import DimensionMismatch, InvalidParameters
 from diffnet.npdlms import NPDLMS, bounded_error_gain
@@ -480,12 +480,6 @@ def test_batched_npdlms_matches_per_node_oracle(strategy, gate):
 # --- neighbour-slot engine against the dense step, bit for bit --------------
 
 
-def _same_bits(a, b) -> bool:
-    """Equal values, NaN positions and signs, the signs of zeros included."""
-    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
 def _assert_matches_dense_step(cfg, variants):
     """The engine reproduces every bit of the dense step; returns (sq, trace)."""
     batch, drawn, _ = harness._draw(cfg, range(cfg.realizations))
@@ -494,9 +488,9 @@ def _assert_matches_dense_step(cfg, variants):
     trace, trace_ref = np.empty(shape), np.empty(shape)
     sq, updates = harness._run_npdlms(cfg, variants, batch, trace_out=trace)
     sq_ref, updates_ref = run_npdlms_dense_reference(cfg, variants, batch, trace_out=trace_ref)
-    assert _same_bits(sq, sq_ref)
-    assert _same_bits(updates, updates_ref)
-    assert _same_bits(trace, trace_ref)
+    assert same_bits(sq, sq_ref)
+    assert same_bits(updates, updates_ref)
+    assert same_bits(trace, trace_ref)
     return sq_ref, trace_ref
 
 
@@ -556,17 +550,6 @@ def test_slot_engine_matches_dense_step_on_star_and_single_node():
     for strategy in ("cta", "atc"):
         _assert_matches_dense_step(*_graph_config(8, star, strategy, buffer=4))
         _assert_matches_dense_step(*_graph_config(1, [], strategy, buffer=3))
-
-
-@st.composite
-def graphs(draw):
-    """Connected graphs: a random tree plus extra edges, or a star."""
-    n = draw(st.integers(1, 9))
-    if draw(st.booleans()):
-        return n, [[1, k] for k in range(2, n + 1)]
-    parents = [draw(st.integers(1, k - 1)) for k in range(2, n + 1)]
-    extra = draw(st.lists(st.lists(st.integers(1, n), min_size=2, max_size=2), max_size=10))
-    return n, [[p, k] for k, p in zip(range(2, n + 1), parents)] + extra
 
 
 @given(graph=graphs(), strategy=st.sampled_from(["cta", "atc"]), buffer=st.integers(1, 5),
