@@ -18,8 +18,10 @@ P_{n+1} = F_n P_n F_n' + M Xi_n M with the slopes refreshed every step. One
 `MomentSet` holds that recursion: its fixed pieces, the slopes, F and Xi at the
 steady state, and the steady covariance itself. `build_moments` finds the
 steady state as the recursion's fixed point by alternating Stein solves with
-slope updates, and the steady-state metrics read the last solve. The slopes
-tend to 1 as the error variance falls to 0, so any delta > 0 is admissible.
+slope updates, and the steady-state metrics read the last solve. The fixed
+point and the transient run one in-place step (`_Recursion`), set up once per
+call. The slopes tend to 1 as the error variance falls to 0, so any delta > 0
+is admissible.
 
 Stability and the step-size bound use the small-error slopes E[g'(v_l)],
 v_l ~ N(0, sigma_v,l^2). A bounded gain contracts at every step size once the
@@ -80,7 +82,7 @@ def gain_moments(variance, delta: float):
         slope = 2.0 * z * (k1e(z) - k0e(z)) / np.sqrt(2.0 * np.pi * c)
         second = 1.0 - np.sqrt(np.pi / (2.0 * c)) * erfcx(np.sqrt(2.0 * z))
     small = c < _SERIES_BELOW
-    if np.any(small):
+    if small.any():
         slope = np.where(small, np.polyval(_SLOPE_SERIES, c), slope)
         second = np.where(small, c * np.polyval(_SECOND_SERIES, c), second)
     return slope, delta * delta * second
@@ -182,8 +184,7 @@ class MomentSet:
 
     The first fields are the pieces that stay fixed while the slopes change;
     block-diagonal matrices among them are kept as (N, d, d) stacks of their
-    blocks, and `transition` builds the dense F from such a stack and A.
-    `build_moments` fills in the rest. When the small-error slopes are
+    blocks. `build_moments` fills in the rest. When the small-error slopes are
     mean-stable, the slope-dependent fields hold their values at the
     steady-state fixed point and `steady_covariance` is the Stein solution of
     `mean_transition` and `xi_vec`, both kept from the last solve. Otherwise
@@ -216,85 +217,180 @@ class MomentSet:
     def dim(self) -> int:
         return self.covs.shape[1]
 
-    def gain_statistics(self, phi: np.ndarray):
-        """(slope, second moment, variance, traces) when the error at the
-        evaluation point has second moment `phi`. The first three hold one
-        entry per e_lk, each (N, N) indexed [l, k] and zero where l is not in
-        N_k; traces[l, k, k'] is the cross trace tr(R_l Phi_kk')."""
-        n, d = self.covs.shape[:2]
-        phi4 = np.asarray(phi, dtype=float).reshape(n, d, n, d)
-        traces = (self.covs.reshape(n, d * d)
-                  @ phi4.transpose(3, 1, 0, 2).reshape(d * d, n * n)).reshape(n, n, n)
-        l_idx, k_idx = self.pairs
-        variance = np.zeros((n, n))
-        variance[l_idx, k_idx] = self.noise_variances[l_idx] + traces[l_idx, k_idx, k_idx]
-        slope = np.zeros((n, n))
-        second = np.zeros((n, n))
-        slope[l_idx, k_idx], second[l_idx, k_idx] = gain_moments(variance[l_idx, k_idx], self.delta)
-        return slope, second, variance, traces
 
-    def linearize(self, phi: np.ndarray):
-        """Slopes s_lk, the blocks of C, and the noise covariance Xi at Phi = `phi`."""
-        n, d = self.covs.shape[:2]
-        slope, second, _, traces = self.gain_statistics(phi)
-        diag = np.arange(n)
-        pair = slope[:, :, None] * slope[:, None, :] * (self.noise_variances[:, None, None] + traces)
-        pair[:, diag, diag] = second
-        pair *= self.inv_h * self.inv_h
-        xi = ((pair.reshape(n, n * n).T @ self.covs.reshape(n, d * d))
-              .reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d))
-        coeff = -((slope * self.inv_h).T @ self.covs.reshape(n, d * d)).reshape(n, d, d)
-        return slope, coeff, xi
+class _Recursion:
+    """One step of the linearized covariance recursion, in place.
 
-    def source(self, xi: np.ndarray) -> np.ndarray:
-        """M (Xi + P_outer) M."""
-        return self.step_outer * xi + self.prior_source
+    `linearize(p)` evaluates the step at the error second moment P before the
+    combine: Phi = A_ext P A_ext', the gain statistics of every e_lk, the
+    blocks of B = I + M C - M P and Q = M (Xi + P_outer) M. The transient then
+    overwrites P with B Phi B' + Q (`advance`); the fixed point writes the
+    dense F and Q instead (`transition`, `source`).
 
-    def update_blocks(self, coeff: np.ndarray) -> np.ndarray:
-        """Blocks of B = I + M C - M P, so that F = B A_ext."""
-        return self.prior_blocks + self.step_sizes[:, None, None] * coeff
+    The pair tensor s_lk s_lk' (sigma_v,l^2 + tr(R_l Phi_kk')) / h^2, with
+    E[g(e_lk)^2] / h^2 on k = k', is nonzero only where l is a neighbour of
+    both k and k'. Index tables built once name those entries: the neighbour
+    pairs (l, k), as positions in the traces tr(R_l Phi_kk) and in the (N, N)
+    slopes, and the triples (l, k, k'), k != k'. The rest of the tensor stays
+    zero in a buffer allocated once, as do Phi, the traces, Xi and the blocks.
+    Xi comes out of its product in the (k, k', i, j) layout, so Q is formed
+    there and moved into P's (k, i, k', j) layout by the one strided add.
+    Every matrix product keeps the operand shapes, and every elementwise
+    expression the operand order, of the step that allocates each
+    intermediate, so the two give the same bits; that step is the test
+    oracle.
+    """
 
-    def combine(self, p: np.ndarray) -> np.ndarray:
-        """A_ext P A_ext' for a symmetric P, applying A' to node blocks."""
-        n = self.combination.shape[0]
-        nd = p.shape[0]
-        left = (self.combination.T @ p.reshape(n, -1)).reshape(nd, nd)
-        return (self.combination.T @ left.T.reshape(n, -1)).reshape(nd, nd)
+    def __init__(self, moments: MomentSet):
+        n, d = moments.covs.shape[:2]
+        nd = n * d
+        self.a_t = moments.combination.T
+        self.covs = moments.covs
+        self.covs_flat = moments.covs.reshape(n, d * d)
+        self.delta = moments.delta
+        self.inv_h = moments.inv_h
+        self.inv_h2 = moments.inv_h * moments.inv_h
+        self.prior_blocks = moments.prior_blocks
+        self.neg_steps = -moments.step_sizes[:, None, None]
+        self.step_outer = moments.step_outer.reshape(n, d, n, d).transpose(0, 2, 1, 3).copy()
+        self.prior_source = moments.prior_source.reshape(n, d, n, d).transpose(0, 2, 1, 3).copy()
 
-    def propagate(self, blocks: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        """B Phi B' for a symmetric Phi and block-diagonal B given by `blocks`."""
-        n, d = blocks.shape[:2]
-        nd = phi.shape[0]
-        left = (blocks @ phi.reshape(n, d, nd)).reshape(nd, nd)
-        return (blocks @ left.T.reshape(n, d, nd)).reshape(nd, nd)
+        l_idx, k_idx = moments.pairs
+        self.pair_slope = l_idx * n + k_idx                # [l, k] in (N, N)
+        self.pair_trace = self.pair_slope * n + k_idx      # [l, k, k] in (N, N, N)
+        self.pair_noise = moments.noise_variances[l_idx]
+        slot = np.full((n, n), -1)
+        slot[l_idx, k_idx] = np.arange(l_idx.size)
+        shared = (slot[:, :, None] >= 0) & (slot[:, None, :] >= 0)
+        shared[:, np.arange(n), np.arange(n)] = False
+        tri_l, tri_k, tri_kk = np.nonzero(shared)
+        self.tri_slopes = np.concatenate([slot[tri_l, tri_k], slot[tri_l, tri_kk]])
+        self.tri_trace = (tri_l * n + tri_k) * n + tri_kk  # [l, k, k'] in (N, N, N)
+        self.tri_noise = moments.noise_variances[tri_l]
+        self.pair_entries = np.concatenate([self.tri_trace, self.pair_trace])
+        self.diag_blocks = _diagonal_blocks(n, d)
 
-    def transition(self, blocks: np.ndarray) -> np.ndarray:
-        """Dense F = B A_ext for block-diagonal B: block (k, l) is a_lk B_k."""
-        n, d = blocks.shape[:2]
-        f = blocks[:, None] * self.combination.T[:, :, None, None]   # [k, l, i, j]
-        return f.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+        # Buffers, allocated once, and the views of them each product reads or writes.
+        cut = tri_l.size
+        self.phi, self.left, self.work = (np.empty((nd, nd)) for _ in range(3))
+        self.phi_rows, self.left_rows, self.work_rows = (
+            b.reshape(n, d * nd) for b in (self.phi, self.left, self.work))
+        self.phi_nodes, self.left_nodes, self.work_nodes = (
+            b.reshape(n, d, nd) for b in (self.phi, self.left, self.work))
+        self.phi_t = np.empty((d * d, n * n))
+        self.phi_t_dest = self.phi_t.reshape(d, d, n, n).transpose(2, 1, 3, 0)  # [k, i, k', j]
+        self.traces = np.empty((n, n * n))
+        self.variance = np.empty(l_idx.size)
+        self.slope = None
+        self.tri = np.empty(2 * cut)
+        self.tri_first, self.tri_second = self.tri[:cut], self.tri[cut:]
+        self.tri_cross = np.empty(cut)
+        self.entries = np.empty(cut + l_idx.size)
+        self.entries_cross, self.entries_second = self.entries[:cut], self.entries[cut:]
+        self.pair = np.zeros((n, n, n))
+        self.pair_t = self.pair.reshape(n, n * n).T
+        self.xi = np.empty((n * n, d * d))
+        self.q = self.xi.reshape(n, n, d, d)            # [k, k', i, j]
+        self.q_dense = self.q.transpose(0, 2, 1, 3)     # [k, i, k', j]
+        self.scaled_pairs = np.empty(l_idx.size)
+        self.scaled = np.zeros((n, n))
+        self.coeff = np.empty((n, d * d))
+        self.coeff_blocks = self.coeff.reshape(n, d, d)
+        self.blocks = np.empty((n, d, d))
+        self.a_dense = self.a_t[:, None, :, None]       # a_lk at [k, ., l, .]
+        self.diag = np.empty((n, d, d))
 
-    def recursion(self, phi: np.ndarray):
-        """Slopes, dense F and Q = M (Xi + P_outer) M at Phi = `phi`."""
-        slope, coeff, xi = self.linearize(phi)
-        return slope, self.transition(self.update_blocks(coeff)), self.source(xi)
+    def linearize(self, p: np.ndarray) -> None:
+        """Evaluate the step at the error second moment `p` (Nd x Nd, symmetric)."""
+        # Phi = A_ext P A_ext', applying A' to node blocks
+        np.matmul(self.a_t, p.reshape(self.left_rows.shape), out=self.left_rows)
+        np.copyto(self.work, self.left.T)
+        np.matmul(self.a_t, self.work_rows, out=self.phi_rows)
+        # traces[l, k, k'] = tr(R_l Phi_kk')
+        np.copyto(self.phi_t_dest, self.phi.reshape(self.phi_t_dest.shape))
+        np.matmul(self.covs_flat, self.phi_t, out=self.traces)
+        variance = np.take(self.traces, self.pair_trace, out=self.variance, mode="clip")
+        np.add(self.pair_noise, variance, out=variance)
+        self.slope, second = gain_moments(variance, self.delta)
+        # the pair tensor's nonzero entries, Xi, and Q = M Xi M + M P_outer M
+        np.take(self.slope, self.tri_slopes, out=self.tri, mode="clip")
+        np.multiply(self.tri_first, self.tri_second, out=self.entries_cross)
+        cross = np.take(self.traces, self.tri_trace, out=self.tri_cross, mode="clip")
+        np.add(self.tri_noise, cross, out=cross)
+        np.multiply(self.entries_cross, cross, out=self.entries_cross)
+        self.entries_second[:] = second
+        np.multiply(self.entries, self.inv_h2, out=self.entries)
+        np.put(self.pair, self.pair_entries, self.entries, mode="clip")
+        np.matmul(self.pair_t, self.covs_flat, out=self.xi)
+        np.multiply(self.step_outer, self.q, out=self.q)
+        np.add(self.q, self.prior_source, out=self.q)
+        # B = I + M C - M P with C_k = -sum_l s_lk R_l / h
+        np.multiply(self.slope, self.inv_h, out=self.scaled_pairs)
+        np.put(self.scaled, self.pair_slope, self.scaled_pairs, mode="clip")
+        np.matmul(self.scaled.T, self.covs_flat, out=self.coeff)
+        np.multiply(self.neg_steps, self.coeff_blocks, out=self.blocks)
+        np.add(self.prior_blocks, self.blocks, out=self.blocks)
+
+    def advance(self, p: np.ndarray) -> None:
+        """Overwrite the C-contiguous `p` with B Phi B' + Q from the last `linearize`."""
+        np.matmul(self.blocks, self.phi_nodes, out=self.left_nodes)
+        np.copyto(self.work, self.left.T)
+        np.matmul(self.blocks, self.work_nodes, out=p.reshape(self.work_nodes.shape))
+        p_blocks = p.reshape(self.q_dense.shape)
+        np.add(p_blocks, self.q_dense, out=p_blocks)
+
+    def transition(self, f: np.ndarray) -> np.ndarray:
+        """Write the dense F = B A_ext into `f`: block (k, l) is a_lk B_k."""
+        np.multiply(self.blocks[:, :, None, :], self.a_dense, out=f.reshape(self.q_dense.shape))
+        return f
+
+    def source(self, q: np.ndarray) -> np.ndarray:
+        """Write the dense Q = M (Xi + P_outer) M into `q`."""
+        np.copyto(q.reshape(self.q_dense.shape), self.q_dense)
+        return q
+
+    def slopes(self) -> np.ndarray:
+        """The last slopes as an (N, N) array indexed [l, k], zero off the pairs."""
+        out = np.zeros(self.scaled.shape)
+        out.flat[self.pair_slope] = self.slope
+        return out
+
+    def node_metrics(self, p: np.ndarray, msd: np.ndarray, emse: np.ndarray) -> None:
+        """Per-node MSD and EMSE of `p`, into `msd` and `emse`."""
+        _node_metrics(np.take(p, self.diag_blocks, out=self.diag, mode="clip"),
+                      self.covs, msd, emse)
 
 
-def _steady_fixed_point(moments: MomentSet, slope, f, q):
+def _diagonal_blocks(n: int, d: int) -> np.ndarray:
+    """(N, d, d) flat positions of the diagonal blocks P_kk of an Nd x Nd P."""
+    start = np.arange(n)[:, None, None] * d
+    return (start + np.arange(d)[:, None]) * (n * d) + start + np.arange(d)
+
+
+def _node_metrics(blocks: np.ndarray, covs: np.ndarray, msd: np.ndarray, emse: np.ndarray):
+    """MSD tr(P_kk) and EMSE tr(P_kk R_k) from the (N, d, d) diagonal blocks of P."""
+    np.einsum("kii->k", blocks, out=msd)
+    np.einsum("kij,kji->k", blocks, covs, out=emse)
+
+
+def _steady_fixed_point(recursion: _Recursion, f: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Alternate Stein solves with slope updates until the covariance settles.
 
-    Starts from the small-error slopes, F and Q; returns the slopes, F and Q
-    of the last solve and its solution. Raises UnstableSystem when an iterate's
-    F has spectral radius >= 1.
+    Starts from the step last linearized and its dense F and Q, and writes
+    each update's F and Q over them, so they end as those of the last solve;
+    returns that solve's solution. Raises UnstableSystem when an iterate's F
+    has spectral radius >= 1.
     """
     p = None
     for _ in range(FIXED_POINT_MAX_SOLVES):
         p_next = _solve_stein(f, q)
         if p is not None and (np.linalg.norm(p_next - p)
                               <= FIXED_POINT_TOL * np.linalg.norm(p_next)):
-            return slope, f, q, p_next
+            return p_next
         p = p_next
-        slope, f, q = moments.recursion(moments.combine(p))
+        recursion.linearize(p)
+        recursion.transition(f)
+        recursion.source(q)
     raise NoConvergence(f"steady-state slopes did not settle in {FIXED_POINT_MAX_SOLVES} solves")
 
 
@@ -319,11 +415,14 @@ def build_moments(inputs: TheoryInputs) -> MomentSet:
         theta_o=inputs.theta_o,
     )
 
-    slope, f, q = moments.recursion(np.zeros((n * d, n * d)))
+    recursion = _Recursion(moments)
+    recursion.linearize(np.zeros((n * d, n * d)))
+    f = recursion.transition(np.empty((n * d, n * d)))
+    q = recursion.source(np.empty((n * d, n * d)))
     moments.small_error_radius = spectral_radius(f)
     if moments.small_error_radius < 1.0:
-        slope, f, q, moments.steady_covariance = _steady_fixed_point(moments, slope, f, q)
-    moments.slopes = slope
+        moments.steady_covariance = _steady_fixed_point(recursion, f, q)
+    moments.slopes = recursion.slopes()
     moments.mean_transition = f
     moments.xi_vec = q.flatten(order="F")
     return moments
@@ -366,7 +465,6 @@ def _solve_stein(f: np.ndarray, q: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(120):
             x_next = x + a @ x @ a.T
-            a = a @ a
             delta = np.linalg.norm(x_next - x, "fro")
             x = x_next
             norm = np.linalg.norm(x, "fro")
@@ -377,6 +475,7 @@ def _solve_stein(f: np.ndarray, q: np.ndarray) -> np.ndarray:
                 if np.linalg.norm(x - f @ x @ f.T - q, "fro") <= tol:
                     return x
                 break
+            a = a @ a
     raise UnstableSystem(
         f"Stein solve did not settle: mean transition spectral radius {spectral_radius(f):.6f}"
     )
@@ -416,18 +515,13 @@ def _require_stable(moments: MomentSet) -> None:
         )
 
 
-def _node_metrics(p: np.ndarray, covs: np.ndarray):
-    """MSD tr(P_kk) and EMSE tr(P_kk R_k) from the diagonal blocks of P."""
-    n, d = covs.shape[:2]
-    diag = np.arange(n)
-    blocks = p.reshape(n, d, n, d)[diag, :, diag, :]
-    return np.einsum("kii->k", blocks), np.einsum("kij,kji->k", blocks, covs)
-
-
 def steady_state_metrics(moments: MomentSet) -> PerformanceCurves:
     """Steady-state per-node and network MSD/EMSE of the linearized recursion."""
     _require_stable(moments)
-    node_msd, node_emse = _node_metrics(moments.steady_covariance, moments.covs)
+    n, d = moments.node_count, moments.dim
+    node_msd, node_emse = np.empty(n), np.empty(n)
+    _node_metrics(np.take(moments.steady_covariance, _diagonal_blocks(n, d)), moments.covs,
+                  node_msd, node_emse)
     return PerformanceCurves(
         steady_node_msd=node_msd,
         steady_node_emse=node_emse,
@@ -444,17 +538,19 @@ def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
     P_{n+1} = B_n Phi_n B_n' + M (Xi_n + P_outer) M, with
     Phi_n = A_ext P_n A_ext' and B_n = I + M C_n - M P block-diagonal.
     """
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise InvalidParameters(f"n_max must be an integer >= 0, got {n_max!r}")
     _require_stable(moments)
+    recursion = _Recursion(moments)
     theta_bar = np.tile(moments.theta_o, moments.node_count)
     node_msd = np.empty((n_max + 1, moments.node_count))
     node_emse = np.empty((n_max + 1, moments.node_count))
     p = np.outer(theta_bar, theta_bar)
-    node_msd[0], node_emse[0] = _node_metrics(p, moments.covs)
+    recursion.node_metrics(p, node_msd[0], node_emse[0])
     for step in range(1, n_max + 1):
-        phi = moments.combine(p)
-        _, coeff, xi = moments.linearize(phi)
-        p = moments.propagate(moments.update_blocks(coeff), phi) + moments.source(xi)
-        node_msd[step], node_emse[step] = _node_metrics(p, moments.covs)
+        recursion.linearize(p)
+        recursion.advance(p)
+        recursion.node_metrics(p, node_msd[step], node_emse[step])
 
     return PerformanceCurves(
         node_msd=node_msd,

@@ -20,6 +20,11 @@ iterations skip the adapt step but still combine.
 batched engine's kernel-MAP and baseline steps in their earlier forms, over
 every node pair; the engine must reproduce their bits.
 
+`transient_curves_reference` and `steady_fixed_point_reference` drive the
+closed-form theory's covariance recursion through its earlier step, which
+allocates every intermediate and forms the full (N, N, N) pair tensor; the
+in-place step of `diffnet.theory` must reproduce their bits.
+
 Sign convention: `npdlms_gradient` returns the ascent direction of
 `log_local_objective`, and the update is always theta <- theta_eval +
 step * gate * gradient. The two agree with central finite differences to
@@ -34,6 +39,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import expit, logsumexp
 
+from diffnet import theory
 from diffnet.diffusion import DLMSF, DMCC, error_gain
 from diffnet.errors import DiffnetError, DimensionMismatch, InvalidParameters
 from diffnet.npdlms import NPDLMS, bounded_error_gain
@@ -537,3 +543,117 @@ def estimate_beta_and_r_reference(trace, buffer_size: int, sigma: float, burn_in
             counts += np.exp(-sq / (2.0 * sigma)) >= 0.9
         r_similar[k] = min(buffer_size, max(1, round(counts.mean())))
     return beta_bar, r_similar
+
+
+# --- closed-form theory -------------------------------------------------------
+
+
+def gain_statistics_reference(moments, phi):
+    """(slope, second moment, variance, traces) when the error at the
+    evaluation point has second moment `phi`. The first three hold one entry
+    per e_lk, each (N, N) indexed [l, k] and zero where l is not in N_k;
+    traces[l, k, k'] is the cross trace tr(R_l Phi_kk')."""
+    n, d = moments.covs.shape[:2]
+    phi4 = np.asarray(phi, dtype=float).reshape(n, d, n, d)
+    traces = (moments.covs.reshape(n, d * d)
+              @ phi4.transpose(3, 1, 0, 2).reshape(d * d, n * n)).reshape(n, n, n)
+    l_idx, k_idx = moments.pairs
+    variance = np.zeros((n, n))
+    variance[l_idx, k_idx] = moments.noise_variances[l_idx] + traces[l_idx, k_idx, k_idx]
+    slope = np.zeros((n, n))
+    second = np.zeros((n, n))
+    slope[l_idx, k_idx], second[l_idx, k_idx] = theory.gain_moments(variance[l_idx, k_idx],
+                                                                    moments.delta)
+    return slope, second, variance, traces
+
+
+def linearize_reference(moments, phi):
+    """Slopes s_lk, the blocks of C, and the noise covariance Xi at Phi = `phi`."""
+    n, d = moments.covs.shape[:2]
+    slope, second, _, traces = gain_statistics_reference(moments, phi)
+    diag = np.arange(n)
+    pair = slope[:, :, None] * slope[:, None, :] * (moments.noise_variances[:, None, None] + traces)
+    pair[:, diag, diag] = second
+    pair *= moments.inv_h * moments.inv_h
+    xi = ((pair.reshape(n, n * n).T @ moments.covs.reshape(n, d * d))
+          .reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d))
+    coeff = -((slope * moments.inv_h).T @ moments.covs.reshape(n, d * d)).reshape(n, d, d)
+    return slope, coeff, xi
+
+
+def update_blocks_reference(moments, coeff):
+    """Blocks of B = I + M C - M P, so that F = B A_ext."""
+    return moments.prior_blocks + moments.step_sizes[:, None, None] * coeff
+
+
+def _combine(moments, p):
+    """A_ext P A_ext' for a symmetric P, applying A' to node blocks."""
+    n = moments.combination.shape[0]
+    nd = p.shape[0]
+    left = (moments.combination.T @ p.reshape(n, -1)).reshape(nd, nd)
+    return (moments.combination.T @ left.T.reshape(n, -1)).reshape(nd, nd)
+
+
+def _propagate(blocks, phi):
+    """B Phi B' for a symmetric Phi and block-diagonal B given by `blocks`."""
+    n, d = blocks.shape[:2]
+    nd = phi.shape[0]
+    left = (blocks @ phi.reshape(n, d, nd)).reshape(nd, nd)
+    return (blocks @ left.T.reshape(n, d, nd)).reshape(nd, nd)
+
+
+def _transition(moments, blocks):
+    """Dense F = B A_ext for block-diagonal B: block (k, l) is a_lk B_k."""
+    n, d = blocks.shape[:2]
+    f = blocks[:, None] * moments.combination.T[:, :, None, None]   # [k, l, i, j]
+    return f.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+def _recursion(moments, phi):
+    """Slopes, dense F and Q = M (Xi + P_outer) M at Phi = `phi`."""
+    slope, coeff, xi = linearize_reference(moments, phi)
+    q = moments.step_outer * xi + moments.prior_source
+    return slope, _transition(moments, update_blocks_reference(moments, coeff)), q
+
+
+def node_metrics_reference(p, covs):
+    """MSD tr(P_kk) and EMSE tr(P_kk R_k) from the diagonal blocks of P."""
+    n, d = covs.shape[:2]
+    diag = np.arange(n)
+    blocks = p.reshape(n, d, n, d)[diag, :, diag, :]
+    return np.einsum("kii->k", blocks), np.einsum("kij,kji->k", blocks, covs)
+
+
+def steady_fixed_point_reference(moments):
+    """(slopes, F, xi_vec, steady covariance) that `theory.build_moments` stores,
+    found by the earlier step from the fixed pieces of `moments`; the
+    covariance is None when the small-error slopes are not mean-stable."""
+    n, d = moments.covs.shape[:2]
+    slope, f, q = _recursion(moments, np.zeros((n * d, n * d)))
+    if theory.spectral_radius(f) >= 1.0:
+        return slope, f, q.flatten(order="F"), None
+    p = None
+    for _ in range(theory.FIXED_POINT_MAX_SOLVES):
+        p_next = theory._solve_stein(f, q)
+        if p is not None and (np.linalg.norm(p_next - p)
+                              <= theory.FIXED_POINT_TOL * np.linalg.norm(p_next)):
+            return slope, f, q.flatten(order="F"), p_next
+        p = p_next
+        slope, f, q = _recursion(moments, _combine(moments, p))
+    raise theory.NoConvergence("steady-state slopes did not settle")
+
+
+def transient_curves_reference(moments, n_max):
+    """(node MSD, node EMSE) curves of `theory.transient_curves`, by the earlier step."""
+    theta_bar = np.tile(moments.theta_o, moments.node_count)
+    node_msd = np.empty((n_max + 1, moments.node_count))
+    node_emse = np.empty((n_max + 1, moments.node_count))
+    p = np.outer(theta_bar, theta_bar)
+    node_msd[0], node_emse[0] = node_metrics_reference(p, moments.covs)
+    for step in range(1, n_max + 1):
+        phi = _combine(moments, p)
+        _, coeff, xi = linearize_reference(moments, phi)
+        q = moments.step_outer * xi + moments.prior_source
+        p = _propagate(update_blocks_reference(moments, coeff), phi) + q
+        node_msd[step], node_emse[step] = node_metrics_reference(p, moments.covs)
+    return node_msd, node_emse

@@ -1,14 +1,17 @@
 """Moment construction, stability bound, steady-state and transient theory."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import yaml
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from diffnet import theory
+from diffnet import harness, theory
 from diffnet.errors import (
     DimensionMismatch,
     InsufficientPilot,
@@ -17,9 +20,14 @@ from diffnet.errors import (
 )
 from diffnet.network import build_topology, combination_weights
 from diffnet.npdlms import bounded_error_gain
-from oracles import estimate_beta_and_r_reference
+from oracles import (
+    estimate_beta_and_r_reference,
+    gain_statistics_reference,
+    node_metrics_reference,
+    steady_fixed_point_reference,
+    transient_curves_reference,
+)
 from diffnet.theory import (
-    MomentSet,
     TheoryInputs,
     build_moments,
     estimate_beta_and_r,
@@ -30,6 +38,9 @@ from diffnet.theory import (
     to_db,
     transient_curves,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def single_node_inputs(r=1.0, sv2=1.0, alpha=0.01, delta=0.25, h=1.0, d=3, buffer_size=3,
@@ -175,14 +186,16 @@ def test_transition_matches_dense_block_product(seed):
     Checked on the moments' own update blocks and on random blocks.
     """
     inputs = random_inputs(seed)
-    moments = build_moments(inputs)
+    recursion = theory._Recursion(build_moments(inputs))
     n, d = inputs.topology.node_count, inputs.dim
     a_ext = np.kron(inputs.combination.matrix.T, np.eye(d))
-    _, coeff, _ = moments.linearize(np.zeros((n * d, n * d)))
-    for blocks in (moments.update_blocks(coeff),
+    recursion.linearize(np.zeros((n * d, n * d)))
+    f = np.empty((n * d, n * d))
+    for blocks in (recursion.blocks.copy(),
                    np.random.default_rng(seed).standard_normal((n, d, d))):
+        recursion.blocks[...] = blocks
         expected = scipy.linalg.block_diag(*blocks) @ a_ext
-        assert np.array_equal(moments.transition(blocks), expected)
+        assert np.array_equal(recursion.transition(f), expected)
 
 
 # --- step-size bound ---------------------------------------------------------
@@ -398,6 +411,111 @@ def test_transient_limit_matches_steady_state():
     assert gap_msd <= 0.1 and gap_emse <= 0.1
 
 
+@pytest.mark.parametrize("n_max", [-1, 2.5, 3.0, True, "3", None])
+def test_transient_rejects_bad_step_count(n_max):
+    moments = build_moments(single_node_inputs(alpha=0.05))
+    with pytest.raises(InvalidParameters, match="n_max"):
+        transient_curves(moments, n_max=n_max)
+
+
+def test_transient_zero_steps_is_initial_row():
+    inputs = random_inputs(12, randomize_r=False)
+    n = inputs.topology.node_count
+    inputs.step_sizes = 0.3 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
+    moments = build_moments(inputs)
+    curves = transient_curves(moments, n_max=np.int64(0))
+    longer = transient_curves(moments, n_max=3)
+    assert curves.node_msd.shape == (1, moments.node_count)
+    assert np.array_equal(curves.node_msd, longer.node_msd[:1])
+    assert np.array_equal(curves.node_emse, longer.node_emse[:1])
+
+
+# --- the in-place step against the allocating one -----------------------------
+
+N16_STEPS = tuple(float(mu) for mu in np.linspace(0.02, 0.20, 10))
+
+
+def raw_config(name):
+    return yaml.safe_load((CONFIGS / name).read_text())
+
+
+def n16_inputs(step_size):
+    """The 16-node protocol network with the kernel-MAP theory algorithm."""
+    algo = {"kind": "npdlms", "step_size": step_size, "buffer": 3, "sigma": 1.0, "h": 1.0,
+            "delta": 0.5}
+    raw = {**raw_config("stationary_gaussian_snr30.yaml"), "algorithms": [algo]}
+    return harness.theory_inputs_from_config(harness.config_from_dict(raw))
+
+
+def small_inputs(**changes):
+    config = harness.config_from_dict(raw_config("theory_small.yaml"))
+    return dataclasses.replace(harness.theory_inputs_from_config(config), **changes)
+
+
+def assert_step_matches_reference(inputs, n_max=500):
+    """Slopes, F, Xi, the steady covariance and metrics, and the transient
+    curves are bit for bit those of the allocating step in tests/oracles.py."""
+    moments = build_moments(inputs)
+    slopes, f, xi_vec, steady_cov = steady_fixed_point_reference(moments)
+    assert np.array_equal(moments.slopes, slopes)
+    assert np.array_equal(moments.mean_transition, f)
+    assert np.array_equal(moments.xi_vec, xi_vec)
+    assert np.array_equal(moments.steady_covariance, steady_cov)
+    curves = transient_curves(moments, n_max=n_max)
+    node_msd, node_emse = transient_curves_reference(moments, n_max)
+    assert np.array_equal(curves.node_msd, node_msd)
+    assert np.array_equal(curves.node_emse, node_emse)
+    steady = steady_state_metrics(moments)
+    steady_msd, steady_emse = node_metrics_reference(steady_cov, moments.covs)
+    assert np.array_equal(steady.steady_node_msd, steady_msd)
+    assert np.array_equal(steady.steady_node_emse, steady_emse)
+    return moments
+
+
+@pytest.mark.parametrize("step_size", N16_STEPS)
+def test_step_matches_reference_on_16_node_network(step_size):
+    assert_step_matches_reference(n16_inputs(step_size))
+
+
+def test_step_matches_reference_on_small_config():
+    assert_step_matches_reference(small_inputs())
+
+
+def test_step_matches_reference_with_prior_bias():
+    beta = 1.0 + 0.2 * np.random.default_rng(5).standard_normal((4, 3, 2))
+    inputs = small_inputs(r_similar=np.array([1.0, 2.0, 3.0, 2.0]), beta_bar=beta)
+    assert np.all(inputs.prior_bias_diagonals() != 0.0)
+    assert_step_matches_reference(inputs)
+
+
+def test_step_matches_reference_on_series_branch():
+    """At noise 1e-9 the error variance ends far below the closed forms' range."""
+    inputs = small_inputs(noise_variances=np.full(4, 1e-9))
+    moments = assert_step_matches_reference(inputs)
+    recursion = theory._Recursion(moments)
+    recursion.linearize(moments.steady_covariance)
+    assert recursion.variance.max() / inputs.delta ** 2 < theory._SERIES_BELOW
+
+
+def test_step_matches_reference_at_zero_noise():
+    assert_step_matches_reference(small_inputs(noise_variances=np.zeros(4)))
+
+
+@pytest.mark.parametrize("seed", [31, 33, 39, 40])
+def test_step_matches_reference_with_full_covariances(seed):
+    inputs = random_inputs(seed)
+    n = inputs.topology.node_count
+    inputs.step_sizes = 0.4 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
+    r0 = inputs.regressor_covariances[0]
+    assert np.any(r0 != np.diag(np.diag(r0)))
+    assert_step_matches_reference(inputs)
+
+
+@pytest.mark.parametrize("h, delta", [(2.0, 5.0), (1.7, 0.3)])
+def test_step_matches_reference_at_other_kernel_widths(h, delta):
+    assert_step_matches_reference(small_inputs(h=h, delta=delta))
+
+
 def test_monte_carlo_linearized_recursion_consistency():
     """Simulate the statistically linearized error recursion directly and compare.
 
@@ -405,7 +523,8 @@ def test_monte_carlo_linearized_recursion_consistency():
     drive the error recursion with each gain g(e_lk) replaced by its Bussgang
     decomposition s_lk e_lk + eta_lk, where eta_lk is drawn independently with
     variance E[g(e_lk)^2] - s_lk^2 E[e_lk^2]. The slopes and moments are the
-    model's own (`MomentSet.gain_statistics`), taken at the ensemble second
+    model's own (the reference step's `gain_statistics_reference`, which the
+    in-place step matches bit for bit), taken at the ensemble second
     moment of the error at the evaluation point, so they change along the run
     as they do in the closed form. The ensemble weighted norm must track the
     closed-form recursion within 0.5 dB over the whole curve. The closed form
@@ -431,7 +550,7 @@ def test_monte_carlo_linearized_recursion_consistency():
     mc = np.empty((t_len, n))
     for t in range(t_len):
         ta = tilde @ a_ext.T                       # error at the evaluation point
-        slope, second, variance, _ = moments.gain_statistics(ta.T @ ta / reals)
+        slope, second, variance, _ = gain_statistics_reference(moments, ta.T @ ta / reals)
         residual_sd = np.sqrt(np.maximum(second - slope ** 2 * variance, 0.0))
         us = rng.standard_normal((reals, n, d)) * scale[None]
         v = rng.standard_normal((reals, n)) * np.sqrt(sv2)[None]
