@@ -33,10 +33,6 @@ class UnstableSystem(DiffnetError):
     """The mean transition matrix has spectral radius >= 1."""
 
 
-class InsufficientPilot(DiffnetError):
-    """The pilot trace is too short to estimate buffer statistics."""
-
-
 class ConfigError(DiffnetError):
     """An experiment configuration failed validation."""
 

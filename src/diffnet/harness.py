@@ -804,19 +804,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return result
 
 
-def run_pilot_trace(config: ExperimentConfig, index: int = 0) -> np.ndarray:
-    """(T, N, d) trace of the kernel-MAP estimates from one realization."""
-    spec = config.npdlms_spec()
-    if spec is None:
-        raise ConfigError("pilot trace needs an npdlms algorithm in the config")
-    batch, _, failures = _draw(config, [index])
-    if failures:
-        raise failures[0][1]
-    trace = np.empty((config.iterations, 1, config.topology.node_count, config.dim))
-    _run_npdlms(config, [spec.kind], batch, trace_out=trace)
-    return trace[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # export and sweeps
 
@@ -891,8 +878,8 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
     Requires Gaussian noise (the moment matrices need finite variances), the
     CTA strategy, a stationary environment and a hard gate at eta = 0 (an
     update at every iteration), the only case the moment recursion models.
-    Pilot estimates of `r_similar` and `beta_bar` go in through
-    `dataclasses.replace`, which validates them again.
+    The prediction ignores the kernel prior (sigma, B): it is that of the
+    prior-free update, `buffer: 1`.
     """
     spec = config.npdlms_spec()
     if spec is None:
@@ -919,9 +906,7 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
         step_sizes=np.full(config.topology.node_count, spec.step_size),
         theta_o=config.theta_o,
         h=algo.h,
-        sigma=algo.sigma,
         delta=algo.delta,
-        buffer_size=algo.buffer,
     )
 
 

@@ -36,10 +36,12 @@ class NetworkTopology:
 
     def neighbors(self, k: int) -> tuple:
         """N_k as a sorted tuple of 1-based ids, k included."""
+        if not 1 <= k <= self.node_count:
+            raise IndexOutOfRange(f"node index {k} outside 1..{self.node_count}")
         return self.neighborhoods[k - 1]
 
     def degree(self, k: int) -> int:
-        return len(self.neighborhoods[k - 1])
+        return len(self.neighbors(k))
 
     def adjacency_mask(self) -> np.ndarray:
         """(N, N) array with mask[l, k] = 1 iff l is in N_k (0-based indices)."""

@@ -1,11 +1,14 @@
 """Closed-form mean-square predictions for the kernel-MAP diffusion filter.
 
-The update scores neighbour l's error at node k through the pseudo-Huber gain
-g(e) = e / sqrt(1 + (e/delta)^2), which is bounded by delta. The analysis
-replaces g by its Gaussian statistical linearization (Price's theorem;
-Al-Naffouri & Sayed, "Transient analysis of adaptive filters with error
-nonlinearities", IEEE TSP 51(3), 2003). The error e_lk = u_l theta_tilde_k + v_l
-is taken as N(0, sigma_v,l^2 + tr(R_l Phi_kk)), where Phi is the second moment
+The predictions are those of the prior-free update, the simulator's
+`buffer: 1`: the kernel prior over buffered estimates (its bandwidth sigma and
+buffer length B) does not enter them. The update scores neighbour l's error
+at node k through the pseudo-Huber gain g(e) = e / sqrt(1 + (e/delta)^2),
+which is bounded by delta. The analysis replaces g by its Gaussian
+statistical linearization (Price's theorem; Al-Naffouri & Sayed, "Transient
+analysis of adaptive filters with error nonlinearities", IEEE TSP 51(3),
+2003). The error e_lk = u_l theta_tilde_k + v_l is taken as
+N(0, sigma_v,l^2 + tr(R_l Phi_kk)), where Phi is the second moment
 of the stacked error at the evaluation point. Then:
 
 - the mean recursion uses the slope s_lk = E[g'(e_lk)];
@@ -44,13 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfcx, k0e, k1e
 
-from .errors import (
-    DimensionMismatch,
-    InsufficientPilot,
-    InvalidParameters,
-    NoConvergence,
-    UnstableSystem,
-)
+from .errors import DimensionMismatch, InvalidParameters, NoConvergence, UnstableSystem
 from .network import CombinationMatrix, NetworkTopology, per_node
 
 STEIN_TOL = 1e-10
@@ -90,13 +87,7 @@ def gain_moments(variance, delta: float):
 
 @dataclass
 class TheoryInputs:
-    """Everything the moment construction needs.
-
-    `r_similar` counts buffered neighbour estimates that match the current one
-    (1..B); `beta_bar` holds the per-node, per-lag diagonal scalings relating
-    buffered vectors to the current estimate, shape (N, B, d). The defaults
-    r = B and beta = identity make the prior-bias block vanish.
-    """
+    """Everything the moment construction needs."""
 
     topology: NetworkTopology
     combination: CombinationMatrix
@@ -105,11 +96,7 @@ class TheoryInputs:
     step_sizes: np.ndarray
     theta_o: np.ndarray
     h: float = 1.0
-    sigma: float = 1.0
     delta: float = 0.25
-    buffer_size: int = 3
-    r_similar: np.ndarray | None = None
-    beta_bar: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.topology.node_count
@@ -133,28 +120,14 @@ class TheoryInputs:
             raise DimensionMismatch("combination matrix does not match topology size")
         self.noise_variances = per_node(self.noise_variances, n, "noise_variances")
         self.step_sizes = per_node(self.step_sizes, n, "step_sizes")
-        if np.any(self.noise_variances < 0):
-            raise InvalidParameters("noise variances must be >= 0")
-        if np.any(self.step_sizes <= 0):
-            raise InvalidParameters("step sizes must be > 0")
-        for name in ("h", "sigma", "delta"):
+        if not np.all(np.isfinite(self.noise_variances) & (self.noise_variances >= 0)):
+            raise InvalidParameters("noise_variances must be finite and >= 0")
+        if not np.all(np.isfinite(self.step_sizes) & (self.step_sizes > 0)):
+            raise InvalidParameters("step_sizes must be finite and > 0")
+        for name in ("h", "delta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
-        if self.buffer_size < 1:
-            raise InvalidParameters("buffer_size must be >= 1")
-        if self.r_similar is None:
-            self.r_similar = np.full(n, float(self.buffer_size))
-        else:
-            self.r_similar = per_node(self.r_similar, n, "r_similar")
-            if np.any(self.r_similar < 1) or np.any(self.r_similar > self.buffer_size):
-                raise InvalidParameters("r_similar entries must lie in [1, buffer_size]")
-        if self.beta_bar is None:
-            self.beta_bar = np.ones((n, self.buffer_size, d))
-        else:
-            self.beta_bar = np.asarray(self.beta_bar, dtype=float)
-            if self.beta_bar.shape != (n, self.buffer_size, d):
-                raise DimensionMismatch(f"beta_bar must have shape ({n}, {self.buffer_size}, {d})")
 
     @property
     def dim(self) -> int:
@@ -167,15 +140,6 @@ class TheoryInputs:
         to the noise; 1 at zero noise. Stability and the step bound use it.
         """
         return gain_moments(self.noise_variances, self.delta)[0]
-
-    def prior_bias_diagonals(self) -> np.ndarray:
-        """(N, d) diagonals of the per-node prior-bias blocks."""
-        b = self.buffer_size
-        lag_weight = (b - self.r_similar) / (b * self.r_similar)
-        cross = self.topology.adjacency_mask()
-        np.fill_diagonal(cross, 0.0)
-        beta_sum = self.beta_bar.sum(axis=1)  # sum_i diag(beta_{k,i})
-        return beta_sum * (lag_weight @ cross / self.sigma)[:, None]
 
 
 @dataclass
@@ -198,15 +162,13 @@ class MomentSet:
     noise_variances: np.ndarray
     delta: float
     inv_h: float                # 1 / h
-    prior_blocks: np.ndarray    # I - alpha_k P_k
     step_sizes: np.ndarray      # alpha_k
     step_outer: np.ndarray      # alpha_k alpha_k' spread over the d x d blocks
-    prior_source: np.ndarray    # M P theta_bar theta_bar' P' M
     theta_o: np.ndarray
     slopes: np.ndarray = field(init=False)             # s_lk = E[g'(e_lk)], [l, k]
     small_error_radius: float = field(init=False)      # rho(F) at the small-error slopes
-    mean_transition: np.ndarray = field(init=False)    # F = (I + M C - M P) A_ext
-    xi_vec: np.ndarray = field(init=False)             # vec(M (Xi + P_outer) M)
+    mean_transition: np.ndarray = field(init=False)    # F = (I + M C) A_ext
+    xi_vec: np.ndarray = field(init=False)             # vec(M Xi M)
     steady_covariance: np.ndarray | None = field(init=False, default=None)
 
     @property
@@ -223,7 +185,7 @@ class _Recursion:
 
     `linearize(p)` evaluates the step at the error second moment P before the
     combine: Phi = A_ext P A_ext', the gain statistics of every e_lk, the
-    blocks of B = I + M C - M P and Q = M (Xi + P_outer) M. The transient then
+    blocks of B = I + M C and Q = M Xi M. The transient then
     overwrites P with B Phi B' + Q (`advance`); the fixed point writes the
     dense F and Q instead (`transition`, `source`).
 
@@ -250,10 +212,9 @@ class _Recursion:
         self.delta = moments.delta
         self.inv_h = moments.inv_h
         self.inv_h2 = moments.inv_h * moments.inv_h
-        self.prior_blocks = moments.prior_blocks
+        self.eye = np.eye(d)
         self.neg_steps = -moments.step_sizes[:, None, None]
         self.step_outer = moments.step_outer.reshape(n, d, n, d).transpose(0, 2, 1, 3).copy()
-        self.prior_source = moments.prior_source.reshape(n, d, n, d).transpose(0, 2, 1, 3).copy()
 
         l_idx, k_idx = moments.pairs
         self.pair_slope = l_idx * n + k_idx                # [l, k] in (N, N)
@@ -312,7 +273,7 @@ class _Recursion:
         variance = np.take(self.traces, self.pair_trace, out=self.variance, mode="clip")
         np.add(self.pair_noise, variance, out=variance)
         self.slope, second = gain_moments(variance, self.delta)
-        # the pair tensor's nonzero entries, Xi, and Q = M Xi M + M P_outer M
+        # the pair tensor's nonzero entries, Xi, and Q = M Xi M
         np.take(self.slope, self.tri_slopes, out=self.tri, mode="clip")
         np.multiply(self.tri_first, self.tri_second, out=self.entries_cross)
         cross = np.take(self.traces, self.tri_trace, out=self.tri_cross, mode="clip")
@@ -323,13 +284,12 @@ class _Recursion:
         np.put(self.pair, self.pair_entries, self.entries, mode="clip")
         np.matmul(self.pair_t, self.covs_flat, out=self.xi)
         np.multiply(self.step_outer, self.q, out=self.q)
-        np.add(self.q, self.prior_source, out=self.q)
-        # B = I + M C - M P with C_k = -sum_l s_lk R_l / h
+        # B = I + M C with C_k = -sum_l s_lk R_l / h
         np.multiply(self.slope, self.inv_h, out=self.scaled_pairs)
         np.put(self.scaled, self.pair_slope, self.scaled_pairs, mode="clip")
         np.matmul(self.scaled.T, self.covs_flat, out=self.coeff)
         np.multiply(self.neg_steps, self.coeff_blocks, out=self.blocks)
-        np.add(self.prior_blocks, self.blocks, out=self.blocks)
+        np.add(self.eye, self.blocks, out=self.blocks)
 
     def advance(self, p: np.ndarray) -> None:
         """Overwrite the C-contiguous `p` with B Phi B' + Q from the last `linearize`."""
@@ -345,7 +305,7 @@ class _Recursion:
         return f
 
     def source(self, q: np.ndarray) -> np.ndarray:
-        """Write the dense Q = M (Xi + P_outer) M into `q`."""
+        """Write the dense Q = M Xi M into `q`."""
         np.copyto(q.reshape(self.q_dense.shape), self.q_dense)
         return q
 
@@ -398,9 +358,6 @@ def build_moments(inputs: TheoryInputs) -> MomentSet:
     """Assemble the linearized recursion and solve for its steady state."""
     n, d = inputs.topology.node_count, inputs.dim
     step_diag = np.repeat(inputs.step_sizes, d)
-    step_outer = np.outer(step_diag, step_diag)
-    bias = inputs.prior_bias_diagonals()
-    p_theta = (bias * inputs.theta_o).ravel()
     moments = MomentSet(
         combination=inputs.combination.matrix,
         pairs=np.nonzero(inputs.topology.adjacency_mask()),
@@ -408,10 +365,8 @@ def build_moments(inputs: TheoryInputs) -> MomentSet:
         noise_variances=inputs.noise_variances,
         delta=inputs.delta,
         inv_h=1.0 / inputs.h,
-        prior_blocks=np.eye(d) - inputs.step_sizes[:, None, None] * (bias[:, :, None] * np.eye(d)),
         step_sizes=inputs.step_sizes,
-        step_outer=step_outer,
-        prior_source=step_outer * np.outer(p_theta, p_theta),
+        step_outer=np.outer(step_diag, step_diag),
         theta_o=inputs.theta_o,
     )
 
@@ -433,7 +388,6 @@ def stepsize_upper_bound(inputs: TheoryInputs, k: int) -> float:
     neighbors = [l - 1 for l in inputs.topology.neighbors(k)]
     slopes = inputs.small_error_slopes()
     hessian = sum(slopes[l] * inputs.regressor_covariances[l] for l in neighbors) / inputs.h
-    hessian = hessian + np.diag(inputs.prior_bias_diagonals()[k - 1])
     lam_max = float(np.linalg.eigvalsh(hessian)[-1])
     if lam_max <= 0.0:
         return math.inf
@@ -535,8 +489,8 @@ def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
 
     Carries the error second moment P_n forward from theta_bar theta_bar',
     re-linearizing the gain at every step:
-    P_{n+1} = B_n Phi_n B_n' + M (Xi_n + P_outer) M, with
-    Phi_n = A_ext P_n A_ext' and B_n = I + M C_n - M P block-diagonal.
+    P_{n+1} = B_n Phi_n B_n' + M Xi_n M, with
+    Phi_n = A_ext P_n A_ext' and B_n = I + M C_n block-diagonal.
     """
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise InvalidParameters(f"n_max must be an integer >= 0, got {n_max!r}")
@@ -558,35 +512,3 @@ def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
         network_msd=node_msd.mean(axis=1),
         network_emse=node_emse.mean(axis=1),
     )
-
-
-def estimate_beta_and_r(trace: np.ndarray, buffer_size: int, sigma: float,
-                        burn_in: int = 0):
-    """Estimate the buffer-scaling diagonals and similarity counts from a pilot.
-
-    `trace` has shape (T, N, d): per-iteration estimates of every node.
-    Ratios theta[t-i]/theta[t] are clipped to [-2, 2] with tiny denominators
-    treated as neutral; r counts lags whose normalized kernel value is >= 0.9.
-    """
-    trace = np.asarray(trace, dtype=float)
-    if trace.ndim != 3:
-        raise DimensionMismatch(f"trace must be (T, N, d), got {trace.shape}")
-    post = trace[burn_in:]
-    t_len, n, d = post.shape
-    if t_len - buffer_size < 10 * buffer_size:
-        raise InsufficientPilot(
-            f"need at least {11 * buffer_size} post-burn-in iterations, got {t_len}"
-        )
-    beta_bar = np.empty((n, buffer_size, d))
-    cur = post[buffer_size:]                            # theta_{k,t}, (T', N, d)
-    safe = np.abs(cur) >= 1e-8
-    counts = np.zeros((t_len - buffer_size, n))
-    for i in range(1, buffer_size + 1):
-        past = post[buffer_size - i:t_len - i]          # theta_{k,t-i}
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(safe, past / cur, 1.0)
-        beta_bar[:, i - 1] = np.clip(ratio, -2.0, 2.0).mean(axis=0)
-        sq = ((cur - past) ** 2).sum(axis=2)
-        counts += np.exp(-sq / (2.0 * sigma)) >= 0.9
-    r_similar = np.clip(np.round(counts.mean(axis=0)), 1, buffer_size)
-    return beta_bar, r_similar

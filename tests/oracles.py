@@ -1,5 +1,5 @@
-"""Slow per-node reference implementations that the batched simulation engine
-and the vectorized pilot estimator are checked against.
+"""Slow reference implementations that the batched simulation engine and the
+in-place theory step are checked against.
 
 The baseline runner and the kernel-MAP chain below work one node at a time,
 the way the algorithms are written down, and share nothing with the batched
@@ -524,27 +524,6 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
     return sq.transpose(1, 0, 2), updates
 
 
-def estimate_beta_and_r_reference(trace, buffer_size: int, sigma: float, burn_in: int = 0):
-    """`theory.estimate_beta_and_r`, one node and one lag at a time."""
-    post = np.asarray(trace, dtype=float)[burn_in:]
-    t_len, n, d = post.shape
-    beta_bar = np.empty((n, buffer_size, d))
-    r_similar = np.empty(n)
-    for k in range(n):
-        cur = post[buffer_size:, k, :]                      # theta_{k,t}
-        safe = np.abs(cur) >= 1e-8
-        counts = np.zeros(t_len - buffer_size)
-        for i in range(1, buffer_size + 1):
-            past = post[buffer_size - i:t_len - i, k, :]    # theta_{k,t-i}
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(safe, past / cur, 1.0)
-            beta_bar[k, i - 1] = np.clip(ratio, -2.0, 2.0).mean(axis=0)
-            sq = ((cur - past) ** 2).sum(axis=1)
-            counts += np.exp(-sq / (2.0 * sigma)) >= 0.9
-        r_similar[k] = min(buffer_size, max(1, round(counts.mean())))
-    return beta_bar, r_similar
-
-
 # --- closed-form theory -------------------------------------------------------
 
 
@@ -582,8 +561,8 @@ def linearize_reference(moments, phi):
 
 
 def update_blocks_reference(moments, coeff):
-    """Blocks of B = I + M C - M P, so that F = B A_ext."""
-    return moments.prior_blocks + moments.step_sizes[:, None, None] * coeff
+    """Blocks of B = I + M C, so that F = B A_ext."""
+    return np.eye(moments.dim) + moments.step_sizes[:, None, None] * coeff
 
 
 def _combine(moments, p):
@@ -610,9 +589,9 @@ def _transition(moments, blocks):
 
 
 def _recursion(moments, phi):
-    """Slopes, dense F and Q = M (Xi + P_outer) M at Phi = `phi`."""
+    """Slopes, dense F and Q = M Xi M at Phi = `phi`."""
     slope, coeff, xi = linearize_reference(moments, phi)
-    q = moments.step_outer * xi + moments.prior_source
+    q = moments.step_outer * xi
     return slope, _transition(moments, update_blocks_reference(moments, coeff)), q
 
 
@@ -653,7 +632,7 @@ def transient_curves_reference(moments, n_max):
     for step in range(1, n_max + 1):
         phi = _combine(moments, p)
         _, coeff, xi = linearize_reference(moments, phi)
-        q = moments.step_outer * xi + moments.prior_source
+        q = moments.step_outer * xi
         p = _propagate(update_blocks_reference(moments, coeff), phi) + q
         node_msd[step], node_emse[step] = node_metrics_reference(p, moments.covs)
     return node_msd, node_emse

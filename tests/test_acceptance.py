@@ -96,7 +96,6 @@ def test_criterion_2_stability_bound_bidirectional():
             topology=topo, combination=combination_weights(topo),
             regressor_covariances=covs, noise_variances=r.uniform(0.01, 1, n),
             step_sizes=np.ones(n), theta_o=r.standard_normal(d), delta=0.25,
-            buffer_size=3, r_similar=r.integers(1, 4, n).astype(float),
         )
         bounds = np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
         inputs.step_sizes = 0.9 * bounds

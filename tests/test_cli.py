@@ -256,10 +256,15 @@ def test_compare_golden_digest(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_SHA256
 
 
-def test_theory_golden_digest(tmp_path, capsys):
-    """Transient rows plus the steady_state summary row."""
+@pytest.mark.parametrize("sigma, buffer", [(1.0, 3), (0.2, 8), (1.0, 1)])
+def test_theory_golden_digest(tmp_path, capsys, sigma, buffer):
+    """Transient rows plus the steady_state summary row. The kernel prior's
+    bandwidth and buffer length do not enter the theory, so every (sigma, B)
+    prints the same bytes."""
+    raw = yaml.safe_load((CONFIGS / "theory_small.yaml").read_text())
+    raw["algorithms"][0].update(sigma=sigma, buffer=buffer)
     out = tmp_path / "theory.csv"
-    assert main(["theory", "--config", str(CONFIGS / "theory_small.yaml"),
+    assert main(["theory", "--config", write_config(tmp_path, raw),
                  "--iterations", "100", "--out", str(out)]) == 0
     assert out.read_text().splitlines()[-1].startswith("steady_state,")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == THEORY_SHA256

@@ -17,7 +17,6 @@ from diffnet.harness import (
     load_config,
     realization_rng,
     run_experiment,
-    run_pilot_trace,
     run_realization,
     sweep,
     theory_inputs_from_config,
@@ -309,15 +308,6 @@ def test_kappa_counts_bounded_and_at_max_for_zero_threshold():
     assert result.kappa_mean("npdlms") == 0.0
 
 
-def test_pilot_trace_shape_and_determinism():
-    raw = small_config_dict(iterations=25, algorithms=[{"kind": "npdlms", "step_size": 0.05}])
-    cfg = config_from_dict(raw)
-    t1 = run_pilot_trace(cfg)
-    t2 = run_pilot_trace(cfg)
-    assert t1.shape == (25, 5, 3)
-    assert np.array_equal(t1, t2)
-
-
 def test_theory_inputs_from_config():
     raw = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.3}])
     cfg = config_from_dict(raw)
@@ -325,6 +315,22 @@ def test_theory_inputs_from_config():
     assert inputs.delta == 0.3
     assert inputs.step_sizes[0] == 0.02
     assert inputs.noise_variances.shape == (5,)
+
+
+@pytest.mark.parametrize("sigma, buffer", [(1.0, 3), (0.2, 8), (5.0, 1)])
+def test_theory_inputs_ignore_kernel_prior(sigma, buffer):
+    # The prediction is that of the prior-free update, buffer: 1, whatever the
+    # kernel prior's bandwidth and buffer length.
+    def inputs(**kernel):
+        raw = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 0.02, **kernel}])
+        return theory_inputs_from_config(config_from_dict(raw))
+
+    got, ref = inputs(sigma=sigma, buffer=buffer), inputs(buffer=1)
+    assert np.array_equal(got.topology.adjacency_mask(), ref.topology.adjacency_mask())
+    assert np.array_equal(got.combination.matrix, ref.combination.matrix)
+    assert np.array_equal(got.regressor_covariances, ref.regressor_covariances)
+    for name in ("noise_variances", "step_sizes", "theta_o", "h", "delta"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 
 def test_theory_inputs_reject_alpha_stable():

@@ -67,6 +67,16 @@ def test_bad_index_raises():
         build_topology(3, [(1, 5)])
 
 
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_node_lookup_outside_network_raises(k):
+    # k <= 0 must not wrap round to another node through negative indexing
+    topo = build_topology(3, [(1, 2), (2, 3)])
+    with pytest.raises(IndexOutOfRange):
+        topo.neighbors(k)
+    with pytest.raises(IndexOutOfRange):
+        topo.degree(k)
+
+
 def test_default_topology_every_node_has_a_neighbor():
     topo = default_topology()
     assert topo.node_count == 16

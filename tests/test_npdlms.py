@@ -419,6 +419,23 @@ def test_step_single_node_b1_matches_lms_trajectory():
     assert np.allclose(sq[0, :, 0], expected, rtol=1e-9, atol=1e-20)
 
 
+@pytest.mark.parametrize("sigma", [0.01, 0.3, 10.0])
+def test_buffer_one_run_ignores_sigma(sigma):
+    # With one buffered estimate the kernel prior never enters the step, so a
+    # networked run at B = 1 is the prior-free update that `theory` predicts,
+    # the same bits at every sigma. At B = 3 the prior does move the run.
+    def run(s, buffer):
+        cfg = harness.config_from_dict(small_config_dict(
+            algorithms=[{"kind": "npdlms", "step_size": 0.05, "buffer": buffer, "sigma": s}]))
+        return _run_engine(cfg)[1:]
+
+    sq, updates = run(sigma, 1)
+    ref_sq, ref_updates = run(1.0, 1)
+    assert np.isfinite(sq).all()
+    assert np.array_equal(sq, ref_sq) and np.array_equal(updates, ref_updates)
+    assert not np.array_equal(run(sigma, 3)[0], run(1.0, 3)[0])
+
+
 def test_step_zero_noise_fixed_point(rng):
     d = 2
     theta_o = rng.standard_normal(d)

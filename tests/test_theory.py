@@ -12,16 +12,10 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from diffnet import harness, theory
-from diffnet.errors import (
-    DimensionMismatch,
-    InsufficientPilot,
-    InvalidParameters,
-    UnstableSystem,
-)
+from diffnet.errors import DimensionMismatch, IndexOutOfRange, InvalidParameters, UnstableSystem
 from diffnet.network import build_topology, combination_weights
 from diffnet.npdlms import bounded_error_gain
 from oracles import (
-    estimate_beta_and_r_reference,
     gain_statistics_reference,
     node_metrics_reference,
     steady_fixed_point_reference,
@@ -30,7 +24,6 @@ from oracles import (
 from diffnet.theory import (
     TheoryInputs,
     build_moments,
-    estimate_beta_and_r,
     gain_moments,
     spectral_radius,
     steady_state_metrics,
@@ -43,18 +36,16 @@ from diffnet.theory import (
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def single_node_inputs(r=1.0, sv2=1.0, alpha=0.01, delta=0.25, h=1.0, d=3, buffer_size=3,
-                       r_similar=None):
+def single_node_inputs(r=1.0, sv2=1.0, alpha=0.01, delta=0.25, h=1.0, d=3):
     topo = build_topology(1, [])
     return TheoryInputs(
         topology=topo, combination=combination_weights(topo),
         regressor_covariances=[r * np.eye(d)], noise_variances=sv2, step_sizes=alpha,
-        theta_o=np.ones(d) / np.sqrt(d), delta=delta, h=h, buffer_size=buffer_size,
-        r_similar=r_similar,
+        theta_o=np.ones(d) / np.sqrt(d), delta=delta, h=h,
     )
 
 
-def random_inputs(seed, n_max=4, d_max=3, delta=0.25, randomize_r=True):
+def random_inputs(seed, n_max=4, d_max=3, delta=0.25):
     r = np.random.default_rng(seed)
     n = int(r.integers(2, n_max + 1))
     d = int(r.integers(1, d_max + 1))
@@ -68,13 +59,10 @@ def random_inputs(seed, n_max=4, d_max=3, delta=0.25, randomize_r=True):
     for _ in range(n):
         m = r.standard_normal((d, d))
         covs.append(m @ m.T + 0.3 * np.eye(d))
-    b = 3
-    r_sim = r.integers(1, b + 1, n).astype(float) if randomize_r else None
     return TheoryInputs(
         topology=topo, combination=combination_weights(topo, str(r.choice(["uniform", "metropolis"]))),
         regressor_covariances=covs, noise_variances=r.uniform(0.01, 1.0, n),
         step_sizes=np.ones(n), theta_o=r.standard_normal(d), delta=delta,
-        buffer_size=b, r_similar=r_sim,
     )
 
 
@@ -150,17 +138,11 @@ def test_single_node_maclaurin_block():
     inputs = single_node_inputs(alpha=alpha, sv2=sv2, delta=0.25, h=1.0, d=d)
     moments = build_moments(inputs)
     _, s, _ = scalar_fixed_point(alpha, sv2, r=1.0, d=d, delta=0.25)
-    assert np.allclose(inputs.prior_bias_diagonals(), 0.0)
     assert np.allclose(moments.mean_transition, (1 - alpha * s) * np.eye(d), rtol=0.0, atol=1e-11)
 
 
-def test_prior_bias_vanishes_when_buffers_match():
-    inputs = random_inputs(1, randomize_r=False)  # r_l = B
-    assert np.allclose(inputs.prior_bias_diagonals(), 0.0)
-
-
 def test_zero_step_transition_is_combination_extension():
-    inputs = random_inputs(2, randomize_r=False)
+    inputs = random_inputs(2)
     inputs.step_sizes = np.full(inputs.topology.node_count, 1e-300)
     moments = build_moments(inputs)
     a_ext = np.kron(inputs.combination.matrix.T, np.eye(inputs.dim))
@@ -211,7 +193,7 @@ def test_bound_single_node_value():
 def test_bound_reduces_to_dlms_bound_at_unit_coefficient():
     # as sigma_v -> 0 the small-error slope tends to 1, so with h = 1 the bound
     # is the DLMS bound 2 / lambda_max(sum_l R_l)
-    inputs = random_inputs(5, delta=0.5, randomize_r=False)
+    inputs = random_inputs(5, delta=0.5)
     topo = inputs.topology
     for sv2 in (0.0, 1e-12):
         inputs.noise_variances = np.full(topo.node_count, sv2)
@@ -228,6 +210,13 @@ def test_bound_scales_linearly_with_h():
     assert stepsize_upper_bound(inputs2, 1) == pytest.approx(
         2.0 * stepsize_upper_bound(inputs1, 1), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("k", [0, -1, 5])
+def test_bound_rejects_node_outside_network(k):
+    # theory_small has 4 nodes; k <= 0 must not wrap round to another node's bound
+    with pytest.raises(IndexOutOfRange):
+        stepsize_upper_bound(small_inputs(), k)
 
 
 def test_bound_and_spectral_radius_bidirectional():
@@ -352,23 +341,21 @@ def test_stein_solve_rejects_non_contracting_transition(f):
 
 
 def test_fixed_point_iterate_with_unstable_transition_raises():
-    """Mean-stable at the small-error slopes (rho = 0.153), but a negative
-    prior bias P = -0.2 drives the fixed-point iteration to an F with
-    rho >= 1; there is no steady state to report."""
-    topo = build_topology(2, [(1, 2)])
-    inputs = TheoryInputs(
-        topology=topo, combination=combination_weights(topo),
-        regressor_covariances=[np.eye(1), np.eye(1)], noise_variances=1e-4, step_sizes=0.5,
-        theta_o=np.ones(1), delta=0.05, buffer_size=3, r_similar=np.array([1.0, 1.0]),
-        beta_bar=np.full((2, 3, 1), -0.1),
-    )
-    assert np.allclose(inputs.prior_bias_diagonals(), -0.2)
+    """An iterate whose F has rho >= 1 ends the fixed point; there is no
+    steady state to report. A contracting start F and a tiny Q pass the first
+    solve; at three times the step bound the next linearization's F has
+    rho near 5."""
+    inputs = single_node_inputs(d=1)
+    inputs.step_sizes = np.array([3.0 * stepsize_upper_bound(inputs, 1)])
+    moments = build_moments(inputs)
+    assert moments.small_error_radius > 4.0 and moments.steady_covariance is None
+    f, q = 0.5 * np.eye(1), np.full((1, 1), 1e-6)
     with pytest.raises(UnstableSystem, match="spectral radius"):
-        build_moments(inputs)
+        theory._steady_fixed_point(theory._Recursion(moments), f, q)
 
 
 def test_network_average_identity_bit_exact():
-    inputs = random_inputs(7, randomize_r=False)
+    inputs = random_inputs(7)
     inputs.step_sizes = 0.3 * np.array(
         [stepsize_upper_bound(inputs, k) for k in range(1, inputs.topology.node_count + 1)]
     )
@@ -398,7 +385,7 @@ def test_transient_pure_contraction_decays_to_zero():
 
 
 def test_transient_limit_matches_steady_state():
-    inputs = random_inputs(11, randomize_r=False)
+    inputs = random_inputs(11)
     n = inputs.topology.node_count
     inputs.step_sizes = 0.6 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
     moments = build_moments(inputs)
@@ -419,7 +406,7 @@ def test_transient_rejects_bad_step_count(n_max):
 
 
 def test_transient_zero_steps_is_initial_row():
-    inputs = random_inputs(12, randomize_r=False)
+    inputs = random_inputs(12)
     n = inputs.topology.node_count
     inputs.step_sizes = 0.3 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
     moments = build_moments(inputs)
@@ -479,13 +466,6 @@ def test_step_matches_reference_on_16_node_network(step_size):
 
 def test_step_matches_reference_on_small_config():
     assert_step_matches_reference(small_inputs())
-
-
-def test_step_matches_reference_with_prior_bias():
-    beta = 1.0 + 0.2 * np.random.default_rng(5).standard_normal((4, 3, 2))
-    inputs = small_inputs(r_similar=np.array([1.0, 2.0, 3.0, 2.0]), beta_bar=beta)
-    assert np.all(inputs.prior_bias_diagonals() != 0.0)
-    assert_step_matches_reference(inputs)
 
 
 def test_step_matches_reference_on_series_branch():
@@ -565,55 +545,7 @@ def test_monte_carlo_linearized_recursion_consistency():
     assert gap.max() <= 0.5
 
 
-# --- pilot estimation --------------------------------------------------------
-
-
-def test_estimate_beta_and_r_frozen_trace():
-    trace = np.tile(np.array([0.5, -0.25]), (120, 3, 1))
-    beta, r = estimate_beta_and_r(trace, buffer_size=3, sigma=1.0)
-    assert np.allclose(beta, 1.0)
-    assert np.array_equal(r, np.full(3, 3.0))
-
-
-def test_estimate_beta_and_r_converged_noisy_trace(rng):
-    base = rng.standard_normal((1, 2, 4))
-    trace = base + 1e-4 * rng.standard_normal((200, 2, 4))
-    beta, r = estimate_beta_and_r(trace, buffer_size=3, sigma=1.0)
-    assert np.allclose(beta, 1.0, atol=1e-2)
-    assert np.array_equal(r, np.full(2, 3.0))
-
-
-def test_estimate_beta_and_r_drifting_trace(rng):
-    steps = rng.standard_normal((400, 1, 3))
-    trace = np.cumsum(steps, axis=0)  # strong drift: few similar entries
-    _, r = estimate_beta_and_r(trace, buffer_size=4, sigma=0.05)
-    assert np.all(r >= 1) and np.all(r <= 4)
-    assert r[0] < 4
-
-
-def test_estimate_beta_clips_ratios(rng):
-    trace = np.ones((100, 1, 1))
-    trace[50:, 0, 0] = 1e-3  # huge past/current ratios before the jump settles
-    beta, _ = estimate_beta_and_r(trace, buffer_size=2, sigma=1.0)
-    assert np.all(beta <= 2.0) and np.all(beta >= -2.0)
-
-
-@pytest.mark.parametrize("buffer_size", [2, 3, 5])
-def test_estimate_beta_and_r_matches_per_node_oracle(buffer_size):
-    # Same arithmetic as the per-node loop, so the results must be equal.
-    r = np.random.default_rng(buffer_size)
-    trace = np.cumsum(0.05 * r.standard_normal((300, 4, 3)), axis=0) + 0.3
-    trace[:, 0, 0] = 0.0  # exercises the neutral ratio for tiny denominators
-    beta, r_similar = estimate_beta_and_r(trace, buffer_size, sigma=0.05, burn_in=20)
-    beta_ref, r_ref = estimate_beta_and_r_reference(trace, buffer_size, sigma=0.05, burn_in=20)
-    assert np.array_equal(beta, beta_ref)
-    assert np.array_equal(r_similar, r_ref)
-    assert len(set(r_ref)) > 1
-
-
-def test_estimate_requires_long_enough_pilot():
-    with pytest.raises(InsufficientPilot):
-        estimate_beta_and_r(np.zeros((20, 2, 2)), buffer_size=3, sigma=1.0)
+# --- input validation -------------------------------------------------------
 
 
 def test_theory_inputs_validation():
@@ -622,17 +554,20 @@ def test_theory_inputs_validation():
         TheoryInputs(topology=topo, combination=combination_weights(topo),
                      regressor_covariances=[np.eye(2)], noise_variances=1.0,
                      step_sizes=0.1, theta_o=np.ones(2), delta=0.25)
-    with pytest.raises(InvalidParameters):
-        TheoryInputs(topology=topo, combination=combination_weights(topo),
-                     regressor_covariances=[np.eye(2), np.eye(2)], noise_variances=1.0,
-                     step_sizes=0.1, theta_o=np.ones(2), delta=0.25,
-                     r_similar=np.array([0.5, 2.0]))
-    for name in ("h", "sigma"):
-        for bad in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(InvalidParameters):
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidParameters):
+            TheoryInputs(topology=topo, combination=combination_weights(topo),
+                         regressor_covariances=[np.eye(2), np.eye(2)], noise_variances=1.0,
+                         step_sizes=0.1, theta_o=np.ones(2), h=bad)
+    # Non-finite step sizes and noise variances are rejected by name, not left
+    # to fail inside `build_moments` on a matrix the caller never passed.
+    valid = {"step_sizes": 0.1, "noise_variances": 1.0}
+    for name in valid:
+        for bad in (np.nan, np.inf, [0.1, np.nan], [np.inf, 0.1]):
+            with pytest.raises(InvalidParameters, match=name):
                 TheoryInputs(topology=topo, combination=combination_weights(topo),
-                             regressor_covariances=[np.eye(2), np.eye(2)], noise_variances=1.0,
-                             step_sizes=0.1, theta_o=np.ones(2), **{name: bad})
+                             regressor_covariances=[np.eye(2), np.eye(2)], theta_o=np.ones(2),
+                             **{**valid, name: bad})
     # Covariances must be finite, symmetric and positive semidefinite: a
     # non-symmetric matrix used to yield a steady MSD, and -I was reported as
     # an unstable system rather than as invalid input.
