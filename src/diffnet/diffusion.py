@@ -19,6 +19,7 @@ pairs, while for the others the masked base already is g on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -61,8 +62,8 @@ class DMCC:
     pairwise: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not self.kernel_width > 0:
-            raise InvalidParameters(f"kernel_width must be > 0, got {self.kernel_width}")
+        if not (math.isfinite(self.kernel_width) and self.kernel_width > 0):
+            raise InvalidParameters(f"kernel_width must be finite and > 0, got {self.kernel_width}")
 
     def gain(self, e):
         w = self.kernel_width
@@ -79,8 +80,8 @@ class DLMSF:
     pairwise: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not self.mix > 0:
-            raise InvalidParameters(f"mix must be > 0, got {self.mix}")
+        if not (math.isfinite(self.mix) and self.mix > 0):
+            raise InvalidParameters(f"mix must be finite and > 0, got {self.mix}")
 
     def gain(self, e):
         # e^3 overflows long before the ratio stops being ~e; switch forms. The
@@ -100,8 +101,8 @@ class DLLAD:
     pairwise: ClassVar[bool] = True
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise InvalidParameters(f"scale must be > 0, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise InvalidParameters(f"scale must be finite and > 0, got {self.scale}")
 
     def gain(self, e):
         return np.sign(e) / (1.0 + self.scale * np.abs(e))

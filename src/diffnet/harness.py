@@ -7,27 +7,26 @@ measurement and noise draws are made up front in a fixed order, and every
 configured algorithm runs on the same draws, so comparisons are paired.
 Realizations are statistically independent and reduced in index order.
 
-One engine runs them: realizations go through in memory-bounded chunks of
-CHUNK_REALIZATIONS, stacked on a leading array axis, and every baseline family
-shares one time loop. Each product works on one realization's matrices, so a
-realization gives the same bits in any chunk as it does alone. The nonlinear
-baseline gains are evaluated on the neighbour pairs only, through one gather
-and one scatter for all families, and both time loops run on buffers
-allocated once per call.
+One engine runs them, in one time loop (`_run_chunk`). Realizations go
+through in memory-bounded chunks of CHUNK_REALIZATIONS, and every family runs
+on one state of blocks: one per baseline family and one per value of the
+kernel-MAP record. So a sweep is one pass over shared draws, and the
+baselines run once per chunk for all its values. Each product works on one
+realization's matrices, so a row gives the same bits in any chunk and beside
+any other family as it does alone; the dense steps in the tests are the
+reference for every bit.
 
-A sweep is one pass of the same chunk loop over variants of the kernel-MAP
-record, one per value. The variants share each chunk's draws and its baseline
-run, since neither depends on that record, and the kernel-MAP update runs
-once on V x R rows, one block of R per variant, with the draws broadcast
-rather than copied. Memory is one chunk's draws plus the rows' kernel-MAP
-state and squared deviations.
-
-The kernel-MAP prior couples each node only with its cross neighbours, so it
-runs on a per-node table of neighbour slots (`_neighbour_slots`) rather than
-on all N x N node pairs, and the pseudo-Huber gain is evaluated on neighbour
-pairs only. Its sums add the same nonzero products in the same order as a
-dense step over every pair, from +0.0, so the bits do not change; the dense
-step stays in the tests as the reference.
+Two layout conditions keep those bits, and the code must keep them:
+- einsum adds a sum over a contiguous axis in another order than the same
+  sum over a strided one, so the kernel-MAP's squared deviations and prior
+  log-weights reduce over a contiguous d, through (..., N, d) copies of its
+  blocks, while the baselines reduce over the state's strided d;
+- the prior's contraction must stay an elementwise reduce over its leading
+  (b, slot) axis, whose order no layout of the other axes changes; it runs
+  on (d, V*R, N) copies, where the product with the weights has the
+  longest inner runs.
+The combine and the error and gradient products give the same bits in
+either layout and on strided views.
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ class AlgorithmSpec:
     label: str = ""
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise ConfigError(f"step size must be > 0, got {self.step_size}")
+        if not (math.isfinite(self.step_size) and self.step_size > 0):
+            raise ConfigError(f"step_size must be finite and > 0, got {self.step_size}")
         if not self.label:
             object.__setattr__(self, "label", self.kind.kind)
 
@@ -104,6 +103,8 @@ class ExperimentConfig:
     def __post_init__(self):
         n = self.topology.node_count
         self.theta_o = np.asarray(self.theta_o, dtype=float)
+        if not np.all(np.isfinite(self.theta_o)):
+            raise ConfigError(f"theta_o must be finite, got {self.theta_o}")
         if self.iterations < 1 or self.realizations < 1:
             raise ConfigError("iterations and realizations must be >= 1")
         if self.base_seed < 0:
@@ -146,8 +147,8 @@ def _parse_theta(raw, dim):
     if raw is None or raw == "normalized_ones":
         return np.ones(dim) / math.sqrt(dim)
     theta = np.asarray(raw, dtype=float)
-    if theta.shape != (dim,):
-        raise ConfigError(f"theta_o must have length {dim}")
+    if theta.shape != (dim,) or not np.all(np.isfinite(theta)):
+        raise ConfigError(f"theta_o must be {dim} finite numbers, got {raw!r}")
     return theta
 
 
@@ -389,71 +390,6 @@ def _draw(config: ExperimentConfig, indices):
     return batch, drawn, failures
 
 
-def _run_baselines(config: ExperimentConfig, specs: list, batch: RealizationData) -> np.ndarray:
-    """Every baseline family in one synchronous run; squared deviations (A, R, T, N).
-
-    The state is (A, R, d, N): family, realization, and the (d, N) matrix
-    whose column k is node k's estimate. Each product runs per (d, N) slice,
-    so every family and realization takes exactly the arithmetic of a run of
-    its own. Only the error gain differs per family.
-
-    Each step masks every family's errors (A, R, N, N) in one multiply, the
-    `signed` families' after their sign, and evaluates the `pairwise` gains
-    on the neighbour pairs only: one flat index serves all of those
-    families, for one take and one put. Off the neighbourhoods the masked
-    base equals g(e) * 0 bit for bit (see `diffusion`). Every buffer of the
-    step is allocated once per call, and the dense step stays in
-    `tests/oracles.py` as the reference.
-    """
-    a = config.combination.matrix
-    mask = config.topology.adjacency_mask()
-    t_len, reals, n, d = batch.regressors.shape
-    kinds = [spec.kind for spec in specs]
-    signed = [i for i, kind in enumerate(kinds) if kind.signed]
-    pairwise = [i for i, kind in enumerate(kinds) if kind.pairwise]
-    steps = np.array([spec.step_size for spec in specs]).reshape(-1, 1, 1, 1)
-    u_tr = batch.regressors.transpose(0, 1, 3, 2)         # (T, R, d, N)
-    targets = batch.targets[:, :, :, None]
-    theta_path = batch.theta_path[:, :, :, None]
-    cta = config.strategy == "cta"
-    theta = np.zeros((len(specs), reals, d, n))
-    point = np.empty(theta.shape) if cta else theta     # CTA combines, then adapts
-    adapted = theta if cta else np.empty(theta.shape)   # ATC adapts, then combines
-    err = np.empty((len(specs), reals, n, n))             # err[., ., l, k], then the gains
-    grad = np.empty(theta.shape)
-    dev = np.empty(theta.shape)
-    sq = np.empty((t_len, len(specs), reals, n))
-    # Flat (family, row, l, k) indices of the pairwise families' neighbour pairs;
-    # every index is in range, so take and put run with mode="clip", which
-    # skips their bounds checks.
-    stack = np.arange(len(specs) * reals).reshape(len(specs), reals)   # (A, R) rows
-    flat = np.flatnonzero(mask)
-    pairs = (stack[pairwise, :, None] * n * n + flat).reshape(len(pairwise), reals * len(flat))
-    pair_err = np.empty(pairs.shape)
-    pair_gain = np.empty(pairs.shape)
-    with np.errstate(all="ignore"):
-        for t in range(t_len):
-            if cta:
-                np.matmul(theta, a, out=point)
-            np.matmul(batch.regressors[t], point, out=err)
-            np.subtract(targets[t], err, out=err)
-            np.take(err, pairs, out=pair_err, mode="clip")
-            for i in signed:
-                np.sign(err[i], out=err[i])
-            np.multiply(err, mask, out=err)
-            for j, i in enumerate(pairwise):
-                pair_gain[j] = kinds[i].gain(pair_err[j])
-            np.put(err, pairs, pair_gain, mode="clip")
-            np.matmul(u_tr[t], err, out=grad)
-            np.multiply(steps, grad, out=grad)
-            np.add(point, grad, out=adapted)
-            if not cta:
-                np.matmul(adapted, a, out=theta)
-            np.subtract(theta, theta_path[t], out=dev)
-            np.einsum("...dk,...dk->...k", dev, dev, out=sq[t])
-    return sq.transpose(1, 2, 0, 3)
-
-
 def _neighbour_slots(mask: np.ndarray) -> np.ndarray:
     """Per-node slot table of the kernel prior: index (S, N).
 
@@ -474,177 +410,211 @@ def _neighbour_slots(mask: np.ndarray) -> np.ndarray:
     return index
 
 
-def _run_npdlms(config: ExperimentConfig, variants: list, batch: RealizationData, trace_out=None):
-    """Synchronous run of the config's kernel-MAP algorithm at several variants.
+def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch: RealizationData,
+               trace_out=None):
+    """Every family on one chunk of draws, in one synchronous time loop.
 
-    `variants` lists one `NPDLMS` record per value; they share the first's
-    buffer length and gate mode and slope, and may differ in eta, sigma, h
-    and delta. Variant v takes rows v*R .. v*R + R - 1 of a (V*R, ...) state,
-    and the (T, R, ...) draws broadcast against a (V, R, ...) view of it, so
-    they are never copied per variant.
+    `baselines` lists the A baseline specs and `variants` V kernel-MAP
+    records, possibly none, one per value; the variants share the first's
+    buffer length and gate mode and slope. The state is (A + V, R, d, N): a
+    block of R realizations per family and per variant, each holding the
+    (d, N) matrices whose column k is node k's estimate. The combine, the
+    error and gradient products, the neighbour-pair take and put and the
+    adapt step run once per step over all blocks; the kernel-MAP extras
+    (history, gate energy, clip, prior, gate factor) run on (V*R, ...) views
+    of its blocks. Every buffer is allocated once per call.
 
-    Every node's rings hold the same global history theta_{., n-1..n-B}, so
-    the per-node buffers collapse into one (B, V*R, N, d) array, newest
-    first. The prior couples node k only with its cross neighbours, so its
-    terms live on the slot table of `_neighbour_slots`: one (B, S, V*R, N)
-    softmax over the buffer axis gives the joint weights on the neighbour
-    slots and the own weights on the last slot. The pseudo-Huber gain is
-    evaluated on neighbour pairs only; off them the masked gain is e * 0,
-    which g(e) * 0 equals bit for bit: the clipped errors are finite or NaN,
-    and g(e) has their sign, is finite wherever they are and NaN where they
-    are. Every buffer of the step is allocated once per call.
+    Every block's errors err[., ., l, k] are masked in one multiply, the
+    `signed` families' after their sign. The `pairwise` gains, every
+    variant's pseudo-Huber gain among them, are evaluated on the neighbour
+    pairs only: off them the masked base equals g(e) * 0 bit for bit (see
+    `diffusion`; the clipped kernel-MAP errors are finite or NaN, and its
+    g(e) has their sign).
 
-    Sum order: the prior's contraction adds the products history * (mu_joint
-    - mu_own) over the flattened (b, slot) axis from +0.0, b outer and slots
-    in ascending l with the own slot last. That is the order of a dense
-    contraction over every pair (l, k), minus its products history * (+-0)
-    off the neighbourhoods, which leave a sum that started at +0.0 unchanged;
-    the own slot's zero weight still turns a non-finite history entry into
-    the NaN such a product gives. So every bit matches the dense step kept
-    in `tests/oracles.py`.
+    Every node's rings hold the same global history, so they collapse into
+    one (B, V*R, N, d) array, newest first. The prior couples node k only
+    with its cross neighbours, so its (B, S, V*R, N) softmax lives on the
+    slot table of `_neighbour_slots`. Its contraction adds history *
+    (mu_joint - mu_own) over the flattened (b, slot) axis from +0.0, b outer
+    and the own slot last: a dense contraction over every pair (l, k) in the
+    same order, minus products history * (+-0) that leave a sum begun at
+    +0.0 unchanged; the own slot's zero weight still turns a non-finite
+    history entry into the NaN such a product gives.
 
-    Returns squared deviations (V*R, T, N) and hard-gate update counts
-    (V*R, N); `trace_out`, if given, receives the (T, V*R, N, d) estimates.
+    Returns squared deviations (A + V, R, T, N) and the kernel-MAP update
+    counts (V*R, N), or None without variants; `trace_out`, if given,
+    receives the kernel-MAP estimates (T, V*R, N, d).
     """
-    algo: NPDLMS = variants[0]
-    topo = config.topology
-    a_t = config.combination.matrix.T
-    mask = topo.adjacency_mask()                  # mask[l, k] = 1 iff l in N_k
-    index = _neighbour_slots(mask)
-    slots = index.shape[0]
+    a = config.combination.matrix
+    mask = config.topology.adjacency_mask()       # mask[l, k] = 1 iff l in N_k
     t_len, reals, n, d = batch.regressors.shape
-    values = len(variants)
-    rows = values * reals
-    step = config.npdlms_spec().step_size
+    fams, values = len(baselines), len(variants)
+    blocks = fams + values
     cta = config.strategy == "cta"
-
-    def per_row(name, ndim):
-        # A parameter all variants share stays a scalar, which numpy applies faster.
-        params = [getattr(variant, name) for variant in variants]
-        if len(set(params)) == 1:
-            return params[0]
-        return np.repeat(np.array(params, dtype=float), reals).reshape((rows,) + (1,) * ndim)
-
-    eta = per_row("eta", 1)
-    sigma = per_row("sigma", 1)
-    lw_scale = -2.0 * sigma
-    h = per_row("h", 2)
-    delta = per_row("delta", 1)
-
-    u_tr = batch.regressors.transpose(0, 1, 3, 2)  # (T, R, d, N)
+    u_tr = batch.regressors.transpose(0, 1, 3, 2)         # (T, R, d, N)
     targets = batch.targets[:, :, :, None]
-    theta_path = batch.theta_path[:, :, None, :]
-    theta = np.zeros((rows, n, d))
-    point = np.empty(theta.shape) if cta else theta     # (V*R, N, d) evaluation points
-    adapted = theta if cta else np.empty(theta.shape)
-    step_dir = np.empty(theta.shape)
-    dev = np.empty(theta.shape)
-    sq = np.empty((t_len, rows, n))
-    updates = np.zeros((rows, n))
-    err = np.empty((rows, n, n))                  # err[row, l, k] = d_l - u_l theta_eval_k
-    err_sq = np.empty(err.shape)
-    eps = np.empty((rows, n))
-    fired = np.empty((rows, n), dtype=bool)
-    open_gate = np.empty((rows, n))
-    grad = np.empty((rows, d, n))
-    # Flat (row, l, k) indices of the neighbour pairs; every index is in range,
-    # so take and put run with mode="clip", which skips their bounds checks.
-    pairs = np.arange(rows)[:, None] * n * n + np.flatnonzero(mask)
-    gain = np.empty((rows, n, n))
+    theta = np.zeros((blocks, reals, d, n))
+    point = np.empty(theta.shape) if cta else theta     # CTA combines, then adapts
+    adapted = theta if cta else np.empty(theta.shape)   # ATC adapts, then combines
+    err = np.empty((blocks, reals, n, n))                 # err[., ., l, k], then the gains
+    grad = np.empty(theta.shape)
+    sq = np.empty((t_len, blocks, reals, n))
+    # Flat (block, row, l, k) indices of the pairwise blocks' neighbour pairs,
+    # one line per block; every index is in range, so take and put run with
+    # mode="clip", which skips their bounds checks.
+    kinds = [spec.kind for spec in baselines]
+    signed = [i for i, kind in enumerate(kinds) if kind.signed]
+    pairwise = [i for i, kind in enumerate(kinds) if kind.pairwise]
+    stack = np.arange(blocks * reals).reshape(blocks, reals)
+    flat = np.flatnonzero(mask)
+    paired = pairwise + list(range(fams, blocks))
+    pairs = (stack[paired, :, None] * n * n + flat).reshape(len(paired), reals * len(flat))
     pair_err = np.empty(pairs.shape)
+    pair_gain = np.empty(pairs.shape)
 
-    # Buffers of the prior term, each used through its first `filled` entries.
-    buffer = algo.buffer
-    history = np.empty((buffer, rows, n, d))      # newest first
-    columns = np.empty((buffer, d, rows, n))      # the same, laid out for the contraction
-    evals = np.empty((2, rows, n, d))             # own evaluation point, neighbour estimates
-    diff = np.empty((buffer, 2, rows, n, d))
-    lw = np.full((buffer, 2, rows, n + 1), -0.0)  # column n stays -0.0 (see _neighbour_slots)
-    gather = np.arange(rows)[:, None] * (n + 1) + index[:, None, :]   # (S, V*R, N) into lw[b, 1]
-    mu = np.empty((buffer, slots, rows, n))
-    mu_own = np.empty((buffer, 1, rows, n))
-    nan = np.empty(mu.shape, dtype=bool)
-    peak = np.empty((slots, rows, n))
-    total = np.empty((slots, rows, n))
-    prod = np.empty((buffer, slots, d, rows, n))
-    prior = np.empty((d, rows, n))
-    # Per-variant views: the (V, R, ...) layout meets the (R, ...) draws.
-    points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
-    thetas = theta.reshape(values, reals, n, d)
-    devs = dev.reshape(values, reals, n, d)
-    errs = err.reshape(values, reals, n, n)
-    gains = gain.reshape(values, reals, n, n)
-    grads = grad.reshape(values, reals, d, n)
-    grad_t = grad.transpose(0, 2, 1)              # (V*R, N, d)
-    filled = 0
+    if fams:
+        steps = np.array([spec.step_size for spec in baselines]).reshape(-1, 1, 1, 1)
+        theta_path = batch.theta_path[:, :, :, None]
+        theta_b, grad_b, sq_b = theta[:fams], grad[:fams], sq[:, :fams]
+        dev_b = np.empty(theta_b.shape)
+
+    updates = None
+    if values:
+        algo: NPDLMS = variants[0]
+        rows = values * reals
+        step = config.npdlms_spec().step_size
+
+        def per_value(name, ndim, repeat=reals):
+            # A parameter all variants share stays a scalar, which numpy applies faster.
+            params = [getattr(variant, name) for variant in variants]
+            if len(set(params)) == 1:
+                return params[0]
+            return np.repeat(np.array(params, dtype=float), repeat).reshape((-1,) + (1,) * ndim)
+
+        eta = per_value("eta", 1)
+        sigma = per_value("sigma", 1)
+        lw_scale = -2.0 * sigma
+        h = per_value("h", 2)
+        delta = per_value("delta", 1, repeat=1)
+        index = _neighbour_slots(mask)
+        slots = index.shape[0]
+        # (V*R, ...) views of the kernel-MAP blocks; the _nd views are (V*R, N, d).
+        theta_nd = theta[fams:].reshape(rows, d, n).transpose(0, 2, 1)
+        theta_dr = theta[fams:].reshape(rows, d, n).transpose(1, 0, 2)   # (d, V*R, N)
+        point_nd = point[fams:].reshape(rows, d, n).transpose(0, 2, 1)
+        err_k = err[fams:].reshape(rows, n, n)
+        grad_k = grad[fams:].reshape(rows, d, n)
+        theta_path_nd = batch.theta_path[:, :, None, :]
+        thetas_nd = theta[fams:].transpose(0, 1, 3, 2)    # (V, R, N, d) against the draws
+        dev_k = np.empty((values, reals, n, d))
+        err_sq = np.empty(err_k.shape)
+        eps = np.empty((rows, n))
+        fired = np.empty((rows, n), dtype=bool)
+        updates = np.zeros((rows, n))
+        open_gate = np.empty((rows, n))
+        gate_dn = open_gate[:, None, :]
+
+        # Buffers of the prior term, each used through its first `filled` entries.
+        # The log-weights and the deviations reduce over a contiguous d axis:
+        # einsum adds a strided d in another order (see the module docstring).
+        buffer = algo.buffer
+        history = np.empty((buffer, rows, n, d))  # newest first
+        columns = np.empty((buffer, d, rows, n))  # the same, laid out for the contraction
+        evals = np.empty((2, rows, n, d))         # own evaluation point, neighbour estimates
+        diff = np.empty((buffer, 2, rows, n, d))
+        lw = np.full((buffer, 2, rows, n + 1), -0.0)  # column n stays -0.0 (see _neighbour_slots)
+        gather = np.arange(rows)[:, None] * (n + 1) + index[:, None, :]   # (S, V*R, N) into lw[b, 1]
+        mu = np.empty((buffer, slots, rows, n))
+        mu_own = np.empty((buffer, 1, rows, n))
+        nan = np.empty(mu.shape, dtype=bool)
+        peak = np.empty((slots, rows, n))
+        total = np.empty((slots, rows, n))
+        prod = np.empty((buffer, slots, d, rows, n))
+        prior = np.empty((d, rows, n))
+        filled = 0
+
     with np.errstate(all="ignore"):  # divergence is flagged by _finish
         for t in range(t_len):
-            kept = min(filled, buffer - 1)
-            history[1 : kept + 1] = history[:kept]
-            history[0] = theta
-            columns[1 : kept + 1] = columns[:kept]
-            columns[0] = theta.transpose(2, 0, 1)
-            filled = kept + 1
+            if values:
+                kept = min(filled, buffer - 1)
+                history[1 : kept + 1] = history[:kept]
+                history[0] = theta_nd
+                columns[1 : kept + 1] = columns[:kept]
+                columns[0] = theta_dr
+                filled = kept + 1
             if cta:
-                np.matmul(a_t, theta, out=point)
-
-            np.matmul(batch.regressors[t], points, out=errs)
-            np.subtract(targets[t], errs, out=errs)
-            np.einsum("rlk,lk->rk", np.multiply(err, err, out=err_sq), mask, out=eps)
-            np.minimum(err, 1e150, out=err)       # clip to +-1e150
-            np.maximum(err, -1e150, out=err)
-            np.multiply(err, mask, out=gain)
+                np.matmul(theta, a, out=point)
+            np.matmul(batch.regressors[t], point, out=err)
+            np.subtract(targets[t], err, out=err)
+            if values:
+                np.einsum("rlk,lk->rk", np.multiply(err_k, err_k, out=err_sq), mask, out=eps)
+                np.minimum(err_k, 1e150, out=err_k)   # clip to +-1e150
+                np.maximum(err_k, -1e150, out=err_k)
             np.take(err, pairs, out=pair_err, mode="clip")
-            np.put(gain, pairs, bounded_error_gain(delta, pair_err), mode="clip")
-            np.matmul(u_tr[t], gains, out=grads)
-            np.divide(grad, h, out=grad)
+            for i in signed:
+                np.sign(err[i], out=err[i])
+            np.multiply(err, mask, out=err)
+            for j, i in enumerate(pairwise):
+                pair_gain[j] = kinds[i].gain(pair_err[j])
+            if values:
+                pair_gain[len(pairwise):] = bounded_error_gain(delta, pair_err[len(pairwise):])
+            np.put(err, pairs, pair_gain, mode="clip")
+            np.matmul(u_tr[t], err, out=grad)
+            if fams:
+                np.multiply(steps, grad_b, out=grad_b)
 
-            if filled >= 2:
-                evals[0] = point
-                evals[1] = theta
-                dv = np.subtract(history[:filled, None], evals, out=diff[:filled])
-                lw_b = lw[:filled]
-                np.einsum("bsrnd,bsrnd->bsrn", dv, dv, out=lw_b[..., :n])
-                np.divide(lw_b[..., :n], lw_scale, out=lw_b[..., :n])
-                # joint[b, j, r, k] = lw_own[b, r, k] + lw_nbr[b, r, index[j, k]]
-                mu_b = np.take(lw_b[:, 1].reshape(filled, -1), gather, axis=1,
-                               out=mu[:filled], mode="clip")
-                np.add(lw_b[:, :1, :, :n], mu_b, out=mu_b)
-                np.maximum.reduce(mu_b, axis=0, out=peak)
-                np.subtract(mu_b, peak, out=mu_b)
-                np.exp(mu_b, out=mu_b)
-                np.add.reduce(mu_b, axis=0, out=total)
-                np.divide(mu_b, total, out=mu_b)
-                # Pads and the own slot gather the same -0.0 column, so their
-                # weight is mu_own's to the bit and their difference +0.0 or NaN.
-                np.copyto(mu_own[:filled], mu_b[:, -1:])
-                np.subtract(mu_b, mu_own[:filled], out=mu_b)
-                # The max is subtracted, so a pair's largest weight is exactly 1 and
-                # the weights, in [0, 1], cannot all underflow. NaN, their only
-                # non-finite value, marks pairs whose log-weights are all -inf or
-                # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
-                np.copyto(mu_b, 0.0, where=np.isnan(mu_b, out=nan[:filled]))
-                terms = np.multiply(columns[:filled, None], mu_b[:, :, None], out=prod[:filled])
-                np.add.reduce(terms.reshape(filled * slots, d, rows, n), axis=0,
-                              initial=0.0, out=prior)
-                np.add(grad, np.divide(prior, sigma, out=prior).transpose(1, 0, 2), out=grad)
+            if values:
+                np.divide(grad_k, h, out=grad_k)
+                if filled >= 2:
+                    evals[0] = point_nd
+                    evals[1] = history[0]
+                    dv = np.subtract(history[:filled, None], evals, out=diff[:filled])
+                    lw_b = lw[:filled]
+                    np.einsum("bsrnd,bsrnd->bsrn", dv, dv, out=lw_b[..., :n])
+                    np.divide(lw_b[..., :n], lw_scale, out=lw_b[..., :n])
+                    # joint[b, j, r, k] = lw_own[b, r, k] + lw_nbr[b, r, index[j, k]]
+                    mu_b = np.take(lw_b[:, 1].reshape(filled, -1), gather, axis=1,
+                                   out=mu[:filled], mode="clip")
+                    np.add(lw_b[:, :1, :, :n], mu_b, out=mu_b)
+                    np.maximum.reduce(mu_b, axis=0, out=peak)
+                    np.subtract(mu_b, peak, out=mu_b)
+                    np.exp(mu_b, out=mu_b)
+                    np.add.reduce(mu_b, axis=0, out=total)
+                    np.divide(mu_b, total, out=mu_b)
+                    # Pads and the own slot gather the same -0.0 column, so their
+                    # weight is mu_own's to the bit and their difference +0.0 or NaN.
+                    np.copyto(mu_own[:filled], mu_b[:, -1:])
+                    np.subtract(mu_b, mu_own[:filled], out=mu_b)
+                    # The max is subtracted, so a pair's largest weight is exactly 1 and
+                    # the weights, in [0, 1], cannot all underflow. NaN, their only
+                    # non-finite value, marks pairs whose log-weights are all -inf or
+                    # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
+                    np.copyto(mu_b, 0.0, where=np.isnan(mu_b, out=nan[:filled]))
+                    terms = np.multiply(columns[:filled, None], mu_b[:, :, None], out=prod[:filled])
+                    np.add.reduce(terms.reshape(filled * slots, d, rows, n), axis=0,
+                                  initial=0.0, out=prior)
+                    np.add(grad_k, np.divide(prior, sigma, out=prior).transpose(1, 0, 2), out=grad_k)
+                np.greater(eps, eta, out=fired)
+                np.add(updates, fired, out=updates)
+                if algo.mode == "hard":
+                    np.multiply(step, fired, out=open_gate)
+                else:
+                    np.multiply(2.0 * algo.slope, np.subtract(eps, eta, out=open_gate), out=open_gate)
+                    np.multiply(step, expit(open_gate, out=open_gate), out=open_gate)
+                np.multiply(gate_dn, grad_k, out=grad_k)
 
-            np.greater(eps, eta, out=fired)
-            np.add(updates, fired, out=updates)
-            if algo.mode == "hard":
-                np.multiply(step, fired, out=open_gate)
-            else:
-                np.multiply(2.0 * algo.slope, np.subtract(eps, eta, out=open_gate), out=open_gate)
-                np.multiply(step, expit(open_gate, out=open_gate), out=open_gate)
-            np.multiply(open_gate[:, :, None], grad_t, out=step_dir)
-            np.add(point, step_dir, out=adapted)
+            np.add(point, grad, out=adapted)
             if not cta:
-                np.matmul(a_t, adapted, out=theta)
-            np.subtract(thetas, theta_path[t], out=devs)
-            np.einsum("rkd,rkd->rk", dev, dev, out=sq[t])
-            if trace_out is not None:
-                trace_out[t] = theta
-    return sq.transpose(1, 0, 2), updates
+                np.matmul(adapted, a, out=theta)
+            if fams:
+                np.subtract(theta_b, theta_path[t], out=dev_b)
+                np.einsum("...dk,...dk->...k", dev_b, dev_b, out=sq_b[t])
+            if values:
+                np.subtract(thetas_nd, theta_path_nd[t], out=dev_k)
+                np.einsum("vrkd,vrkd->vrk", dev_k, dev_k, out=sq[t, fams:])
+                if trace_out is not None:
+                    trace_out[t] = theta_nd
+    return sq.transpose(1, 2, 0, 3), updates
 
 
 def _finish(sq: np.ndarray, updates) -> tuple:
@@ -660,29 +630,22 @@ def _finish(sq: np.ndarray, updates) -> tuple:
 def _simulate(config: ExperimentConfig, variants: list, batch: RealizationData) -> list:
     """All configured algorithms, kernel-MAP at every variant, on shared draws.
 
-    `variants` holds one kernel-MAP record per value (see `_run_npdlms`), or
-    [None] where the config has no kernel-MAP algorithm. The baselines run
-    once for all variants, and the kernel-MAP update once on V x R rows.
-    Returns one dict per variant, {label: (squared deviations (R, T, N),
-    update counts (R, N) or None, diverged flags (R,))}. Recorded deviations
-    are capped at RECORD_CAP so diverged runs stay plottable; the flag
-    carries the divergence signal.
+    `variants` holds one kernel-MAP record per value (see `_run_chunk`), or
+    [None] where the config has no kernel-MAP algorithm. One engine call
+    runs the baselines once for all variants and the kernel-MAP update on
+    V x R rows. Returns one dict per variant, {label: (squared deviations
+    (R, T, N), update counts (R, N) or None, diverged flags (R,))}. Recorded
+    deviations are capped at RECORD_CAP so diverged runs stay plottable; the
+    flag carries the divergence signal.
     """
     reals = batch.targets.shape[1]
-    baselines = [spec for spec in config.algorithms if not isinstance(spec.kind, NPDLMS)]
-    shared = dict(zip([spec.label for spec in baselines],
-                      _run_baselines(config, baselines, batch) if baselines else []))
-    out = [{} for _ in variants]
-    for spec in config.algorithms:
-        if isinstance(spec.kind, NPDLMS):
-            sq, updates, diverged = _finish(*_run_npdlms(config, variants, batch))
-            blocks = [slice(v * reals, (v + 1) * reals) for v in range(len(variants))]
-            per_value = [(sq[rows], updates[rows], diverged[rows]) for rows in blocks]
-        else:
-            per_value = [_finish(shared[spec.label], None)] * len(variants)
-        for results, entry in zip(out, per_value):
-            results[spec.label] = entry
-    return out
+    spec = config.npdlms_spec()
+    baselines = [entry for entry in config.algorithms if entry is not spec]
+    sq, updates = _run_chunk(config, baselines, variants if spec else [], batch)
+    shared = {entry.label: _finish(sq[i], None) for i, entry in enumerate(baselines)}
+    return [{entry.label: _finish(sq[len(baselines) + v], updates[v * reals : (v + 1) * reals])
+             if entry is spec else shared[entry.label] for entry in config.algorithms}
+            for v in range(len(variants))]
 
 
 def _realization(results: dict, row: int) -> dict:
@@ -818,6 +781,12 @@ def _write_lines(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _rows(prefix: list, curves: list) -> list:
+    """One CSV line per iteration: `prefix`, the 1-based iteration, each curve's value."""
+    return [",".join(prefix + [str(t)] + [_fmt(x) for x in row])
+            for t, row in enumerate(zip(*curves, strict=True), start=1)]
+
+
 def export_csv(result: RunResult, path, extra_columns=None) -> None:
     """`iteration,<label>_msd_db,...` with one row per iteration, LF endings.
 
@@ -829,10 +798,7 @@ def export_csv(result: RunResult, path, extra_columns=None) -> None:
     extra = extra_columns or {}
     names = [f"{label}_msd_db" for label in result.labels] + list(extra)
     curves = [result.network_msd_db(label) for label in result.labels] + list(extra.values())
-    lines = ["iteration," + ",".join(names)]
-    for t in range(result.iterations):
-        lines.append(",".join([str(t + 1)] + [_fmt(curve[t]) for curve in curves]))
-    _write_lines(path, lines)
+    _write_lines(path, ["iteration," + ",".join(names)] + _rows([], curves))
 
 
 SWEEPABLE = ("eta", "h", "delta", "sigma")
@@ -865,10 +831,7 @@ def export_sweep_csv(values, results, path) -> None:
     header = "param_value,iteration," + ",".join(f"{label}_msd_db" for label in labels)
     lines = [header]
     for value, result in zip(values, results):
-        curves = {label: result.network_msd_db(label) for label in labels}
-        for t in range(result.iterations):
-            row = [_fmt(value), str(t + 1)] + [_fmt(curves[label][t]) for label in labels]
-            lines.append(",".join(row))
+        lines += _rows([_fmt(value)], [result.network_msd_db(label) for label in labels])
     _write_lines(path, lines)
 
 
@@ -893,16 +856,13 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
     if algo.mode != "hard" or algo.eta != 0:
         raise ConfigError("theory predictions model the hard gate at eta = 0 only, got "
                           f"mode {algo.mode!r} with eta = {algo.eta:g}")
-    variances = []
-    for ns in config.noise_specs:
-        if not isinstance(ns, noise_models.Gaussian):
-            raise ConfigError("theory predictions require gaussian noise")
-        variances.append(ns.variance)
+    if not all(isinstance(ns, noise_models.Gaussian) for ns in config.noise_specs):
+        raise ConfigError("theory predictions require gaussian noise")
     return TheoryInputs(
         topology=config.topology,
         combination=config.combination,
         regressor_covariances=[v * np.eye(config.dim) for v in config.regressor_variances],
-        noise_variances=np.array(variances),
+        noise_variances=np.array([ns.variance for ns in config.noise_specs]),
         step_sizes=np.full(config.topology.node_count, spec.step_size),
         theta_o=config.theta_o,
         h=algo.h,

@@ -169,8 +169,8 @@ class RandomWalk:
     decay: float = 0.99
 
     def __post_init__(self):
-        if self.q_variance < 0.0:
-            raise InvalidParameters(f"q_variance must be >= 0, got {self.q_variance}")
+        if not (math.isfinite(self.q_variance) and self.q_variance >= 0.0):
+            raise InvalidParameters(f"q_variance must be finite and >= 0, got {self.q_variance}")
 
 
 class GroundTruth:

@@ -116,6 +116,8 @@ class TheoryInputs:
         self.theta_o = np.asarray(self.theta_o, dtype=float)
         if self.theta_o.shape != (d,):
             raise DimensionMismatch(f"theta_o must have length {d}")
+        if not np.all(np.isfinite(self.theta_o)):
+            raise InvalidParameters(f"theta_o must be finite, got {self.theta_o}")
         if self.combination.node_count != n:
             raise DimensionMismatch("combination matrix does not match topology size")
         self.noise_variances = per_node(self.noise_variances, n, "noise_variances")

@@ -113,8 +113,8 @@ def run_baselines_dense_reference(config, specs: list, batch) -> np.ndarray:
     the neighbour pairs: each family's gain is dispatched through
     `error_gain` and masked over every node pair (l, k), except the
     `_SPARSE_GAINS`, which it evaluates on the neighbour pairs through fancy
-    indexing. `harness._run_baselines` must match it bit for bit, NaN
-    positions and signs included.
+    indexing. `harness._run_chunk` must match it bit for bit on its baseline
+    blocks, NaN positions and signs included.
     """
     a = config.combination.matrix
     mask = config.topology.adjacency_mask()
@@ -439,9 +439,10 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
     layout: the prior's softmax and contraction, and the pseudo-Huber gain,
     over every node pair (l, k) with the off-neighbourhood pairs masked.
 
-    Same arguments and returns as `harness._run_npdlms`, which must match it
-    bit for bit, NaN positions and signs of zero included: the slot layout
-    only drops products history * (+-0) from sums that start at +0.0.
+    Returns squared deviations (V*R, T, N) and update counts (V*R, N).
+    `harness._run_chunk` must match it bit for bit on its kernel-MAP blocks,
+    NaN positions and signs of zero included: the slot layout only drops
+    products history * (+-0) from sums that start at +0.0.
     Every node's rings hold the same global history, so they collapse into
     one (B, V*R, N, d) array and the mu weights into one (B, V*R, N, N)
     softmax per row.

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from diffnet.errors import ConfigError, PartialFailure
+from diffnet.errors import ConfigError, InvalidParameters, PartialFailure
 from diffnet.harness import (
     AlgorithmSpec,
     config_from_dict,
@@ -21,7 +21,7 @@ from diffnet.harness import (
     sweep,
     theory_inputs_from_config,
 )
-from conftest import small_config_dict
+from conftest import same_bits, small_config_dict
 
 
 def test_zero_step_single_iteration_msd_is_initial_deviation():
@@ -218,6 +218,42 @@ def test_gate_section_is_checked_and_the_only_place_for_the_gate(overrides, name
 def test_nonpositive_regressor_variance_is_config_error(noise, variance):
     with pytest.raises(ConfigError):
         config_from_dict(small_config_dict(noise=noise, regressor_variances=variance))
+
+
+INF, NAN = float("inf"), float("nan")
+VARIANCE_NOISE = {"kind": "gaussian", "variance": 0.01}
+
+
+def _config(**overrides):
+    return config_from_dict(small_config_dict(**overrides))
+
+
+def _theory_inputs(**overrides):
+    cfg = _config(algorithms=[{"kind": "npdlms", "step_size": 0.05}])
+    return replace(theory_inputs_from_config(cfg), **overrides)
+
+
+@pytest.mark.parametrize("build,named", [
+    (lambda: _config(algorithms=[{"kind": "dlms", "step_size": INF}]), "step_size"),
+    (lambda: _config(algorithms=[{"kind": "npdlms", "step_size": INF}]), "step_size"),
+    (lambda: _config(environment={"kind": "random_walk", "q_variance": NAN}), "q_variance"),
+    (lambda: _config(environment={"kind": "random_walk", "q_variance": INF}), "q_variance"),
+    (lambda: _config(theta_o=[NAN, 1.0, 0.0], noise=VARIANCE_NOISE), "theta_o"),
+    (lambda: _config(theta_o=[NAN, 1.0, 0.0]), "theta_o"),
+    (lambda: replace(_config(), theta_o=[1.0, INF, 0.0]), "theta_o"),
+    (lambda: _config(algorithms=[{"kind": "dmcc", "step_size": 0.05, "kernel_width": INF}]),
+     "kernel_width"),
+    (lambda: _config(algorithms=[{"kind": "dlms_f", "step_size": 0.05, "mix": INF}]), "mix"),
+    (lambda: _config(algorithms=[{"kind": "dllad", "step_size": 0.05, "scale": INF}]), "scale"),
+    (lambda: _theory_inputs(theta_o=np.array([NAN, 1.0, 0.0])), "theta_o"),
+], ids=["dlms-step-inf", "npdlms-step-inf", "q-variance-nan", "q-variance-inf", "theta-nan-variance",
+        "theta-nan-snr", "theta-inf-replace", "kernel-width-inf", "mix-inf", "scale-inf",
+        "theory-theta-nan"])
+def test_non_finite_parameters_are_rejected_by_name(build, named):
+    """A non-finite parameter used to pass validation, and every run then
+    diverged or never moved; the record that holds it now names it."""
+    with pytest.raises((ConfigError, InvalidParameters), match=named):
+        build()
 
 
 def test_yaml_round_trip(tmp_path):
@@ -489,11 +525,55 @@ def test_chunked_experiment_equals_index_order_sum_of_realizations(monkeypatch, 
     both = harness_mod._simulate(cfg, [cfg.npdlms_spec().kind], batch)[0]
     alone = run_realization(cfg, 1)
     assert both["dlms"][2][0]
-    assert np.isnan(harness_mod._run_baselines(cfg, cfg.algorithms[:1], batch)[0, 0]).any()
+    assert np.isnan(harness_mod._run_chunk(cfg, cfg.algorithms[:1], [], batch)[0][0, 0]).any()
     for label in result.labels:
         assert np.array_equal(both[label][0][1], alone[label][0])
         assert both[label][2][1] == alone[label][2]
     assert np.array_equal(both["npdlms"][1][1], alone["npdlms"][1])
+
+
+@pytest.mark.parametrize("gate", [{"eta": 0.0, "mode": "hard"}, {"eta": 0.2, "mode": "smooth"}],
+                         ids=["hard", "smooth"])
+@pytest.mark.parametrize("strategy", ["cta", "atc"])
+def test_families_stay_isolated_in_the_one_time_loop(strategy, gate):
+    """Every baseline family and every kernel-MAP variant share one time loop,
+    yet each one's rows are, bit for bit, those of an engine run of it alone.
+
+    dlms_f at step 2 overflows under this alpha-stable noise, and an infinite
+    target turns the dlms run of realization 0 into NaN, while dllad's gain
+    takes that error to zero: no NaN may reach the rows of another family,
+    variant or realization.
+    """
+    import diffnet.harness as harness_mod
+
+    algorithms = _five_families_and_npdlms()
+    algorithms[3] = {"kind": "dlms_f", "step_size": 2.0, "mix": 0.5}
+    cfg = config_from_dict(small_config_dict(
+        iterations=120, realizations=3, strategy=strategy, gate=gate, algorithms=algorithms,
+        noise={"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0}))
+    spec = cfg.npdlms_spec()
+    variants = [replace(spec.kind, eta=eta) for eta in (0.0, 0.3, 3.0)]
+    batch, _, _ = harness_mod._draw(cfg, range(cfg.realizations))
+    batch.targets[50:, 0, 2] = np.inf
+    mixed = harness_mod._simulate(cfg, variants, batch)
+    flags = {label: entry[2] for label, entry in mixed[0].items()}
+    assert flags["dlms_f"][1:].any() and not flags["dlms"][1:].any()
+    assert flags["dlms"][0] and not flags["dllad"][0]
+
+    def alone(spec, variant):
+        return harness_mod._simulate(replace(cfg, algorithms=[spec]), [variant], batch)[0][spec.label]
+
+    for entry in cfg.algorithms:
+        kernel_map = entry is spec
+        for variant, results in zip(variants, mixed):
+            sq, updates, diverged = alone(entry, variant if kernel_map else None)
+            got_sq, got_updates, got_diverged = results[entry.label]
+            assert same_bits(got_sq, sq), (entry.label, variant)
+            assert (got_updates is None) == (not kernel_map)
+            assert got_updates is None or same_bits(got_updates, updates)
+            assert np.array_equal(got_diverged, diverged), (entry.label, variant)
+            if not kernel_map:
+                break  # the baselines' rows serve every variant
 
 
 # --- sweeps: one chunked pass over shared draws --------------------------------
@@ -541,16 +621,16 @@ def test_sweep_equals_run_experiment_per_value(monkeypatch, case):
     raw.update(overrides)
     cfg = config_from_dict(raw)
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
-    run_baselines = harness_mod._run_baselines
+    run_chunk = harness_mod._run_chunk
     calls = []
 
-    def counting(config, specs, batch):
-        calls.append(batch.targets.shape[1])
-        return run_baselines(config, specs, batch)
+    def counting(config, baselines, variants, batch, trace_out=None):
+        calls.append((len(variants), batch.targets.shape[1]))
+        return run_chunk(config, baselines, variants, batch, trace_out)
 
-    monkeypatch.setattr(harness_mod, "_run_baselines", counting)
+    monkeypatch.setattr(harness_mod, "_run_chunk", counting)
     swept = sweep(cfg, parameter, values)
-    assert calls == ([2, 2, 1] if len(cfg.algorithms) > 1 else [])
+    assert calls == [(3, 2), (3, 2), (3, 1)]
     assert len(swept) == len(values)
     for value, result in zip(values, swept):
         algorithms = [replace(spec, kind=replace(spec.kind, **{parameter: value}))
