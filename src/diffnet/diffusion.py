@@ -10,11 +10,9 @@ like. The ATC and CTA orderings of that step live in the simulation engine
 (`harness`).
 
 Each family's `gain` is its formula, written once and called by `error_gain`
-and by the engine alike. The engine lays the gains out on an (N, N) matrix of
-node pairs masked to the neighbourhoods. Off them it writes the masked base,
-sign(e) * 0 for the `signed` families and e * 0 for the rest, which equals
-g(e) * 0 bit for bit; `pairwise` families then evaluate g on the neighbour
-pairs, while for the others the masked base already is g on them.
+and by the engine alike. The engine evaluates it on the neighbour pairs (l, k)
+only, into an (N, N) matrix of node pairs that holds +0.0 off the
+neighbourhoods, so a non-finite error reaches no node outside them.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ class DLMS:
     """Plain diffusion LMS: g(e) = e."""
 
     kind: ClassVar[str] = "dlms"
-    signed: ClassVar[bool] = False
-    pairwise: ClassVar[bool] = False
 
     def gain(self, e):
         return e
@@ -45,8 +41,6 @@ class DSELMS:
     """Diffusion sign-error LMS: g(e) = sign(e)."""
 
     kind: ClassVar[str] = "dse_lms"
-    signed: ClassVar[bool] = True
-    pairwise: ClassVar[bool] = False
 
     def gain(self, e):
         return np.sign(e)
@@ -58,8 +52,6 @@ class DMCC:
 
     kernel_width: float = 2.0
     kind: ClassVar[str] = "dmcc"
-    signed: ClassVar[bool] = False
-    pairwise: ClassVar[bool] = True
 
     def __post_init__(self):
         if not (math.isfinite(self.kernel_width) and self.kernel_width > 0):
@@ -76,8 +68,6 @@ class DLMSF:
 
     mix: float = 1.0
     kind: ClassVar[str] = "dlms_f"
-    signed: ClassVar[bool] = False
-    pairwise: ClassVar[bool] = True
 
     def __post_init__(self):
         if not (math.isfinite(self.mix) and self.mix > 0):
@@ -97,8 +87,6 @@ class DLLAD:
 
     scale: float = 1.0
     kind: ClassVar[str] = "dllad"
-    signed: ClassVar[bool] = True
-    pairwise: ClassVar[bool] = True
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):

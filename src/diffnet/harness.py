@@ -38,7 +38,6 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.special import expit
 
 from . import noise as noise_models
 from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS
@@ -410,6 +409,24 @@ def _neighbour_slots(mask: np.ndarray) -> np.ndarray:
     return index
 
 
+def _combine(state: np.ndarray, a: np.ndarray, links: np.ndarray, finite: np.ndarray, out):
+    """out = state @ a, each node taking non-finite values from its neighbours only.
+
+    A product a_lk * inf with a_lk = 0 is NaN, so the plain product would hand
+    one node's inf to every node. In the (d, N) matrices of the state that
+    hold one, the nodes none of whose neighbours (links[l, k] = a_lk != 0) is
+    non-finite take the product of the matrix with those entries zeroed: the
+    same bits a finite neighbourhood gives. `finite` is a bool buffer of the
+    state's shape.
+    """
+    np.matmul(state, a, out=out)
+    if not np.isfinite(state, out=finite).all():
+        rows = ~finite.all(axis=(-2, -1))         # the matrices that hold one
+        ok = finite[rows]
+        reached = np.matmul(~ok.all(axis=-2), links)[..., None, :]
+        out[rows] = np.where(reached, out[rows], np.where(ok, state[rows], 0.0) @ a)
+
+
 def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch: RealizationData,
                trace_out=None):
     """Every family on one chunk of draws, in one synchronous time loop.
@@ -422,14 +439,16 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     error and gradient products, the neighbour-pair take and put and the
     adapt step run once per step over all blocks; the kernel-MAP extras
     (history, gate energy, clip, prior, gate factor) run on (V*R, ...) views
-    of its blocks. Every buffer is allocated once per call.
+    of its blocks. Every buffer is allocated once per call; only `_combine`'s
+    repair of the matrices that hold a non-finite value allocates per step.
 
-    Every block's errors err[., ., l, k] are masked in one multiply, the
-    `signed` families' after their sign. The `pairwise` gains, every
-    variant's pseudo-Huber gain among them, are evaluated on the neighbour
-    pairs only: off them the masked base equals g(e) * 0 bit for bit (see
-    `diffusion`; the clipped kernel-MAP errors are finite or NaN, and its
-    g(e) has their sign).
+    Every family's gain, every variant's pseudo-Huber gain among them, is
+    evaluated on the neighbour pairs of the errors err[., ., l, k] only, and
+    put into a gain matrix that holds +0.0 off the neighbourhoods for the
+    whole run. The gate energy sums a node's own neighbourhood, and the
+    combine (`_combine`) keeps a non-finite estimate out of the nodes it
+    does not reach, so a non-finite value travels one hop per combine, as
+    the network would pass it.
 
     Every node's rings hold the same global history, so they collapse into
     one (B, V*R, N, d) array, newest first. The prior couples node k only
@@ -446,6 +465,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     receives the kernel-MAP estimates (T, V*R, N, d).
     """
     a = config.combination.matrix
+    links = a != 0
     mask = config.topology.adjacency_mask()       # mask[l, k] = 1 iff l in N_k
     t_len, reals, n, d = batch.regressors.shape
     fams, values = len(baselines), len(variants)
@@ -456,19 +476,17 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     theta = np.zeros((blocks, reals, d, n))
     point = np.empty(theta.shape) if cta else theta     # CTA combines, then adapts
     adapted = theta if cta else np.empty(theta.shape)   # ATC adapts, then combines
-    err = np.empty((blocks, reals, n, n))                 # err[., ., l, k], then the gains
+    err = np.empty((blocks, reals, n, n))                 # err[., ., l, k]
+    gains = np.zeros(err.shape)                           # written on the neighbour pairs only
     grad = np.empty(theta.shape)
+    finite = np.empty(theta.shape, dtype=bool)
     sq = np.empty((t_len, blocks, reals, n))
-    # Flat (block, row, l, k) indices of the pairwise blocks' neighbour pairs,
-    # one line per block; every index is in range, so take and put run with
-    # mode="clip", which skips their bounds checks.
+    # Flat (block, row, l, k) indices of the neighbour pairs, one line per
+    # block; every index is in range, so take and put run with mode="clip",
+    # which skips their bounds checks.
     kinds = [spec.kind for spec in baselines]
-    signed = [i for i, kind in enumerate(kinds) if kind.signed]
-    pairwise = [i for i, kind in enumerate(kinds) if kind.pairwise]
-    stack = np.arange(blocks * reals).reshape(blocks, reals)
     flat = np.flatnonzero(mask)
-    paired = pairwise + list(range(fams, blocks))
-    pairs = (stack[paired, :, None] * n * n + flat).reshape(len(paired), reals * len(flat))
+    pairs = (np.arange(blocks * reals)[:, None] * n * n + flat).reshape(blocks, reals * len(flat))
     pair_err = np.empty(pairs.shape)
     pair_gain = np.empty(pairs.shape)
 
@@ -496,18 +514,21 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         lw_scale = -2.0 * sigma
         h = per_value("h", 2)
         delta = per_value("delta", 1, repeat=1)
+        if algo.mode == "smooth":
+            from scipy.special import expit
         index = _neighbour_slots(mask)
         slots = index.shape[0]
         # (V*R, ...) views of the kernel-MAP blocks; the _nd views are (V*R, N, d).
         theta_nd = theta[fams:].reshape(rows, d, n).transpose(0, 2, 1)
         theta_dr = theta[fams:].reshape(rows, d, n).transpose(1, 0, 2)   # (d, V*R, N)
         point_nd = point[fams:].reshape(rows, d, n).transpose(0, 2, 1)
-        err_k = err[fams:].reshape(rows, n, n)
+        pair_err_k = pair_err[fams:]                      # (V, R*P): row r's pairs at r*P
         grad_k = grad[fams:].reshape(rows, d, n)
         theta_path_nd = batch.theta_path[:, :, None, :]
         thetas_nd = theta[fams:].transpose(0, 1, 3, 2)    # (V, R, N, d) against the draws
         dev_k = np.empty((values, reals, n, d))
-        err_sq = np.empty(err_k.shape)
+        gains_k = gains[fams:].reshape(rows, n, n)
+        pair_sq = pair_gain[fams:]                     # the squared errors, then the gains
         eps = np.empty((rows, n))
         fired = np.empty((rows, n), dtype=bool)
         updates = np.zeros((rows, n))
@@ -543,23 +564,22 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                 columns[0] = theta_dr
                 filled = kept + 1
             if cta:
-                np.matmul(theta, a, out=point)
+                _combine(theta, a, links, finite, point)
             np.matmul(batch.regressors[t], point, out=err)
             np.subtract(targets[t], err, out=err)
-            if values:
-                np.einsum("rlk,lk->rk", np.multiply(err_k, err_k, out=err_sq), mask, out=eps)
-                np.minimum(err_k, 1e150, out=err_k)   # clip to +-1e150
-                np.maximum(err_k, -1e150, out=err_k)
             np.take(err, pairs, out=pair_err, mode="clip")
-            for i in signed:
-                np.sign(err[i], out=err[i])
-            np.multiply(err, mask, out=err)
-            for j, i in enumerate(pairwise):
-                pair_gain[j] = kinds[i].gain(pair_err[j])
+            for i, kind in enumerate(kinds):
+                pair_gain[i] = kind.gain(pair_err[i])
             if values:
-                pair_gain[len(pairwise):] = bounded_error_gain(delta, pair_err[len(pairwise):])
-            np.put(err, pairs, pair_gain, mode="clip")
-            np.matmul(u_tr[t], err, out=grad)
+                # Off the neighbourhoods the gains hold +0.0, so the masked sum
+                # of the squared errors never forms inf * 0.
+                np.put(gains, pairs[fams:], np.multiply(pair_err_k, pair_err_k, out=pair_sq), mode="clip")
+                np.einsum("rlk,lk->rk", gains_k, mask, out=eps)
+                np.minimum(pair_err_k, 1e150, out=pair_err_k)   # clip to +-1e150
+                np.maximum(pair_err_k, -1e150, out=pair_err_k)
+                pair_gain[fams:] = bounded_error_gain(delta, pair_err_k)
+            np.put(gains, pairs, pair_gain, mode="clip")
+            np.matmul(u_tr[t], gains, out=grad)
             if fams:
                 np.multiply(steps, grad_b, out=grad_b)
 
@@ -605,7 +625,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
 
             np.add(point, grad, out=adapted)
             if not cta:
-                np.matmul(adapted, a, out=theta)
+                _combine(adapted, a, links, finite, theta)
             if fams:
                 np.subtract(theta_b, theta_path[t], out=dev_b)
                 np.einsum("...dk,...dk->...k", dev_b, dev_b, out=sq_b[t])

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfcx, k0e, k1e
 
 from .errors import DimensionMismatch, InvalidParameters, NoConvergence, UnstableSystem
 from .network import CombinationMatrix, NetworkTopology, per_node
@@ -73,6 +72,8 @@ def gain_moments(variance, delta: float):
     E[(1 + c Z^2)^(-1)] = sqrt(pi / (2c)) erfcx(1 / sqrt(2c)).
     The slope is 1 and the second moment 0 at zero variance.
     """
+    from scipy.special import erfcx, k0e, k1e  # loaded on the first theory call
+
     c = np.asarray(variance, dtype=float) / (delta * delta)
     with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 falls to the series
         z = 0.25 / c

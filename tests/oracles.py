@@ -94,11 +94,31 @@ def run_baseline_reference(config, spec, data, theta0=None):
     return trace
 
 
-# Gains with g(e) * 0 == e * 0 bit for bit: g(e) has the sign of e, is finite
-# wherever e is, and is e itself or NaN where e is not. Off the neighbourhoods
-# their masked gain is then e * 0, so only neighbour pairs need the costly
-# evaluation. Set it to () for a step that evaluates every gain on every pair.
+# Gains evaluated on the neighbour pairs only; the pairs off the
+# neighbourhoods hold +0.0 for every family, so only neighbour pairs need the
+# costly evaluation. Set it to () for a step that evaluates every gain on
+# every pair.
 _SPARSE_GAINS = (DMCC, DLMSF)
+
+
+def local_combine(combine, state, links, d_axis):
+    """combine(state), each node taking non-finite values from its neighbours only.
+
+    `combine` applies the combination matrix to a state whose axis `d_axis`
+    holds the d entries of a node's estimate. The plain product hands a
+    non-finite estimate to every node (a_lk * inf = NaN where a_lk = 0); a
+    node none of whose neighbours (links[l, k] = a_lk != 0) holds one takes
+    the product of the state with the non-finite entries zeroed instead.
+    """
+    bad = ~np.isfinite(state)
+    reached = np.expand_dims(bad.any(axis=d_axis) @ links, d_axis)
+    return np.where(reached, combine(state), combine(np.where(bad, 0.0, state)))
+
+
+def neighbourhood_energy(err, mask):
+    """eps[r, k]: the sum of err[r, l, k]^2 over l in N_k, the squares zeroed
+    off the neighbourhoods so that an infinite error there adds +0.0."""
+    return np.einsum("rlk,lk->rk", np.where(mask > 0, err * err, 0.0), mask)
 
 
 def run_baselines_dense_reference(config, specs: list, batch) -> np.ndarray:
@@ -111,12 +131,14 @@ def run_baselines_dense_reference(config, specs: list, batch) -> np.ndarray:
 
     The engine's baseline step as it stood before its one gather/scatter of
     the neighbour pairs: each family's gain is dispatched through
-    `error_gain` and masked over every node pair (l, k), except the
-    `_SPARSE_GAINS`, which it evaluates on the neighbour pairs through fancy
-    indexing. `harness._run_chunk` must match it bit for bit on its baseline
-    blocks, NaN positions and signs included.
+    `error_gain` over every node pair (l, k) and set to +0.0 off the
+    neighbourhoods, except the `_SPARSE_GAINS`, which it evaluates on the
+    neighbour pairs through fancy indexing. The combine is `local_combine`.
+    `harness._run_chunk` must match it bit for bit on its baseline blocks, NaN
+    positions and signs included.
     """
     a = config.combination.matrix
+    links = a != 0
     mask = config.topology.adjacency_mask()
     nbr, own = np.nonzero(mask)                            # neighbour pairs (l, k)
     t_len, reals, n, d = batch.regressors.shape
@@ -130,16 +152,17 @@ def run_baselines_dense_reference(config, specs: list, batch) -> np.ndarray:
     cta = config.strategy == "cta"
     with np.errstate(all="ignore"):
         for t in range(t_len):
-            point = theta @ a if cta else theta
+            point = local_combine(lambda x: x @ a, theta, links, -2) if cta else theta
             err = targets[t] - batch.regressors[t] @ point     # err[., ., l, k]
             for i, spec in enumerate(specs):
                 if isinstance(spec.kind, _SPARSE_GAINS):
-                    np.multiply(err[i], mask, out=gains[i])
+                    gains[i] = 0.0
                     gains[i][:, nbr, own] = error_gain(spec.kind, err[i][:, nbr, own])
                 else:
-                    np.multiply(error_gain(spec.kind, err[i]), mask, out=gains[i])
+                    gains[i] = error_gain(spec.kind, err[i])
+                    gains[i][:, mask == 0] = 0.0
             adapted = point + steps * (u_tr[t] @ gains)
-            theta = adapted if cta else adapted @ a
+            theta = adapted if cta else local_combine(lambda x: x @ a, adapted, links, -2)
             dev = theta - theta_path[t]
             np.einsum("...dk,...dk->...k", dev, dev, out=sq[t])
     return sq.transpose(1, 2, 0, 3)
@@ -437,7 +460,8 @@ def run_npdlms_reference(config, spec, data):
 def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
     """The engine's kernel-MAP step as it stood before the neighbour-slot
     layout: the prior's softmax and contraction, and the pseudo-Huber gain,
-    over every node pair (l, k) with the off-neighbourhood pairs masked.
+    over every node pair (l, k) with the off-neighbourhood pairs masked; the
+    gate energy is `neighbourhood_energy` and the combine `local_combine`.
 
     Returns squared deviations (V*R, T, N) and update counts (V*R, N).
     `harness._run_chunk` must match it bit for bit on its kernel-MAP blocks,
@@ -450,6 +474,7 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
     algo = variants[0]
     topo = config.topology
     a_t = config.combination.matrix.T
+    links = a_t.T != 0
     mask = topo.adjacency_mask()                  # mask[l, k] = 1 iff l in N_k
     cross = mask.copy()
     np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
@@ -482,14 +507,15 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
     with np.errstate(all="ignore"):
         for t in range(t_len):
             history = np.concatenate((theta[None], history[: algo.buffer - 1]))
-            point = a_t @ theta if cta else theta     # (V*R, N, d) evaluation points
+            # (V*R, N, d) evaluation points
+            point = local_combine(lambda x: a_t @ x, theta, links, -1) if cta else theta
 
             # err[row, l, k] = d_l - u_l theta_eval_k
             points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
             err = (targets[t] - batch.regressors[t] @ points).reshape(rows, n, n)
-            eps = np.einsum("rlk,lk->rk", err * err, mask)
+            eps = neighbourhood_energy(err, mask)
             err = np.clip(err, -1e150, 1e150)
-            gain = (bounded_error_gain(delta, err) * mask).reshape(values, reals, n, n)
+            gain = np.where(mask > 0, bounded_error_gain(delta, err), 0.0).reshape(values, reals, n, n)
             grad = (u_tr[t] @ gain).reshape(rows, d, n) / h   # (V*R, d, N)
 
             if history.shape[0] >= 2:
@@ -517,7 +543,7 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
                 open_gate = expit(2.0 * algo.slope * (eps - eta))
             updates += fired
             adapted = point + step * open_gate[:, :, None] * grad.transpose(0, 2, 1)
-            theta = adapted if cta else a_t @ adapted
+            theta = adapted if cta else local_combine(lambda x: a_t @ x, adapted, links, -1)
             dev = (theta.reshape(values, reals, n, d) - theta_path[t]).reshape(rows, n, d)
             np.einsum("rkd,rkd->rk", dev, dev, out=sq[t])
             if trace_out is not None:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -302,3 +303,50 @@ def test_module_entry_points_print_help_without_warnings(module):
     assert done.returncode == 0
     assert done.stderr == ""
     assert done.stdout.startswith("usage: diffnet")
+
+
+# Runs the CLI steps given as JSON in a fresh interpreter and prints, as JSON,
+# the scipy modules loaded after `import diffnet` and after each step.
+_SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+import diffnet
+report = [scipy_modules()]
+from diffnet.cli import main
+for argv in json.loads(sys.argv[1]):
+    report.append([main(argv), scipy_modules()])
+print(json.dumps(report))
+"""
+
+
+def _scipy_after(steps):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(steps)], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_simulation_path_loads_scipy_only_for_theory_and_smooth_gate(tmp_path):
+    """Hard-gate simulations and sweeps run on numpy and PyYAML alone;
+    `scipy.special` comes in with the theory or a smooth-gate run."""
+    def config(name, **overrides):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(yaml.safe_dump(small_config_dict(iterations=5, realizations=1, **overrides)))
+        return str(path)
+
+    hard = config("hard", algorithms=ALL_FAMILIES)
+    smooth = config("smooth", algorithms=ALL_FAMILIES, gate={"eta": 0.1, "mode": "smooth", "slope": 3.0})
+    theory = config("theory", algorithms=NPDLMS_ONLY)
+    out = str(tmp_path / "out.csv")
+    report = _scipy_after([
+        ["simulate", "--config", hard, "--out", out],
+        ["sweep", "--config", hard, "--out", out, "--param", "eta", "--values", "0,5"],
+        ["simulate", "--config", smooth, "--out", out],
+    ])
+    assert report[:3] == [[], [0, []], [0, []]]
+    assert report[3][0] == 0 and "scipy.special" in report[3][1]
+    (code, loaded), = _scipy_after([["theory", "--config", theory, "--out", out]])[1:]
+    assert code == 0 and "scipy.special" in loaded

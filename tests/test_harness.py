@@ -576,6 +576,48 @@ def test_families_stay_isolated_in_the_one_time_loop(strategy, gate):
                 break  # the baselines' rows serve every variant
 
 
+@pytest.mark.parametrize("gate", [{"eta": 0.0, "mode": "hard"},
+                                  {"eta": 0.1, "mode": "smooth", "slope": 3.0}], ids=["hard", "smooth"])
+@pytest.mark.parametrize("strategy", ["cta", "atc"])
+def test_non_finite_values_spread_one_hop_per_step(strategy, gate):
+    """Node 3's targets (index 2) are inf from t = 50 in realization 0 of an
+    8-node ring.
+
+    A non-finite value travels only along edges: each step's combine moves
+    it one hop, and the adapt step reads the data of a node's own
+    neighbourhood. So at step t >= 50 every non-finite estimate lies within
+    t - 49 hops of node 3, and one hop further under ATC, whose first step
+    combines after the adapt has read the inf. The gate energy sums the
+    neighbourhood's errors only, so the hard gate at eta = 0 keeps firing at
+    every node, and the smooth gate stays finite outside the reach.
+    """
+    import diffnet.harness as harness_mod
+
+    source, onset, n = 2, 50, 8
+    cfg = config_from_dict(small_config_dict(
+        topology={"nodes": n, "edges": [[k, k % n + 1] for k in range(1, n + 1)]},
+        regressor_variances=1.0, iterations=60, strategy=strategy, gate=gate,
+        algorithms=_five_families_and_npdlms()))
+    links = cfg.topology.adjacency_mask() > 0
+    spec = cfg.npdlms_spec()
+    baselines = [entry for entry in cfg.algorithms if entry is not spec]
+    batch, _, _ = harness_mod._draw(cfg, range(cfg.realizations))
+    batch.targets[onset:, 0, source] = np.inf
+    sq, updates = harness_mod._run_chunk(cfg, baselines, [spec.kind], batch)
+    broken = ~np.isfinite(sq)                      # (family, realization, t, node)
+    assert not broken[:, 1].any() and not broken[:, 0, :onset].any()
+    assert broken[0, 0, onset, source]             # dlms takes the inf at once
+
+    reach = np.zeros(n, dtype=bool)
+    reach[source] = True
+    for t in range(onset, cfg.iterations):
+        for _ in range(2 if strategy == "atc" and t == onset else 1):
+            reach = reach @ links
+        assert not broken[:, 0, t, ~reach].any(), (t, broken[:, 0, t].any(axis=0), reach)
+    if gate["mode"] == "hard":
+        assert (updates == cfg.iterations).all()
+
+
 # --- sweeps: one chunked pass over shared draws --------------------------------
 
 
