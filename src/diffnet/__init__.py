@@ -5,8 +5,8 @@ The command-line front end `diffnet.cli` is not imported here, so that
 `python -m diffnet.cli` (or `python -m diffnet`) loads it only once.
 """
 
-from . import diffusion, harness, network, noise, npdlms, theory
-from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS
+from . import diffusion, harness, network, noise, theory
+from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, NPDLMS
 from .harness import (
     AlgorithmSpec,
     ExperimentConfig,
@@ -27,7 +27,6 @@ from .network import (
     combination_weights,
 )
 from .noise import AlphaStable, Gaussian
-from .npdlms import NPDLMS
 from .theory import MomentSet, PerformanceCurves, TheoryInputs, build_moments
 
 __version__ = "0.1.0"

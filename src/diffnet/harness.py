@@ -40,7 +40,7 @@ import numpy as np
 import yaml
 
 from . import noise as noise_models
-from .diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS
+from .diffusion import FAMILIES, NPDLMS, bounded_error_gain
 from .errors import ConfigError, DiffnetError, InvalidParameters, PartialFailure
 from .network import (
     CombinationMatrix,
@@ -56,14 +56,11 @@ from .network import (
     noise_variance_from_snr,
     per_node,
 )
-from .npdlms import NPDLMS, bounded_error_gain
 from .theory import TheoryInputs, to_db
 
 DIVERGENCE_MSD = 1e6
 RECORD_CAP = 1e12
 
-_BASELINES = {"dlms": DLMS, "dse_lms": DSELMS, "dmcc": DMCC, "dlms_f": DLMSF, "dllad": DLLAD}
-_KINDS = {**_BASELINES, "npdlms": NPDLMS}
 _GATE = ("eta", "slope", "mode")
 
 
@@ -254,9 +251,9 @@ def _parse_algorithm(raw, gate: NPDLMS) -> AlgorithmSpec:
     step = raw.get("step_size")
     if step is None:
         raise ConfigError(f"algorithm {kind_name!r} is missing step_size")
-    if kind_name not in _KINDS:
+    if kind_name not in FAMILIES:
         raise ConfigError(f"unknown algorithm kind {kind_name!r}")
-    where, cls = f"algorithm {kind_name!r}", _KINDS[kind_name]
+    where, cls = f"algorithm {kind_name!r}", FAMILIES[kind_name]
     _check_keys(raw, set(raw) - set(_GATE), where)  # the gate has one place to be set
     kind = _build(cls, raw, where, ("kind", "step_size", "label"), **(vars(gate) if cls is NPDLMS else {}))
     return AlgorithmSpec(kind=kind, step_size=float(step), label=raw.get("label", ""))
@@ -438,9 +435,10 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     (d, N) matrices whose column k is node k's estimate. The combine, the
     error and gradient products, the neighbour-pair take and put and the
     adapt step run once per step over all blocks; the kernel-MAP extras
-    (history, gate energy, clip, prior, gate factor) run on (V*R, ...) views
-    of its blocks. Every buffer is allocated once per call; only `_combine`'s
-    repair of the matrices that hold a non-finite value allocates per step.
+    (history, gate energy, prior, gate factor) run on (V*R, ...) views of
+    its blocks. Every buffer is allocated once per call; only the
+    pseudo-Huber gain and `_combine`'s repair of the matrices that hold a
+    non-finite value allocate per step.
 
     Every family's gain, every variant's pseudo-Huber gain among them, is
     evaluated on the neighbour pairs of the errors err[., ., l, k] only, and
@@ -575,8 +573,6 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                 # of the squared errors never forms inf * 0.
                 np.put(gains, pairs[fams:], np.multiply(pair_err_k, pair_err_k, out=pair_sq), mode="clip")
                 np.einsum("rlk,lk->rk", gains_k, mask, out=eps)
-                np.minimum(pair_err_k, 1e150, out=pair_err_k)   # clip to +-1e150
-                np.maximum(pair_err_k, -1e150, out=pair_err_k)
                 pair_gain[fams:] = bounded_error_gain(delta, pair_err_k)
             np.put(gains, pairs, pair_gain, mode="clip")
             np.matmul(u_tr[t], gains, out=grad)

@@ -111,10 +111,6 @@ class CombinationMatrix:
     def node_count(self) -> int:
         return self.matrix.shape[0]
 
-    def to_csv(self, path) -> None:
-        """Plain CSV export, one matrix row per line."""
-        np.savetxt(path, self.matrix, delimiter=",", fmt="%.17g")
-
 
 def combination_weights(topology: NetworkTopology, rule: str = "uniform") -> CombinationMatrix:
     """Build a left-stochastic combination matrix respecting the topology.
@@ -161,12 +157,15 @@ class Stationary:
     """Fixed ground truth."""
 
 
+# Per-step decay of the random walk's offset from theta_o.
+WALK_DECAY = 0.99
+
+
 @dataclass(frozen=True)
 class RandomWalk:
-    """First-order Gauss-Markov drift around theta_o; decay pinned at 0.99."""
+    """First-order Gauss-Markov drift around theta_o, decaying by WALK_DECAY."""
 
     q_variance: float
-    decay: float = 0.99
 
     def __post_init__(self):
         if not (math.isfinite(self.q_variance) and self.q_variance >= 0.0):
@@ -192,10 +191,9 @@ class GroundTruth:
             return np.tile(self.theta_o, (steps, 1))
         q_scale = math.sqrt(self.drift.q_variance)
         omega = rng.standard_normal((steps,) + self.theta_o.shape) * q_scale
-        decay = self.drift.decay
-        omega[0] += decay * self._omega
+        omega[0] += WALK_DECAY * self._omega
         for t in range(1, steps):
-            omega[t] += decay * omega[t - 1]
+            omega[t] += WALK_DECAY * omega[t - 1]
         self._omega = omega[-1].copy()
         return self.theta_o + omega
 

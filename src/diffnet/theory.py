@@ -15,8 +15,9 @@ of the stacked error at the evaluation point. Then:
 - the gradient-noise covariance uses E[g(e_lk)^2] within one node and
   Bussgang's s_lk s_lk' E[e_lk e_lk'] across two nodes sharing neighbour l.
 
-Both expectations have closed forms (`gain_moments`). The slopes depend on the
-error, so the transient is the covariance recursion
+Both expectations have closed forms, kept beside the gain in `diffusion`
+(`bounded_gain_moments`). The slopes depend on the error, so the transient is
+the covariance recursion
 P_{n+1} = F_n P_n F_n' + M Xi_n M with the slopes refreshed every step. One
 `MomentSet` holds that recursion: its fixed pieces, the slopes, F and Xi at the
 steady state, and the steady covariance itself. `build_moments` finds the
@@ -46,44 +47,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diffusion import bounded_gain_moments
 from .errors import DimensionMismatch, InvalidParameters, NoConvergence, UnstableSystem
 from .network import CombinationMatrix, NetworkTopology, per_node
 
 STEIN_TOL = 1e-10
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_SOLVES = 500
-
-# Below this c = variance / delta^2 the closed forms in `gain_moments` lose
-# digits to cancellation; their power series in c take over. Coefficients,
-# highest power first: E[(1 + c Z^2)^(-3/2)] and E[c Z^2 / (1 + c Z^2)] / c
-# for Z ~ N(0, 1).
-_SERIES_BELOW = 2e-4
-_SLOPE_SERIES = (258.3984375, -32.8125, 5.625, -1.5, 1.0)
-_SECOND_SERIES = (945.0, -105.0, 15.0, -3.0, 1.0)
-
-
-def gain_moments(variance, delta: float):
-    """E[g'(e)] and E[g(e)^2] of the pseudo-Huber gain for e ~ N(0, variance).
-
-    With c = variance / delta^2 and z = 1 / (4c), elementwise:
-    E[g'(e)] = E[(1 + c Z^2)^(-3/2)] = 2 z (k1e(z) - k0e(z)) / sqrt(2 pi c), the
-    c-derivative form of E[(1 + c Z^2)^(-1/2)] = k0e(z) / sqrt(2 pi c); and
-    E[g(e)^2] = delta^2 (1 - E[(1 + c Z^2)^(-1)]) with
-    E[(1 + c Z^2)^(-1)] = sqrt(pi / (2c)) erfcx(1 / sqrt(2c)).
-    The slope is 1 and the second moment 0 at zero variance.
-    """
-    from scipy.special import erfcx, k0e, k1e  # loaded on the first theory call
-
-    c = np.asarray(variance, dtype=float) / (delta * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 falls to the series
-        z = 0.25 / c
-        slope = 2.0 * z * (k1e(z) - k0e(z)) / np.sqrt(2.0 * np.pi * c)
-        second = 1.0 - np.sqrt(np.pi / (2.0 * c)) * erfcx(np.sqrt(2.0 * z))
-    small = c < _SERIES_BELOW
-    if small.any():
-        slope = np.where(small, np.polyval(_SLOPE_SERIES, c), slope)
-        second = np.where(small, c * np.polyval(_SECOND_SERIES, c), second)
-    return slope, delta * delta * second
 
 
 @dataclass
@@ -142,7 +112,7 @@ class TheoryInputs:
         The gain's expected slope once the estimation error is negligible next
         to the noise; 1 at zero noise. Stability and the step bound use it.
         """
-        return gain_moments(self.noise_variances, self.delta)[0]
+        return bounded_gain_moments(self.noise_variances, self.delta)[0]
 
 
 @dataclass
@@ -275,7 +245,7 @@ class _Recursion:
         np.matmul(self.covs_flat, self.phi_t, out=self.traces)
         variance = np.take(self.traces, self.pair_trace, out=self.variance, mode="clip")
         np.add(self.pair_noise, variance, out=variance)
-        self.slope, second = gain_moments(variance, self.delta)
+        self.slope, second = bounded_gain_moments(variance, self.delta)
         # the pair tensor's nonzero entries, Xi, and Q = M Xi M
         np.take(self.slope, self.tri_slopes, out=self.tri, mode="clip")
         np.multiply(self.tri_first, self.tri_second, out=self.entries_cross)

@@ -3,8 +3,8 @@ in-place theory step are checked against.
 
 The baseline runner and the kernel-MAP chain below work one node at a time,
 the way the algorithms are written down, and share nothing with the batched
-engine in `diffnet.harness` but the parameter records and the scalar gains
-(`error_gain`, `bounded_error_gain`).
+engine in `diffnet.harness` but the family records and their scalar gains
+(each baseline's `gain`, through `error_gain` below, and `bounded_error_gain`).
 
 Kernel-MAP chain: each node keeps short ring buffers of recent parameter
 estimates, its own and one ring per neighbour, aligned index-wise so the i-th
@@ -40,9 +40,8 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from diffnet import theory
-from diffnet.diffusion import DLMSF, DMCC, error_gain
+from diffnet.diffusion import DLMSF, DMCC, NPDLMS, bounded_error_gain, bounded_gain_moments
 from diffnet.errors import DiffnetError, DimensionMismatch, InvalidParameters
-from diffnet.npdlms import NPDLMS, bounded_error_gain
 
 
 class NonPositiveBandwidth(DiffnetError):
@@ -58,6 +57,13 @@ class DegenerateDenominator(DiffnetError):
 
 
 # --- baseline families ------------------------------------------------------
+
+
+def error_gain(kind, e):
+    """The scalar ascent gain g(e) of a baseline family, vectorized over e,
+    with floating-point warnings silenced as in the engine."""
+    with np.errstate(all="ignore"):
+        return kind.gain(np.asarray(e, dtype=float))
 
 
 def run_baseline_reference(config, spec, data, theta0=None):
@@ -379,7 +385,6 @@ def npdlms_gradient(theta_eval, shared: SharedData, buffers: EstimateBuffer,
     """
     theta_eval = np.asarray(theta_eval, dtype=float)
     e = shared.d - shared.u @ theta_eval
-    e = np.clip(e, -1e150, 1e150)  # infinite impulses still saturate the gain at delta
     grad = shared.u.T @ bounded_error_gain(params.delta, e) / params.h
 
     if buffers.depth(shared.node) < 2:
@@ -514,7 +519,6 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
             points = point.reshape(values, reals, n, d).transpose(0, 1, 3, 2)
             err = (targets[t] - batch.regressors[t] @ points).reshape(rows, n, n)
             eps = neighbourhood_energy(err, mask)
-            err = np.clip(err, -1e150, 1e150)
             gain = np.where(mask > 0, bounded_error_gain(delta, err), 0.0).reshape(values, reals, n, n)
             grad = (u_tr[t] @ gain).reshape(rows, d, n) / h   # (V*R, d, N)
 
@@ -568,8 +572,8 @@ def gain_statistics_reference(moments, phi):
     variance[l_idx, k_idx] = moments.noise_variances[l_idx] + traces[l_idx, k_idx, k_idx]
     slope = np.zeros((n, n))
     second = np.zeros((n, n))
-    slope[l_idx, k_idx], second[l_idx, k_idx] = theory.gain_moments(variance[l_idx, k_idx],
-                                                                    moments.delta)
+    slope[l_idx, k_idx], second[l_idx, k_idx] = bounded_gain_moments(variance[l_idx, k_idx],
+                                                                     moments.delta)
     return slope, second, variance, traces
 
 

@@ -13,6 +13,7 @@ rather than as package defaults.
 import numpy as np
 import pytest
 
+from diffnet.diffusion import NPDLMS, bounded_error_gain
 from diffnet.harness import (
     config_from_dict,
     export_csv,
@@ -21,7 +22,6 @@ from diffnet.harness import (
     theory_inputs_from_config,
 )
 from diffnet.network import build_topology, combination_weights
-from diffnet.npdlms import NPDLMS, bounded_error_gain
 from diffnet.noise import AlphaStable, characteristic_function, empirical_characteristic_function, sample
 from diffnet.theory import (
     TheoryInputs,

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import graphs, same_bits, small_config_dict
+import diffnet
 from diffnet import harness
-from diffnet.diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, error_gain
-from diffnet.errors import InvalidParameters
+from diffnet.diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, FAMILIES, NPDLMS
+from diffnet.errors import ConfigError, InvalidParameters
 from diffnet.harness import RealizationData, config_from_dict, run_experiment
-from diffnet.npdlms import NPDLMS
-from oracles import run_baseline_reference, run_baselines_dense_reference
+from oracles import error_gain, run_baseline_reference, run_baselines_dense_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -50,6 +50,20 @@ def test_hyperparameters_strictly_positive():
     for bad in (DMCC, DLMSF, DLLAD):
         with pytest.raises(InvalidParameters):
             bad(0.0)
+
+
+def test_families_table_builds_every_config_kind():
+    """`FAMILIES` names each of the six records by its `kind`, and a config
+    entry of that kind builds an instance of that record; other kinds are refused."""
+    records = (DLMS, DSELMS, DMCC, DLMSF, DLLAD, NPDLMS)
+    assert FAMILIES == {cls.kind: cls for cls in records}
+    assert len(FAMILIES) == len(records)
+    assert diffnet.NPDLMS is NPDLMS
+    specs = [{"kind": kind, "step_size": 0.05} for kind in FAMILIES]
+    cfg = config_from_dict(small_config_dict(algorithms=specs))
+    assert [type(spec.kind) for spec in cfg.algorithms] == list(records)
+    with pytest.raises(ConfigError, match="unknown algorithm kind 'lms'"):
+        config_from_dict(small_config_dict(algorithms=[{"kind": "lms", "step_size": 0.05}]))
 
 
 def _config(nodes, edges, algorithms, iterations, strategy="cta"):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import graphs, same_bits, small_config_dict
 from diffnet import harness
+from diffnet.diffusion import NPDLMS, bounded_error_gain
 from diffnet.errors import DimensionMismatch, InvalidParameters
-from diffnet.npdlms import NPDLMS, bounded_error_gain
 from oracles import (
     DegenerateDenominator,
     EmptyBuffer,
@@ -74,10 +74,10 @@ def test_bounded_gain_never_exceeds_delta(a, delta):
 
 
 def test_bounded_gain_odd_and_saturating():
-    e = np.array([-1e300, -1.0, 0.0, 1.0, 1e300])
+    e = np.array([-np.inf, -1e300, -1.0, 0.0, 1.0, 1e300, np.inf])
     g = bounded_error_gain(0.25, e)
     assert np.array_equal(g, -g[::-1])
-    assert g[-1] == 0.25 and g[0] == -0.25
+    assert g[-1] == g[-2] == 0.25 and g[0] == g[1] == -0.25
 
 
 # --- kernel density over buffers -------------------------------------------
@@ -237,6 +237,9 @@ def test_threshold_params_validation():
         NPDLMS(slope=0.0)
     with pytest.raises(InvalidParameters):
         NPDLMS(mode="sometimes")
+    for buffer in (2.5, True):
+        with pytest.raises(InvalidParameters, match="buffer"):
+            NPDLMS(buffer=buffer)
 
 
 # --- estimate buffers -------------------------------------------------------

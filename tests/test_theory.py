@@ -11,10 +11,10 @@ import yaml
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from diffnet import harness, theory
+from diffnet import diffusion, harness, theory
+from diffnet.diffusion import bounded_error_gain, bounded_gain_moments
 from diffnet.errors import DimensionMismatch, IndexOutOfRange, InvalidParameters, UnstableSystem
 from diffnet.network import build_topology, combination_weights
-from diffnet.npdlms import bounded_error_gain
 from oracles import (
     gain_statistics_reference,
     node_metrics_reference,
@@ -24,7 +24,6 @@ from oracles import (
 from diffnet.theory import (
     TheoryInputs,
     build_moments,
-    gain_moments,
     spectral_radius,
     steady_state_metrics,
     stepsize_upper_bound,
@@ -115,7 +114,7 @@ def scalar_fixed_point(alpha, sv2, r, d, delta, h=1.0):
 def test_gain_moments_match_quadrature(ratio):
     delta = 0.25
     variance = (ratio * delta) ** 2
-    slope, second = gain_moments(variance, delta)
+    slope, second = bounded_gain_moments(variance, delta)
     if ratio == 0.0:
         assert slope == 1.0 and second == 0.0
         return
@@ -474,7 +473,7 @@ def test_step_matches_reference_on_series_branch():
     moments = assert_step_matches_reference(inputs)
     recursion = theory._Recursion(moments)
     recursion.linearize(moments.steady_covariance)
-    assert recursion.variance.max() / inputs.delta ** 2 < theory._SERIES_BELOW
+    assert recursion.variance.max() / inputs.delta ** 2 < diffusion._SERIES_BELOW
 
 
 def test_step_matches_reference_at_zero_noise():
