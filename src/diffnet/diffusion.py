@@ -125,14 +125,12 @@ class NPDLMS:
     def __post_init__(self):
         if isinstance(self.buffer, bool) or not isinstance(self.buffer, numbers.Integral) or self.buffer < 1:
             raise InvalidParameters(f"buffer must be an integer >= 1, got {self.buffer!r}")
-        for name in ("sigma", "h", "delta"):
+        for name in ("sigma", "h", "delta", "slope"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
         if not self.eta >= 0:
             raise InvalidParameters(f"eta must be >= 0, got {self.eta}")
-        if not self.slope > 0:
-            raise InvalidParameters(f"slope must be > 0, got {self.slope}")
         if self.mode not in ("smooth", "hard"):
             raise InvalidParameters(f"mode must be 'smooth' or 'hard', got {self.mode!r}")
 

@@ -99,8 +99,8 @@ class ExperimentConfig:
     def __post_init__(self):
         n = self.topology.node_count
         self.theta_o = np.asarray(self.theta_o, dtype=float)
-        if not np.all(np.isfinite(self.theta_o)):
-            raise ConfigError(f"theta_o must be finite, got {self.theta_o}")
+        if self.theta_o.ndim != 1 or not self.theta_o.size or not np.all(np.isfinite(self.theta_o)):
+            raise ConfigError(f"theta_o must be a non-empty vector of finite numbers, got {self.theta_o}")
         if self.iterations < 1 or self.realizations < 1:
             raise ConfigError("iterations and realizations must be >= 1")
         if self.base_seed < 0:
@@ -160,8 +160,15 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _real(value, key: str) -> float:
+    """`value` as a float; numeric strings pass (YAML reads 5e-3 as one), booleans do not."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 # The parameter modules postpone annotation evaluation, so field types are names.
-_CASTS = {"float": lambda value, key: float(value), "int": _integer, "str": lambda value, key: str(value)}
+_CASTS = {"float": _real, "int": _integer, "str": lambda value, key: str(value)}
 
 
 def _mapping(raw, where: str) -> dict:
@@ -231,7 +238,7 @@ def _parse_noise(raw, variances, theta_o):
         if "snr_db" in raw and "variance" in raw:
             raise ConfigError("gaussian noise takes 'snr_db' or 'variance', not both")
         if "snr_db" in raw:
-            snr = float(raw["snr_db"])
+            snr = _real(raw["snr_db"], "snr_db")
             return [
                 noise_models.Gaussian(noise_variance_from_snr(snr, v * np.eye(len(theta_o)), theta_o))
                 for v in variances
@@ -256,7 +263,7 @@ def _parse_algorithm(raw, gate: NPDLMS) -> AlgorithmSpec:
     where, cls = f"algorithm {kind_name!r}", FAMILIES[kind_name]
     _check_keys(raw, set(raw) - set(_GATE), where)  # the gate has one place to be set
     kind = _build(cls, raw, where, ("kind", "step_size", "label"), **(vars(gate) if cls is NPDLMS else {}))
-    return AlgorithmSpec(kind=kind, step_size=float(step), label=raw.get("label", ""))
+    return AlgorithmSpec(kind=kind, step_size=_real(step, "step_size"), label=raw.get("label", ""))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -266,6 +273,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         topology = _parse_topology(raw.get("topology"))
         n = topology.node_count
         dim = _integer(raw.get("d", 5), "d")
+        if dim < 1:
+            raise ConfigError(f"d must be >= 1, got {dim}")
         theta_o = _parse_theta(raw.get("theta_o"), dim)
         variances = _parse_variances(raw.get("regressor_variances"), n)
 
@@ -275,7 +284,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             drift = Stationary()
         elif env.get("kind") == "random_walk":
             _check_keys(env, ("kind", "q_variance"), "environment")
-            drift = RandomWalk(q_variance=float(env.get("q_variance", 1e-4)))
+            drift = RandomWalk(q_variance=_real(env.get("q_variance", 1e-4), "q_variance"))
         else:
             raise ConfigError(f"unknown environment kind {env.get('kind')!r}")
 
@@ -459,7 +468,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     history entry into the NaN such a product gives.
 
     Returns squared deviations (A + V, R, T, N) and the kernel-MAP update
-    counts (V*R, N), or None without variants; `trace_out`, if given,
+    counts (V*R, N), row v*R + r for value v; `trace_out`, if given,
     receives the kernel-MAP estimates (T, V*R, N, d).
     """
     a = config.combination.matrix
@@ -494,10 +503,10 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         theta_b, grad_b, sq_b = theta[:fams], grad[:fams], sq[:, :fams]
         dev_b = np.empty(theta_b.shape)
 
-    updates = None
+    rows = values * reals
+    updates = np.zeros((rows, n))
     if values:
         algo: NPDLMS = variants[0]
-        rows = values * reals
         step = config.npdlms_spec().step_size
 
         def per_value(name, ndim, repeat=reals):
@@ -529,7 +538,6 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         pair_sq = pair_gain[fams:]                     # the squared errors, then the gains
         eps = np.empty((rows, n))
         fired = np.empty((rows, n), dtype=bool)
-        updates = np.zeros((rows, n))
         open_gate = np.empty((rows, n))
         gate_dn = open_gate[:, None, :]
 
@@ -633,40 +641,24 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     return sq.transpose(1, 2, 0, 3), updates
 
 
-def _finish(sq: np.ndarray, updates) -> tuple:
-    """(sq, updates, diverged flags) with the deviations capped at RECORD_CAP."""
+def _finish(sq: np.ndarray) -> tuple:
+    """(sq, diverged flags (A + V, R)) of a chunk, the deviations capped at RECORD_CAP."""
     broken = ~np.isfinite(sq)
     with np.errstate(over="ignore", invalid="ignore"):
-        diverged = broken.any(axis=(1, 2)) | (sq.mean(axis=2) > DIVERGENCE_MSD).any(axis=1)
+        diverged = broken.any(axis=(-2, -1)) | (sq.mean(axis=-1) > DIVERGENCE_MSD).any(axis=-1)
     np.copyto(sq, RECORD_CAP, where=broken)
     np.minimum(sq, RECORD_CAP, out=sq)
-    return sq, updates, diverged
+    return sq, diverged
 
 
-def _simulate(config: ExperimentConfig, variants: list, batch: RealizationData) -> list:
-    """All configured algorithms, kernel-MAP at every variant, on shared draws.
-
-    `variants` holds one kernel-MAP record per value (see `_run_chunk`), or
-    [None] where the config has no kernel-MAP algorithm. One engine call
-    runs the baselines once for all variants and the kernel-MAP update on
-    V x R rows. Returns one dict per variant, {label: (squared deviations
-    (R, T, N), update counts (R, N) or None, diverged flags (R,))}. Recorded
-    deviations are capped at RECORD_CAP so diverged runs stay plottable; the
-    flag carries the divergence signal.
-    """
-    reals = batch.targets.shape[1]
-    spec = config.npdlms_spec()
-    baselines = [entry for entry in config.algorithms if entry is not spec]
-    sq, updates = _run_chunk(config, baselines, variants if spec else [], batch)
-    shared = {entry.label: _finish(sq[i], None) for i, entry in enumerate(baselines)}
-    return [{entry.label: _finish(sq[len(baselines) + v], updates[v * reals : (v + 1) * reals])
-             if entry is spec else shared[entry.label] for entry in config.algorithms}
-            for v in range(len(variants))]
-
-
-def _realization(results: dict, row: int) -> dict:
-    return {label: (sq[row], None if updates is None else updates[row], bool(diverged[row]))
-            for label, (sq, updates, diverged) in results.items()}
+def _blocks(config: ExperimentConfig, value: int = 0) -> tuple:
+    """The config's families as `_run_chunk` takes them, (baseline specs, [the
+    kernel-MAP record] or []), and {label: block of its state} at kernel-MAP
+    value `value`: baseline i is block i, the kernel-MAP label block A + value."""
+    baselines = [spec for spec in config.algorithms if not isinstance(spec.kind, NPDLMS)]
+    block = {spec.label: i for i, spec in enumerate(baselines)}
+    return (baselines, [spec.kind for spec in config.algorithms if isinstance(spec.kind, NPDLMS)],
+            {spec.label: block.get(spec.label, len(baselines) + value) for spec in config.algorithms})
 
 
 def run_realization(config: ExperimentConfig, index: int):
@@ -679,7 +671,11 @@ def run_realization(config: ExperimentConfig, index: int):
     batch, _, failures = _draw(config, [index])
     if failures:
         raise failures[0][1]
-    return _realization(_simulate(config, [getattr(config.npdlms_spec(), "kind", None)], batch)[0], 0)
+    baselines, variants, blocks = _blocks(config)
+    sq, updates = _run_chunk(config, baselines, variants, batch)
+    sq, diverged = _finish(sq)
+    return {label: (sq[b, 0], updates[0] if b >= len(baselines) else None, bool(diverged[b, 0]))
+            for label, b in blocks.items()}
 
 
 @dataclass
@@ -715,21 +711,22 @@ class RunResult:
 
 
 def _run_values(config: ExperimentConfig, variants: list) -> list:
-    """One RunResult per kernel-MAP variant, from one chunked pass.
+    """One RunResult per kernel-MAP variant, or one where there is none, from
+    one chunked pass.
 
-    The draws and the baselines serve every variant (see `_simulate`).
-    Realizations run CHUNK_REALIZATIONS at a time, and each variant's sums are
-    taken in index order. A realization whose draw raises is reported by
-    index in `PartialFailure` while the rest of its chunk runs on; if the
-    batched run of a chunk raises, the chunk is re-run one variant and one
-    realization at a time.
+    Each chunk is one `_run_chunk` call, whose realization rows are added in
+    index order into one sum per block, so the baselines are summed once for
+    all variants. A realization whose draw raises is reported by index in
+    `PartialFailure` while the rest of its chunk runs on; if the batched run
+    of a chunk raises, the chunk is re-run one realization at a time with
+    every variant.
     """
     started = time.perf_counter()
     t_len, n = config.iterations, config.topology.node_count
-    sums = [{spec.label: np.zeros((t_len, n)) for spec in config.algorithms} for _ in variants]
-    kappa = [{spec.label: np.zeros(n) if isinstance(spec.kind, NPDLMS) else None
-              for spec in config.algorithms} for _ in variants]
-    diverged = [{spec.label: 0 for spec in config.algorithms} for _ in variants]
+    baselines = _blocks(config)[0]
+    sums = np.zeros((len(baselines) + len(variants), t_len, n))
+    counts = np.zeros((len(variants), n))
+    diverged = np.zeros(sums.shape[0], dtype=int)
     failures = {}
     for start in range(0, config.realizations, CHUNK_REALIZATIONS):
         indices = range(start, min(start + CHUNK_REALIZATIONS, config.realizations))
@@ -738,37 +735,35 @@ def _run_values(config: ExperimentConfig, variants: list) -> list:
         if not drawn:
             continue
         try:
-            outcomes = [[_realization(results, row) for row in range(len(drawn))]
-                        for results in _simulate(config, variants, batch)]
-        except Exception:  # noqa: BLE001 - retried one variant and realization at a time
-            outcomes = [[] for _ in variants]
-            for variant, outcome in zip(variants, outcomes):
-                for index in drawn:
-                    try:
-                        alone, _, _ = _draw(config, [index])
-                        outcome.append(_realization(_simulate(config, [variant], alone)[0], 0))
-                    except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
-                        failures.setdefault(index, exc)
-        for v, outcome in enumerate(outcomes):
-            for realization in outcome:
-                for label, (sq, updates, flag) in realization.items():
-                    sums[v][label] += sq
-                    if updates is not None:
-                        kappa[v][label] += updates
-                    diverged[v][label] += flag
+            runs = [_run_chunk(config, baselines, variants, batch)]
+        except Exception:  # noqa: BLE001 - retried one realization at a time
+            runs = []
+            for index in drawn:
+                try:
+                    runs.append(_run_chunk(config, baselines, variants, _draw(config, [index])[0]))
+                except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
+                    failures.setdefault(index, exc)
+        for sq, updates in runs:
+            sq, flags = _finish(sq)
+            diverged += flags.sum(axis=1)
+            for row in range(sq.shape[1]):
+                sums += sq[:, row]
+                counts += updates[row :: sq.shape[1]]      # row `row` of every value
     if failures:
         raise PartialFailure(sorted(failures.items(), key=lambda failure: failure[0]))
     wall_time = time.perf_counter() - started
-    return [RunResult(
-        labels=[spec.label for spec in config.algorithms],
-        iterations=t_len,
-        realizations=config.realizations,
-        node_msd={label: s / config.realizations for label, s in sums[v].items()},
-        kappa={label: (k / config.realizations if k is not None else None)
-               for label, k in kappa[v].items()},
-        diverged=diverged[v],
-        wall_time_s=wall_time,
-    ) for v in range(len(variants))]
+    sums /= config.realizations
+    counts /= config.realizations
+    results = []
+    for v in range(max(len(variants), 1)):
+        blocks = _blocks(config, v)[2]
+        results.append(RunResult(
+            labels=list(blocks), iterations=t_len, realizations=config.realizations,
+            node_msd={label: sums[b] for label, b in blocks.items()},
+            kappa={label: counts[v] if b >= len(baselines) else None for label, b in blocks.items()},
+            diverged={label: int(diverged[b]) for label, b in blocks.items()},
+            wall_time_s=wall_time))
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
@@ -777,7 +772,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     The one-value case of a sweep: see `_run_values` for the chunking and
     for how failed realizations are reported.
     """
-    result = _run_values(config, [getattr(config.npdlms_spec(), "kind", None)])[0]
+    result = _run_values(config, _blocks(config)[1])[0]
     if config.output:
         export_csv(result, config.output)
     return result

@@ -246,14 +246,60 @@ def _theory_inputs(**overrides):
     (lambda: _config(algorithms=[{"kind": "dlms_f", "step_size": 0.05, "mix": INF}]), "mix"),
     (lambda: _config(algorithms=[{"kind": "dllad", "step_size": 0.05, "scale": INF}]), "scale"),
     (lambda: _theory_inputs(theta_o=np.array([NAN, 1.0, 0.0])), "theta_o"),
+    (lambda: _config(gate={"eta": 0.1, "mode": "smooth", "slope": INF}), "slope"),
 ], ids=["dlms-step-inf", "npdlms-step-inf", "q-variance-nan", "q-variance-inf", "theta-nan-variance",
         "theta-nan-snr", "theta-inf-replace", "kernel-width-inf", "mix-inf", "scale-inf",
-        "theory-theta-nan"])
+        "theory-theta-nan", "slope-inf"])
 def test_non_finite_parameters_are_rejected_by_name(build, named):
     """A non-finite parameter used to pass validation, and every run then
     diverged or never moved; the record that holds it now names it."""
     with pytest.raises((ConfigError, InvalidParameters), match=named):
         build()
+
+
+_FLOAT_KEYS = {
+    "step_size": (lambda v: small_config_dict(algorithms=[{"kind": "dlms", "step_size": v}]),
+                  lambda cfg: cfg.algorithms[0].step_size),
+    "sigma": (lambda v: small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 0.05, "sigma": v}]),
+              lambda cfg: cfg.algorithms[0].kind.sigma),
+    "delta": (lambda v: small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 0.05, "delta": v}]),
+              lambda cfg: cfg.algorithms[0].kind.delta),
+    "kernel_width": (lambda v: small_config_dict(algorithms=[{"kind": "dmcc", "step_size": 0.05,
+                                                              "kernel_width": v}]),
+                     lambda cfg: cfg.algorithms[0].kind.kernel_width),
+    "snr_db": (lambda v: small_config_dict(noise={"kind": "gaussian", "snr_db": v}),
+               lambda cfg: cfg.noise_specs[0].variance),
+    "q_variance": (lambda v: small_config_dict(environment={"kind": "random_walk", "q_variance": v}),
+                   lambda cfg: cfg.drift.q_variance),
+}
+
+
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_float_keys_refuse_booleans_and_read_numeric_strings(key):
+    # `true` used to load as 1.0. PyYAML reads 5e-3, which has no dot, as a
+    # string, and such a string must still load as its number.
+    import yaml
+
+    build, read = _FLOAT_KEYS[key]
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(build(True))
+    text = yaml.safe_load(f"{key}: 5e-3")[key]
+    assert text == "5e-3"
+    assert read(config_from_dict(build(text))) == read(config_from_dict(build(5e-3)))
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_dimension_below_one_is_rejected_by_name(d):
+    # d: 0 used to load and report -inf dB; d: -1 failed with "negative
+    # dimensions are not allowed".
+    with pytest.raises(ConfigError, match="d must be >= 1"):
+        config_from_dict(small_config_dict(d=d, noise=VARIANCE_NOISE))
+
+
+@pytest.mark.parametrize("theta_o", [[], [[1.0, 0.0, 0.0]], 1.0], ids=["empty", "matrix", "scalar"])
+def test_theta_o_must_be_a_non_empty_vector(theta_o):
+    with pytest.raises(ConfigError, match="theta_o"):
+        replace(config_from_dict(small_config_dict()), theta_o=theta_o)
 
 
 def test_yaml_round_trip(tmp_path):
@@ -435,14 +481,14 @@ def test_partial_failure_reports_indices(monkeypatch):
     assert [idx for idx, _ in err.value.failures] == [1]
 
     # A failed draw in the middle of a chunk: the rest of the chunk still runs.
-    simulate = harness_mod._simulate
+    run_chunk = harness_mod._run_chunk
     rows = []
 
-    def counting(config, variants, batch):
+    def counting(config, baselines, variants, batch, trace_out=None):
         rows.append(batch.targets.shape[1])
-        return simulate(config, variants, batch)
+        return run_chunk(config, baselines, variants, batch, trace_out)
 
-    monkeypatch.setattr(harness_mod, "_simulate", counting)
+    monkeypatch.setattr(harness_mod, "_run_chunk", counting)
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
     flaky.calls, flaky.fail_on = 0, 3
     cfg = config_from_dict(small_config_dict(realizations=6))
@@ -461,16 +507,16 @@ def test_failed_chunk_reruns_one_realization_at_a_time(monkeypatch):
     ]))
     expected = run_experiment(cfg)
     bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
-    simulate = harness_mod._simulate
+    run_chunk = harness_mod._run_chunk
 
-    def fragile(config, variants, batch):
+    def fragile(config, baselines, variants, batch, trace_out=None):
         # any batch of several rows fails, and so does realization 3 alone
         if batch.targets.shape[1] > 1 or np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("batch failed")
-        return simulate(config, variants, batch)
+        return run_chunk(config, baselines, variants, batch, trace_out)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
-    monkeypatch.setattr(harness_mod, "_simulate", fragile)
+    monkeypatch.setattr(harness_mod, "_run_chunk", fragile)
     with pytest.raises(PartialFailure) as err:
         run_experiment(cfg)
     assert [idx for idx, _ in err.value.failures] == [3]
@@ -522,14 +568,16 @@ def test_chunked_experiment_equals_index_order_sum_of_realizations(monkeypatch, 
 
     batch, _, _ = harness_mod._draw(cfg, [0, 1])
     batch.targets[50:, 0, 2] = np.inf
-    both = harness_mod._simulate(cfg, [cfg.npdlms_spec().kind], batch)[0]
+    # npdlms is listed last, so each label's block is its position in the list.
+    sq, updates = harness_mod._run_chunk(cfg, cfg.algorithms[:2], [cfg.npdlms_spec().kind], batch)
+    sq, flags = harness_mod._finish(sq)
     alone = run_realization(cfg, 1)
-    assert both["dlms"][2][0]
+    assert flags[0, 0]
     assert np.isnan(harness_mod._run_chunk(cfg, cfg.algorithms[:1], [], batch)[0][0, 0]).any()
-    for label in result.labels:
-        assert np.array_equal(both[label][0][1], alone[label][0])
-        assert both[label][2][1] == alone[label][2]
-    assert np.array_equal(both["npdlms"][1][1], alone["npdlms"][1])
+    for block, label in enumerate(result.labels):
+        assert np.array_equal(sq[block, 1], alone[label][0])
+        assert flags[block, 1] == alone[label][2]
+    assert np.array_equal(updates[1], alone["npdlms"][1])
 
 
 @pytest.mark.parametrize("gate", [{"eta": 0.0, "mode": "hard"}, {"eta": 0.2, "mode": "smooth"}],
@@ -552,28 +600,31 @@ def test_families_stay_isolated_in_the_one_time_loop(strategy, gate):
         iterations=120, realizations=3, strategy=strategy, gate=gate, algorithms=algorithms,
         noise={"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0}))
     spec = cfg.npdlms_spec()
+    baselines = cfg.algorithms[:-1]                # blocks 0-4: dlms, dse_lms, dmcc, dlms_f, dllad
     variants = [replace(spec.kind, eta=eta) for eta in (0.0, 0.3, 3.0)]
     batch, _, _ = harness_mod._draw(cfg, range(cfg.realizations))
     batch.targets[50:, 0, 2] = np.inf
-    mixed = harness_mod._simulate(cfg, variants, batch)
-    flags = {label: entry[2] for label, entry in mixed[0].items()}
-    assert flags["dlms_f"][1:].any() and not flags["dlms"][1:].any()
-    assert flags["dlms"][0] and not flags["dllad"][0]
+    sq, updates = harness_mod._run_chunk(cfg, baselines, variants, batch)
+    sq, flags = harness_mod._finish(sq)
+    assert flags[3, 1:].any() and not flags[0, 1:].any()
+    assert flags[0, 0] and not flags[4, 0]
 
-    def alone(spec, variant):
-        return harness_mod._simulate(replace(cfg, algorithms=[spec]), [variant], batch)[0][spec.label]
+    def alone(entry, variant=None):
+        single = replace(cfg, algorithms=[entry])
+        sq, updates = harness_mod._run_chunk(single, [] if variant else [entry],
+                                             [variant] if variant else [], batch)
+        return harness_mod._finish(sq) + (updates,)
 
-    for entry in cfg.algorithms:
-        kernel_map = entry is spec
-        for variant, results in zip(variants, mixed):
-            sq, updates, diverged = alone(entry, variant if kernel_map else None)
-            got_sq, got_updates, got_diverged = results[entry.label]
-            assert same_bits(got_sq, sq), (entry.label, variant)
-            assert (got_updates is None) == (not kernel_map)
-            assert got_updates is None or same_bits(got_updates, updates)
-            assert np.array_equal(got_diverged, diverged), (entry.label, variant)
-            if not kernel_map:
-                break  # the baselines' rows serve every variant
+    reals = cfg.realizations
+    runs = [(i, None, entry) for i, entry in enumerate(baselines)]
+    runs += [(len(baselines) + v, variant, spec) for v, variant in enumerate(variants)]
+    for block, variant, entry in runs:
+        alone_sq, alone_flags, alone_updates = alone(entry, variant)
+        assert same_bits(sq[block], alone_sq[0]), (entry.label, variant)
+        assert np.array_equal(flags[block], alone_flags[0]), (entry.label, variant)
+        if variant is not None:
+            v = block - len(baselines)
+            assert same_bits(updates[v * reals : (v + 1) * reals], alone_updates)
 
 
 @pytest.mark.parametrize("gate", [{"eta": 0.0, "mode": "hard"},
@@ -683,6 +734,43 @@ def test_sweep_equals_run_experiment_per_value(monkeypatch, case):
     assert not np.array_equal(curves[0], curves[-1])
 
 
+@pytest.mark.parametrize("order", [["npdlms", "dlms", "dllad"], ["dlms", "npdlms", "dllad"]],
+                         ids=["npdlms-first", "npdlms-between"])
+def test_each_label_reads_its_own_block(order):
+    """The engine puts the baselines first and the kernel-MAP values after
+    them, whatever the config's order. Each label's curves, gate counts and
+    divergence count are, bit for bit, those of a config holding that
+    algorithm alone: in `run_experiment` and at every value of a sweep, where
+    the reference holds the kernel-MAP record at that value.
+
+    dlms diverges in some realizations under this alpha-stable noise, so the
+    divergence counts differ between labels.
+    """
+    entries = {"dlms": {"kind": "dlms", "step_size": 0.4},
+               "dllad": {"kind": "dllad", "step_size": 0.05, "scale": 2.0},
+               "npdlms": {"kind": "npdlms", "step_size": 0.05}}
+    cfg = config_from_dict(small_config_dict(
+        iterations=150, realizations=5, gate={"eta": 0.0, "mode": "hard"},
+        noise={"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0},
+        algorithms=[entries[label] for label in order]))
+    values = [0.0, 0.3, 3.0]
+    mixed = [run_experiment(cfg)] + sweep(cfg, "eta", values)
+    assert all(result.labels == order for result in mixed)
+    assert 0 < mixed[0].diverged["dlms"] < cfg.realizations
+    for spec in cfg.algorithms:
+        label = spec.label
+        kinds = [spec.kind] + [replace(spec.kind, eta=value) if label == "npdlms" else spec.kind
+                               for value in values]
+        expected = [run_experiment(replace(cfg, algorithms=[replace(spec, kind=kind)])) for kind in kinds]
+        for result, reference in zip(mixed, expected, strict=True):
+            assert same_bits(result.node_msd[label], reference.node_msd[label]), label
+            kappa, counts = result.kappa[label], reference.kappa[label]
+            assert (kappa is None) == (counts is None) == (label != "npdlms")
+            assert kappa is None or same_bits(kappa, counts)
+            assert result.diverged[label] == reference.diverged[label]
+            assert type(result.diverged[label]) is int
+
+
 def _fails_on(cfg, index):
     """A stand-in for `generate_realization_data` that raises on realization `index`."""
     import diffnet.harness as harness_mod
@@ -703,15 +791,15 @@ def test_sweep_reports_a_failed_draw_once_and_runs_the_rest_of_its_chunk(monkeyp
 
     cfg = config_from_dict(small_config_dict(realizations=6, algorithms=[
         {"kind": "dlms", "step_size": 0.05}, {"kind": "npdlms", "step_size": 0.05}]))
-    simulate = harness_mod._simulate
+    run_chunk = harness_mod._run_chunk
     calls = []
 
-    def counting(config, variants, batch):
+    def counting(config, baselines, variants, batch, trace_out=None):
         calls.append((len(variants), batch.targets.shape[1]))
-        return simulate(config, variants, batch)
+        return run_chunk(config, baselines, variants, batch, trace_out)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
-    monkeypatch.setattr(harness_mod, "_simulate", counting)
+    monkeypatch.setattr(harness_mod, "_run_chunk", counting)
     monkeypatch.setattr(harness_mod, "generate_realization_data", _fails_on(cfg, 2))
     with pytest.raises(PartialFailure) as err:
         sweep(cfg, "eta", [0.0, 0.5, 2.0])
@@ -719,7 +807,9 @@ def test_sweep_reports_a_failed_draw_once_and_runs_the_rest_of_its_chunk(monkeyp
     assert calls == [(3, 3), (3, 2)]
 
 
-def test_sweep_falls_back_per_value_and_realization(monkeypatch):
+def test_sweep_falls_back_per_realization(monkeypatch):
+    """A chunk whose batched run raises is re-run one realization at a time,
+    every value in each rerun, with the bits of the batched run."""
     import diffnet.harness as harness_mod
 
     cfg = config_from_dict(small_config_dict(realizations=5, algorithms=[
@@ -727,24 +817,24 @@ def test_sweep_falls_back_per_value_and_realization(monkeypatch):
     values = [0.0, 0.5, 2.0]
     expected = sweep(cfg, "eta", values)
     bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
-    simulate = harness_mod._simulate
-    singles = []
+    run_chunk = harness_mod._run_chunk
+    reruns = []
 
-    def fragile(config, variants, batch):
-        # any run of several rows fails, and so does realization 3 at eta = 0.5
-        if len(variants) > 1 or batch.targets.shape[1] > 1:
+    def fragile(config, baselines, variants, batch, trace_out=None):
+        # any run of several rows fails, and so does realization 3 alone
+        if batch.targets.shape[1] > 1:
             raise FloatingPointError("batch failed")
-        singles.append(variants[0].eta)
-        if variants[0].eta == 0.5 and np.array_equal(batch.targets[:, 0], bad):
+        reruns.append([variant.eta for variant in variants])
+        if np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("realization failed")
-        return simulate(config, variants, batch)
+        return run_chunk(config, baselines, variants, batch, trace_out)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
-    monkeypatch.setattr(harness_mod, "_simulate", fragile)
+    monkeypatch.setattr(harness_mod, "_run_chunk", fragile)
     with pytest.raises(PartialFailure) as err:
         sweep(cfg, "eta", values)
     assert [idx for idx, _ in err.value.failures] == [3]
-    assert sorted(singles) == sorted(values * 5)
+    assert reruns == [values] * 5
 
     bad = None
     for result, reference in zip(sweep(cfg, "eta", values), expected):
