@@ -20,12 +20,11 @@ from diffnet import harness
 
 
 def steady_state_for_step(config, label, step):
-    algorithms = [
-        replace(spec, step_size=step) if spec.label == label else spec
-        for spec in config.algorithms
-    ]
-    result = harness.run_experiment(replace(config, algorithms=algorithms, output=None))
-    return result.steady_state_msd_db(label)
+    """Steady-state MSD (dB) of `label` at `step`, run alone: families are
+    isolated bit for bit, so the others would not change it."""
+    spec = next(spec for spec in config.algorithms if spec.label == label)
+    alone = replace(config, algorithms=[replace(spec, step_size=step)], output=None)
+    return harness.run_experiment(alone).steady_state_msd_db(label)
 
 
 def main(argv=None) -> int:

@@ -109,12 +109,11 @@ def _cmd_validate_noise(args) -> int:
     except InvalidParameters as exc:
         raise ConfigError(f"--spec: {exc}") from exc
     samples = noise.sample(spec, np.random.default_rng(args.seed), args.samples)
-    fmt = harness._fmt
     lines = ["t,re_emp,im_emp,re_theory,im_theory"]
     for t in CF_GRID:
         emp = noise.empirical_characteristic_function(samples, t)
         ref = noise.characteristic_function(spec, t)
-        lines.append(",".join([fmt(t), fmt(emp.real), fmt(emp.imag), fmt(ref.real), fmt(ref.imag)]))
+        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g" % (t, emp.real, emp.imag, ref.real, ref.imag))
     if args.out:
         harness._write_lines(args.out, lines)
         print(f"wrote {args.out}")

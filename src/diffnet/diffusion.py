@@ -88,7 +88,9 @@ class DLMSF:
         # e^3 overflows long before the ratio stops being ~e; switch forms. The
         # cube stays `**`, numpy's SIMD power: np.float_power, libm pow and
         # e * e * e each round some inputs differently, and the golden digests
-        # pin these bits.
+        # pin these bits. numpy takes a slow path for negative bases (~26 us
+        # against ~3 us for 272 values), but copysign(abs(e)**3, e), the fast
+        # form, differs from it on ~2.6 % of inputs, so the cube stays.
         return np.where(np.abs(e) < 1e100, e**3 / (self.mix + e * e), e)
 
 

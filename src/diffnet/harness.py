@@ -20,7 +20,9 @@ Two layout conditions keep those bits, and the code must keep them:
 - einsum adds a sum over a contiguous axis in another order than the same
   sum over a strided one, so the kernel-MAP's squared deviations and prior
   log-weights reduce over a contiguous d, through (..., N, d) copies of its
-  blocks, while the baselines reduce over the state's strided d;
+  blocks, while the baselines reduce over the state's strided d; the ring
+  of RING iterations' deviations keeps both layouts behind a leading time
+  axis, which its one einsum per RING iterations only loops over;
 - the prior's contraction must stay an elementwise reduce over its leading
   (b, slot) axis, whose order no layout of the other axes changes; it runs
   on (d, V*R, N) copies, where the product with the weights has the
@@ -142,7 +144,7 @@ class ExperimentConfig:
 def _parse_theta(raw, dim):
     if raw is None or raw == "normalized_ones":
         return np.ones(dim) / math.sqrt(dim)
-    theta = np.asarray(raw, dtype=float)
+    theta = _reals(raw, "theta_o")
     if theta.shape != (dim,) or not np.all(np.isfinite(theta)):
         raise ConfigError(f"theta_o must be {dim} finite numbers, got {raw!r}")
     return theta
@@ -165,6 +167,14 @@ def _real(value, key: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _reals(value, key: str) -> np.ndarray:
+    """`value`, a number or a list of numbers, as a float array; booleans do not pass."""
+    items = np.asarray(value, dtype=object)
+    if any(isinstance(x, (bool, np.bool_)) for x in items.flat):
+        raise ConfigError(f"{key} must hold numbers, got {value!r}")
+    return items.astype(float)
 
 
 # The parameter modules postpone annotation evaluation, so field types are names.
@@ -225,7 +235,7 @@ def _parse_variances(raw, n):
         if n != profile.shape[0]:
             raise ConfigError(f"builtin variance profile is for 16 nodes, topology has {n}")
         return profile
-    return per_node(raw, n, "regressor_variances")
+    return per_node(_reals(raw, "regressor_variances"), n, "regressor_variances")
 
 
 def _parse_noise(raw, variances, theta_o):
@@ -245,7 +255,7 @@ def _parse_noise(raw, variances, theta_o):
             ]
         if "variance" in raw:
             return [noise_models.Gaussian(float(v))
-                    for v in per_node(raw["variance"], n, "gaussian variance")]
+                    for v in per_node(_reals(raw["variance"], "variance"), n, "gaussian variance")]
         raise ConfigError("gaussian noise needs 'snr_db' or 'variance'")
     if kind == "alpha_stable":
         return [_build(noise_models.AlphaStable, raw, "noise", ("kind",), beta=0.0, gamma=1.0)] * n
@@ -336,6 +346,10 @@ def load_config(path) -> ExperimentConfig:
 # 0.9 MB per realization at T = 1000, N = 16, d = 5, plus the squared
 # deviations of every algorithm.
 CHUNK_REALIZATIONS = 16
+
+# Iterations whose deviations `_run_chunk` holds before it reduces them to
+# squared deviations in one einsum.
+RING = 16
 
 
 def realization_rng(base_seed: int, index: int):
@@ -452,7 +466,9 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     Every family's gain, every variant's pseudo-Huber gain among them, is
     evaluated on the neighbour pairs of the errors err[., ., l, k] only, and
     put into a gain matrix that holds +0.0 off the neighbourhoods for the
-    whole run. The gate energy sums a node's own neighbourhood, and the
+    whole run. The gate energy is the sum over l of that matrix's column k,
+    filled with the squared errors, so it sums a node's own neighbourhood,
+    in ascending l as a masked sum would (a square is never -0.0), and the
     combine (`_combine`) keeps a non-finite estimate out of the nodes it
     does not reach, so a non-finite value travels one hop per combine, as
     the network would pass it.
@@ -466,6 +482,15 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     same order, minus products history * (+-0) that leave a sum begun at
     +0.0 unchanged; the own slot's zero weight still turns a non-finite
     history entry into the NaN such a product gives.
+
+    The squared deviations are reduced once per RING iterations and at the
+    last one. Each iteration subtracts theta_path[t] into slot t % RING of a
+    ring of deviations, laid out as the step reduces them: (A, R, d, N) per
+    slot for the baselines, with the state's strided d, and (V, R, N, d) for
+    the kernel-MAP blocks, with a contiguous d. One einsum with a leading
+    time axis then writes sq[t0 : t + 1]; it reduces each element over d in
+    the order of the per-iteration einsum of that layout, so the bits are
+    the same.
 
     Returns squared deviations (A + V, R, T, N) and the kernel-MAP update
     counts (V*R, N), row v*R + r for value v; `trace_out`, if given,
@@ -501,7 +526,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         steps = np.array([spec.step_size for spec in baselines]).reshape(-1, 1, 1, 1)
         theta_path = batch.theta_path[:, :, :, None]
         theta_b, grad_b, sq_b = theta[:fams], grad[:fams], sq[:, :fams]
-        dev_b = np.empty(theta_b.shape)
+        dev_b = np.empty((RING,) + theta_b.shape)         # (RING, A, R, d, N), slot t % RING
 
     rows = values * reals
     updates = np.zeros((rows, n))
@@ -533,7 +558,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         grad_k = grad[fams:].reshape(rows, d, n)
         theta_path_nd = batch.theta_path[:, :, None, :]
         thetas_nd = theta[fams:].transpose(0, 1, 3, 2)    # (V, R, N, d) against the draws
-        dev_k = np.empty((values, reals, n, d))
+        dev_k = np.empty((RING, values, reals, n, d))     # slot t % RING
         gains_k = gains[fams:].reshape(rows, n, n)
         pair_sq = pair_gain[fams:]                     # the squared errors, then the gains
         eps = np.empty((rows, n))
@@ -573,16 +598,16 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                 _combine(theta, a, links, finite, point)
             np.matmul(batch.regressors[t], point, out=err)
             np.subtract(targets[t], err, out=err)
-            np.take(err, pairs, out=pair_err, mode="clip")
+            err.take(pairs, out=pair_err, mode="clip")
             for i, kind in enumerate(kinds):
                 pair_gain[i] = kind.gain(pair_err[i])
             if values:
-                # Off the neighbourhoods the gains hold +0.0, so the masked sum
-                # of the squared errors never forms inf * 0.
-                np.put(gains, pairs[fams:], np.multiply(pair_err_k, pair_err_k, out=pair_sq), mode="clip")
-                np.einsum("rlk,lk->rk", gains_k, mask, out=eps)
+                # Off the neighbourhoods the gains hold +0.0, so the sum over l
+                # is the neighbourhood's: ascending l, and a square is never -0.0.
+                gains.put(pairs[fams:], np.multiply(pair_err_k, pair_err_k, out=pair_sq), mode="clip")
+                np.add.reduce(gains_k, axis=1, out=eps)
                 pair_gain[fams:] = bounded_error_gain(delta, pair_err_k)
-            np.put(gains, pairs, pair_gain, mode="clip")
+            gains.put(pairs, pair_gain, mode="clip")
             np.matmul(u_tr[t], gains, out=grad)
             if fams:
                 np.multiply(steps, grad_b, out=grad_b)
@@ -597,8 +622,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                     np.einsum("bsrnd,bsrnd->bsrn", dv, dv, out=lw_b[..., :n])
                     np.divide(lw_b[..., :n], lw_scale, out=lw_b[..., :n])
                     # joint[b, j, r, k] = lw_own[b, r, k] + lw_nbr[b, r, index[j, k]]
-                    mu_b = np.take(lw_b[:, 1].reshape(filled, -1), gather, axis=1,
-                                   out=mu[:filled], mode="clip")
+                    mu_b = lw_b[:, 1].reshape(filled, -1).take(gather, axis=1, out=mu[:filled], mode="clip")
                     np.add(lw_b[:, :1, :, :n], mu_b, out=mu_b)
                     np.maximum.reduce(mu_b, axis=0, out=peak)
                     np.subtract(mu_b, peak, out=mu_b)
@@ -630,14 +654,19 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
             np.add(point, grad, out=adapted)
             if not cta:
                 _combine(adapted, a, links, finite, theta)
+            slot = t % RING
             if fams:
-                np.subtract(theta_b, theta_path[t], out=dev_b)
-                np.einsum("...dk,...dk->...k", dev_b, dev_b, out=sq_b[t])
+                np.subtract(theta_b, theta_path[t], out=dev_b[slot])
             if values:
-                np.subtract(thetas_nd, theta_path_nd[t], out=dev_k)
-                np.einsum("vrkd,vrkd->vrk", dev_k, dev_k, out=sq[t, fams:])
+                np.subtract(thetas_nd, theta_path_nd[t], out=dev_k[slot])
                 if trace_out is not None:
                     trace_out[t] = theta_nd
+            if slot == RING - 1 or t == t_len - 1:
+                done, t0 = slot + 1, t - slot
+                if fams:
+                    np.einsum("t...dk,t...dk->t...k", dev_b[:done], dev_b[:done], out=sq_b[t0 : t + 1])
+                if values:
+                    np.einsum("tvrkd,tvrkd->tvrk", dev_k[:done], dev_k[:done], out=sq[t0 : t + 1, fams:])
     return sq.transpose(1, 2, 0, 3), updates
 
 
@@ -782,20 +811,18 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 # export and sweeps
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_lines(path, lines) -> None:
     """Write `lines` to `path`, each ended by LF on every platform."""
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _rows(prefix: list, curves: list) -> list:
-    """One CSV line per iteration: `prefix`, the 1-based iteration, each curve's value."""
-    return [",".join(prefix + [str(t)] + [_fmt(x) for x in row])
-            for t, row in enumerate(zip(*curves, strict=True), start=1)]
+def _rows(lead: tuple, curves: list) -> list:
+    """One CSV line per iteration: the numbers `lead`, the 1-based iteration,
+    each curve's value; every number as %.17g, which round-trips a double."""
+    line = ",".join(["%.17g"] * len(lead) + ["%d"] + ["%.17g"] * len(curves))
+    columns = [np.asarray(curve, dtype=float).tolist() for curve in curves]
+    return [line % (*lead, t, *row) for t, row in enumerate(zip(*columns, strict=True), start=1)]
 
 
 def export_csv(result: RunResult, path, extra_columns=None) -> None:
@@ -809,7 +836,7 @@ def export_csv(result: RunResult, path, extra_columns=None) -> None:
     extra = extra_columns or {}
     names = [f"{label}_msd_db" for label in result.labels] + list(extra)
     curves = [result.network_msd_db(label) for label in result.labels] + list(extra.values())
-    _write_lines(path, ["iteration," + ",".join(names)] + _rows([], curves))
+    _write_lines(path, ["iteration," + ",".join(names)] + _rows((), curves))
 
 
 SWEEPABLE = ("eta", "h", "delta", "sigma")
@@ -842,7 +869,7 @@ def export_sweep_csv(values, results, path) -> None:
     header = "param_value,iteration," + ",".join(f"{label}_msd_db" for label in labels)
     lines = [header]
     for value, result in zip(values, results):
-        lines += _rows([_fmt(value)], [result.network_msd_db(label) for label in labels])
+        lines += _rows((float(value),), [result.network_msd_db(label) for label in labels])
     _write_lines(path, lines)
 
 
@@ -883,12 +910,8 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
 
 def export_theory_csv(curves, steady, path) -> None:
     """`n,msd_theory_db,emse_theory_db` rows plus a steady_state summary row."""
-    msd_db = to_db(curves.network_msd)
-    emse_db = to_db(curves.network_emse)
+    pairs = zip(to_db(curves.network_msd).tolist(), to_db(curves.network_emse).tolist(), strict=True)
     lines = ["n,msd_theory_db,emse_theory_db"]
-    for n in range(msd_db.shape[0]):
-        lines.append(f"{n},{_fmt(msd_db[n])},{_fmt(emse_db[n])}")
-    lines.append(
-        "steady_state," + _fmt(to_db(steady.steady_network_msd)) + "," + _fmt(to_db(steady.steady_network_emse))
-    )
-    _write_lines(path, lines)
+    lines += ["%d,%.17g,%.17g" % (n, *pair) for n, pair in enumerate(pairs)]
+    steady_db = (float(to_db(steady.steady_network_msd)), float(to_db(steady.steady_network_emse)))
+    _write_lines(path, lines + ["steady_state,%.17g,%.17g" % steady_db])

@@ -1,5 +1,6 @@
 """Experiment orchestration: determinism, pairing, CSV export, sweeps."""
 
+import math
 import re
 import warnings
 from dataclasses import replace
@@ -105,6 +106,19 @@ def test_csv_format(tmp_path):
     parsed = [float(line.split(",")[1]) for line in lines[1:]]
     curve = result.network_msd_db("dlms")
     assert parsed == [curve[0], curve[1]]
+
+
+def test_percent_format_writes_the_bytes_of_format():
+    """The CSV rows are one %-string of %.17g fields; each field must be the
+    text that format(x, ".17g") gives, on specials, edges and random bits."""
+    edges = [np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, 1e22, -1e22,
+             np.finfo(float).max, np.finfo(float).tiny]
+    bits = np.random.default_rng(19).integers(0, 2**64, size=10**4, dtype=np.uint64, endpoint=False)
+    values = edges + bits.view(float).tolist()         # every exponent, subnormals and NaNs
+    assert len({math.frexp(x)[1] for x in values if math.isfinite(x)}) > 1000
+    for x in values:
+        assert "%.17g" % x == format(x, ".17g"), x
+    assert "%.17g,%d,%.17g" % (0.1, 7, -0.0) == "0.10000000000000001,7,-0"
 
 
 def test_csv_extra_columns_follow_the_algorithms(tmp_path):
@@ -286,6 +300,28 @@ def test_float_keys_refuse_booleans_and_read_numeric_strings(key):
     text = yaml.safe_load(f"{key}: 5e-3")[key]
     assert text == "5e-3"
     assert read(config_from_dict(build(text))) == read(config_from_dict(build(5e-3)))
+
+
+_ARRAY_KEYS = {
+    "regressor_variances": (lambda v: small_config_dict(regressor_variances=v),
+                            [1.0, 0.9, 1.1, 1.0, 0.95], lambda cfg: cfg.regressor_variances),
+    "variance": (lambda v: small_config_dict(noise={"kind": "gaussian", "variance": v}),
+                 [0.1, 0.2, 0.1, 0.3, 0.1], lambda cfg: [spec.variance for spec in cfg.noise_specs]),
+    "theta_o": (lambda v: small_config_dict(theta_o=v), [0.5, 0, -1], lambda cfg: cfg.theta_o),
+}
+
+
+@pytest.mark.parametrize("key", _ARRAY_KEYS)
+def test_array_keys_refuse_booleans_and_read_numbers(key):
+    # `true`, alone or in a list, used to load as 1.0.
+    build, numbers, read = _ARRAY_KEYS[key]
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict(build([True] + numbers[1:]))
+    if key != "theta_o":                       # a scalar is repeated per node
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(build(True))
+        assert np.array_equal(read(config_from_dict(build(0.25))), [0.25] * 5)
+    assert np.array_equal(read(config_from_dict(build(numbers))), numbers)
 
 
 @pytest.mark.parametrize("d", [0, -1])
@@ -667,6 +703,42 @@ def test_non_finite_values_spread_one_hop_per_step(strategy, gate):
         assert not broken[:, 0, t, ~reach].any(), (t, broken[:, 0, t].any(axis=0), reach)
     if gate["mode"] == "hard":
         assert (updates == cfg.iterations).all()
+
+
+RING_CASES = [(t_len, strategy, False) for t_len in (1, 15, 16, 17, 35) for strategy in ("cta", "atc")]
+
+
+@pytest.mark.parametrize("t_len,strategy,non_finite", RING_CASES + [(35, "cta", True)],
+                         ids=[f"T{t}-{s}" for t, s, _ in RING_CASES] + ["T35-cta-non-finite"])
+def test_deviation_ring_matches_the_dense_steps_at_its_boundaries(t_len, strategy, non_finite):
+    """The engine reduces its squared deviations once per RING iterations and
+    at the last one; at and around those boundaries every block equals the
+    dense steps bit for bit: five baselines and a 3-value eta sweep, the hard
+    gate under CTA and the smooth one under ATC. In the non-finite case node
+    3's targets are inf from t = 20 in realization 0."""
+    import diffnet.harness as harness_mod
+    from oracles import run_baselines_dense_reference, run_npdlms_dense_reference
+
+    assert harness_mod.RING == 16
+    gate = {"eta": 0.0, "mode": "hard"} if strategy == "cta" else {"eta": 0.1, "mode": "smooth", "slope": 3.0}
+    cfg = config_from_dict(small_config_dict(iterations=t_len, realizations=3, strategy=strategy, gate=gate,
+                                             algorithms=_five_families_and_npdlms()))
+    spec = cfg.npdlms_spec()
+    baselines = cfg.algorithms[:-1]
+    variants = [replace(spec.kind, eta=eta) for eta in (0.0, 0.3, 3.0)]
+    batch, _, _ = harness_mod._draw(cfg, range(cfg.realizations))
+    if non_finite:
+        batch.targets[20:, 0, 2] = np.inf
+    sq, updates = harness_mod._run_chunk(cfg, baselines, variants, batch)
+    sq, flags = harness_mod._finish(sq)
+    sq_base = run_baselines_dense_reference(cfg, baselines, batch)
+    sq_kmap, updates_ref = run_npdlms_dense_reference(cfg, variants, batch)
+    assert not non_finite or not np.isfinite(sq_base).all()
+    reference = np.concatenate((sq_base, sq_kmap.reshape(len(variants), cfg.realizations, t_len, -1)))
+    reference, flags_ref = harness_mod._finish(reference)
+    assert same_bits(sq, reference)
+    assert np.array_equal(flags, flags_ref)
+    assert same_bits(updates, updates_ref)
 
 
 # --- sweeps: one chunked pass over shared draws --------------------------------

@@ -1,12 +1,14 @@
 """The scripts in scripts/: data generator, comparison suite, step retuning."""
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from diffnet.errors import ConfigError
-from diffnet.harness import load_config
+from diffnet.harness import config_from_dict, load_config, run_experiment
+from conftest import small_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +52,22 @@ def test_retune_validates_the_realization_override():
     for count in ("0", "-5"):
         with pytest.raises(ConfigError):
             retune.main(argv + ["--realizations", count])
+
+
+def test_retune_probe_runs_the_retuned_family_alone(monkeypatch):
+    # A probe used to run every configured family to read one label; its
+    # value must stay that of the all-family run, bit for bit.
+    retune = _script("retune_step_size")
+    config = config_from_dict(small_config_dict(algorithms=[
+        {"kind": "dlms", "step_size": 0.05}, {"kind": "dse_lms", "step_size": 0.03},
+        {"kind": "dmcc", "step_size": 0.05, "kernel_width": 1.3},
+        {"kind": "dlms_f", "step_size": 0.04, "mix": 0.5},
+        {"kind": "dllad", "step_size": 0.05, "scale": 2.0},
+        {"kind": "npdlms", "step_size": 0.08, "delta": 0.5}]))
+    runs = []
+    monkeypatch.setattr(retune.harness, "run_experiment", lambda cfg: runs.append(cfg) or run_experiment(cfg))
+    for spec in config.algorithms:
+        probe = retune.steady_state_for_step(config, spec.label, 0.02)
+        assert [entry.label for entry in runs[-1].algorithms] == [spec.label]
+        everyone = [replace(entry, step_size=0.02) if entry is spec else entry for entry in config.algorithms]
+        assert probe == run_experiment(replace(config, algorithms=everyone)).steady_state_msd_db(spec.label)
