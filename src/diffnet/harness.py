@@ -16,17 +16,19 @@ realization's matrices, so a row gives the same bits in any chunk and beside
 any other family as it does alone; the dense steps in the tests are the
 reference for every bit.
 
-Two layout conditions keep those bits, and the code must keep them:
+Three layout conditions keep those bits, and the code must keep them:
 - einsum adds a sum over a contiguous axis in another order than the same
   sum over a strided one, so the kernel-MAP's squared deviations and prior
-  log-weights reduce over a contiguous d, through (..., N, d) copies of its
-  blocks, while the baselines reduce over the state's strided d; the ring
-  of RING iterations' deviations keeps both layouts behind a leading time
-  axis, which its one einsum per RING iterations only loops over;
+  log-weights reduce over a contiguous d, through a (V*R, N, d) window of
+  its blocks' states kept beside the state's own, while the baselines
+  reduce over the state's strided d; the deviations of up to RING
+  iterations are reduced in one einsum per layout, whose leading time axis
+  it only loops over;
 - the prior's contraction must stay an elementwise reduce over its leading
-  (b, slot) axis, whose order no layout of the other axes changes; it runs
-  on (d, V*R, N) copies, where the product with the weights has the
-  longest inner runs.
+  (b, slot) axis, whose order no layout of the other axes changes, so it
+  reads the states' (V*R, d, N) blocks in the window as they lie;
+- the drift path is C-contiguous: the targets' einsum over d adds in
+  another order on a Fortran-ordered path.
 The combine and the error and gradient products give the same bits in
 either layout and on strided views.
 """
@@ -77,6 +79,9 @@ class AlgorithmSpec:
     def __post_init__(self):
         if not (math.isfinite(self.step_size) and self.step_size > 0):
             raise ConfigError(f"step_size must be finite and > 0, got {self.step_size}")
+        # The label names a CSV column: a comma or line break would split the header.
+        if not isinstance(self.label, str) or any(c in self.label for c in ",\r\n"):
+            raise ConfigError(f"label must be a string without ',', CR or LF, got {self.label!r}")
         if not self.label:
             object.__setattr__(self, "label", self.kind.kind)
 
@@ -347,8 +352,8 @@ def load_config(path) -> ExperimentConfig:
 # deviations of every algorithm.
 CHUNK_REALIZATIONS = 16
 
-# Iterations whose deviations `_run_chunk` holds before it reduces them to
-# squared deviations in one einsum.
+# Iterations whose states `_run_chunk` holds in its window before it
+# reduces their deviations to squared deviations in one einsum.
 RING = 16
 
 
@@ -460,37 +465,41 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     adapt step run once per step over all blocks; the kernel-MAP extras
     (history, gate energy, prior, gate factor) run on (V*R, ...) views of
     its blocks. Every buffer is allocated once per call; only the
-    pseudo-Huber gain and `_combine`'s repair of the matrices that hold a
-    non-finite value allocate per step.
+    pseudo-Huber gain, the gate energy and `_combine`'s repair of the
+    matrices that hold a non-finite value allocate per step.
 
     Every family's gain, every variant's pseudo-Huber gain among them, is
     evaluated on the neighbour pairs of the errors err[., ., l, k] only, and
     put into a gain matrix that holds +0.0 off the neighbourhoods for the
-    whole run. The gate energy is the sum over l of that matrix's column k,
-    filled with the squared errors, so it sums a node's own neighbourhood,
-    in ascending l as a masked sum would (a square is never -0.0), and the
-    combine (`_combine`) keeps a non-finite estimate out of the nodes it
-    does not reach, so a non-finite value travels one hop per combine, as
-    the network would pass it.
+    whole run. The gate energy adds the squared errors of node k's
+    neighbour pairs only, from +0.0 in ascending l, with the bits of a
+    masked sum over l, and the combine (`_combine`) keeps a non-finite
+    estimate out of the nodes it does not reach, so a non-finite value
+    travels one hop per combine, as the network would pass it.
 
-    Every node's rings hold the same global history, so they collapse into
-    one (B, V*R, N, d) array, newest first. The prior couples node k only
-    with its cross neighbours, so its (B, S, V*R, N) softmax lives on the
-    slot table of `_neighbour_slots`. Its contraction adds history *
-    (mu_joint - mu_own) over the flattened (b, slot) axis from +0.0, b outer
-    and the own slot last: a dense contraction over every pair (l, k) in the
-    same order, minus products history * (+-0) that leave a sum begun at
-    +0.0 unchanged; the own slot's zero weight still turns a non-finite
-    history entry into the NaN such a product gives.
+    Every node's rings hold the same global history, the last B states,
+    newest first, so they are B slots of the window below. The prior
+    couples node k only with its cross neighbours, so its (B, S, V*R, N)
+    softmax lives on the slot table of `_neighbour_slots`. Its contraction
+    adds history * (mu_joint - mu_own) over the flattened (b, slot) axis
+    from +0.0, b outer and the own slot last: a dense contraction over every
+    pair (l, k) in the same order, minus products history * (+-0) that leave
+    a sum begun at +0.0 unchanged; the own slot's zero weight still turns a
+    non-finite history entry into the NaN such a product gives.
 
-    The squared deviations are reduced once per RING iterations and at the
-    last one. Each iteration subtracts theta_path[t] into slot t % RING of a
-    ring of deviations, laid out as the step reduces them: (A, R, d, N) per
-    slot for the baselines, with the state's strided d, and (V, R, N, d) for
-    the kernel-MAP blocks, with a contiguous d. One einsum with a leading
-    time axis then writes sq[t0 : t + 1]; it reduces each element over d in
-    the order of the per-iteration einsum of that layout, so the bits are
-    the same.
+    The states live in one window of the last RING + B, newest first (B = 1
+    without a kernel-MAP record): step t reads the state at slot s, and the
+    adapt (CTA) or the combine (ATC) writes the next one straight into slot
+    s - 1. The kernel-MAP blocks keep a (V*R, N, d) window beside it, whose
+    slot s - 1 holds the evaluation point until the next state replaces it,
+    so the prior's evaluation points are its slots s - 1 and s and its
+    history the slots from s on; the contraction reads the state window's
+    (V*R, d, N) blocks. Once per RING iterations and at the last, one
+    subtract per layout forms those iterations' deviations from theta_path,
+    and one einsum per layout with a leading time axis reduces them into
+    sq[t0 : t + 1] over d in the order of a per-iteration einsum of that
+    layout. The `fired` flags of those iterations are added into the update
+    counts, and the newest B states are copied back to the top.
 
     Returns squared deviations (A + V, R, T, N) and the kernel-MAP update
     counts (V*R, N), row v*R + r for value v; `trace_out`, if given,
@@ -502,33 +511,41 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     t_len, reals, n, d = batch.regressors.shape
     fams, values = len(baselines), len(variants)
     blocks = fams + values
+    rows = values * reals
     cta = config.strategy == "cta"
+    buffer = variants[0].buffer if values else 1
     u_tr = batch.regressors.transpose(0, 1, 3, 2)         # (T, R, d, N)
-    targets = batch.targets[:, :, :, None]
-    theta = np.zeros((blocks, reals, d, n))
-    point = np.empty(theta.shape) if cta else theta     # CTA combines, then adapts
-    adapted = theta if cta else np.empty(theta.shape)   # ATC adapts, then combines
-    err = np.empty((blocks, reals, n, n))                 # err[., ., l, k]
+    # The window of past states, newest first: step t reads the state at slot
+    # s and writes the next one to slot s - 1. RING steps from the top slot, s
+    # reaches 0, and the newest `buffer` states are copied back to the top.
+    top = RING
+    window = np.empty((RING + buffer, blocks, reals, d, n))
+    window[top] = 0.0
+    point = np.empty(window.shape[1:]) if cta else None   # CTA combines, then adapts
+    adapted = None if cta else np.empty(window.shape[1:])  # ATC adapts, then combines
+    err = np.empty((blocks, reals, n, n))                 # err[., ., l, k] = u_l theta_k
     gains = np.zeros(err.shape)                           # written on the neighbour pairs only
-    grad = np.empty(theta.shape)
-    finite = np.empty(theta.shape, dtype=bool)
+    grad = np.empty(window.shape[1:])
+    finite = np.empty(window.shape[1:], dtype=bool)
     sq = np.empty((t_len, blocks, reals, n))
     # Flat (block, row, l, k) indices of the neighbour pairs, one line per
-    # block; every index is in range, so take and put run with mode="clip",
-    # which skips their bounds checks.
+    # block, and the (row, l) indices of their targets; every index is in
+    # range, so take and put run with mode="clip", which skips their bounds
+    # checks.
     kinds = [spec.kind for spec in baselines]
     flat = np.flatnonzero(mask)
     pairs = (np.arange(blocks * reals)[:, None] * n * n + flat).reshape(blocks, reals * len(flat))
+    at_l = (np.arange(reals)[:, None] * n + flat // n).ravel()
     pair_err = np.empty(pairs.shape)
     pair_gain = np.empty(pairs.shape)
+    pair_target = np.empty(at_l.shape)
 
     if fams:
         steps = np.array([spec.step_size for spec in baselines]).reshape(-1, 1, 1, 1)
-        theta_path = batch.theta_path[:, :, :, None]
-        theta_b, grad_b, sq_b = theta[:fams], grad[:fams], sq[:, :fams]
-        dev_b = np.empty((RING,) + theta_b.shape)         # (RING, A, R, d, N), slot t % RING
+        theta_path = batch.theta_path[:, None, :, :, None]
+        grad_b, sq_b = grad[:fams], sq[:, :fams]
+        dev_b = np.empty((RING, fams, reals, d, n))
 
-    rows = values * reals
     updates = np.zeros((rows, n))
     if values:
         algo: NPDLMS = variants[0]
@@ -542,37 +559,38 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
             return np.repeat(np.array(params, dtype=float), repeat).reshape((-1,) + (1,) * ndim)
 
         eta = per_value("eta", 1)
-        sigma = per_value("sigma", 1)
-        lw_scale = -2.0 * sigma
+        sigma = per_value("sigma", 2)
+        lw_scale = -2.0 * per_value("sigma", 1)
         h = per_value("h", 2)
         delta = per_value("delta", 1, repeat=1)
         if algo.mode == "smooth":
             from scipy.special import expit
         index = _neighbour_slots(mask)
         slots = index.shape[0]
-        # (V*R, ...) views of the kernel-MAP blocks; the _nd views are (V*R, N, d).
-        theta_nd = theta[fams:].reshape(rows, d, n).transpose(0, 2, 1)
-        theta_dr = theta[fams:].reshape(rows, d, n).transpose(1, 0, 2)   # (d, V*R, N)
-        point_nd = point[fams:].reshape(rows, d, n).transpose(0, 2, 1)
+        states = window[:, fams:].reshape(-1, rows, d, n)  # (RING + buffer, V*R, d, N) view
+        # The kernel-MAP blocks' states again, as (V*R, N, d) matrices: slot s - 1
+        # holds the evaluation point until the step writes the next state there.
+        window_nd = np.empty((RING + buffer, rows, n, d))
+        window_nd[top] = 0.0
+        point_nd = point[fams:].reshape(rows, d, n).transpose(0, 2, 1) if cta else None
+        # Per slot s: the evaluation points (own, neighbours'), the history in
+        # either layout, and the next state's slot and its (V*R, N, d) view.
+        kmap_views = [None] + [(window_nd[s - 1 : s + 1], window_nd[s : s + buffer, None],
+                                states[s : s + buffer, None], window_nd[s - 1],
+                                states[s - 1].transpose(0, 2, 1)) for s in range(1, top + 1)]
+        theta_path_nd = batch.theta_path[:, None, :, None, :]
+        dev_k = np.empty((RING, values, reals, n, d))
         pair_err_k = pair_err[fams:]                      # (V, R*P): row r's pairs at r*P
         grad_k = grad[fams:].reshape(rows, d, n)
-        theta_path_nd = batch.theta_path[:, :, None, :]
-        thetas_nd = theta[fams:].transpose(0, 1, 3, 2)    # (V, R, N, d) against the draws
-        dev_k = np.empty((RING, values, reals, n, d))     # slot t % RING
-        gains_k = gains[fams:].reshape(rows, n, n)
         pair_sq = pair_gain[fams:]                     # the squared errors, then the gains
-        eps = np.empty((rows, n))
-        fired = np.empty((rows, n), dtype=bool)
+        node_of_pair = (np.arange(rows)[:, None] * n + flat % n).ravel()   # (row, k) bins
+        fired = np.empty((RING, rows, n), dtype=bool)
         open_gate = np.empty((rows, n))
         gate_dn = open_gate[:, None, :]
 
         # Buffers of the prior term, each used through its first `filled` entries.
         # The log-weights and the deviations reduce over a contiguous d axis:
         # einsum adds a strided d in another order (see the module docstring).
-        buffer = algo.buffer
-        history = np.empty((buffer, rows, n, d))  # newest first
-        columns = np.empty((buffer, d, rows, n))  # the same, laid out for the contraction
-        evals = np.empty((2, rows, n, d))         # own evaluation point, neighbour estimates
         diff = np.empty((buffer, 2, rows, n, d))
         lw = np.full((buffer, 2, rows, n + 1), -0.0)  # column n stays -0.0 (see _neighbour_slots)
         gather = np.arange(rows)[:, None] * (n + 1) + index[:, None, :]   # (S, V*R, N) into lw[b, 1]
@@ -581,43 +599,44 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         nan = np.empty(mu.shape, dtype=bool)
         peak = np.empty((slots, rows, n))
         total = np.empty((slots, rows, n))
-        prod = np.empty((buffer, slots, d, rows, n))
-        prior = np.empty((d, rows, n))
-        filled = 0
+        prod = np.empty((buffer, slots, rows, d, n))
+        prior = np.empty((rows, d, n))
 
+    views = [None] + [(window[s], window[s - 1]) for s in range(1, top + 1)]   # per slot s
+    s = top
     with np.errstate(all="ignore"):  # divergence is flagged by _finish
         for t in range(t_len):
-            if values:
-                kept = min(filled, buffer - 1)
-                history[1 : kept + 1] = history[:kept]
-                history[0] = theta_nd
-                columns[1 : kept + 1] = columns[:kept]
-                columns[0] = theta_dr
-                filled = kept + 1
+            theta, new = views[s]
             if cta:
                 _combine(theta, a, links, finite, point)
+            else:
+                point = theta
             np.matmul(batch.regressors[t], point, out=err)
-            np.subtract(targets[t], err, out=err)
             err.take(pairs, out=pair_err, mode="clip")
+            batch.targets[t].take(at_l, out=pair_target, mode="clip")
+            np.subtract(pair_target, pair_err, out=pair_err)
             for i, kind in enumerate(kinds):
                 pair_gain[i] = kind.gain(pair_err[i])
             if values:
-                # Off the neighbourhoods the gains hold +0.0, so the sum over l
-                # is the neighbourhood's: ascending l, and a square is never -0.0.
-                gains.put(pairs[fams:], np.multiply(pair_err_k, pair_err_k, out=pair_sq), mode="clip")
-                np.add.reduce(gains_k, axis=1, out=eps)
+                # The pairs run in ascending l for each (row, k), so the bins add
+                # the neighbourhood's squares as a masked sum over l would: a
+                # square is never -0.0, so the masked sum's +0.0 terms drop out.
+                np.multiply(pair_err_k, pair_err_k, out=pair_sq)
+                eps = np.bincount(node_of_pair, pair_sq.ravel(), rows * n).reshape(rows, n)
                 pair_gain[fams:] = bounded_error_gain(delta, pair_err_k)
             gains.put(pairs, pair_gain, mode="clip")
             np.matmul(u_tr[t], gains, out=grad)
             if fams:
                 np.multiply(steps, grad_b, out=grad_b)
 
+            slot = t % RING
             if values:
                 np.divide(grad_k, h, out=grad_k)
+                evals, history, operand, new_nd, new_kmap = kmap_views[s]
+                filled = min(t + 1, buffer)
                 if filled >= 2:
-                    evals[0] = point_nd
-                    evals[1] = history[0]
-                    dv = np.subtract(history[:filled, None], evals, out=diff[:filled])
+                    np.copyto(evals[0], point_nd if cta else evals[1])
+                    dv = np.subtract(history[:filled], evals, out=diff[:filled])
                     lw_b = lw[:filled]
                     np.einsum("bsrnd,bsrnd->bsrn", dv, dv, out=lw_b[..., :n])
                     np.divide(lw_b[..., :n], lw_scale, out=lw_b[..., :n])
@@ -638,35 +657,44 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                     # non-finite value, marks pairs whose log-weights are all -inf or
                     # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
                     np.copyto(mu_b, 0.0, where=np.isnan(mu_b, out=nan[:filled]))
-                    terms = np.multiply(columns[:filled, None], mu_b[:, :, None], out=prod[:filled])
-                    np.add.reduce(terms.reshape(filled * slots, d, rows, n), axis=0,
+                    terms = np.multiply(operand[:filled], mu_b[:, :, :, None], out=prod[:filled])
+                    np.add.reduce(terms.reshape(filled * slots, rows, d, n), axis=0,
                                   initial=0.0, out=prior)
-                    np.add(grad_k, np.divide(prior, sigma, out=prior).transpose(1, 0, 2), out=grad_k)
-                np.greater(eps, eta, out=fired)
-                np.add(updates, fired, out=updates)
+                    np.add(grad_k, np.divide(prior, sigma, out=prior), out=grad_k)
+                np.greater(eps, eta, out=fired[slot])
                 if algo.mode == "hard":
-                    np.multiply(step, fired, out=open_gate)
+                    np.multiply(step, fired[slot], out=open_gate)
                 else:
                     np.multiply(2.0 * algo.slope, np.subtract(eps, eta, out=open_gate), out=open_gate)
                     np.multiply(step, expit(open_gate, out=open_gate), out=open_gate)
                 np.multiply(gate_dn, grad_k, out=grad_k)
 
-            np.add(point, grad, out=adapted)
-            if not cta:
-                _combine(adapted, a, links, finite, theta)
-            slot = t % RING
-            if fams:
-                np.subtract(theta_b, theta_path[t], out=dev_b[slot])
+            if cta:
+                np.add(point, grad, out=new)
+            else:
+                np.add(point, grad, out=adapted)
+                _combine(adapted, a, links, finite, new)
+            s -= 1
             if values:
-                np.subtract(thetas_nd, theta_path_nd[t], out=dev_k[slot])
+                np.copyto(new_nd, new_kmap)
                 if trace_out is not None:
-                    trace_out[t] = theta_nd
+                    trace_out[t] = new_nd
             if slot == RING - 1 or t == t_len - 1:
+                # The states of steps t0..t sit at slots s + slot..s, newest first.
                 done, t0 = slot + 1, t - slot
                 if fams:
+                    np.subtract(window[s : s + done, :fams][::-1], theta_path[t0 : t + 1], out=dev_b[:done])
                     np.einsum("t...dk,t...dk->t...k", dev_b[:done], dev_b[:done], out=sq_b[t0 : t + 1])
                 if values:
+                    recent = window_nd[s : s + done][::-1].reshape(done, values, reals, n, d)
+                    np.subtract(recent, theta_path_nd[t0 : t + 1], out=dev_k[:done])
                     np.einsum("tvrkd,tvrkd->tvrk", dev_k[:done], dev_k[:done], out=sq[t0 : t + 1, fams:])
+                    np.add(updates, np.add.reduce(fired[:done], axis=0), out=updates)
+                if s == 0:
+                    window[top : top + buffer] = window[:buffer]
+                    if values:
+                        window_nd[top : top + buffer] = window_nd[:buffer]
+                    s = top
     return sq.transpose(1, 2, 0, 3), updates
 
 

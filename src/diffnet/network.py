@@ -11,6 +11,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -185,15 +186,18 @@ class GroundTruth:
 
         The random walk takes all its increments in one draw, which leaves the
         generator where `steps` calls of `path(rng, 1)` would, then runs the
-        decay recurrence row by row.
+        decay recurrence down each column on Python floats: the same products
+        and sums as a row-by-row array update, without a numpy call per row.
+        The path is C-contiguous, the layout whose bits the targets' einsum
+        over d was recorded with.
         """
         if not isinstance(self.drift, RandomWalk):
             return np.tile(self.theta_o, (steps, 1))
         q_scale = math.sqrt(self.drift.q_variance)
         omega = rng.standard_normal((steps,) + self.theta_o.shape) * q_scale
         omega[0] += WALK_DECAY * self._omega
-        for t in range(1, steps):
-            omega[t] += WALK_DECAY * omega[t - 1]
+        omega = np.stack([np.fromiter(accumulate(column.tolist(), lambda prev, q: q + WALK_DECAY * prev),
+                                      float, steps) for column in omega.T], axis=1)
         self._omega = omega[-1].copy()
         return self.theta_o + omega
 

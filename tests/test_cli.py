@@ -221,7 +221,7 @@ def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-# Golden SHA-256 digests of four small runs' CSV bytes. They pin the engine and
+# Golden SHA-256 digests of five small runs' CSV bytes. They pin the engine and
 # the CSV writer together and hold for the numpy 2.4.6 / scipy-openblas build
 # they were recorded on (the same caveat as bench/golden.json); another BLAS
 # or CPU family may change the last bits of a curve.
@@ -238,6 +238,7 @@ SIMULATE_SHA256 = "7064432831ec3ca90a42e8f380da14a9e498a5995ea4133bb5cc684842b1b
 COMPARE_SHA256 = "dad54beee6a5e58f0eb2defb85a70961211c5fd2ae305c84ac6bf6fbdbf4f707"
 THEORY_SHA256 = "4e7686bb968d04e830c3e2576d54a481d2046132f76b100f6550486c894c64c7"
 SWEEP_SHA256 = "da6eca5abe0343764edd3ae5e281820850bd8bc12faedc01fff618d8a785950f"
+TRACKING_SHA256 = "2fec90df67fb2a0188beeac92facec7f9021e9e9a13c2588fc17bbbd5c53b70d"
 
 
 def test_simulate_golden_digest(tmp_path, capsys):
@@ -279,6 +280,15 @@ def test_sweep_golden_digest(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[0] == "param_value,iteration,npdlms_msd_db"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256
+
+
+def test_tracking_golden_digest(tmp_path, capsys):
+    """Six algorithms on the random walk under alpha-stable noise: the only
+    digest that runs the drift recurrence and the alpha-stable sampler."""
+    out = tmp_path / "tracking.csv"
+    assert main(["simulate", "--config", str(CONFIGS / "nonstationary_alpha_stable.yaml"),
+                 "--realizations", "3", "--iterations", "60", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TRACKING_SHA256
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda path: path.stem)

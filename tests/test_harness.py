@@ -143,6 +143,20 @@ def test_duplicate_labels_rejected():
         ]))
 
 
+@pytest.mark.parametrize("label", ["a,b", "x\ny", "x\ry", 5, None])
+def test_label_that_would_break_the_csv_header_is_config_error(label):
+    """A label is a CSV column name: a non-string, a comma or a line break is
+    refused by name. `a,b` used to write a 4-field header over 3-field rows."""
+    with pytest.raises(ConfigError, match="label") as info:
+        config_from_dict(small_config_dict(algorithms=[{"kind": "dlms", "step_size": 0.1, "label": label}]))
+    assert repr(label) in str(info.value)
+
+
+def test_empty_label_means_the_kind():
+    cfg = config_from_dict(small_config_dict(algorithms=[{"kind": "dlms", "step_size": 0.1, "label": ""}]))
+    assert cfg.algorithms[0].label == "dlms"
+
+
 def test_missing_step_size_rejected():
     with pytest.raises(ConfigError):
         config_from_dict(small_config_dict(algorithms=[{"kind": "dlms"}]))
@@ -705,40 +719,63 @@ def test_non_finite_values_spread_one_hop_per_step(strategy, gate):
         assert (updates == cfg.iterations).all()
 
 
-RING_CASES = [(t_len, strategy, False) for t_len in (1, 15, 16, 17, 35) for strategy in ("cta", "atc")]
+def _window_cases():
+    """(T, buffer, strategy) at and around the window's boundaries: a flush
+    every RING steps, and the rewind of the newest `buffer` states to the
+    top of the window at RING + buffer and 2 RING + buffer states."""
+    ring = 16
+    cases = []
+    for buffer in (1, 2, 3, 20):                  # 20 > RING
+        lengths = {1, ring - 1, ring, ring + 1}
+        lengths |= {ring + buffer + dt for dt in (-1, 0, 1)} | {2 * ring + buffer + dt for dt in (-1, 0, 1)}
+        cases += [(t_len, buffer, strategy) for t_len in sorted(lengths) for strategy in ("cta", "atc")]
+    return cases
 
 
-@pytest.mark.parametrize("t_len,strategy,non_finite", RING_CASES + [(35, "cta", True)],
-                         ids=[f"T{t}-{s}" for t, s, _ in RING_CASES] + ["T35-cta-non-finite"])
-def test_deviation_ring_matches_the_dense_steps_at_its_boundaries(t_len, strategy, non_finite):
-    """The engine reduces its squared deviations once per RING iterations and
-    at the last one; at and around those boundaries every block equals the
-    dense steps bit for bit: five baselines and a 3-value eta sweep, the hard
-    gate under CTA and the smooth one under ATC. In the non-finite case node
-    3's targets are inf from t = 20 in realization 0."""
+WINDOW_CASES = [(t_len, buffer, strategy, False) for t_len, buffer, strategy in _window_cases()]
+
+
+@pytest.mark.parametrize("t_len,buffer,strategy,non_finite", WINDOW_CASES + [(35, 3, "cta", True)],
+                         ids=[f"T{t}-B{b}-{s}" for t, b, s, _ in WINDOW_CASES] + ["T35-B3-cta-non-finite"])
+def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strategy, non_finite):
+    """The engine keeps its states in one window of RING + B slots, reduces
+    its squared deviations once per RING iterations and at the last one,
+    and rewinds the newest B states to the top of the window after each
+    flush; at and around those boundaries every block equals the dense steps
+    bit for bit: five baselines and a 3-value sweep whose eta, sigma and h
+    are per-value arrays, the hard gate under CTA and the smooth one under
+    ATC. The ground truth is a random walk, so a flush that pairs a state
+    with another iteration's theta_path[t] shows. In the non-finite case
+    node 3's targets are inf from t = 20 in realization 0."""
     import diffnet.harness as harness_mod
     from oracles import run_baselines_dense_reference, run_npdlms_dense_reference
 
     assert harness_mod.RING == 16
     gate = {"eta": 0.0, "mode": "hard"} if strategy == "cta" else {"eta": 0.1, "mode": "smooth", "slope": 3.0}
     cfg = config_from_dict(small_config_dict(iterations=t_len, realizations=3, strategy=strategy, gate=gate,
+                                             environment={"kind": "random_walk", "q_variance": 1e-3},
                                              algorithms=_five_families_and_npdlms()))
     spec = cfg.npdlms_spec()
     baselines = cfg.algorithms[:-1]
-    variants = [replace(spec.kind, eta=eta) for eta in (0.0, 0.3, 3.0)]
+    variants = [replace(spec.kind, buffer=buffer, eta=eta, sigma=sigma, h=h)
+                for eta, sigma, h in ((0.0, 1.0, 1.0), (0.3, 0.7, 2.0), (3.0, 2.0, 0.5))]
     batch, _, _ = harness_mod._draw(cfg, range(cfg.realizations))
+    assert (np.diff(batch.theta_path, axis=0) != 0).all()     # every iteration its own theta
     if non_finite:
         batch.targets[20:, 0, 2] = np.inf
-    sq, updates = harness_mod._run_chunk(cfg, baselines, variants, batch)
+    trace = np.empty((t_len, len(variants) * cfg.realizations) + batch.regressors.shape[2:])
+    sq, updates = harness_mod._run_chunk(cfg, baselines, variants, batch, trace_out=trace)
     sq, flags = harness_mod._finish(sq)
     sq_base = run_baselines_dense_reference(cfg, baselines, batch)
-    sq_kmap, updates_ref = run_npdlms_dense_reference(cfg, variants, batch)
+    trace_ref = np.empty(trace.shape)
+    sq_kmap, updates_ref = run_npdlms_dense_reference(cfg, variants, batch, trace_out=trace_ref)
     assert not non_finite or not np.isfinite(sq_base).all()
     reference = np.concatenate((sq_base, sq_kmap.reshape(len(variants), cfg.realizations, t_len, -1)))
     reference, flags_ref = harness_mod._finish(reference)
     assert same_bits(sq, reference)
     assert np.array_equal(flags, flags_ref)
     assert same_bits(updates, updates_ref)
+    assert same_bits(trace, trace_ref)
 
 
 # --- sweeps: one chunked pass over shared draws --------------------------------

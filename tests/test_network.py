@@ -266,7 +266,10 @@ def test_drift_path_matches_stepwise_recursion(drift):
         rng = np.random.default_rng(seed)
         rng_ref = np.random.default_rng(seed)
         gt = GroundTruth(THETA5, drift)
-        path = np.concatenate([gt.path(rng, 400), gt.path(rng, 1), gt.path(rng, 99)])
+        parts = [gt.path(rng, 400), gt.path(rng, 1), gt.path(rng, 99)]
+        # The targets' einsum over d gives other bits on a Fortran-ordered path.
+        assert all(part.flags.c_contiguous for part in parts)
+        path = np.concatenate(parts)
         omega = np.zeros(5)
         expected = []
         for _ in range(500):
