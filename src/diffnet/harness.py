@@ -24,9 +24,11 @@ Three layout conditions keep those bits, and the code must keep them:
   reduce over the state's strided d; the deviations of up to RING
   iterations are reduced in one einsum per layout, whose leading time axis
   it only loops over;
-- the prior's contraction must stay an elementwise reduce over its leading
-  (b, slot) axis, whose order no layout of the other axes changes, so it
-  reads the states' (V*R, d, N) blocks in the window as they lie;
+- the prior's contraction is one einsum at numpy's default optimize=False,
+  over the window's (V*R, d, N) blocks as they lie, with the node axis
+  innermost: it adds each product from +0.0, b outer and slot inner, unfused.
+  optimize=True (BLAS), an einsum built with fused multiply-add or a layout
+  that makes a reduction axis innermost would add in another order;
 - the drift path is C-contiguous: the targets' einsum over d adds in
   another order on a Fortran-ordered path.
 The combine and the error and gradient products give the same bits in
@@ -464,9 +466,9 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     error and gradient products, the neighbour-pair take and put and the
     adapt step run once per step over all blocks; the kernel-MAP extras
     (history, gate energy, prior, gate factor) run on (V*R, ...) views of
-    its blocks. Every buffer is allocated once per call; only the
-    pseudo-Huber gain, the gate energy and `_combine`'s repair of the
-    matrices that hold a non-finite value allocate per step.
+    its blocks. Every buffer is allocated once per call; per step, every
+    baseline gain but DLMS's, the pseudo-Huber gain, the gate energy and
+    `_combine`'s repair of a non-finite neighbourhood allocate.
 
     Every family's gain, every variant's pseudo-Huber gain among them, is
     evaluated on the neighbour pairs of the errors err[., ., l, k] only, and
@@ -480,12 +482,12 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     Every node's rings hold the same global history, the last B states,
     newest first, so they are B slots of the window below. The prior
     couples node k only with its cross neighbours, so its (B, S, V*R, N)
-    softmax lives on the slot table of `_neighbour_slots`. Its contraction
-    adds history * (mu_joint - mu_own) over the flattened (b, slot) axis
-    from +0.0, b outer and the own slot last: a dense contraction over every
-    pair (l, k) in the same order, minus products history * (+-0) that leave
-    a sum begun at +0.0 unchanged; the own slot's zero weight still turns a
-    non-finite history entry into the NaN such a product gives.
+    softmax lives on the slot table of `_neighbour_slots`. Its contraction,
+    one einsum (see the module docstring), adds history * (mu_joint - mu_own)
+    over (b, slot) from +0.0, b outer and the own slot last: a dense
+    contraction over every pair (l, k) in the same order, minus products
+    history * (+-0) that leave a sum begun at +0.0 unchanged; the own slot's
+    zero weight still turns a non-finite history entry into that product's NaN.
 
     The states live in one window of the last RING + B, newest first (B = 1
     without a kernel-MAP record): step t reads the state at slot s, and the
@@ -576,7 +578,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         # Per slot s: the evaluation points (own, neighbours'), the history in
         # either layout, and the next state's slot and its (V*R, N, d) view.
         kmap_views = [None] + [(window_nd[s - 1 : s + 1], window_nd[s : s + buffer, None],
-                                states[s : s + buffer, None], window_nd[s - 1],
+                                states[s : s + buffer], window_nd[s - 1],
                                 states[s - 1].transpose(0, 2, 1)) for s in range(1, top + 1)]
         theta_path_nd = batch.theta_path[:, None, :, None, :]
         dev_k = np.empty((RING, values, reals, n, d))
@@ -599,7 +601,6 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         nan = np.empty(mu.shape, dtype=bool)
         peak = np.empty((slots, rows, n))
         total = np.empty((slots, rows, n))
-        prod = np.empty((buffer, slots, rows, d, n))
         prior = np.empty((rows, d, n))
 
     views = [None] + [(window[s], window[s - 1]) for s in range(1, top + 1)]   # per slot s
@@ -657,9 +658,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                     # non-finite value, marks pairs whose log-weights are all -inf or
                     # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
                     np.copyto(mu_b, 0.0, where=np.isnan(mu_b, out=nan[:filled]))
-                    terms = np.multiply(operand[:filled], mu_b[:, :, :, None], out=prod[:filled])
-                    np.add.reduce(terms.reshape(filled * slots, rows, d, n), axis=0,
-                                  initial=0.0, out=prior)
+                    np.einsum("bjrk,brdk->rdk", mu_b, operand[:filled], out=prior)
                     np.add(grad_k, np.divide(prior, sigma, out=prior), out=grad_k)
                 np.greater(eps, eta, out=fired[slot])
                 if algo.mode == "hard":

@@ -55,6 +55,11 @@ STEIN_TOL = 1e-10
 FIXED_POINT_TOL = 1e-10
 FIXED_POINT_MAX_SOLVES = 500
 
+# Steps whose diagonal blocks `transient_curves` reduces in one einsum pair:
+# over the steps' (N, d, d) stacks end to end, beside the covariances tiled
+# as often, since an einsum over a fourth, step axis adds in another order.
+METRIC_STEPS = 64
+
 
 @dataclass
 class TheoryInputs:
@@ -202,7 +207,6 @@ class _Recursion:
         self.tri_trace = (tri_l * n + tri_k) * n + tri_kk  # [l, k, k'] in (N, N, N)
         self.tri_noise = moments.noise_variances[tri_l]
         self.pair_entries = np.concatenate([self.tri_trace, self.pair_trace])
-        self.diag_blocks = _diagonal_blocks(n, d)
 
         # Buffers, allocated once, and the views of them each product reads or writes.
         cut = tri_l.size
@@ -232,7 +236,6 @@ class _Recursion:
         self.coeff_blocks = self.coeff.reshape(n, d, d)
         self.blocks = np.empty((n, d, d))
         self.a_dense = self.a_t[:, None, :, None]       # a_lk at [k, ., l, .]
-        self.diag = np.empty((n, d, d))
 
     def linearize(self, p: np.ndarray) -> None:
         """Evaluate the step at the error second moment `p` (Nd x Nd, symmetric)."""
@@ -287,11 +290,6 @@ class _Recursion:
         out = np.zeros(self.scaled.shape)
         out.flat[self.pair_slope] = self.slope
         return out
-
-    def node_metrics(self, p: np.ndarray, msd: np.ndarray, emse: np.ndarray) -> None:
-        """Per-node MSD and EMSE of `p`, into `msd` and `emse`."""
-        _node_metrics(np.take(p, self.diag_blocks, out=self.diag, mode="clip"),
-                      self.covs, msd, emse)
 
 
 def _diagonal_blocks(n: int, d: int) -> np.ndarray:
@@ -469,15 +467,24 @@ def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
         raise InvalidParameters(f"n_max must be an integer >= 0, got {n_max!r}")
     _require_stable(moments)
     recursion = _Recursion(moments)
-    theta_bar = np.tile(moments.theta_o, moments.node_count)
-    node_msd = np.empty((n_max + 1, moments.node_count))
-    node_emse = np.empty((n_max + 1, moments.node_count))
+    n, d = moments.node_count, moments.dim
+    theta_bar = np.tile(moments.theta_o, n)
+    node_msd = np.empty((n_max + 1, n))
+    node_emse = np.empty((n_max + 1, n))
+    blocks = _diagonal_blocks(n, d)
+    diag = np.empty((METRIC_STEPS, n, d, d))
+    covs = np.tile(moments.covs, (METRIC_STEPS, 1, 1))
     p = np.outer(theta_bar, theta_bar)
-    recursion.node_metrics(p, node_msd[0], node_emse[0])
-    for step in range(1, n_max + 1):
-        recursion.linearize(p)
-        recursion.advance(p)
-        recursion.node_metrics(p, node_msd[step], node_emse[step])
+    for step in range(n_max + 1):
+        if step:
+            recursion.linearize(p)
+            recursion.advance(p)
+        slot = step % METRIC_STEPS
+        np.take(p, blocks, out=diag[slot], mode="clip")
+        if slot == METRIC_STEPS - 1 or step == n_max:
+            done, t0 = (slot + 1) * n, step - slot
+            _node_metrics(diag.reshape(covs.shape)[:done], covs[:done], node_msd[t0 : step + 1].reshape(-1),
+                          node_emse[t0 : step + 1].reshape(-1))
 
     return PerformanceCurves(
         node_msd=node_msd,

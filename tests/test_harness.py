@@ -778,6 +778,40 @@ def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strateg
     assert same_bits(trace, trace_ref)
 
 
+@pytest.mark.parametrize("slots", [2, 3, 6])
+@pytest.mark.parametrize("buffer", [2, 3, 8, 20])
+def test_prior_contraction_einsum_is_the_product_and_reduce(buffer, slots):
+    """The prior's contraction in `_run_chunk` is one einsum over the (b, slot)
+    axes. numpy's unoptimized einsum keeps the node axis innermost, starts at
+    +0.0 and adds each product b-outer, slot-inner without fusing the multiply
+    and add, so it has the bits of the explicit product reduced over the
+    flattened (b, slot) axis. The history is a strided view of a window of
+    states; the weights hold the +0.0 own slot, pads, -0.0 and NaN, and the
+    history -0.0, +-inf and NaN."""
+    rng = np.random.default_rng(buffer * 10 + slots)
+    for rows in (1, 2, 7, 16):
+        for d in (1, 2, 5):
+            for n in (4, 16):
+                window = rng.standard_normal((buffer + 3, 2, rows, d, n))    # 1 baseline block before
+                history = window[:, 1:].reshape(-1, rows, d, n)[2 : 2 + buffer]
+                history[0, 0, 0, :3] = [-0.0, np.inf, -np.inf]
+                history[-1, -1, -1, -1] = np.nan
+                mu = rng.uniform(-1.0, 1.0, (buffer, slots, rows, n))
+                mu[:, -1] = 0.0                                      # the own slot
+                mu[:, slots // 2 :, :, ::3] = 0.0                    # pads after the last neighbour
+                mu[0, 0, 0, 1] = -0.0
+                mu[-1, 0, -1, 0] = np.nan
+                prod = np.empty((buffer, slots, rows, d, n))
+                prior = np.empty((rows, d, n))
+                with np.errstate(invalid="ignore"):
+                    np.multiply(history[:, None], mu[:, :, :, None], out=prod)
+                    expected = np.add.reduce(prod.reshape(buffer * slots, rows, d, n), axis=0, initial=0.0)
+                    np.einsum("bjrk,brdk->rdk", mu, history, out=prior)
+                assert np.array_equal(prior.view(np.uint64), expected.view(np.uint64)), (
+                    f"numpy {np.__version__}: einsum's order differs from the product-and-reduce"
+                    f" at B={buffer}, S={slots}, rows={rows}, d={d}, N={n}")
+
+
 # --- sweeps: one chunked pass over shared draws --------------------------------
 
 

@@ -458,9 +458,21 @@ def assert_step_matches_reference(inputs, n_max=500):
     return moments
 
 
-@pytest.mark.parametrize("step_size", N16_STEPS)
-def test_step_matches_reference_on_16_node_network(step_size):
-    assert_step_matches_reference(n16_inputs(step_size))
+# Transient lengths at and around the flushes of the per-node metrics, one
+# per METRIC_STEPS steps and one at the last.
+FLUSH_STEPS = tuple(theory.METRIC_STEPS * k + dk for k, dk in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 0)))
+
+
+def _with_flush_steps(values, extended):
+    """(value, n_max) cases: every value at n_max = 500, the `extended` ones
+    also at each of FLUSH_STEPS; ids keep the plain value for n_max = 500."""
+    cases = [(value, 500) for value in values] + [(value, n) for value in extended for n in FLUSH_STEPS]
+    return {"argvalues": cases, "ids": [str(v) if n == 500 else f"{v}-n_max{n}" for v, n in cases]}
+
+
+@pytest.mark.parametrize("step_size,n_max", **_with_flush_steps(N16_STEPS, (N16_STEPS[0], N16_STEPS[-1])))
+def test_step_matches_reference_on_16_node_network(step_size, n_max):
+    assert_step_matches_reference(n16_inputs(step_size), n_max)
 
 
 def test_step_matches_reference_on_small_config():
@@ -480,14 +492,14 @@ def test_step_matches_reference_at_zero_noise():
     assert_step_matches_reference(small_inputs(noise_variances=np.zeros(4)))
 
 
-@pytest.mark.parametrize("seed", [31, 33, 39, 40])
-def test_step_matches_reference_with_full_covariances(seed):
+@pytest.mark.parametrize("seed,n_max", **_with_flush_steps((31, 33, 39, 40), (31,)))
+def test_step_matches_reference_with_full_covariances(seed, n_max):
     inputs = random_inputs(seed)
     n = inputs.topology.node_count
     inputs.step_sizes = 0.4 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
     r0 = inputs.regressor_covariances[0]
     assert np.any(r0 != np.diag(np.diag(r0)))
-    assert_step_matches_reference(inputs)
+    assert_step_matches_reference(inputs, n_max)
 
 
 @pytest.mark.parametrize("h, delta", [(2.0, 5.0), (1.7, 0.3)])
