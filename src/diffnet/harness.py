@@ -25,10 +25,12 @@ Three layout conditions keep those bits, and the code must keep them:
   iterations are reduced in one einsum per layout, whose leading time axis
   it only loops over;
 - the prior's contraction is one einsum at numpy's default optimize=False,
-  over the window's (V*R, d, N) blocks as they lie, with the node axis
-  innermost: it adds each product from +0.0, b outer and slot inner, unfused.
-  optimize=True (BLAS), an einsum built with fused multiply-add or a layout
-  that makes a reduction axis innermost would add in another order;
+  over a third, flat window of the kernel-MAP blocks' states: (d, V*R*N)
+  matrices whose (row, node) axis, rows in the state's order and nodes
+  within a row, is innermost and contiguous in the weights, the history and
+  the output alike. It adds each product from +0.0, b outer and slot inner,
+  unfused. optimize=True (BLAS), an einsum built with fused multiply-add or
+  a layout that makes a reduction axis innermost would add in another order;
 - the drift path is C-contiguous: the targets' einsum over d adds in
   another order on a Fortran-ordered path.
 The combine and the error and gradient products give the same bits in
@@ -37,6 +39,7 @@ either layout and on strided views.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, fields, replace
@@ -483,8 +486,11 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     newest first, so they are B slots of the window below. The prior
     couples node k only with its cross neighbours, so its (B, S, V*R, N)
     softmax lives on the slot table of `_neighbour_slots`. Its contraction,
-    one einsum (see the module docstring), adds history * (mu_joint - mu_own)
-    over (b, slot) from +0.0, b outer and the own slot last: a dense
+    one einsum over the flat window below (see the module docstring), reads
+    the weights as (B, S, V*R*N) and writes a (d, V*R*N) prior, which is
+    divided by sigma and added into the gradient through its (V*R, d, N)
+    view. It adds history * (mu_joint - mu_own) over (b, slot) from +0.0,
+    b outer and the own slot last: a dense
     contraction over every pair (l, k) in the same order, minus products
     history * (+-0) that leave a sum begun at +0.0 unchanged; the own slot's
     zero weight still turns a non-finite history entry into that product's NaN.
@@ -495,13 +501,17 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     s - 1. The kernel-MAP blocks keep a (V*R, N, d) window beside it, whose
     slot s - 1 holds the evaluation point until the next state replaces it,
     so the prior's evaluation points are its slots s - 1 and s and its
-    history the slots from s on; the contraction reads the state window's
-    (V*R, d, N) blocks. Once per RING iterations and at the last, one
-    subtract per layout forms those iterations' deviations from theta_path,
+    history the slots from s on. With B > 1 they keep a third, flat
+    (d, V*R*N) window, whose slots from s on are the contraction's history;
+    B = 1 runs no contraction and keeps none. Each step copies the next
+    state into both from slot s - 1 of the state window. Once per RING
+    iterations and at the last, one subtract per layout forms those
+    iterations' deviations from theta_path,
     and one einsum per layout with a leading time axis reduces them into
     sq[t0 : t + 1] over d in the order of a per-iteration einsum of that
     layout. The `fired` flags of those iterations are added into the update
-    counts, and the newest B states are copied back to the top.
+    counts, and the newest B states of every window are copied back to the
+    top.
 
     Returns squared deviations (A + V, R, T, N) and the kernel-MAP update
     counts (V*R, N), row v*R + r for value v; `trace_out`, if given,
@@ -549,6 +559,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         dev_b = np.empty((RING, fams, reals, d, n))
 
     updates = np.zeros((rows, n))
+    kmap_windows = []
     if values:
         algo: NPDLMS = variants[0]
         step = config.npdlms_spec().step_size
@@ -573,13 +584,26 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         # The kernel-MAP blocks' states again, as (V*R, N, d) matrices: slot s - 1
         # holds the evaluation point until the step writes the next state there.
         window_nd = np.empty((RING + buffer, rows, n, d))
-        window_nd[top] = 0.0
+        # And a third time, as (d, V*R*N) matrices: the history of the prior's
+        # contraction, which a buffer of one never runs.
+        window_flat = np.empty((RING + buffer, d, rows * n)) if buffer > 1 else None
+        kmap_windows = [w for w in (window_nd, window_flat) if w is not None]
+        for w in kmap_windows:
+            w[top] = 0.0
         point_nd = point[fams:].reshape(rows, d, n).transpose(0, 2, 1) if cta else None
-        # Per slot s: the evaluation points (own, neighbours'), the history in
-        # either layout, and the next state's slot and its (V*R, N, d) view.
-        kmap_views = [None] + [(window_nd[s - 1 : s + 1], window_nd[s : s + buffer, None],
-                                states[s : s + buffer], window_nd[s - 1],
-                                states[s - 1].transpose(0, 2, 1)) for s in range(1, top + 1)]
+
+        def kmap_slot(s):
+            # The evaluation points (own, neighbours'), the history in both
+            # windows, and the (slot s - 1, state view) pairs that copy the next
+            # state into the kernel-MAP windows.
+            copies = [(window_nd[s - 1], states[s - 1].transpose(0, 2, 1))]
+            operand = None
+            if window_flat is not None:
+                operand = window_flat[s : s + buffer]
+                copies.append((window_flat[s - 1].reshape(d, rows, n), states[s - 1].transpose(1, 0, 2)))
+            return window_nd[s - 1 : s + 1], window_nd[s : s + buffer, None], operand, copies
+
+        kmap_views = [None] + [kmap_slot(s) for s in range(1, top + 1)]
         theta_path_nd = batch.theta_path[:, None, :, None, :]
         dev_k = np.empty((RING, values, reals, n, d))
         pair_err_k = pair_err[fams:]                      # (V, R*P): row r's pairs at r*P
@@ -601,7 +625,8 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         nan = np.empty(mu.shape, dtype=bool)
         peak = np.empty((slots, rows, n))
         total = np.empty((slots, rows, n))
-        prior = np.empty((rows, d, n))
+        prior = np.empty((d, rows * n))
+        prior_rdn = prior.reshape(d, rows, n).transpose(1, 0, 2)   # grad_k's (V*R, d, N) layout
 
     views = [None] + [(window[s], window[s - 1]) for s in range(1, top + 1)]   # per slot s
     s = top
@@ -633,7 +658,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
             slot = t % RING
             if values:
                 np.divide(grad_k, h, out=grad_k)
-                evals, history, operand, new_nd, new_kmap = kmap_views[s]
+                evals, history, operand, copies = kmap_views[s]
                 filled = min(t + 1, buffer)
                 if filled >= 2:
                     np.copyto(evals[0], point_nd if cta else evals[1])
@@ -658,8 +683,8 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                     # non-finite value, marks pairs whose log-weights are all -inf or
                     # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
                     np.copyto(mu_b, 0.0, where=np.isnan(mu_b, out=nan[:filled]))
-                    np.einsum("bjrk,brdk->rdk", mu_b, operand[:filled], out=prior)
-                    np.add(grad_k, np.divide(prior, sigma, out=prior), out=grad_k)
+                    np.einsum("bjm,bdm->dm", mu_b.reshape(filled, slots, -1), operand[:filled], out=prior)
+                    np.add(grad_k, np.divide(prior_rdn, sigma, out=prior_rdn), out=grad_k)
                 np.greater(eps, eta, out=fired[slot])
                 if algo.mode == "hard":
                     np.multiply(step, fired[slot], out=open_gate)
@@ -675,9 +700,10 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                 _combine(adapted, a, links, finite, new)
             s -= 1
             if values:
-                np.copyto(new_nd, new_kmap)
+                for slab, state in copies:
+                    np.copyto(slab, state)
                 if trace_out is not None:
-                    trace_out[t] = new_nd
+                    trace_out[t] = window_nd[s]
             if slot == RING - 1 or t == t_len - 1:
                 # The states of steps t0..t sit at slots s + slot..s, newest first.
                 done, t0 = slot + 1, t - slot
@@ -691,8 +717,8 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                     np.add(updates, np.add.reduce(fired[:done], axis=0), out=updates)
                 if s == 0:
                     window[top : top + buffer] = window[:buffer]
-                    if values:
-                        window_nd[top : top + buffer] = window_nd[:buffer]
+                    for w in kmap_windows:
+                        w[top : top + buffer] = w[:buffer]
                     s = top
     return sq.transpose(1, 2, 0, 3), updates
 
@@ -839,17 +865,23 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
 
 def _write_lines(path, lines) -> None:
-    """Write `lines` to `path`, each ended by LF on every platform."""
+    """Write `lines` to `path`, each ended by LF on every platform; an entry
+    may be a block of lines joined by LF, such as `_rows` returns."""
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _rows(lead: tuple, curves: list) -> list:
-    """One CSV line per iteration: the numbers `lead`, the 1-based iteration,
-    each curve's value; every number as %.17g, which round-trips a double."""
-    line = ",".join(["%.17g"] * len(lead) + ["%d"] + ["%.17g"] * len(curves))
+def _rows(lead: tuple, curves: list, start: int = 1) -> str:
+    """One CSV line per iteration, joined by LF: the numbers `lead`, the
+    iteration counted from `start`, each curve's value; every number as %.17g,
+    which round-trips a double. The lead is formatted once, and the block with
+    one `%` over the line template repeated once per row."""
+    prefix = "".join("%.17g," % x for x in lead).replace("%", "%%")
+    line = prefix + ",".join(["%d"] + ["%.17g"] * len(curves))
     columns = [np.asarray(curve, dtype=float).tolist() for curve in curves]
-    return [line % (*lead, t, *row) for t, row in enumerate(zip(*columns, strict=True), start=1)]
+    t_len = len(columns[0])
+    cells = itertools.chain.from_iterable(zip(range(start, start + t_len), *columns, strict=True))
+    return "\n".join([line] * t_len) % tuple(cells)
 
 
 def export_csv(result: RunResult, path, extra_columns=None) -> None:
@@ -863,7 +895,7 @@ def export_csv(result: RunResult, path, extra_columns=None) -> None:
     extra = extra_columns or {}
     names = [f"{label}_msd_db" for label in result.labels] + list(extra)
     curves = [result.network_msd_db(label) for label in result.labels] + list(extra.values())
-    _write_lines(path, ["iteration," + ",".join(names)] + _rows((), curves))
+    _write_lines(path, ["iteration," + ",".join(names), _rows((), curves)])
 
 
 SWEEPABLE = ("eta", "h", "delta", "sigma")
@@ -890,14 +922,15 @@ def sweep(config: ExperimentConfig, parameter: str, values) -> list:
 
 def export_sweep_csv(values, results, path) -> None:
     """Concatenated per-value curves with a leading param_value column."""
+    values = list(values)
     if not results:
         raise ConfigError("no sweep results to export")
+    if len(values) != len(results):
+        raise ConfigError(f"cannot export {len(results)} sweep results for {len(values)} values")
     labels = results[0].labels
     header = "param_value,iteration," + ",".join(f"{label}_msd_db" for label in labels)
-    lines = [header]
-    for value, result in zip(values, results):
-        lines += _rows((float(value),), [result.network_msd_db(label) for label in labels])
-    _write_lines(path, lines)
+    _write_lines(path, [header] + [_rows((float(value),), [result.network_msd_db(label) for label in labels])
+                                   for value, result in zip(values, results)])
 
 
 def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
@@ -937,8 +970,6 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
 
 def export_theory_csv(curves, steady, path) -> None:
     """`n,msd_theory_db,emse_theory_db` rows plus a steady_state summary row."""
-    pairs = zip(to_db(curves.network_msd).tolist(), to_db(curves.network_emse).tolist(), strict=True)
-    lines = ["n,msd_theory_db,emse_theory_db"]
-    lines += ["%d,%.17g,%.17g" % (n, *pair) for n, pair in enumerate(pairs)]
+    rows = _rows((), [to_db(curves.network_msd), to_db(curves.network_emse)], start=0)
     steady_db = (float(to_db(steady.steady_network_msd)), float(to_db(steady.steady_network_emse)))
-    _write_lines(path, lines + ["steady_state,%.17g,%.17g" % steady_db])
+    _write_lines(path, ["n,msd_theory_db,emse_theory_db", rows, "steady_state,%.17g,%.17g" % steady_db])

@@ -406,6 +406,41 @@ def test_sweep_csv_has_param_column(tmp_path):
     assert lines[4].startswith("2,1,")
 
 
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("lead", [(), (100.0,), (-0.0,), (5e-324,), (-np.inf, np.nan)],
+                         ids=["none", "integral", "negative-zero", "subnormal", "inf-nan"])
+def test_rows_block_has_the_bytes_of_the_per_line_format(lead, start):
+    """`_rows` formats a block with one `%` over its repeated line template;
+    its bytes are those of one `%` per line, joined by LF, for every number
+    that can reach a CSV: -inf, -0.0, NaN, a subnormal, RECORD_CAP's 120 dB,
+    an integral value (written without a point), in the lead and in the
+    curves, and in a one-row block."""
+    from diffnet.harness import RECORD_CAP, _rows
+    from diffnet.theory import to_db
+
+    cap_db = float(to_db(RECORD_CAP))
+    assert cap_db == 120.0
+    curves = [[-np.inf, -0.0, np.nan, 5e-324, cap_db, 100.0, -1.2345678901234567e-300],
+              [0.1, 2.0, -3.5e200, 1e-310, np.inf, -100.0, 0.0]]
+    for block in (curves, [curve[:1] for curve in curves], curves[:1]):
+        line = ",".join(["%.17g"] * len(lead) + ["%d"] + ["%.17g"] * len(block))
+        expected = "\n".join(line % (*lead, t, *row) for t, row in enumerate(zip(*block), start=start))
+        assert _rows(lead, [np.array(curve) for curve in block], start=start) == expected
+
+
+def test_sweep_csv_refuses_a_results_count_other_than_the_values(tmp_path):
+    """A results list shorter or longer than the values would write a CSV
+    that misses curves; the export names both lengths and writes nothing."""
+    raw = small_config_dict(iterations=3, algorithms=[{"kind": "npdlms", "step_size": 0.05}])
+    results = sweep(config_from_dict(raw), "eta", [0.0, 2.0])
+    path = tmp_path / "sweep.csv"
+    with pytest.raises(ConfigError, match="2 sweep results for 3 values"):
+        export_sweep_csv([0.0, 2.0, 5.0], results, path)
+    with pytest.raises(ConfigError, match="2 sweep results for 0 values"):
+        export_sweep_csv([], results, path)
+    assert not path.exists()
+
+
 def test_diverging_npdlms_run_emits_no_numpy_warning():
     # Overflow and NaN warnings used to escape the kernel-MAP loop; under an
     # "error" filter they failed every realization.
@@ -732,33 +767,53 @@ def _window_cases():
     return cases
 
 
-WINDOW_CASES = [(t_len, buffer, strategy, False) for t_len, buffer, strategy in _window_cases()]
+# Per sweep: (realizations, with the five baselines, the values' kernel-MAP parameters).
+WINDOW_SWEEPS = {
+    "mixed": (3, True, [{"eta": 0.0, "sigma": 1.0, "h": 1.0}, {"eta": 0.3, "sigma": 0.7, "h": 2.0},
+                        {"eta": 3.0, "sigma": 2.0, "h": 0.5}]),
+    "eta7": (1, False, [{"eta": eta} for eta in (0.0, 0.02, 0.05, 0.1, 0.3, 1.0, 3.0)]),
+    "delta3": (2, True, [{"delta": delta} for delta in (0.1, 0.5, 2.0)]),
+}
+WINDOW_CASES = [(t_len, buffer, strategy, "mixed", False) for t_len, buffer, strategy in _window_cases()]
+WINDOW_IDS = [f"T{t}-B{b}-{s}" for t, b, s, _, _ in WINDOW_CASES]
+# Past the second rewind, at every buffer length and strategy.
+SHAPE_CASES = [(2 * 16 + buffer + 1, buffer, strategy, name, False)
+               for name in ("eta7", "delta3") for buffer in (1, 2, 3, 20) for strategy in ("cta", "atc")]
 
 
-@pytest.mark.parametrize("t_len,buffer,strategy,non_finite", WINDOW_CASES + [(35, 3, "cta", True)],
-                         ids=[f"T{t}-B{b}-{s}" for t, b, s, _ in WINDOW_CASES] + ["T35-B3-cta-non-finite"])
-def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strategy, non_finite):
-    """The engine keeps its states in one window of RING + B slots, reduces
-    its squared deviations once per RING iterations and at the last one,
-    and rewinds the newest B states to the top of the window after each
-    flush; at and around those boundaries every block equals the dense steps
-    bit for bit: five baselines and a 3-value sweep whose eta, sigma and h
-    are per-value arrays, the hard gate under CTA and the smooth one under
-    ATC. The ground truth is a random walk, so a flush that pairs a state
-    with another iteration's theta_path[t] shows. In the non-finite case
-    node 3's targets are inf from t = 20 in realization 0."""
+@pytest.mark.parametrize("t_len,buffer,strategy,sweep_name,non_finite",
+                         WINDOW_CASES + SHAPE_CASES + [(35, 3, "cta", "mixed", True)],
+                         ids=WINDOW_IDS + [f"T{t}-B{b}-{s}-{name}" for t, b, s, name, _ in SHAPE_CASES]
+                         + ["T35-B3-cta-non-finite"])
+def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strategy, sweep_name, non_finite):
+    """The engine keeps its states in one window of RING + B slots, and the
+    kernel-MAP blocks' states in a (V*R, N, d) and a flat (d, V*R*N) one
+    beside it; it reduces its squared deviations once per RING iterations
+    and at the last one, and rewinds the newest B states to the top of each
+    window after each flush. At and around those boundaries every block
+    equals the dense steps bit for bit, the hard gate under CTA and the
+    smooth one under ATC, in three sweeps: five baselines and 3 values whose
+    eta, sigma and h are per-value arrays over 3 realizations; a 7-value eta
+    sweep over one realization, the V*R = 7 rows of the benchmark's gate
+    sweep, whose gate opens on 100 % down to 8 % of the node-iterations; and
+    five baselines and a 3-value delta sweep over 2 realizations. The ground
+    truth is a random walk, so a flush that pairs a state with another
+    iteration's theta_path[t] shows. In the non-finite case node 3's
+    targets are inf from t = 20 in realization 0."""
     import diffnet.harness as harness_mod
     from oracles import run_baselines_dense_reference, run_npdlms_dense_reference
 
     assert harness_mod.RING == 16
+    realizations, with_baselines, params = WINDOW_SWEEPS[sweep_name]
     gate = {"eta": 0.0, "mode": "hard"} if strategy == "cta" else {"eta": 0.1, "mode": "smooth", "slope": 3.0}
-    cfg = config_from_dict(small_config_dict(iterations=t_len, realizations=3, strategy=strategy, gate=gate,
-                                             environment={"kind": "random_walk", "q_variance": 1e-3},
-                                             algorithms=_five_families_and_npdlms()))
+    algorithms = _five_families_and_npdlms()
+    cfg = config_from_dict(small_config_dict(
+        iterations=t_len, realizations=realizations, strategy=strategy, gate=gate,
+        environment={"kind": "random_walk", "q_variance": 1e-3},
+        algorithms=algorithms if with_baselines else algorithms[-1:]))
     spec = cfg.npdlms_spec()
     baselines = cfg.algorithms[:-1]
-    variants = [replace(spec.kind, buffer=buffer, eta=eta, sigma=sigma, h=h)
-                for eta, sigma, h in ((0.0, 1.0, 1.0), (0.3, 0.7, 2.0), (3.0, 2.0, 0.5))]
+    variants = [replace(spec.kind, buffer=buffer, **value) for value in params]
     batch, _, _ = harness_mod._draw(cfg, range(cfg.realizations))
     assert (np.diff(batch.theta_path, axis=0) != 0).all()     # every iteration its own theta
     if non_finite:
@@ -782,20 +837,26 @@ def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strateg
 @pytest.mark.parametrize("buffer", [2, 3, 8, 20])
 def test_prior_contraction_einsum_is_the_product_and_reduce(buffer, slots):
     """The prior's contraction in `_run_chunk` is one einsum over the (b, slot)
-    axes. numpy's unoptimized einsum keeps the node axis innermost, starts at
-    +0.0 and adds each product b-outer, slot-inner without fusing the multiply
-    and add, so it has the bits of the explicit product reduced over the
-    flattened (b, slot) axis. The history is a strided view of a window of
-    states; the weights hold the +0.0 own slot, pads, -0.0 and NaN, and the
-    history -0.0, +-inf and NaN."""
+    axes. numpy's unoptimized einsum keeps the innermost output axis
+    innermost, starts at +0.0 and adds each product b-outer, slot-inner
+    without fusing the multiply and add, so it has the bits of the explicit
+    product reduced over the flattened (b, slot) axis: over (V*R, d, N)
+    blocks, with the node axis innermost, and over the (d, V*R*N) matrices
+    of `_run_chunk`'s flat window, with the flattened (row, node) axis
+    innermost. The history is a strided view of a window of states, and its
+    flat form a (B, d, V*R*N) slice of a wider window; the weights hold the
+    +0.0 own slot, pads, -0.0 and NaN, and the history -0.0, +-inf and NaN."""
     rng = np.random.default_rng(buffer * 10 + slots)
-    for rows in (1, 2, 7, 16):
+    for rows in (1, 2, 7, 16, 112):
         for d in (1, 2, 5):
             for n in (4, 16):
                 window = rng.standard_normal((buffer + 3, 2, rows, d, n))    # 1 baseline block before
                 history = window[:, 1:].reshape(-1, rows, d, n)[2 : 2 + buffer]
                 history[0, 0, 0, :3] = [-0.0, np.inf, -np.inf]
                 history[-1, -1, -1, -1] = np.nan
+                window_flat = rng.standard_normal((buffer + 3, d, rows * n))
+                history_flat = window_flat[1 : 1 + buffer]
+                history_flat.reshape(buffer, d, rows, n)[...] = history.transpose(0, 2, 1, 3)
                 mu = rng.uniform(-1.0, 1.0, (buffer, slots, rows, n))
                 mu[:, -1] = 0.0                                      # the own slot
                 mu[:, slots // 2 :, :, ::3] = 0.0                    # pads after the last neighbour
@@ -803,13 +864,18 @@ def test_prior_contraction_einsum_is_the_product_and_reduce(buffer, slots):
                 mu[-1, 0, -1, 0] = np.nan
                 prod = np.empty((buffer, slots, rows, d, n))
                 prior = np.empty((rows, d, n))
+                prior_flat = np.empty((d, rows * n))
                 with np.errstate(invalid="ignore"):
                     np.multiply(history[:, None], mu[:, :, :, None], out=prod)
                     expected = np.add.reduce(prod.reshape(buffer * slots, rows, d, n), axis=0, initial=0.0)
                     np.einsum("bjrk,brdk->rdk", mu, history, out=prior)
-                assert np.array_equal(prior.view(np.uint64), expected.view(np.uint64)), (
-                    f"numpy {np.__version__}: einsum's order differs from the product-and-reduce"
-                    f" at B={buffer}, S={slots}, rows={rows}, d={d}, N={n}")
+                    np.einsum("bjm,bdm->dm", mu.reshape(buffer, slots, -1), history_flat, out=prior_flat)
+                expected_flat = expected.transpose(1, 0, 2).reshape(d, rows * n)
+                for form, got, want in (("blocks", prior, expected), ("flat", prior_flat, expected_flat)):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                        f"numpy {np.__version__}: the {form} einsum's order differs from the"
+                        " product-and-reduce"
+                        f" at B={buffer}, S={slots}, rows={rows}, d={d}, N={n}")
 
 
 # --- sweeps: one chunked pass over shared draws --------------------------------
