@@ -112,29 +112,25 @@ class DLLAD:
 @dataclass(frozen=True)
 class NPDLMS:
     """Kernel-MAP update: buffer length B, prior and likelihood bandwidths sigma
-    and h, pseudo-Huber steepness delta, and the error gate: sigmoid midpoint
-    eta, slope, mode."""
+    and h, pseudo-Huber steepness delta, and the error gate's threshold eta: a
+    node updates iff its neighbourhood squared error exceeds eta."""
 
     buffer: int = 3
     sigma: float = 1.0
     h: float = 1.0
     delta: float = 0.25
     eta: float = 0.0
-    slope: float = 5.0
-    mode: str = "smooth"
     kind: ClassVar[str] = "npdlms"
 
     def __post_init__(self):
         if isinstance(self.buffer, bool) or not isinstance(self.buffer, numbers.Integral) or self.buffer < 1:
             raise InvalidParameters(f"buffer must be an integer >= 1, got {self.buffer!r}")
-        for name in ("sigma", "h", "delta", "slope"):
+        for name in ("sigma", "h", "delta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
         if not self.eta >= 0:
             raise InvalidParameters(f"eta must be >= 0, got {self.eta}")
-        if self.mode not in ("smooth", "hard"):
-            raise InvalidParameters(f"mode must be 'smooth' or 'hard', got {self.mode!r}")
 
 
 FAMILIES = {cls.kind: cls for cls in (DLMS, DSELMS, DMCC, DLMSF, DLLAD, NPDLMS)}

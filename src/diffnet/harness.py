@@ -70,7 +70,7 @@ from .theory import TheoryInputs, to_db
 DIVERGENCE_MSD = 1e6
 RECORD_CAP = 1e12
 
-_GATE = ("eta", "slope", "mode")
+_GATE = ("eta",)
 
 
 @dataclass(frozen=True)
@@ -166,29 +166,33 @@ _TOP_KEYS = ("topology", "d", "theta_o", "regressor_variances", "environment", "
 
 
 def _integer(value, key: str) -> int:
-    """`value` as an int; integral floats pass, fractions and booleans do not."""
-    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+    """`value` as an int; integral numbers and numeric strings pass (YAML 1.1 reads 1e3 as one)."""
+    if type(value) is int:
+        return value
+    number = _real(value, key)
+    if not number.is_integer():
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return int(number)
 
 
 def _real(value, key: str) -> float:
-    """`value` as a float; numeric strings pass (YAML reads 5e-3 as one), booleans do not."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    """`value` as a float; numeric strings pass (YAML 1.1 reads 5e-3 as one), booleans do not."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be a number, got {value!r}")
 
 
 def _reals(value, key: str) -> np.ndarray:
-    """`value`, a number or a list of numbers, as a float array; booleans do not pass."""
+    """`value`, a number or a list of numbers, as a float array of `_real`s."""
     items = np.asarray(value, dtype=object)
-    if any(isinstance(x, (bool, np.bool_)) for x in items.flat):
-        raise ConfigError(f"{key} must hold numbers, got {value!r}")
-    return items.astype(float)
+    return np.array([_real(x, key) for x in items.flat]).reshape(items.shape)
 
 
 # The parameter modules postpone annotation evaluation, so field types are names.
-_CASTS = {"float": _real, "int": _integer, "str": lambda value, key: str(value)}
+_CASTS = {"float": _real, "int": _integer}
 
 
 def _mapping(raw, where: str) -> dict:
@@ -463,15 +467,15 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
 
     `baselines` lists the A baseline specs and `variants` V kernel-MAP
     records, possibly none, one per value; the variants share the first's
-    buffer length and gate mode and slope. The state is (A + V, R, d, N): a
-    block of R realizations per family and per variant, each holding the
-    (d, N) matrices whose column k is node k's estimate. The combine, the
-    error and gradient products, the neighbour-pair take and put and the
-    adapt step run once per step over all blocks; the kernel-MAP extras
-    (history, gate energy, prior, gate factor) run on (V*R, ...) views of
-    its blocks. Every buffer is allocated once per call; per step, every
-    baseline gain but DLMS's, the pseudo-Huber gain, the gate energy and
-    `_combine`'s repair of a non-finite neighbourhood allocate.
+    buffer length. The state is (A + V, R, d, N): a block of R realizations
+    per family and per variant, each holding the (d, N) matrices whose
+    column k is node k's estimate. The combine, the error and gradient
+    products, the neighbour-pair take and put and the adapt step run once
+    per step over all blocks; the kernel-MAP extras (history, gate energy,
+    prior, gate factor) run on (V*R, ...) views of its blocks. Every buffer
+    is allocated once per call; per step, every baseline gain but DLMS's,
+    the pseudo-Huber gain, the gate energy and `_combine`'s repair of a
+    non-finite neighbourhood allocate.
 
     Every family's gain, every variant's pseudo-Huber gain among them, is
     evaluated on the neighbour pairs of the errors err[., ., l, k] only, and
@@ -561,7 +565,6 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     updates = np.zeros((rows, n))
     kmap_windows = []
     if values:
-        algo: NPDLMS = variants[0]
         step = config.npdlms_spec().step_size
 
         def per_value(name, ndim, repeat=reals):
@@ -576,8 +579,6 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         lw_scale = -2.0 * per_value("sigma", 1)
         h = per_value("h", 2)
         delta = per_value("delta", 1, repeat=1)
-        if algo.mode == "smooth":
-            from scipy.special import expit
         index = _neighbour_slots(mask)
         slots = index.shape[0]
         states = window[:, fams:].reshape(-1, rows, d, n)  # (RING + buffer, V*R, d, N) view
@@ -686,11 +687,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                     np.einsum("bjm,bdm->dm", mu_b.reshape(filled, slots, -1), operand[:filled], out=prior)
                     np.add(grad_k, np.divide(prior_rdn, sigma, out=prior_rdn), out=grad_k)
                 np.greater(eps, eta, out=fired[slot])
-                if algo.mode == "hard":
-                    np.multiply(step, fired[slot], out=open_gate)
-                else:
-                    np.multiply(2.0 * algo.slope, np.subtract(eps, eta, out=open_gate), out=open_gate)
-                    np.multiply(step, expit(open_gate, out=open_gate), out=open_gate)
+                np.multiply(step, fired[slot], out=open_gate)
                 np.multiply(gate_dn, grad_k, out=grad_k)
 
             if cta:
@@ -768,7 +765,7 @@ class RunResult:
     iterations: int
     realizations: int
     node_msd: dict               # label -> (T, N) linear ensemble means
-    kappa: dict                  # label -> (N,) mean hard-gate update counts, or None
+    kappa: dict                  # label -> (N,) mean gate update counts, or None
     diverged: dict               # label -> number of diverged realizations
     wall_time_s: float = 0.0
 
@@ -893,6 +890,9 @@ def export_csv(result: RunResult, path, extra_columns=None) -> None:
     if not result.labels:
         raise ConfigError("no algorithms to export")
     extra = extra_columns or {}
+    for name, column in extra.items():
+        if len(column) != result.iterations:
+            raise ConfigError(f"column {name!r} has {len(column)} values for {result.iterations} iterations")
     names = [f"{label}_msd_db" for label in result.labels] + list(extra)
     curves = [result.network_msd_db(label) for label in result.labels] + list(extra.values())
     _write_lines(path, ["iteration," + ",".join(names), _rows((), curves)])
@@ -937,7 +937,7 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
     """Theory-side inputs for the configured kernel-MAP algorithm.
 
     Requires Gaussian noise (the moment matrices need finite variances), the
-    CTA strategy, a stationary environment and a hard gate at eta = 0 (an
+    CTA strategy, a stationary environment and the gate at eta = 0 (an
     update at every iteration), the only case the moment recursion models.
     The prediction ignores the kernel prior (sigma, B): it is that of the
     prior-free update, `buffer: 1`.
@@ -951,9 +951,8 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
         raise ConfigError("theory predictions model a stationary environment only, "
                           f"got a random walk with q_variance = {config.drift.q_variance:g}")
     algo: NPDLMS = spec.kind
-    if algo.mode != "hard" or algo.eta != 0:
-        raise ConfigError("theory predictions model the hard gate at eta = 0 only, got "
-                          f"mode {algo.mode!r} with eta = {algo.eta:g}")
+    if algo.eta != 0:
+        raise ConfigError(f"theory predictions model the gate at eta = 0 only, got eta = {algo.eta:g}")
     if not all(isinstance(ns, noise_models.Gaussian) for ns in config.noise_specs):
         raise ConfigError("theory predictions require gaussian noise")
     return TheoryInputs(

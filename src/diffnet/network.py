@@ -101,8 +101,8 @@ class CombinationMatrix:
         a = np.asarray(self.matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"combination matrix must be square, got {a.shape}")
-        if np.any(a < 0):
-            raise InvalidParameters("combination weights must be nonnegative")
+        if not np.all(np.isfinite(a) & (a >= 0)):
+            raise InvalidParameters("combination weights must be finite and nonnegative")
         col_sums = a.sum(axis=0)
         if np.max(np.abs(col_sums - 1.0)) > COLUMN_SUM_TOL:
             raise InvalidParameters(f"columns must sum to 1 within {COLUMN_SUM_TOL}")

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
 from diffnet import theory
 from diffnet.diffusion import DLMSF, DMCC, NPDLMS, bounded_error_gain, bounded_gain_moments
@@ -337,10 +337,8 @@ def neighbor_error(theta, shared: SharedData) -> float:
 
 
 def threshold_gate(epsilon: float, params: NPDLMS) -> float:
-    """Gate value in [0, 1]: sigmoid around eta, or a hard indicator."""
-    if params.mode == "hard":
-        return 1.0 if epsilon > params.eta else 0.0
-    return float(expit(2.0 * params.slope * (epsilon - params.eta)))
+    """Gate value: 1.0 where epsilon exceeds eta, 0.0 elsewhere."""
+    return 1.0 if epsilon > params.eta else 0.0
 
 
 def log_local_objective(theta_k, shared: SharedData, buffers: EstimateBuffer,
@@ -411,7 +409,7 @@ def npdlms_adapt(shared: SharedData, buffers: EstimateBuffer, params: NPDLMS,
 
     The rings receive exactly what this iteration's messages carry: every
     neighbour's previous-iteration estimate, the node's own included, so all
-    rings stay aligned index-wise. Returns (adapted vector, hard-gate fired).
+    rings stay aligned index-wise. Returns (adapted vector, gate fired).
     """
     for i, l in enumerate(shared.neighbors):
         buffers.push(l, shared.theta_prev[i])
@@ -428,7 +426,7 @@ def run_npdlms_reference(config, spec, data):
     `data` holds one realization's draws. Every node keeps its own rings and
     goes through `npdlms_adapt`, so nothing is shared with the batched runner
     but the parameter record and the bounded gain. Returns (squared
-    deviations (T, N), hard-gate update counts (N,)).
+    deviations (T, N), gate update counts (N,)).
     """
     algo = spec.kind
     topo = config.topology
@@ -541,10 +539,7 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
                 grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
 
             fired = eps > eta
-            if algo.mode == "hard":
-                open_gate = fired.astype(float)
-            else:
-                open_gate = expit(2.0 * algo.slope * (eps - eta))
+            open_gate = fired.astype(float)
             updates += fired
             adapted = point + step * open_gate[:, :, None] * grad.transpose(0, 2, 1)
             theta = adapted if cta else local_combine(lambda x: a_t @ x, adapted, links, -1)

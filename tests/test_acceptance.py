@@ -122,7 +122,7 @@ def _theory_vs_sim_config(delta, step):
         "iterations": 500,
         "realizations": 500,
         "base_seed": 3,
-        "gate": {"eta": 0.0, "mode": "hard"},
+        "gate": {"eta": 0.0},
     }
 
 
@@ -174,7 +174,7 @@ PROTOCOL = {
     "iterations": 500,
     "realizations": 200,
     "base_seed": 11,
-    "gate": {"eta": 0.0, "mode": "hard"},
+    "gate": {"eta": 0.0},
     "strategy": "cta",
 }
 
@@ -342,7 +342,7 @@ def test_criterion_9_invariant_suites(tmp_path):
         "algorithms": [{"kind": "npdlms", "step_size": 0.05},
                        {"kind": "dlms", "step_size": 0.05}],
         "iterations": 40, "realizations": 3, "base_seed": 9,
-        "gate": {"eta": 0.0, "mode": "hard"},
+        "gate": {"eta": 0.0},
     }
     blobs = []
     for name in ("one.csv", "two.csv"):

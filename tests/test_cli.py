@@ -116,9 +116,10 @@ def test_validate_noise_samples_ceiling_is_checked_before_drawing(monkeypatch, c
 
 def test_bad_config_exit_code(tmp_path):
     # A section that is not a mapping, such as `algorithms: [dlms]`, used to end
-    # in an AttributeError traceback.
+    # in an AttributeError traceback. `mode` and `slope` are unknown keys.
     for overrides in ({"algorithms": []}, {"algorithms": ["dlms"]}, {"noise": "gaussian"},
-                      {"environment": "stationary"}):
+                      {"environment": "stationary"}, {"gate": {"eta": 0.0, "mode": "hard"}},
+                      {"algorithms": [{"kind": "npdlms", "step_size": 0.05, "slope": 5.0}]}):
         cfg = write_config(tmp_path, small_config_dict(**overrides))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1, overrides
 
@@ -164,7 +165,7 @@ def test_compare_with_theory_overlay(tmp_path, capsys):
 def test_sweep_subcommand(tmp_path, capsys):
     raw = small_config_dict(iterations=8, realizations=1,
                             algorithms=[{"kind": "npdlms", "step_size": 0.05}],
-                            gate={"eta": 0.0, "mode": "hard"})
+                            gate={"eta": 0.0})
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out),
@@ -184,25 +185,38 @@ def test_cli_override_flags(tmp_path):
 
 # Configurations the moment theory does not model: it must refuse them rather
 # than print the stationary, always-updating CTA prediction.
-UNMODELLED = [
-    {"strategy": "atc"},
-    {"environment": {"kind": "random_walk", "q_variance": 1e-4}},
-    {"gate": {"eta": 0.0, "mode": "smooth", "slope": 5.0}},
-    {"gate": {"eta": 0.05, "mode": "hard"}},
-    {"noise": {"kind": "alpha_stable", "alpha": 1.2, "beta": 0.0, "gamma": 1.0}},
-    {"algorithms": [{"kind": "dlms", "step_size": 0.05}]},
-]
+UNMODELLED = {
+    "atc": {"strategy": "atc"},
+    "random-walk": {"environment": {"kind": "random_walk", "q_variance": 1e-4}},
+    "gate-eta-positive": {"gate": {"eta": 0.05}},
+    "alpha-stable-noise": {"noise": {"kind": "alpha_stable", "alpha": 1.2, "beta": 0.0, "gamma": 1.0}},
+    "no-npdlms": {"algorithms": [{"kind": "dlms", "step_size": 0.05}]},
+}
 NPDLMS_ONLY = [{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}]
 
 
-def test_theory_rejects_atc_strategy(tmp_path):
-    for overrides in UNMODELLED:
-        raw = small_config_dict(**{"iterations": 10, "algorithms": NPDLMS_ONLY, **overrides})
-        cfg = write_config(tmp_path, raw)
-        out = tmp_path / "t.csv"
-        assert main(["theory", "--config", cfg, "--out", str(out)]) == 1, overrides
-        assert main(["compare", "--config", cfg, "--out", str(out)]) == 1, overrides
-        assert not out.exists()
+@pytest.mark.parametrize("case", UNMODELLED)
+def test_theory_and_compare_refuse_unmodelled_config(tmp_path, case):
+    raw = small_config_dict(**{"iterations": 10, "algorithms": NPDLMS_ONLY, **UNMODELLED[case]})
+    cfg = write_config(tmp_path, raw)
+    out = tmp_path / "t.csv"
+    assert main(["theory", "--config", cfg, "--out", str(out)]) == 1
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_config_without_gate_section_is_the_modelled_update(tmp_path):
+    """No `gate` section is the gate at eta = 0: an update at every iteration,
+    which the theory models, with the bits of `gate: {eta: 0.0}`."""
+    raw = small_config_dict(iterations=10, algorithms=NPDLMS_ONLY + [{"kind": "dlms", "step_size": 0.05}])
+    no_gate = {key: value for key, value in raw.items() if key != "gate"}
+    assert raw["gate"] == {"eta": 0.0}
+    out = [tmp_path / name for name in ("with.csv", "without.csv", "theory.csv")]
+    assert main(["simulate", "--config", write_config(tmp_path, raw), "--out", str(out[0])]) == 0
+    cfg = write_config(tmp_path, no_gate)
+    assert main(["simulate", "--config", cfg, "--out", str(out[1])]) == 0
+    assert out[0].read_bytes() == out[1].read_bytes()
+    assert main(["theory", "--config", cfg, "--out", str(out[2])]) == 0
 
 
 def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
@@ -215,7 +229,7 @@ def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
     out = tmp_path / "cmp.csv"
     unstable = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 5.0, "delta": 0.25}])
     assert main(["compare", "--config", write_config(tmp_path, unstable), "--out", str(out)]) == 2
-    for overrides in UNMODELLED:
+    for overrides in UNMODELLED.values():
         raw = small_config_dict(**{"algorithms": NPDLMS_ONLY, **overrides})
         assert main(["compare", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
     assert not out.exists()
@@ -339,24 +353,27 @@ def _scipy_after(steps):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_simulation_path_loads_scipy_only_for_theory_and_smooth_gate(tmp_path):
-    """Hard-gate simulations and sweeps run on numpy and PyYAML alone;
-    `scipy.special` comes in with the theory or a smooth-gate run."""
+def test_simulate_and_sweep_never_load_scipy(tmp_path):
+    """Simulations and sweeps, with a gate section or without one, run on
+    numpy and PyYAML alone; `scipy.special` comes in with the theory."""
     def config(name, **overrides):
+        raw = small_config_dict(iterations=5, realizations=1, **overrides)
+        if name == "no-gate":
+            del raw["gate"]
         path = tmp_path / f"{name}.yaml"
-        path.write_text(yaml.safe_dump(small_config_dict(iterations=5, realizations=1, **overrides)))
+        path.write_text(yaml.safe_dump(raw))
         return str(path)
 
-    hard = config("hard", algorithms=ALL_FAMILIES)
-    smooth = config("smooth", algorithms=ALL_FAMILIES, gate={"eta": 0.1, "mode": "smooth", "slope": 3.0})
+    gated = config("gated", algorithms=ALL_FAMILIES, gate={"eta": 0.1})
+    no_gate = config("no-gate", algorithms=ALL_FAMILIES)
     theory = config("theory", algorithms=NPDLMS_ONLY)
     out = str(tmp_path / "out.csv")
     report = _scipy_after([
-        ["simulate", "--config", hard, "--out", out],
-        ["sweep", "--config", hard, "--out", out, "--param", "eta", "--values", "0,5"],
-        ["simulate", "--config", smooth, "--out", out],
+        ["simulate", "--config", gated, "--out", out],
+        ["sweep", "--config", gated, "--out", out, "--param", "eta", "--values", "0,5"],
+        ["simulate", "--config", no_gate, "--out", out],
+        ["sweep", "--config", no_gate, "--out", out, "--param", "delta", "--values", "0.1,1"],
     ])
-    assert report[:3] == [[], [0, []], [0, []]]
-    assert report[3][0] == 0 and "scipy.special" in report[3][1]
+    assert report == [[], [0, []], [0, []], [0, []], [0, []]]
     (code, loaded), = _scipy_after([["theory", "--config", theory, "--out", out]])[1:]
     assert code == 0 and "scipy.special" in loaded

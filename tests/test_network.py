@@ -117,6 +117,8 @@ def test_combination_matrix_validation():
         CombinationMatrix(np.array([[0.5, 0.0], [0.4, 1.0]]))  # bad column sum
     with pytest.raises(InvalidParameters):
         CombinationMatrix(np.array([[1.5, 0.0], [-0.5, 1.0]]))  # negative weight
+    with pytest.raises(InvalidParameters, match="finite"):
+        CombinationMatrix(np.array([[np.nan, 0.5], [np.nan, 0.5]]))  # passed both checks above
 
 
 @st.composite
