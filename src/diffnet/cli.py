@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +37,8 @@ def _load(args) -> harness.ExperimentConfig:
     config = replace(config, **overrides) if overrides else config
     if not config.output:
         raise ConfigError(f"{args.command} needs an output path (--out or 'output' in the config)")
+    if not Path(config.output).parent.is_dir():  # fail before the run, not at export time
+        raise FileNotFoundError(f"no directory for the output path {config.output}")
     return config
 
 
@@ -86,7 +89,7 @@ def _cmd_sweep(args) -> int:
     values = _numbers(args.values, "--values")
     if not values:
         raise ConfigError("--values must list at least one number")
-    results = harness.sweep(replace(config, output=None), args.param, values)
+    results = harness.sweep(config, args.param, values)
     harness.export_sweep_csv(values, results, config.output)
     npdlms_label = config.npdlms_spec().label
     for value, result in zip(values, results):

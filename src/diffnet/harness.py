@@ -70,9 +70,6 @@ from .theory import TheoryInputs, to_db
 DIVERGENCE_MSD = 1e6
 RECORD_CAP = 1e12
 
-_GATE = ("eta",)
-
-
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One configured algorithm: update family, step size, CSV label."""
@@ -161,7 +158,7 @@ def _parse_theta(raw, dim):
 
 
 _TOP_KEYS = ("topology", "d", "theta_o", "regressor_variances", "environment", "noise",
-             "algorithms", "gate", "combination", "iterations", "realizations", "base_seed",
+             "algorithms", "combination", "iterations", "realizations", "base_seed",
              "strategy", "output")
 
 
@@ -237,8 +234,11 @@ def _parse_topology(raw):
     if isinstance(raw, str):
         return load_topology(raw)
     _check_keys(raw, ("nodes", "edges"), "topology")
+    edges = raw.get("edges", [])
+    if not isinstance(edges, list):
+        raise ConfigError(f"topology edges must be a list of node pairs, got {edges!r}")
     try:
-        return build_topology(_integer(raw["nodes"], "nodes"), [_edge(e) for e in raw.get("edges", [])])
+        return build_topology(_integer(raw["nodes"], "nodes"), [_edge(e) for e in edges])
     except KeyError as exc:
         raise ConfigError(f"inline topology needs 'nodes': {exc}") from exc
 
@@ -276,17 +276,16 @@ def _parse_noise(raw, variances, theta_o):
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
-def _parse_algorithm(raw, gate: NPDLMS) -> AlgorithmSpec:
-    """One algorithm entry; an npdlms entry takes the gate section's `gate`."""
+def _parse_algorithm(raw) -> AlgorithmSpec:
+    """One algorithm entry: kind, step size, label and its family's fields (npdlms: eta too)."""
     kind_name = _mapping(raw, "each algorithm entry").get("kind")
     step = raw.get("step_size")
     if step is None:
         raise ConfigError(f"algorithm {kind_name!r} is missing step_size")
-    if kind_name not in FAMILIES:
+    if not isinstance(kind_name, str) or kind_name not in FAMILIES:
         raise ConfigError(f"unknown algorithm kind {kind_name!r}")
     where, cls = f"algorithm {kind_name!r}", FAMILIES[kind_name]
-    _check_keys(raw, set(raw) - set(_GATE), where)  # the gate has one place to be set
-    kind = _build(cls, raw, where, ("kind", "step_size", "label"), **(vars(gate) if cls is NPDLMS else {}))
+    kind = _build(cls, raw, where, ("kind", "step_size", "label"))
     return AlgorithmSpec(kind=kind, step_size=_real(step, "step_size"), label=raw.get("label", ""))
 
 
@@ -313,13 +312,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"unknown environment kind {env.get('kind')!r}")
 
         noise_specs = _parse_noise(raw.get("noise"), variances, theta_o)
-        gate = _section(raw, "gate")
-        _check_keys(gate, _GATE, "gate")
-        gate = _build(NPDLMS, gate, "gate")  # checked even where no npdlms entry reads it
         algorithms = raw.get("algorithms", [])
         if not isinstance(algorithms, list):
             raise ConfigError(f"algorithms must be a list of mappings, got {algorithms!r}")
-        algorithms = [_parse_algorithm(a, gate) for a in algorithms]
+        algorithms = [_parse_algorithm(a) for a in algorithms]
 
         rule = raw.get("combination", "uniform")
         return ExperimentConfig(
@@ -376,13 +372,12 @@ class RealizationData:
     """Pre-generated draws shared by every algorithm within one realization.
 
     A batch of realizations uses the same fields with a realization axis
-    after the time axis: (T, R, d), (T, R, N, d), (T, R, N), (T, R, N).
+    after the time axis: (T, R, d), (T, R, N, d), (T, R, N).
     """
 
     theta_path: np.ndarray  # (T, d)
     regressors: np.ndarray  # (T, N, d)
     targets: np.ndarray     # (T, N)
-    noises: np.ndarray      # (T, N)
 
 
 def generate_realization_data(config: ExperimentConfig, rng) -> RealizationData:
@@ -390,12 +385,11 @@ def generate_realization_data(config: ExperimentConfig, rng) -> RealizationData:
     theta_path = GroundTruth(config.theta_o, config.drift).path(rng, t_len)
     z = rng.standard_normal((t_len, n, d))
     regressors = np.sqrt(config.regressor_variances)[None, :, None] * z
-    noises = np.empty((t_len, n))
+    noise = np.empty((t_len, n))
     for k in range(n):
-        noises[:, k] = noise_models.sample(config.noise_specs[k], rng, t_len)
-    targets = np.einsum("tnd,td->tn", regressors, theta_path) + noises
-    return RealizationData(theta_path=theta_path, regressors=regressors,
-                           targets=targets, noises=noises)
+        noise[:, k] = noise_models.sample(config.noise_specs[k], rng, t_len)
+    targets = np.einsum("tnd,td->tn", regressors, theta_path) + noise
+    return RealizationData(theta_path=theta_path, regressors=regressors, targets=targets)
 
 
 def _draw(config: ExperimentConfig, indices):

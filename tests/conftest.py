@@ -25,7 +25,6 @@ def small_config_dict(**overrides):
         "iterations": 60,
         "realizations": 2,
         "base_seed": 77,
-        "gate": {"eta": 0.0},
     }
     raw.update(overrides)
     return raw

@@ -39,9 +39,11 @@ from typing import Iterable
 import numpy as np
 from scipy.special import logsumexp
 
+from diffnet import noise as noise_models
 from diffnet import theory
 from diffnet.diffusion import DLMSF, DMCC, NPDLMS, bounded_error_gain, bounded_gain_moments
 from diffnet.errors import DiffnetError, DimensionMismatch, InvalidParameters
+from diffnet.network import GroundTruth
 
 
 class NonPositiveBandwidth(DiffnetError):
@@ -54,6 +56,22 @@ class EmptyBuffer(DiffnetError):
 
 class DegenerateDenominator(DiffnetError):
     """Kernel normalisation fully underflowed; the prior term carries no signal."""
+
+
+# --- measurement draws ------------------------------------------------------
+
+
+def replay_draws(config, rng):
+    """One realization's draws replayed from its stream `rng` in the
+    documented order: the truth's path, the regressors' (T, N, d) standard
+    normals, then each node's noise in node order. Returns (theta_path (T, d),
+    regressors (T, N, d), noise (T, N))."""
+    t_len = config.iterations
+    theta_path = GroundTruth(config.theta_o, config.drift).path(rng, t_len)
+    z = rng.standard_normal((t_len, config.topology.node_count, config.dim))
+    regressors = np.sqrt(config.regressor_variances)[None, :, None] * z
+    noise = np.stack([noise_models.sample(spec, rng, t_len) for spec in config.noise_specs], axis=1)
+    return theta_path, regressors, noise
 
 
 # --- baseline families ------------------------------------------------------

@@ -118,11 +118,10 @@ def _theory_vs_sim_config(delta, step):
         "noise": {"kind": "gaussian", "snr_db": 20},
         "theta_o": [2.0**-0.5, 2.0**-0.5],
         "algorithms": [{"kind": "npdlms", "step_size": step, "delta": delta,
-                        "h": 1.0, "sigma": 1.0, "buffer": 3}],
+                        "h": 1.0, "sigma": 1.0, "buffer": 3, "eta": 0.0}],
         "iterations": 500,
         "realizations": 500,
         "base_seed": 3,
-        "gate": {"eta": 0.0},
     }
 
 
@@ -174,7 +173,6 @@ PROTOCOL = {
     "iterations": 500,
     "realizations": 200,
     "base_seed": 11,
-    "gate": {"eta": 0.0},
     "strategy": "cta",
 }
 
@@ -186,7 +184,7 @@ def _comparison(noise, steps, npdlms_extra=None, environment=None, iterations=50
         {"kind": "dmcc", "step_size": steps["dmcc"], "kernel_width": 0.005},
         {"kind": "dlms_f", "step_size": steps["dlms_f"]},
         {"kind": "dllad", "step_size": steps["dllad"], "scale": 10.0},
-        {"kind": "npdlms", "step_size": steps["npdlms"], **(npdlms_extra or {})},
+        {"kind": "npdlms", "step_size": steps["npdlms"], "eta": 0.0, **(npdlms_extra or {})},
     ]
     raw = dict(PROTOCOL, noise=noise, algorithms=algorithms, iterations=iterations)
     if environment:
@@ -260,7 +258,7 @@ def test_criterion_7_threshold_sweep():
     raw = dict(
         PROTOCOL,
         noise={"kind": "gaussian", "snr_db": -20},
-        algorithms=[{"kind": "npdlms", "step_size": 0.12, "delta": 0.25}],
+        algorithms=[{"kind": "npdlms", "step_size": 0.12, "delta": 0.25, "eta": 0.0}],
         realizations=100,
     )
     cfg = config_from_dict(raw)
@@ -339,10 +337,9 @@ def test_criterion_9_invariant_suites(tmp_path):
         "topology": {"nodes": 3, "edges": [[1, 2], [2, 3]]},
         "d": 2, "regressor_variances": 1.0,
         "noise": {"kind": "gaussian", "snr_db": 20},
-        "algorithms": [{"kind": "npdlms", "step_size": 0.05},
+        "algorithms": [{"kind": "npdlms", "step_size": 0.05, "eta": 0.0},
                        {"kind": "dlms", "step_size": 0.05}],
         "iterations": 40, "realizations": 3, "base_seed": 9,
-        "gate": {"eta": 0.0},
     }
     blobs = []
     for name in ("one.csv", "two.csv"):

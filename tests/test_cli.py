@@ -116,9 +116,10 @@ def test_validate_noise_samples_ceiling_is_checked_before_drawing(monkeypatch, c
 
 def test_bad_config_exit_code(tmp_path):
     # A section that is not a mapping, such as `algorithms: [dlms]`, used to end
-    # in an AttributeError traceback. `mode` and `slope` are unknown keys.
+    # in an AttributeError traceback. `gate`, `mode` and `slope` are unknown keys.
     for overrides in ({"algorithms": []}, {"algorithms": ["dlms"]}, {"noise": "gaussian"},
-                      {"environment": "stationary"}, {"gate": {"eta": 0.0, "mode": "hard"}},
+                      {"environment": "stationary"}, {"gate": {"eta": 0.0}},
+                      {"algorithms": [{"kind": "npdlms", "step_size": 0.05, "mode": "hard"}]},
                       {"algorithms": [{"kind": "npdlms", "step_size": 0.05, "slope": 5.0}]}):
         cfg = write_config(tmp_path, small_config_dict(**overrides))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 1, overrides
@@ -143,10 +144,21 @@ def test_theory_unstable_exit_code(tmp_path):
     assert main(["theory", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 2
 
 
-def test_io_error_exit_code(tmp_path):
-    cfg = write_config(tmp_path, small_config_dict(iterations=5))
+def test_io_error_exit_code(tmp_path, monkeypatch, capsys):
+    """An output path without a directory exits 3 before any realization runs."""
+    from diffnet import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran realizations for an output that cannot be written")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    monkeypatch.setattr(harness, "sweep", no_run)
+    cfg = write_config(tmp_path, small_config_dict(iterations=5, algorithms=NPDLMS_ONLY))
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
-    assert main(["simulate", "--config", cfg, "--out", str(missing_dir)]) == 3
+    for command in (["simulate"], ["compare"], ["sweep", "--param", "eta", "--values", "0,1"]):
+        assert main(command + ["--config", cfg, "--out", str(missing_dir)]) == 3, command
+        assert capsys.readouterr().err.startswith("i/o error:")
+    assert not missing_dir.parent.exists()
 
 
 def test_compare_with_theory_overlay(tmp_path, capsys):
@@ -164,8 +176,7 @@ def test_compare_with_theory_overlay(tmp_path, capsys):
 
 def test_sweep_subcommand(tmp_path, capsys):
     raw = small_config_dict(iterations=8, realizations=1,
-                            algorithms=[{"kind": "npdlms", "step_size": 0.05}],
-                            gate={"eta": 0.0})
+                            algorithms=[{"kind": "npdlms", "step_size": 0.05, "eta": 0.0}])
     cfg = write_config(tmp_path, raw)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out),
@@ -183,16 +194,16 @@ def test_cli_override_flags(tmp_path):
     assert len(out.read_text().splitlines()) == 5
 
 
+NPDLMS_ONLY = [{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}]
 # Configurations the moment theory does not model: it must refuse them rather
 # than print the stationary, always-updating CTA prediction.
 UNMODELLED = {
     "atc": {"strategy": "atc"},
     "random-walk": {"environment": {"kind": "random_walk", "q_variance": 1e-4}},
-    "gate-eta-positive": {"gate": {"eta": 0.05}},
+    "gate-eta-positive": {"algorithms": [{**NPDLMS_ONLY[0], "eta": 0.05}]},
     "alpha-stable-noise": {"noise": {"kind": "alpha_stable", "alpha": 1.2, "beta": 0.0, "gamma": 1.0}},
     "no-npdlms": {"algorithms": [{"kind": "dlms", "step_size": 0.05}]},
 }
-NPDLMS_ONLY = [{"kind": "npdlms", "step_size": 0.02, "delta": 0.25}]
 
 
 @pytest.mark.parametrize("case", UNMODELLED)
@@ -206,11 +217,12 @@ def test_theory_and_compare_refuse_unmodelled_config(tmp_path, case):
 
 
 def test_config_without_gate_section_is_the_modelled_update(tmp_path):
-    """No `gate` section is the gate at eta = 0: an update at every iteration,
-    which the theory models, with the bits of `gate: {eta: 0.0}`."""
-    raw = small_config_dict(iterations=10, algorithms=NPDLMS_ONLY + [{"kind": "dlms", "step_size": 0.05}])
-    no_gate = {key: value for key, value in raw.items() if key != "gate"}
-    assert raw["gate"] == {"eta": 0.0}
+    """An npdlms entry without `eta` is the gate at eta = 0: an update at every
+    iteration, which the theory models, with the bits of `eta: 0.0`."""
+    dlms = {"kind": "dlms", "step_size": 0.05}
+    raw = small_config_dict(iterations=10, algorithms=[{**NPDLMS_ONLY[0], "eta": 0.0}, dlms])
+    no_gate = small_config_dict(iterations=10, algorithms=NPDLMS_ONLY + [dlms])
+    assert "eta" not in NPDLMS_ONLY[0]
     out = [tmp_path / name for name in ("with.csv", "without.csv", "theory.csv")]
     assert main(["simulate", "--config", write_config(tmp_path, raw), "--out", str(out[0])]) == 0
     cfg = write_config(tmp_path, no_gate)
@@ -354,17 +366,15 @@ def _scipy_after(steps):
 
 
 def test_simulate_and_sweep_never_load_scipy(tmp_path):
-    """Simulations and sweeps, with a gate section or without one, run on
+    """Simulations and sweeps, with a gate threshold or without one, run on
     numpy and PyYAML alone; `scipy.special` comes in with the theory."""
     def config(name, **overrides):
         raw = small_config_dict(iterations=5, realizations=1, **overrides)
-        if name == "no-gate":
-            del raw["gate"]
         path = tmp_path / f"{name}.yaml"
         path.write_text(yaml.safe_dump(raw))
         return str(path)
 
-    gated = config("gated", algorithms=ALL_FAMILIES, gate={"eta": 0.1})
+    gated = config("gated", algorithms=ALL_FAMILIES[:-1] + [{**ALL_FAMILIES[-1], "eta": 0.1}])
     no_gate = config("no-gate", algorithms=ALL_FAMILIES)
     theory = config("theory", algorithms=NPDLMS_ONLY)
     out = str(tmp_path / "out.csv")

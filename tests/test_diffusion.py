@@ -1,5 +1,6 @@
 """Baseline update families and the ATC/CTA strategy contract."""
 
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -62,8 +63,9 @@ def test_families_table_builds_every_config_kind():
     specs = [{"kind": kind, "step_size": 0.05} for kind in FAMILIES]
     cfg = config_from_dict(small_config_dict(algorithms=specs))
     assert [type(spec.kind) for spec in cfg.algorithms] == list(records)
-    with pytest.raises(ConfigError, match="unknown algorithm kind 'lms'"):
-        config_from_dict(small_config_dict(algorithms=[{"kind": "lms", "step_size": 0.05}]))
+    for kind in ("lms", ["dlms"], 5):  # a list used to end in "unhashable type: 'list'"
+        with pytest.raises(ConfigError, match=re.escape(f"unknown algorithm kind {kind!r}")):
+            config_from_dict(small_config_dict(algorithms=[{"kind": kind, "step_size": 0.05}]))
 
 
 def _config(nodes, edges, algorithms, iterations, strategy="cta"):
@@ -77,7 +79,7 @@ def _config(nodes, edges, algorithms, iterations, strategy="cta"):
 def _batch(regressors, targets, theta_path):
     """A one-realization batch from (T, N, d) regressors, (T, N) targets and (T, d) truth."""
     return RealizationData(theta_path=theta_path[:, None], regressors=regressors[:, None],
-                           targets=targets[:, None], noises=np.zeros_like(targets)[:, None])
+                           targets=targets[:, None])
 
 
 def _row(batch):

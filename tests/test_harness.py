@@ -25,6 +25,7 @@ from diffnet.harness import (
     theory_inputs_from_config,
 )
 from conftest import same_bits, small_config_dict
+from oracles import replay_draws
 
 
 def test_zero_step_single_iteration_msd_is_initial_deviation():
@@ -84,13 +85,13 @@ def test_paired_streams_shared_across_algorithm_lists():
 
 def test_realization_streams_independent():
     cfg = config_from_dict(small_config_dict())
-    a = generate_realization_data(cfg, realization_rng(cfg.base_seed, 0)).noises.ravel()
-    b = generate_realization_data(cfg, realization_rng(cfg.base_seed, 1)).noises.ravel()
+    a = replay_draws(cfg, realization_rng(cfg.base_seed, 0))[2].ravel()
+    b = replay_draws(cfg, realization_rng(cfg.base_seed, 1))[2].ravel()
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.02 or a.size < 1000
     big_cfg = config_from_dict(small_config_dict(iterations=2000))
-    a = generate_realization_data(big_cfg, realization_rng(7, 0)).noises.ravel()
-    b = generate_realization_data(big_cfg, realization_rng(7, 1)).noises.ravel()
+    a = replay_draws(big_cfg, realization_rng(7, 0))[2].ravel()
+    b = replay_draws(big_cfg, realization_rng(7, 1))[2].ravel()
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.02
 
 
@@ -244,7 +245,7 @@ _REAL_KEYS = {
     "step_size": lambda v: {"algorithms": [{"kind": "dlms", "step_size": v}]},
     "snr_db": lambda v: {"noise": {"kind": "gaussian", "snr_db": v}},
     "q_variance": lambda v: {"environment": {"kind": "random_walk", "q_variance": v}},
-    "eta": lambda v: {"gate": {"eta": v}},
+    "eta": lambda v: {"algorithms": [{"kind": "npdlms", "step_size": 0.05, "eta": v}]},
     "delta": lambda v: {"algorithms": [{"kind": "npdlms", "step_size": 0.05, "delta": v}]},
     "alpha": lambda v: {"noise": {"kind": "alpha_stable", "alpha": v}},
     "variance": lambda v: {"noise": {"kind": "gaussian", "variance": [v] * 5}},
@@ -278,20 +279,19 @@ def test_inline_edge_must_be_a_pair_of_integers(edge):
 
 
 @pytest.mark.parametrize("overrides,named", [
-    ({"gate": {"eta": 0.0, "mood": "hard"}}, "mood"),
-    ({"gate": {"eta": -1.0}}, "eta"),
-    ({"gate": {"eta": float("nan")}}, "eta"),
-    ({"gate": {"eta": 0.0, "mode": "hard"}}, "unknown key.*mode"),
-    ({"gate": {"slope": 5.0}, "algorithms": [{"kind": "npdlms", "step_size": 0.05}]}, "unknown key.*slope"),
+    ({"gate": {"eta": 0.0}}, "unknown key.*gate"),
+    ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "eta": -1.0}]}, "eta"),
+    ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "eta": float("nan")}]}, "eta"),
     ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "mode": "hard"}]}, "unknown key.*mode"),
     ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "slope": 5.0}]}, "unknown key.*slope"),
-    ({"gate": {"buffer": 2}, "algorithms": [{"kind": "npdlms", "step_size": 0.05}]}, "buffer"),
-    ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "eta": 1.0}]}, "eta"),
+    ({"algorithms": [{"kind": "dlms", "step_size": 0.05, "eta": 0.0}]}, "unknown key.*eta"),
     ({"algorithms": [{"kind": "npdlms", "step_size": 0.05},
                      {"kind": "npdlms", "step_size": 0.08, "label": "second"}]}, "one npdlms"),
-], ids=["unknown-key", "eta-beside-dlms", "eta-nan", "mode-in-gate", "slope-in-gate", "mode-in-entry",
-        "slope-in-entry", "kernel-key-in-gate", "gate-key-in-entry", "two-npdlms"])
-def test_gate_section_is_checked_and_the_only_place_for_the_gate(overrides, named):
+], ids=["gate-section", "eta-negative", "eta-nan", "mode-in-entry", "slope-in-entry", "eta-in-dlms",
+        "two-npdlms"])
+def test_npdlms_entry_holds_its_whole_record(overrides, named):
+    """The npdlms entry is the one place for its record, the gate's `eta`
+    included; a top-level `gate` section is an unknown key."""
     with pytest.raises(ConfigError, match=named):
         config_from_dict(small_config_dict(**overrides))
 
@@ -422,8 +422,7 @@ def test_yaml_round_trip(tmp_path):
 
 
 def test_sweep_single_value_equals_run_experiment():
-    raw = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 0.05}],
-                            gate={"eta": 0.0})
+    raw = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 0.05, "eta": 0.0}])
     cfg = config_from_dict(raw)
     swept = sweep(cfg, "eta", [0.0])
     direct = run_experiment(cfg)
@@ -521,11 +520,10 @@ def test_divergence_flagged_not_raised():
 
 def test_kappa_counts_bounded_and_at_max_for_zero_threshold():
     raw = small_config_dict(iterations=30, realizations=2,
-                            algorithms=[{"kind": "npdlms", "step_size": 0.05}],
-                            gate={"eta": 0.0})
+                            algorithms=[{"kind": "npdlms", "step_size": 0.05, "eta": 0.0}])
     result = run_experiment(config_from_dict(raw))
     assert result.kappa_mean("npdlms") == 30.0
-    raw["gate"] = {"eta": 1e12}
+    raw["algorithms"][0]["eta"] = 1e12
     result = run_experiment(config_from_dict(raw))
     assert result.kappa_mean("npdlms") == 0.0
 
@@ -570,8 +568,7 @@ def test_delta_sweep_smaller_is_better_in_heavy_noise():
     raw = small_config_dict(
         noise={"kind": "gaussian", "snr_db": -20},
         iterations=300, realizations=40,
-        algorithms=[{"kind": "npdlms", "step_size": 0.12, "delta": 0.25}],
-        gate={"eta": 0.0},
+        algorithms=[{"kind": "npdlms", "step_size": 0.12, "delta": 0.25, "eta": 0.0}],
     )
     cfg = config_from_dict(raw)
     values = [0.1, 0.25, 0.5, 1.0, 2.0]
@@ -782,10 +779,11 @@ def test_non_finite_values_spread_one_hop_per_step(strategy, gate):
     import diffnet.harness as harness_mod
 
     source, onset, n = 2, 50, 8
+    algorithms = _five_families_and_npdlms()
+    algorithms[-1].update(gate)
     cfg = config_from_dict(small_config_dict(
         topology={"nodes": n, "edges": [[k, k % n + 1] for k in range(1, n + 1)]},
-        regressor_variances=1.0, iterations=60, strategy=strategy, gate=gate,
-        algorithms=_five_families_and_npdlms()))
+        regressor_variances=1.0, iterations=60, strategy=strategy, algorithms=algorithms))
     links = cfg.topology.adjacency_mask() > 0
     spec = cfg.npdlms_spec()
     baselines = [entry for entry in cfg.algorithms if entry is not spec]
@@ -859,10 +857,10 @@ def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strateg
 
     assert harness_mod.RING == 16
     realizations, with_baselines, params = WINDOW_SWEEPS[sweep_name]
-    gate = {"eta": 0.0 if strategy == "cta" else 0.1}
     algorithms = _five_families_and_npdlms()
+    algorithms[-1]["eta"] = 0.0 if strategy == "cta" else 0.1
     cfg = config_from_dict(small_config_dict(
-        iterations=t_len, realizations=realizations, strategy=strategy, gate=gate,
+        iterations=t_len, realizations=realizations, strategy=strategy,
         environment={"kind": "random_walk", "q_variance": 1e-3},
         algorithms=algorithms if with_baselines else algorithms[-1:]))
     spec = cfg.npdlms_spec()
@@ -956,8 +954,10 @@ def _assert_same_result(result, reference):
 
 
 SWEEP_CASES = {
-    "eta-hard": ({"gate": {"eta": 0.0}}, "eta", [0.0, 0.05, 0.3]),
-    "delta-gated": ({"gate": {"eta": 0.1}}, "delta", [0.1, 0.5, 2.0]),
+    "eta-hard": ({"algorithms": [{"kind": "npdlms", "step_size": 0.08, "eta": 0.0}]}, "eta",
+                 [0.0, 0.05, 0.3]),
+    "delta-gated": ({"algorithms": [{"kind": "npdlms", "step_size": 0.08, "eta": 0.1}]}, "delta",
+                    [0.1, 0.5, 2.0]),
     "sigma-atc": ({"strategy": "atc"}, "sigma", [0.3, 1.0, 3.0]),
     "h-baselines": ({"algorithms": _five_families_and_npdlms()}, "h", [0.5, 1.0, 2.0]),
 }
@@ -1010,9 +1010,9 @@ def test_each_label_reads_its_own_block(order):
     """
     entries = {"dlms": {"kind": "dlms", "step_size": 0.4},
                "dllad": {"kind": "dllad", "step_size": 0.05, "scale": 2.0},
-               "npdlms": {"kind": "npdlms", "step_size": 0.05}}
+               "npdlms": {"kind": "npdlms", "step_size": 0.05, "eta": 0.0}}
     cfg = config_from_dict(small_config_dict(
-        iterations=150, realizations=5, gate={"eta": 0.0},
+        iterations=150, realizations=5,
         noise={"kind": "alpha_stable", "alpha": 1.2, "beta": 0, "gamma": 1, "delta": 0},
         algorithms=[entries[label] for label in order]))
     values = [0.0, 0.3, 3.0]
@@ -1111,9 +1111,11 @@ def test_sweep_falls_back_per_realization(monkeypatch):
     ("algorithms", "dlms", "algorithms"),
     ("noise", "gaussian", "noise"),
     ("environment", "stationary", "environment"),
-    ("gate", "hard", "gate"),
     ("topology", [[1, 2]], "topology"),
-], ids=["algorithm-entry", "algorithm-list", "noise", "environment", "gate", "topology"])
+    ("topology", {"nodes": 5, "edges": 5}, "edges"),
+    ("topology", {"nodes": 5, "edges": None}, "edges"),
+], ids=["algorithm-entry", "algorithm-list", "noise", "environment", "topology", "edges-number",
+        "edges-null"])
 def test_config_section_must_be_a_mapping(section, value, named):
     with pytest.raises(ConfigError, match=f"{named} must be a"):
         config_from_dict(small_config_dict(**{section: value}))

@@ -30,6 +30,7 @@ from diffnet.network import (
 )
 from diffnet.harness import config_from_dict, generate_realization_data
 from conftest import small_config_dict
+from oracles import replay_draws
 
 THETA5 = np.ones(5) / np.sqrt(5)
 
@@ -186,18 +187,22 @@ def _measurement_config(**overrides):
     return config_from_dict(raw)
 
 
-def test_measurement_construction_identity(rng):
-    data = generate_realization_data(_measurement_config(), rng)
-    expected = np.einsum("tnd,td->tn", data.regressors, data.theta_path) + data.noises
+def test_measurement_construction_identity():
+    """targets = u' theta + noise bit for bit, the draws replayed from the stream."""
+    cfg = _measurement_config()
+    data = generate_realization_data(cfg, np.random.default_rng(2024))
+    theta_path, regressors, noise = replay_draws(cfg, np.random.default_rng(2024))
+    assert np.array_equal(data.theta_path, theta_path) and np.array_equal(data.regressors, regressors)
+    expected = np.einsum("tnd,td->tn", data.regressors, data.theta_path) + noise
     assert np.array_equal(data.targets, expected)  # bit-exact by construction
-    assert np.all(data.noises != 0.0)
+    assert np.all(noise != 0.0)
 
 
 def test_measurement_zero_noise_zero_theta(rng):
     cfg = _measurement_config(theta_o=[0.0, 0.0, 0.0], environment={"kind": "stationary"},
                               noise={"kind": "gaussian", "variance": 0.0})
     data = generate_realization_data(cfg, rng)
-    assert not data.targets.any() and not data.noises.any()
+    assert not data.targets.any()
 
 
 def test_profile_validation():

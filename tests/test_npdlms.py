@@ -361,8 +361,8 @@ def _single_node_config(strategy="cta", **algorithm):
     return harness.config_from_dict({
         "topology": {"nodes": 1, "edges": []}, "d": 3, "regressor_variances": 1.0,
         "theta_o": [0.6, -1.1, 0.3], "noise": {"kind": "gaussian", "variance": 0.0025},
-        "algorithms": [{"kind": "npdlms", **algorithm}], "iterations": 100,
-        "gate": {"eta": 0.0}, "strategy": strategy,
+        "algorithms": [{"kind": "npdlms", "eta": 0.0, **algorithm}], "iterations": 100,
+        "strategy": strategy,
     })
 
 
@@ -391,8 +391,7 @@ def test_step_with_infinite_threshold_is_pure_combination(rng):
     assert np.array_equal(adapted, combined)
     # In the engine a gate that never opens leaves every node at its zero start.
     cfg = harness.config_from_dict(small_config_dict(
-        iterations=30, gate={"eta": float("inf")},
-        algorithms=[{"kind": "npdlms", "step_size": 0.5}]))
+        iterations=30, algorithms=[{"kind": "npdlms", "step_size": 0.5, "eta": float("inf")}]))
     batch, sq, updates = _run_engine(cfg)
     truth = np.einsum("trd,trd->rt", batch.theta_path, batch.theta_path)
     assert not updates.any()
@@ -474,9 +473,9 @@ def test_step_pushes_received_estimates():
 ])
 def test_batched_npdlms_matches_per_node_oracle(strategy, gate):
     """Each row of a batched kernel-MAP run is the per-node recursion on its own draws."""
-    raw = small_config_dict(iterations=40, realizations=3, strategy=strategy, gate=gate,
+    raw = small_config_dict(iterations=40, realizations=3, strategy=strategy,
                             algorithms=[{"kind": "npdlms", "step_size": 0.08, "buffer": 3,
-                                         "sigma": 0.5}])
+                                         "sigma": 0.5, **gate}])
     cfg = harness.config_from_dict(raw)
     spec = cfg.npdlms_spec()
     batch, drawn, failures = harness._draw(cfg, range(cfg.realizations))
