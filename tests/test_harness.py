@@ -280,18 +280,22 @@ def test_inline_edge_must_be_a_pair_of_integers(edge):
 
 @pytest.mark.parametrize("overrides,named", [
     ({"gate": {"eta": 0.0}}, "unknown key.*gate"),
+    ({"gate": {"eta": 0.0}, "algorithms": [{"kind": "npdlms", "step_size": 0.05}]}, "unknown key.*gate"),
+    ({"gate": "hard"}, "unknown key.*gate"),
     ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "eta": -1.0}]}, "eta"),
     ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "eta": float("nan")}]}, "eta"),
     ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "mode": "hard"}]}, "unknown key.*mode"),
     ({"algorithms": [{"kind": "npdlms", "step_size": 0.05, "slope": 5.0}]}, "unknown key.*slope"),
     ({"algorithms": [{"kind": "dlms", "step_size": 0.05, "eta": 0.0}]}, "unknown key.*eta"),
+    ({"algorithms": [{"kind": "dlms", "step_size": 0.05, "buffer": 3}]}, "unknown key.*buffer"),
     ({"algorithms": [{"kind": "npdlms", "step_size": 0.05},
                      {"kind": "npdlms", "step_size": 0.08, "label": "second"}]}, "one npdlms"),
-], ids=["gate-section", "eta-negative", "eta-nan", "mode-in-entry", "slope-in-entry", "eta-in-dlms",
-        "two-npdlms"])
+], ids=["gate-section", "gate-beside-npdlms", "gate-scalar", "eta-negative", "eta-nan", "mode-in-entry",
+        "slope-in-entry", "eta-in-dlms", "kernel-key-in-dlms", "two-npdlms"])
 def test_npdlms_entry_holds_its_whole_record(overrides, named):
     """The npdlms entry is the one place for its record, the gate's `eta`
-    included; a top-level `gate` section is an unknown key."""
+    included; a top-level `gate`, beside an npdlms entry or not, mapping or
+    not, is an unknown key, and the kernel keys belong to no other entry."""
     with pytest.raises(ConfigError, match=named):
         config_from_dict(small_config_dict(**overrides))
 
