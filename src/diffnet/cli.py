@@ -17,6 +17,7 @@ from . import harness, noise, theory
 from .errors import ConfigError, DiffnetError, InvalidParameters, UnstableSystem
 
 CF_GRID = (0.1, 0.5, 1.0, 2.0)
+THEORY_COLUMN = "theory_msd_db"
 # validate-noise draws all its samples at once, about 50 bytes each at peak.
 MAX_SAMPLES = 10**7
 
@@ -73,11 +74,12 @@ def _cmd_theory(args) -> int:
 def _cmd_compare(args) -> int:
     config = _load(args)
     out_path = config.output
-    # The theory comes first, so an unusable one fails before the simulation runs.
+    # The columns and the theory come first, so either fails before the simulation runs.
+    harness.csv_columns([spec.label for spec in config.algorithms], [THEORY_COLUMN])
     curves, steady = _theory_curves(config)
     print(f"theory steady-state MSD {theory.to_db(steady.steady_network_msd):.2f} dB")
     result = harness.run_experiment(replace(config, output=None))
-    harness.export_csv(result, out_path, {"theory_msd_db": theory.to_db(curves.network_msd)[1:]})
+    harness.export_csv(result, out_path, {THEORY_COLUMN: theory.to_db(curves.network_msd)[1:]})
     for label in result.labels:
         print(f"{label}: steady-state MSD {result.steady_state_msd_db(label):.2f} dB")
     print(f"wrote {out_path}")

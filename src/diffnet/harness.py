@@ -494,22 +494,22 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     zero weight still turns a non-finite history entry into that product's NaN.
 
     The states live in one window of the last RING + B, newest first (B = 1
-    without a kernel-MAP record): step t reads the state at slot s, and the
-    adapt (CTA) or the combine (ATC) writes the next one straight into slot
-    s - 1. The kernel-MAP blocks keep a (V*R, N, d) window beside it, whose
-    slot s - 1 holds the evaluation point until the next state replaces it,
-    so the prior's evaluation points are its slots s - 1 and s and its
-    history the slots from s on. With B > 1 they keep a third, flat
-    (d, V*R*N) window, whose slots from s on are the contraction's history;
-    B = 1 runs no contraction and keeps none. Each step copies the next
-    state into both from slot s - 1 of the state window. Once per RING
-    iterations and at the last, one subtract per layout forms those
-    iterations' deviations from theta_path,
-    and one einsum per layout with a leading time axis reduces them into
-    sq[t0 : t + 1] over d in the order of a per-iteration einsum of that
-    layout. The `fired` flags of those iterations are added into the update
-    counts, and the newest B states of every window are copied back to the
-    top.
+    without a kernel-MAP record, and B at most T, since no run buffers more
+    states): step t reads the state at slot s, and the adapt (CTA) or the
+    combine (ATC) writes the next one straight into slot s - 1. The
+    kernel-MAP blocks keep a (V*R, N, d) window beside it, whose slot s - 1
+    holds the evaluation point until the next state replaces it, so the
+    prior's evaluation points are its slots s - 1 and s and its history the
+    slots from s on. With B > 1 they keep a third, flat (d, V*R*N) window,
+    whose slots from s on are the contraction's history; B = 1 runs no
+    contraction and keeps none. Each step copies the next state into both
+    from slot s - 1 of the state window. Once per RING iterations and at the
+    last, one subtract per layout forms those iterations' deviations from
+    theta_path, and one einsum per layout with a leading time axis reduces
+    them into sq[t0 : t + 1] over d in the order of a per-iteration einsum
+    of that layout. The `fired` flags of those iterations are added into the
+    update counts, and the newest B states of every window are copied back
+    to the top.
 
     Returns squared deviations (A + V, R, T, N) and the kernel-MAP update
     counts (V*R, N), row v*R + r for value v; `trace_out`, if given,
@@ -523,7 +523,7 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     blocks = fams + values
     rows = values * reals
     cta = config.strategy == "cta"
-    buffer = variants[0].buffer if values else 1
+    buffer = min(variants[0].buffer, t_len) if values else 1
     u_tr = batch.regressors.transpose(0, 1, 3, 2)         # (T, R, d, N)
     # The window of past states, newest first: step t reads the state at slot
     # s and writes the next one to slot s - 1. RING steps from the top slot, s
@@ -875,6 +875,16 @@ def _rows(lead: tuple, curves: list, start: int = 1) -> str:
     return "\n".join([line] * t_len) % tuple(cells)
 
 
+def csv_columns(labels, extra=()) -> list:
+    """The columns `<label>_msd_db` of `labels`, then the names `extra`; a
+    name that appears twice is a ConfigError."""
+    names = [f"{label}_msd_db" for label in labels] + list(extra)
+    twice = [name for name in names if names.count(name) > 1]
+    if twice:
+        raise ConfigError(f"CSV column {twice[0]!r} appears twice; rename an algorithm's label")
+    return names
+
+
 def export_csv(result: RunResult, path, extra_columns=None) -> None:
     """`iteration,<label>_msd_db,...` with one row per iteration, LF endings.
 
@@ -887,7 +897,7 @@ def export_csv(result: RunResult, path, extra_columns=None) -> None:
     for name, column in extra.items():
         if len(column) != result.iterations:
             raise ConfigError(f"column {name!r} has {len(column)} values for {result.iterations} iterations")
-    names = [f"{label}_msd_db" for label in result.labels] + list(extra)
+    names = csv_columns(result.labels, extra)
     curves = [result.network_msd_db(label) for label in result.labels] + list(extra.values())
     _write_lines(path, ["iteration," + ",".join(names), _rows((), curves)])
 

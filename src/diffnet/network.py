@@ -189,9 +189,9 @@ class GroundTruth:
         decay recurrence down each column on Python floats: the same products
         and sums as a row-by-row array update, without a numpy call per row.
         The path is C-contiguous, the layout whose bits the targets' einsum
-        over d was recorded with.
+        over d was recorded with. Zero steps leave the state as it is.
         """
-        if not isinstance(self.drift, RandomWalk):
+        if not isinstance(self.drift, RandomWalk) or steps == 0:
             return np.tile(self.theta_o, (steps, 1))
         q_scale = math.sqrt(self.drift.q_variance)
         omega = rng.standard_normal((steps,) + self.theta_o.shape) * q_scale
@@ -215,18 +215,26 @@ def load_topology(path) -> NetworkTopology:
 
 
 def _parse_topology(text: str, source) -> NetworkTopology:
-    """Topology from the text of a `save_topology` file; `source` names it in errors."""
-    rows = [line.strip() for line in text.split("\n")]
-    rows = [row for row in rows if row and not row.startswith("#")]
+    """Topology from the text of a `save_topology` file; errors name `source` and the line."""
+    rows = [(number, line.strip()) for number, line in enumerate(text.split("\n"), 1)]
+    rows = [(number, row) for number, row in rows if row and not row.startswith("#")]
     if not rows:
         raise InvalidParameters(f"empty topology file {source}")
-    node_count = int(rows[0])
+
+    def integer(token, number, what):
+        try:
+            return int(token)
+        except ValueError:
+            raise InvalidParameters(f"{what} {token!r} in {source}, line {number}, is not an integer") from None
+
+    number, first = rows[0]
+    node_count = integer(first, number, "node count")
     edges = []
-    for line in rows[1:]:
+    for number, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise InvalidParameters(f"bad edge line {line!r} in {source}")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise InvalidParameters(f"bad edge line {line!r} in {source}, line {number}")
+        edges.append(tuple(integer(part, number, "node id") for part in parts))
     return build_topology(node_count, edges)
 
 

@@ -19,13 +19,13 @@ Both expectations have closed forms, kept beside the gain in `diffusion`
 (`bounded_gain_moments`). The slopes depend on the error, so the transient is
 the covariance recursion
 P_{n+1} = F_n P_n F_n' + M Xi_n M with the slopes refreshed every step. One
-`MomentSet` holds that recursion: its fixed pieces, the slopes, F and Xi at the
-steady state, and the steady covariance itself. `build_moments` finds the
+`MomentSet` holds the `TheoryInputs` it was built from, the slopes, F and Xi at
+the steady state, and the steady covariance itself. `build_moments` finds the
 steady state as the recursion's fixed point by alternating Stein solves with
 slope updates, and the steady-state metrics read the last solve. The fixed
-point and the transient run one in-place step (`_Recursion`), set up once per
-call. The slopes tend to 1 as the error variance falls to 0, so any delta > 0
-is admissible.
+point and the transient run one in-place step (`_Recursion`), built from the
+inputs once per call. The slopes tend to 1 as the error variance falls to 0,
+so any delta > 0 is admissible.
 
 Stability and the step-size bound use the small-error slopes E[g'(v_l)],
 v_l ~ N(0, sigma_v,l^2). A bounded gain contracts at every step size once the
@@ -43,7 +43,7 @@ a_lk B_k. Solves and recursions work on Nd x Nd matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,13 +61,15 @@ FIXED_POINT_MAX_SOLVES = 500
 METRIC_STEPS = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class TheoryInputs:
-    """Everything the moment construction needs."""
+    """Everything the moment construction needs, validated; the regressor
+    covariances as one (N, d, d) stack. Frozen with read-only array copies, so a
+    `MomentSet` keeps its inputs; `dataclasses.replace` validates a changed copy."""
 
     topology: NetworkTopology
     combination: CombinationMatrix
-    regressor_covariances: list
+    regressor_covariances: np.ndarray
     noise_variances: np.ndarray
     step_sizes: np.ndarray
     theta_o: np.ndarray
@@ -88,28 +90,31 @@ class TheoryInputs:
             tol = 1e-12 * np.linalg.norm(r)
             if np.linalg.norm(r - r.T) > tol or np.linalg.eigvalsh(r)[0] < -tol:
                 raise InvalidParameters("regressor covariances must be symmetric positive semidefinite")
-        self.regressor_covariances = covs
-        self.theta_o = np.asarray(self.theta_o, dtype=float)
-        if self.theta_o.shape != (d,):
+        theta_o = np.array(self.theta_o, dtype=float)
+        if theta_o.shape != (d,):
             raise DimensionMismatch(f"theta_o must have length {d}")
-        if not np.all(np.isfinite(self.theta_o)):
-            raise InvalidParameters(f"theta_o must be finite, got {self.theta_o}")
+        if not np.all(np.isfinite(theta_o)):
+            raise InvalidParameters(f"theta_o must be finite, got {theta_o}")
         if self.combination.node_count != n:
             raise DimensionMismatch("combination matrix does not match topology size")
-        self.noise_variances = per_node(self.noise_variances, n, "noise_variances")
-        self.step_sizes = per_node(self.step_sizes, n, "step_sizes")
-        if not np.all(np.isfinite(self.noise_variances) & (self.noise_variances >= 0)):
+        noise_variances = per_node(self.noise_variances, n, "noise_variances").copy()
+        step_sizes = per_node(self.step_sizes, n, "step_sizes").copy()
+        if not np.all(np.isfinite(noise_variances) & (noise_variances >= 0)):
             raise InvalidParameters("noise_variances must be finite and >= 0")
-        if not np.all(np.isfinite(self.step_sizes) & (self.step_sizes > 0)):
+        if not np.all(np.isfinite(step_sizes) & (step_sizes > 0)):
             raise InvalidParameters("step_sizes must be finite and > 0")
         for name in ("h", "delta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
+        for name, value in (("regressor_covariances", np.stack(covs)), ("theta_o", theta_o),
+                            ("noise_variances", noise_variances), ("step_sizes", step_sizes)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
-        return self.regressor_covariances[0].shape[0]
+        return self.regressor_covariances.shape[1]
 
     def small_error_slopes(self) -> np.ndarray:
         """E[g'(v_l)] with v_l ~ N(0, sigma_v,l^2), per node l.
@@ -120,46 +125,31 @@ class TheoryInputs:
         return bounded_gain_moments(self.noise_variances, self.delta)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class MomentSet:
-    """The statistically linearized error recursion and its steady state.
+    """The steady state of the linearized error recursion of `inputs`.
 
-    The first fields are the pieces that stay fixed while the slopes change;
-    block-diagonal matrices among them are kept as (N, d, d) stacks of their
-    blocks. `build_moments` fills in the rest. When the small-error slopes are
-    mean-stable, the slope-dependent fields hold their values at the
-    steady-state fixed point and `steady_covariance` is the Stein solution of
-    `mean_transition` and `xi_vec`, both kept from the last solve. Otherwise
-    they hold the small-error values, `small_error_radius` is >= 1,
-    `steady_covariance` is None, and the metrics raise UnstableSystem.
+    When the small-error slopes are mean-stable, the slopes, F and Xi hold
+    their values at the steady-state fixed point and `steady_covariance` is
+    the Stein solution of `mean_transition` and `xi_vec`, both kept from the
+    last solve. Otherwise they hold the small-error values, the radius is
+    >= 1, `steady_covariance` is None, and the metrics raise UnstableSystem.
     """
 
-    combination: np.ndarray     # A
-    pairs: tuple                # (l, k) index arrays of every l in N_k
-    covs: np.ndarray            # (N, d, d) regressor covariances R_l
-    noise_variances: np.ndarray
-    delta: float
-    inv_h: float                # 1 / h
-    step_sizes: np.ndarray      # alpha_k
-    step_outer: np.ndarray      # alpha_k alpha_k' spread over the d x d blocks
-    theta_o: np.ndarray
-    slopes: np.ndarray = field(init=False)             # s_lk = E[g'(e_lk)], [l, k]
-    small_error_radius: float = field(init=False)      # rho(F) at the small-error slopes
-    mean_transition: np.ndarray = field(init=False)    # F = (I + M C) A_ext
-    xi_vec: np.ndarray = field(init=False)             # vec(M Xi M)
-    steady_covariance: np.ndarray | None = field(init=False, default=None)
-
-    @property
-    def node_count(self) -> int:
-        return self.covs.shape[0]
+    inputs: TheoryInputs
+    slopes: np.ndarray                  # s_lk = E[g'(e_lk)], [l, k]
+    small_error_radius: float           # rho(F) at the small-error slopes
+    mean_transition: np.ndarray         # F = (I + M C) A_ext
+    xi_vec: np.ndarray                  # vec(M Xi M)
+    steady_covariance: np.ndarray | None
 
     @property
     def dim(self) -> int:
-        return self.covs.shape[1]
+        return self.inputs.dim
 
 
 class _Recursion:
-    """One step of the linearized covariance recursion, in place.
+    """One step of the linearized covariance recursion of `TheoryInputs`, in place.
 
     `linearize(p)` evaluates the step at the error second moment P before the
     combine: Phi = A_ext P A_ext', the gain statistics of every e_lk, the
@@ -181,23 +171,23 @@ class _Recursion:
     oracle.
     """
 
-    def __init__(self, moments: MomentSet):
-        n, d = moments.covs.shape[:2]
+    def __init__(self, inputs: TheoryInputs):
+        n, d = inputs.topology.node_count, inputs.dim
         nd = n * d
-        self.a_t = moments.combination.T
-        self.covs = moments.covs
-        self.covs_flat = moments.covs.reshape(n, d * d)
-        self.delta = moments.delta
-        self.inv_h = moments.inv_h
-        self.inv_h2 = moments.inv_h * moments.inv_h
+        self.a_t = inputs.combination.matrix.T
+        self.covs_flat = inputs.regressor_covariances.reshape(n, d * d)
+        self.delta = inputs.delta
+        self.inv_h = 1.0 / inputs.h
+        self.inv_h2 = self.inv_h * self.inv_h
         self.eye = np.eye(d)
-        self.neg_steps = -moments.step_sizes[:, None, None]
-        self.step_outer = moments.step_outer.reshape(n, d, n, d).transpose(0, 2, 1, 3).copy()
+        self.neg_steps = -inputs.step_sizes[:, None, None]
+        # alpha_k alpha_k' laid out as q, contiguous: a broadcast multiply takes over twice as long.
+        self.step_outer = np.outer(inputs.step_sizes, inputs.step_sizes).repeat(d * d).reshape(n, n, d, d)
 
-        l_idx, k_idx = moments.pairs
+        l_idx, k_idx = np.nonzero(inputs.topology.adjacency_mask())
         self.pair_slope = l_idx * n + k_idx                # [l, k] in (N, N)
         self.pair_trace = self.pair_slope * n + k_idx      # [l, k, k] in (N, N, N)
-        self.pair_noise = moments.noise_variances[l_idx]
+        self.pair_noise = inputs.noise_variances[l_idx]
         slot = np.full((n, n), -1)
         slot[l_idx, k_idx] = np.arange(l_idx.size)
         shared = (slot[:, :, None] >= 0) & (slot[:, None, :] >= 0)
@@ -205,7 +195,7 @@ class _Recursion:
         tri_l, tri_k, tri_kk = np.nonzero(shared)
         self.tri_slopes = np.concatenate([slot[tri_l, tri_k], slot[tri_l, tri_kk]])
         self.tri_trace = (tri_l * n + tri_k) * n + tri_kk  # [l, k, k'] in (N, N, N)
-        self.tri_noise = moments.noise_variances[tri_l]
+        self.tri_noise = inputs.noise_variances[tri_l]
         self.pair_entries = np.concatenate([self.tri_trace, self.pair_trace])
 
         # Buffers, allocated once, and the views of them each product reads or writes.
@@ -326,32 +316,16 @@ def _steady_fixed_point(recursion: _Recursion, f: np.ndarray, q: np.ndarray) -> 
 
 
 def build_moments(inputs: TheoryInputs) -> MomentSet:
-    """Assemble the linearized recursion and solve for its steady state."""
-    n, d = inputs.topology.node_count, inputs.dim
-    step_diag = np.repeat(inputs.step_sizes, d)
-    moments = MomentSet(
-        combination=inputs.combination.matrix,
-        pairs=np.nonzero(inputs.topology.adjacency_mask()),
-        covs=np.stack(inputs.regressor_covariances),
-        noise_variances=inputs.noise_variances,
-        delta=inputs.delta,
-        inv_h=1.0 / inputs.h,
-        step_sizes=inputs.step_sizes,
-        step_outer=np.outer(step_diag, step_diag),
-        theta_o=inputs.theta_o,
-    )
-
-    recursion = _Recursion(moments)
-    recursion.linearize(np.zeros((n * d, n * d)))
-    f = recursion.transition(np.empty((n * d, n * d)))
-    q = recursion.source(np.empty((n * d, n * d)))
-    moments.small_error_radius = spectral_radius(f)
-    if moments.small_error_radius < 1.0:
-        moments.steady_covariance = _steady_fixed_point(recursion, f, q)
-    moments.slopes = recursion.slopes()
-    moments.mean_transition = f
-    moments.xi_vec = q.flatten(order="F")
-    return moments
+    """Linearize the recursion of `inputs` and solve for its steady state."""
+    nd = inputs.topology.node_count * inputs.dim
+    recursion = _Recursion(inputs)
+    recursion.linearize(np.zeros((nd, nd)))
+    f = recursion.transition(np.empty((nd, nd)))
+    q = recursion.source(np.empty((nd, nd)))
+    radius = spectral_radius(f)
+    steady = _steady_fixed_point(recursion, f, q) if radius < 1.0 else None
+    return MomentSet(inputs=inputs, slopes=recursion.slopes(), small_error_radius=radius,
+                     mean_transition=f, xi_vec=q.flatten(order="F"), steady_covariance=steady)
 
 
 def stepsize_upper_bound(inputs: TheoryInputs, k: int) -> float:
@@ -443,10 +417,10 @@ def _require_stable(moments: MomentSet) -> None:
 def steady_state_metrics(moments: MomentSet) -> PerformanceCurves:
     """Steady-state per-node and network MSD/EMSE of the linearized recursion."""
     _require_stable(moments)
-    n, d = moments.node_count, moments.dim
+    covs = moments.inputs.regressor_covariances
+    n, d = covs.shape[:2]
     node_msd, node_emse = np.empty(n), np.empty(n)
-    _node_metrics(np.take(moments.steady_covariance, _diagonal_blocks(n, d)), moments.covs,
-                  node_msd, node_emse)
+    _node_metrics(np.take(moments.steady_covariance, _diagonal_blocks(n, d)), covs, node_msd, node_emse)
     return PerformanceCurves(
         steady_node_msd=node_msd,
         steady_node_emse=node_emse,
@@ -466,14 +440,15 @@ def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise InvalidParameters(f"n_max must be an integer >= 0, got {n_max!r}")
     _require_stable(moments)
-    recursion = _Recursion(moments)
-    n, d = moments.node_count, moments.dim
-    theta_bar = np.tile(moments.theta_o, n)
+    inputs = moments.inputs
+    recursion = _Recursion(inputs)
+    n, d = inputs.regressor_covariances.shape[:2]
+    theta_bar = np.tile(inputs.theta_o, n)
     node_msd = np.empty((n_max + 1, n))
     node_emse = np.empty((n_max + 1, n))
     blocks = _diagonal_blocks(n, d)
     diag = np.empty((METRIC_STEPS, n, d, d))
-    covs = np.tile(moments.covs, (METRIC_STEPS, 1, 1))
+    covs = np.tile(inputs.regressor_covariances, (METRIC_STEPS, 1, 1))
     p = np.outer(theta_bar, theta_bar)
     for step in range(n_max + 1):
         if step:

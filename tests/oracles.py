@@ -571,50 +571,59 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
 # --- closed-form theory -------------------------------------------------------
 
 
-def gain_statistics_reference(moments, phi):
+def gain_statistics_reference(inputs, phi):
     """(slope, second moment, variance, traces) when the error at the
     evaluation point has second moment `phi`. The first three hold one entry
     per e_lk, each (N, N) indexed [l, k] and zero where l is not in N_k;
     traces[l, k, k'] is the cross trace tr(R_l Phi_kk')."""
-    n, d = moments.covs.shape[:2]
+    covs = inputs.regressor_covariances
+    n, d = covs.shape[:2]
     phi4 = np.asarray(phi, dtype=float).reshape(n, d, n, d)
-    traces = (moments.covs.reshape(n, d * d)
-              @ phi4.transpose(3, 1, 0, 2).reshape(d * d, n * n)).reshape(n, n, n)
-    l_idx, k_idx = moments.pairs
+    traces = (covs.reshape(n, d * d) @ phi4.transpose(3, 1, 0, 2).reshape(d * d, n * n)).reshape(n, n, n)
+    l_idx, k_idx = np.nonzero(inputs.topology.adjacency_mask())
     variance = np.zeros((n, n))
-    variance[l_idx, k_idx] = moments.noise_variances[l_idx] + traces[l_idx, k_idx, k_idx]
+    variance[l_idx, k_idx] = inputs.noise_variances[l_idx] + traces[l_idx, k_idx, k_idx]
     slope = np.zeros((n, n))
     second = np.zeros((n, n))
     slope[l_idx, k_idx], second[l_idx, k_idx] = bounded_gain_moments(variance[l_idx, k_idx],
-                                                                     moments.delta)
+                                                                     inputs.delta)
     return slope, second, variance, traces
 
 
-def linearize_reference(moments, phi):
+def linearize_reference(inputs, phi):
     """Slopes s_lk, the blocks of C, and the noise covariance Xi at Phi = `phi`."""
-    n, d = moments.covs.shape[:2]
-    slope, second, _, traces = gain_statistics_reference(moments, phi)
+    covs = inputs.regressor_covariances
+    n, d = covs.shape[:2]
+    inv_h = 1.0 / inputs.h
+    slope, second, _, traces = gain_statistics_reference(inputs, phi)
     diag = np.arange(n)
-    pair = slope[:, :, None] * slope[:, None, :] * (moments.noise_variances[:, None, None] + traces)
+    pair = slope[:, :, None] * slope[:, None, :] * (inputs.noise_variances[:, None, None] + traces)
     pair[:, diag, diag] = second
-    pair *= moments.inv_h * moments.inv_h
-    xi = ((pair.reshape(n, n * n).T @ moments.covs.reshape(n, d * d))
+    pair *= inv_h * inv_h
+    xi = ((pair.reshape(n, n * n).T @ covs.reshape(n, d * d))
           .reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d))
-    coeff = -((slope * moments.inv_h).T @ moments.covs.reshape(n, d * d)).reshape(n, d, d)
+    coeff = -((slope * inv_h).T @ covs.reshape(n, d * d)).reshape(n, d, d)
     return slope, coeff, xi
 
 
-def update_blocks_reference(moments, coeff):
+def update_blocks_reference(inputs, coeff):
     """Blocks of B = I + M C, so that F = B A_ext."""
-    return np.eye(moments.dim) + moments.step_sizes[:, None, None] * coeff
+    return np.eye(inputs.dim) + inputs.step_sizes[:, None, None] * coeff
 
 
-def _combine(moments, p):
+def _step_outer(inputs):
+    """alpha_k alpha_k' spread over the d x d blocks of an Nd x Nd matrix."""
+    step_diag = np.repeat(inputs.step_sizes, inputs.dim)
+    return np.outer(step_diag, step_diag)
+
+
+def _combine(inputs, p):
     """A_ext P A_ext' for a symmetric P, applying A' to node blocks."""
-    n = moments.combination.shape[0]
+    a = inputs.combination.matrix
+    n = a.shape[0]
     nd = p.shape[0]
-    left = (moments.combination.T @ p.reshape(n, -1)).reshape(nd, nd)
-    return (moments.combination.T @ left.T.reshape(n, -1)).reshape(nd, nd)
+    left = (a.T @ p.reshape(n, -1)).reshape(nd, nd)
+    return (a.T @ left.T.reshape(n, -1)).reshape(nd, nd)
 
 
 def _propagate(blocks, phi):
@@ -625,18 +634,18 @@ def _propagate(blocks, phi):
     return (blocks @ left.T.reshape(n, d, nd)).reshape(nd, nd)
 
 
-def _transition(moments, blocks):
+def _transition(inputs, blocks):
     """Dense F = B A_ext for block-diagonal B: block (k, l) is a_lk B_k."""
     n, d = blocks.shape[:2]
-    f = blocks[:, None] * moments.combination.T[:, :, None, None]   # [k, l, i, j]
+    f = blocks[:, None] * inputs.combination.matrix.T[:, :, None, None]   # [k, l, i, j]
     return f.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
-def _recursion(moments, phi):
+def _recursion(inputs, phi):
     """Slopes, dense F and Q = M Xi M at Phi = `phi`."""
-    slope, coeff, xi = linearize_reference(moments, phi)
-    q = moments.step_outer * xi
-    return slope, _transition(moments, update_blocks_reference(moments, coeff)), q
+    slope, coeff, xi = linearize_reference(inputs, phi)
+    q = _step_outer(inputs) * xi
+    return slope, _transition(inputs, update_blocks_reference(inputs, coeff)), q
 
 
 def node_metrics_reference(p, covs):
@@ -647,12 +656,12 @@ def node_metrics_reference(p, covs):
     return np.einsum("kii->k", blocks), np.einsum("kij,kji->k", blocks, covs)
 
 
-def steady_fixed_point_reference(moments):
+def steady_fixed_point_reference(inputs):
     """(slopes, F, xi_vec, steady covariance) that `theory.build_moments` stores,
-    found by the earlier step from the fixed pieces of `moments`; the
-    covariance is None when the small-error slopes are not mean-stable."""
-    n, d = moments.covs.shape[:2]
-    slope, f, q = _recursion(moments, np.zeros((n * d, n * d)))
+    found by the earlier step from `inputs`; the covariance is None when the
+    small-error slopes are not mean-stable."""
+    nd = inputs.topology.node_count * inputs.dim
+    slope, f, q = _recursion(inputs, np.zeros((nd, nd)))
     if theory.spectral_radius(f) >= 1.0:
         return slope, f, q.flatten(order="F"), None
     p = None
@@ -662,21 +671,22 @@ def steady_fixed_point_reference(moments):
                               <= theory.FIXED_POINT_TOL * np.linalg.norm(p_next)):
             return slope, f, q.flatten(order="F"), p_next
         p = p_next
-        slope, f, q = _recursion(moments, _combine(moments, p))
+        slope, f, q = _recursion(inputs, _combine(inputs, p))
     raise theory.NoConvergence("steady-state slopes did not settle")
 
 
-def transient_curves_reference(moments, n_max):
+def transient_curves_reference(inputs, n_max):
     """(node MSD, node EMSE) curves of `theory.transient_curves`, by the earlier step."""
-    theta_bar = np.tile(moments.theta_o, moments.node_count)
-    node_msd = np.empty((n_max + 1, moments.node_count))
-    node_emse = np.empty((n_max + 1, moments.node_count))
+    n, covs = inputs.topology.node_count, inputs.regressor_covariances
+    theta_bar = np.tile(inputs.theta_o, n)
+    node_msd = np.empty((n_max + 1, n))
+    node_emse = np.empty((n_max + 1, n))
     p = np.outer(theta_bar, theta_bar)
-    node_msd[0], node_emse[0] = node_metrics_reference(p, moments.covs)
+    node_msd[0], node_emse[0] = node_metrics_reference(p, covs)
     for step in range(1, n_max + 1):
-        phi = _combine(moments, p)
-        _, coeff, xi = linearize_reference(moments, phi)
-        q = moments.step_outer * xi
-        p = _propagate(update_blocks_reference(moments, coeff), phi) + q
-        node_msd[step], node_emse[step] = node_metrics_reference(p, moments.covs)
+        phi = _combine(inputs, p)
+        _, coeff, xi = linearize_reference(inputs, phi)
+        q = _step_outer(inputs) * xi
+        p = _propagate(update_blocks_reference(inputs, coeff), phi) + q
+        node_msd[step], node_emse[step] = node_metrics_reference(p, covs)
     return node_msd, node_emse

@@ -10,6 +10,8 @@ reproduced at the stated horizons, and are set explicitly per experiment
 rather than as package defaults.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,10 +100,9 @@ def test_criterion_2_stability_bound_bidirectional():
             step_sizes=np.ones(n), theta_o=r.standard_normal(d), delta=0.25,
         )
         bounds = np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
-        inputs.step_sizes = 0.9 * bounds
-        rho_low.append(max(abs(np.linalg.eigvals(build_moments(inputs).mean_transition))))
-        inputs.step_sizes = 1.5 * bounds
-        rho_high.append(max(abs(np.linalg.eigvals(build_moments(inputs).mean_transition))))
+        low, high = (build_moments(replace(inputs, step_sizes=c * bounds)) for c in (0.9, 1.5))
+        rho_low.append(max(abs(np.linalg.eigvals(low.mean_transition))))
+        rho_high.append(max(abs(np.linalg.eigvals(high.mean_transition))))
     ok = max(rho_low) < 1.0 and min(rho_high) > 1.0
     assert _report(2, ok, f"rho at 0.9x in [{min(rho_low):.3f}, {max(rho_low):.3f}], "
                           f"rho at 1.5x in [{min(rho_high):.3f}, {max(rho_high):.3f}]")

@@ -247,6 +247,23 @@ def test_compare_checks_theory_before_simulating(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_compare_refuses_a_column_named_twice_before_simulating(tmp_path, monkeypatch, capsys):
+    """A label `theory` would write the theory column twice: exit 1 before the
+    theory or the simulation runs, naming the column, and no CSV."""
+    from diffnet import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("compare ran before checking its columns")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    monkeypatch.setattr(harness, "theory_inputs_from_config", no_run)
+    raw = small_config_dict(iterations=5, algorithms=[{**NPDLMS_ONLY[0], "label": "theory"}])
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 1
+    assert "'theory_msd_db' appears twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Golden SHA-256 digests of five small runs' CSV bytes. They pin the engine and
 # the CSV writer together and hold for the numpy 2.4.6 / scipy-openblas build
 # they were recorded on (the same caveat as bench/golden.json); another BLAS

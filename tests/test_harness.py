@@ -143,6 +143,18 @@ def test_csv_extra_column_of_another_length_is_config_error(tmp_path, column):
     assert not path.exists()
 
 
+def test_csv_column_named_twice_is_config_error(tmp_path):
+    """An algorithm labelled `theory` repeats the overlay's column; the export
+    names the column and writes nothing, where it used to write the header
+    `iteration,theory_msd_db,theory_msd_db`."""
+    raw = small_config_dict(iterations=3, algorithms=[{"kind": "dlms", "step_size": 0.05, "label": "theory"}])
+    result = run_experiment(config_from_dict(raw))
+    path = tmp_path / "x.csv"
+    with pytest.raises(ConfigError, match="'theory_msd_db' appears twice"):
+        export_csv(result, path, {"theory_msd_db": np.zeros(3)})
+    assert not path.exists()
+
+
 def test_empty_algorithm_list_is_config_error():
     with pytest.raises(ConfigError):
         config_from_dict(small_config_dict(algorithms=[]))

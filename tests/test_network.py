@@ -96,6 +96,29 @@ def test_topology_file_round_trip(tmp_path):
     assert again.node_count == topo.node_count
 
 
+TOPOLOGY_FILE_ERRORS = {
+    "empty": ("# nothing here\n\n", "empty topology file"),
+    "three-token-edge": ("3\n1 2\n2 3 1\n", "bad edge line '2 3 1' in .*, line 3"),
+    "node-count": ("three\n1 2\n", "node count 'three' in .*, line 1, is not an integer"),
+    "node-id": ("3\n1 2\n2 x\n", "node id 'x' in .*, line 3, is not an integer"),
+}
+
+
+@pytest.mark.parametrize("text, message", TOPOLOGY_FILE_ERRORS.values(), ids=list(TOPOLOGY_FILE_ERRORS))
+def test_topology_file_errors_name_the_file_and_line(tmp_path, text, message):
+    """A bad topology file raises InvalidParameters naming the file and the
+    line, through `load_topology` and through a config that points at it;
+    a non-integer used to raise the bare ValueError of int()."""
+    path = tmp_path / "topo.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidParameters, match=message) as caught:
+        load_topology(path)
+    assert str(path) in str(caught.value)
+    with pytest.raises(ConfigError, match=message) as caught:
+        config_from_dict(small_config_dict(topology=str(path), regressor_variances=1.0))
+    assert str(path) in str(caught.value)
+
+
 def test_uniform_weights_equal_split():
     topo = build_topology(4, [(1, 2), (1, 3), (1, 4)])
     a = combination_weights(topo, "uniform")
@@ -286,6 +309,18 @@ def test_drift_path_matches_stepwise_recursion(drift):
             expected.append(THETA5 + omega)
         assert np.array_equal(path, np.array(expected))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("drift", [RandomWalk(q_variance=1e-4), Stationary()], ids=["walk", "fixed"])
+def test_zero_step_path_is_empty_and_keeps_the_state(drift):
+    """`path(rng, 0)` is (0, d) for both drifts and moves neither the walk's
+    state nor the generator; the walk's used to fail at omega[0]."""
+    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    gt, ref = GroundTruth(THETA5, drift), GroundTruth(THETA5, drift)
+    assert np.array_equal(gt.path(rng, 3), ref.path(rng_ref, 3))
+    assert gt.path(rng, 0).shape == (0, 5)
+    assert np.array_equal(gt.path(rng, 4), ref.path(rng_ref, 4))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_negative_walk_variance_rejected():

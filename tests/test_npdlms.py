@@ -566,6 +566,24 @@ def test_slot_engine_matches_dense_step_on_star_and_single_node():
         _assert_matches_dense_step(*_graph_config(1, [], strategy, buffer=3))
 
 
+@pytest.mark.parametrize("t_len", [5, 2 * harness.RING + 3], ids=["T5", "rewind"])
+def test_buffer_past_the_horizon_is_the_buffer_of_the_horizon(t_len):
+    """At most T states are ever buffered, so a buffer of 10**12 runs the bits
+    of a buffer of T and allocates no more; T = 2 RING + 3 takes the window's
+    rewind twice."""
+    def run(buffer):
+        raw = small_config_dict(iterations=t_len, algorithms=[
+            {"kind": "dlms", "step_size": 0.05},
+            {"kind": "npdlms", "step_size": 0.05, "sigma": 0.5, "buffer": buffer}])
+        return harness.run_experiment(harness.config_from_dict(raw))
+
+    huge, exact = run(10**12), run(t_len)
+    for label in exact.labels:
+        assert same_bits(huge.node_msd[label], exact.node_msd[label])
+    assert same_bits(huge.kappa["npdlms"], exact.kappa["npdlms"])
+    assert huge.diverged == exact.diverged
+
+
 @given(graph=graphs(), strategy=st.sampled_from(["cta", "atc"]), buffer=st.integers(1, 5),
        sigma=st.sampled_from([0.01, 0.3, 2.0]), seed=st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)

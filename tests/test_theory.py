@@ -1,7 +1,7 @@
 """Moment construction, stability bound, steady-state and transient theory."""
 
-import dataclasses
 import math
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -142,7 +142,7 @@ def test_single_node_maclaurin_block():
 
 def test_zero_step_transition_is_combination_extension():
     inputs = random_inputs(2)
-    inputs.step_sizes = np.full(inputs.topology.node_count, 1e-300)
+    inputs = replace(inputs, step_sizes=np.full(inputs.topology.node_count, 1e-300))
     moments = build_moments(inputs)
     a_ext = np.kron(inputs.combination.matrix.T, np.eye(inputs.dim))
     assert np.allclose(moments.mean_transition, a_ext, atol=1e-290)
@@ -167,7 +167,7 @@ def test_transition_matches_dense_block_product(seed):
     Checked on the moments' own update blocks and on random blocks.
     """
     inputs = random_inputs(seed)
-    recursion = theory._Recursion(build_moments(inputs))
+    recursion = theory._Recursion(inputs)
     n, d = inputs.topology.node_count, inputs.dim
     a_ext = np.kron(inputs.combination.matrix.T, np.eye(d))
     recursion.linearize(np.zeros((n * d, n * d)))
@@ -195,7 +195,7 @@ def test_bound_reduces_to_dlms_bound_at_unit_coefficient():
     inputs = random_inputs(5, delta=0.5)
     topo = inputs.topology
     for sv2 in (0.0, 1e-12):
-        inputs.noise_variances = np.full(topo.node_count, sv2)
+        inputs = replace(inputs, noise_variances=np.full(topo.node_count, sv2))
         for k in range(1, topo.node_count + 1):
             direct = 2.0 / np.linalg.eigvalsh(
                 sum(inputs.regressor_covariances[l - 1] for l in topo.neighbors(k))
@@ -211,6 +211,19 @@ def test_bound_scales_linearly_with_h():
     )
 
 
+def test_bound_is_infinite_without_neighbour_covariance():
+    """Zero covariances in N_1 leave the step unbounded there; the bound is
+    finite only at the node whose neighbourhood reaches a nonzero one."""
+    topo = build_topology(3, [(1, 2), (2, 3)])
+    inputs = TheoryInputs(
+        topology=topo, combination=combination_weights(topo),
+        regressor_covariances=[np.zeros((2, 2)), np.zeros((2, 2)), np.eye(2)],
+        noise_variances=0.1, step_sizes=0.01, theta_o=np.ones(2),
+    )
+    assert stepsize_upper_bound(inputs, 1) == math.inf
+    assert math.isfinite(stepsize_upper_bound(inputs, 2))
+
+
 @pytest.mark.parametrize("k", [0, -1, 5])
 def test_bound_rejects_node_outside_network(k):
     # theory_small has 4 nodes; k <= 0 must not wrap round to another node's bound
@@ -223,10 +236,9 @@ def test_bound_and_spectral_radius_bidirectional():
         inputs = random_inputs(seed)
         n = inputs.topology.node_count
         bounds = np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
-        inputs.step_sizes = 0.9 * bounds
-        rho_low = max(abs(np.linalg.eigvals(build_moments(inputs).mean_transition)))
-        inputs.step_sizes = 1.5 * bounds
-        rho_high = max(abs(np.linalg.eigvals(build_moments(inputs).mean_transition)))
+        low, high = (build_moments(replace(inputs, step_sizes=c * bounds)) for c in (0.9, 1.5))
+        rho_low = max(abs(np.linalg.eigvals(low.mean_transition)))
+        rho_high = max(abs(np.linalg.eigvals(high.mean_transition)))
         assert rho_low < 1.0 < rho_high
 
 
@@ -289,7 +301,7 @@ def test_steady_state_matches_independent_lyapunov(seed, monkeypatch):
     """
     inputs = random_inputs(seed)
     n, d = inputs.topology.node_count, inputs.dim
-    inputs.step_sizes = 0.5 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
+    inputs = replace(inputs, step_sizes=0.5 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)]))
     moments = build_moments(inputs)
     solves = []
     solve = theory._solve_stein
@@ -323,7 +335,7 @@ def test_symmetric_two_node_network_is_symmetric():
 
 def test_unstable_system_raises():
     inputs = single_node_inputs()
-    inputs.step_sizes = np.array([1.5 * stepsize_upper_bound(inputs, 1)])
+    inputs = replace(inputs, step_sizes=np.array([1.5 * stepsize_upper_bound(inputs, 1)]))
     with pytest.raises(UnstableSystem):
         steady_state_metrics(build_moments(inputs))
     with pytest.raises(UnstableSystem):
@@ -345,19 +357,19 @@ def test_fixed_point_iterate_with_unstable_transition_raises():
     solve; at three times the step bound the next linearization's F has
     rho near 5."""
     inputs = single_node_inputs(d=1)
-    inputs.step_sizes = np.array([3.0 * stepsize_upper_bound(inputs, 1)])
+    inputs = replace(inputs, step_sizes=np.array([3.0 * stepsize_upper_bound(inputs, 1)]))
     moments = build_moments(inputs)
     assert moments.small_error_radius > 4.0 and moments.steady_covariance is None
     f, q = 0.5 * np.eye(1), np.full((1, 1), 1e-6)
     with pytest.raises(UnstableSystem, match="spectral radius"):
-        theory._steady_fixed_point(theory._Recursion(moments), f, q)
+        theory._steady_fixed_point(theory._Recursion(inputs), f, q)
 
 
 def test_network_average_identity_bit_exact():
     inputs = random_inputs(7)
-    inputs.step_sizes = 0.3 * np.array(
+    inputs = replace(inputs, step_sizes=0.3 * np.array(
         [stepsize_upper_bound(inputs, k) for k in range(1, inputs.topology.node_count + 1)]
-    )
+    ))
     moments = build_moments(inputs)
     steady = steady_state_metrics(moments)
     assert steady.steady_network_msd == np.mean(steady.steady_node_msd)
@@ -386,7 +398,7 @@ def test_transient_pure_contraction_decays_to_zero():
 def test_transient_limit_matches_steady_state():
     inputs = random_inputs(11)
     n = inputs.topology.node_count
-    inputs.step_sizes = 0.6 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
+    inputs = replace(inputs, step_sizes=0.6 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)]))
     moments = build_moments(inputs)
     rho = max(spectral_radius(moments.mean_transition), 1e-3)
     n_needed = int(np.ceil(np.log(1e-6) / np.log(rho))) + 1
@@ -407,11 +419,11 @@ def test_transient_rejects_bad_step_count(n_max):
 def test_transient_zero_steps_is_initial_row():
     inputs = random_inputs(12)
     n = inputs.topology.node_count
-    inputs.step_sizes = 0.3 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
+    inputs = replace(inputs, step_sizes=0.3 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)]))
     moments = build_moments(inputs)
     curves = transient_curves(moments, n_max=np.int64(0))
     longer = transient_curves(moments, n_max=3)
-    assert curves.node_msd.shape == (1, moments.node_count)
+    assert curves.node_msd.shape == (1, n)
     assert np.array_equal(curves.node_msd, longer.node_msd[:1])
     assert np.array_equal(curves.node_emse, longer.node_emse[:1])
 
@@ -435,24 +447,24 @@ def n16_inputs(step_size):
 
 def small_inputs(**changes):
     config = harness.config_from_dict(raw_config("theory_small.yaml"))
-    return dataclasses.replace(harness.theory_inputs_from_config(config), **changes)
+    return replace(harness.theory_inputs_from_config(config), **changes)
 
 
 def assert_step_matches_reference(inputs, n_max=500):
     """Slopes, F, Xi, the steady covariance and metrics, and the transient
     curves are bit for bit those of the allocating step in tests/oracles.py."""
     moments = build_moments(inputs)
-    slopes, f, xi_vec, steady_cov = steady_fixed_point_reference(moments)
+    slopes, f, xi_vec, steady_cov = steady_fixed_point_reference(inputs)
     assert np.array_equal(moments.slopes, slopes)
     assert np.array_equal(moments.mean_transition, f)
     assert np.array_equal(moments.xi_vec, xi_vec)
     assert np.array_equal(moments.steady_covariance, steady_cov)
     curves = transient_curves(moments, n_max=n_max)
-    node_msd, node_emse = transient_curves_reference(moments, n_max)
+    node_msd, node_emse = transient_curves_reference(inputs, n_max)
     assert np.array_equal(curves.node_msd, node_msd)
     assert np.array_equal(curves.node_emse, node_emse)
     steady = steady_state_metrics(moments)
-    steady_msd, steady_emse = node_metrics_reference(steady_cov, moments.covs)
+    steady_msd, steady_emse = node_metrics_reference(steady_cov, inputs.regressor_covariances)
     assert np.array_equal(steady.steady_node_msd, steady_msd)
     assert np.array_equal(steady.steady_node_emse, steady_emse)
     return moments
@@ -483,7 +495,7 @@ def test_step_matches_reference_on_series_branch():
     """At noise 1e-9 the error variance ends far below the closed forms' range."""
     inputs = small_inputs(noise_variances=np.full(4, 1e-9))
     moments = assert_step_matches_reference(inputs)
-    recursion = theory._Recursion(moments)
+    recursion = theory._Recursion(inputs)
     recursion.linearize(moments.steady_covariance)
     assert recursion.variance.max() / inputs.delta ** 2 < diffusion._SERIES_BELOW
 
@@ -496,7 +508,7 @@ def test_step_matches_reference_at_zero_noise():
 def test_step_matches_reference_with_full_covariances(seed, n_max):
     inputs = random_inputs(seed)
     n = inputs.topology.node_count
-    inputs.step_sizes = 0.4 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
+    inputs = replace(inputs, step_sizes=0.4 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)]))
     r0 = inputs.regressor_covariances[0]
     assert np.any(r0 != np.diag(np.diag(r0)))
     assert_step_matches_reference(inputs, n_max)
@@ -541,7 +553,7 @@ def test_monte_carlo_linearized_recursion_consistency():
     mc = np.empty((t_len, n))
     for t in range(t_len):
         ta = tilde @ a_ext.T                       # error at the evaluation point
-        slope, second, variance, _ = gain_statistics_reference(moments, ta.T @ ta / reals)
+        slope, second, variance, _ = gain_statistics_reference(inputs, ta.T @ ta / reals)
         residual_sd = np.sqrt(np.maximum(second - slope ** 2 * variance, 0.0))
         us = rng.standard_normal((reals, n, d)) * scale[None]
         v = rng.standard_normal((reals, n)) * np.sqrt(sv2)[None]
@@ -587,3 +599,26 @@ def test_theory_inputs_validation():
             TheoryInputs(topology=topo, combination=combination_weights(topo),
                          regressor_covariances=[np.eye(2), bad], noise_variances=1.0,
                          step_sizes=0.1, theta_o=np.ones(2))
+
+
+def test_theory_inputs_hold_read_only_copies():
+    """Frozen fields and read-only copies of the caller's arrays: no rebinding,
+    write or later change to those arrays makes a MomentSet describe other
+    inputs than those it holds. The arrays used to be the caller's own."""
+    topo = build_topology(2, [(1, 2)])
+    covs, noise, steps, theta = [np.eye(2), np.eye(2)], np.full(2, 0.1), np.full(2, 0.02), np.ones(2)
+    inputs = TheoryInputs(topology=topo, combination=combination_weights(topo), regressor_covariances=covs,
+                          noise_variances=noise, step_sizes=steps, theta_o=theta)
+    moments = build_moments(inputs)
+    for array in covs + [noise, steps, theta]:
+        array[...] = 7.0
+    assert moments.inputs is inputs
+    assert np.array_equal(inputs.regressor_covariances, np.stack([np.eye(2), np.eye(2)]))
+    assert np.array_equal(inputs.noise_variances, [0.1, 0.1])
+    assert np.array_equal(inputs.step_sizes, [0.02, 0.02])
+    assert np.array_equal(inputs.theta_o, [1.0, 1.0])
+    with pytest.raises(FrozenInstanceError):
+        inputs.step_sizes = 1.5 * inputs.step_sizes
+    for name in ("regressor_covariances", "noise_variances", "step_sizes", "theta_o"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inputs, name)[...] = 0.0
