@@ -24,13 +24,14 @@ Three layout conditions keep those bits, and the code must keep them:
   reduce over the state's strided d; the deviations of up to RING
   iterations are reduced in one einsum per layout, whose leading time axis
   it only loops over;
-- the prior's contraction is one einsum at numpy's default optimize=False,
-  over a third, flat window of the kernel-MAP blocks' states: (d, V*R*N)
-  matrices whose (row, node) axis, rows in the state's order and nodes
-  within a row, is innermost and contiguous in the weights, the history and
-  the output alike. It adds each product from +0.0, b outer and slot inner,
-  unfused. optimize=True (BLAS), an einsum built with fused multiply-add or
-  a layout that makes a reduction axis innermost would add in another order;
+- the prior's contraction (`_KernelPrior.add`) is one einsum at numpy's
+  default optimize=False, over a third, flat window of the kernel-MAP blocks'
+  states: (d, V*R*N) matrices whose (row, node) axis, rows in the state's
+  order and nodes within a row, is innermost and contiguous in the weights,
+  the history and the output alike. It adds each product from +0.0, b outer
+  and slot inner, unfused. optimize=True (BLAS), an einsum built with fused
+  multiply-add or a layout that makes a reduction axis innermost would add
+  in another order;
 - the drift path is C-contiguous: the targets' einsum over d adds in
   another order on a Fortran-ordered path.
 The combine and the error and gradient products give the same bits in
@@ -417,24 +418,89 @@ def _draw(config: ExperimentConfig, indices):
     return batch, drawn, failures
 
 
-def _neighbour_slots(mask: np.ndarray) -> np.ndarray:
-    """Per-node slot table of the kernel prior: index (S, N).
+def _per_value(variants: list, name: str, ndim: int, repeat: int):
+    """The variants' parameter `name`, `repeat` rows per value over `ndim` unit axes;
+    a parameter all variants share stays a scalar, which numpy applies faster."""
+    params = [getattr(variant, name) for variant in variants]
+    if len(set(params)) == 1:
+        return params[0]
+    return np.repeat(np.array(params, dtype=float), repeat).reshape((-1,) + (1,) * ndim)
 
-    Slot j < S - 1 of node k holds k's j-th cross neighbour l in N_k \\ {k},
-    in ascending l; S - 1 is the largest cross degree plus one. Index N points
-    at a column of -0.0 beside the N log-weights; the pads after a node's
-    last neighbour and the last, "own", slot point there, so their joint
-    log-weight is the node's own one and their softmax is mu_own.
+
+class _KernelPrior:
+    """The kernel prior's term of the gradient of V kernel-MAP variants' V*R rows.
+
+    Every node's rings hold the same global history, the last B states, newest
+    first. The prior couples node k only with its cross neighbours, so its
+    (B, S, V*R, N) softmax lives on a slot table index (S, N): slot j < S - 1
+    of node k holds k's j-th cross neighbour l in N_k \\ {k}, in ascending l;
+    S - 1 is the largest cross degree plus one. Index N points at a column of
+    -0.0 beside the N log-weights; the pads after a node's last neighbour and
+    the last, "own", slot point there, so their joint log-weight is the node's
+    own one and their softmax is mu_own.
+
+    The contraction, one einsum over the flat window of past states (see the
+    module docstring), reads the weights as (B, S, V*R*N) and writes a
+    (d, V*R*N) prior, which is divided by sigma and added into the gradient
+    through its (V*R, d, N) view. It adds history * (mu_joint - mu_own) over
+    (b, slot) from +0.0, b outer and the own slot last: a dense contraction
+    over every pair (l, k) in the same order, minus products history * (+-0)
+    that leave a sum begun at +0.0 unchanged; the own slot's zero weight still
+    turns a non-finite history entry into that product's NaN.
+
+    Every buffer is allocated once and used through its first `filled`
+    entries. The log-weights and the deviations reduce over a contiguous d
+    axis: einsum adds a strided d in another order (see the module docstring).
     """
-    cross = mask.copy()
-    np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
-    n = mask.shape[0]
-    nbr, node = np.nonzero(cross)                 # ascending l within each node
-    rank = (np.cumsum(cross, axis=0) - 1.0)[nbr, node].astype(int)
-    slots = int(cross.sum(axis=0).max()) + 1
-    index = np.full((slots, n), n)
-    index[rank, node] = nbr
-    return index
+
+    def __init__(self, variants: list, mask: np.ndarray, rows: int, n: int, d: int, buffer: int):
+        cross = mask.copy()
+        np.fill_diagonal(cross, 0.0)                  # N_k \ {k}
+        nbr, node = np.nonzero(cross)                 # ascending l within each node
+        rank = (np.cumsum(cross, axis=0) - 1.0)[nbr, node].astype(int)
+        index = np.full((int(cross.sum(axis=0).max()) + 1, n), n)
+        index[rank, node] = nbr
+        reals = rows // len(variants)
+        self.sigma = _per_value(variants, "sigma", 2, reals)
+        self.lw_scale = -2.0 * _per_value(variants, "sigma", 1, reals)
+        self.diff = np.empty((buffer, 2, rows, n, d))
+        self.lw = np.full((buffer, 2, rows, n + 1), -0.0)   # column n stays -0.0
+        self.gather = np.arange(rows)[:, None] * (n + 1) + index[:, None, :]   # (S, V*R, N) into lw[b, 1]
+        self.mu = np.empty((buffer, len(index), rows, n))
+        self.mu_own = np.empty((buffer, 1, rows, n))
+        self.nan = np.empty(self.mu.shape, dtype=bool)
+        self.peak = np.empty(self.mu.shape[1:])
+        self.total = np.empty(self.mu.shape[1:])
+        self.prior = np.empty((d, rows * n))
+        self.prior_rdn = self.prior.reshape(d, rows, n).transpose(1, 0, 2)   # the gradient's layout
+
+    def add(self, grad_k, evals, history, operand, filled):
+        """grad_k (V*R, d, N) += the prior of the newest `filled` >= 2 states, `history`
+        (B, 1, V*R, N, d) and `operand` (B, d, V*R*N), newest first; evals (2, V*R, N, d)
+        holds the evaluation points, then the newest states."""
+        dv = np.subtract(history[:filled], evals, out=self.diff[:filled])
+        lw_b = self.lw[:filled]
+        np.einsum("bsrnd,bsrnd->bsrn", dv, dv, out=lw_b[..., :-1])
+        np.divide(lw_b[..., :-1], self.lw_scale, out=lw_b[..., :-1])
+        # joint[b, j, r, k] = lw_own[b, r, k] + lw_nbr[b, r, index[j, k]]
+        mu_b = lw_b[:, 1].reshape(filled, -1).take(self.gather, axis=1, out=self.mu[:filled], mode="clip")
+        np.add(lw_b[:, :1, :, :-1], mu_b, out=mu_b)
+        np.maximum.reduce(mu_b, axis=0, out=self.peak)
+        np.subtract(mu_b, self.peak, out=mu_b)
+        np.exp(mu_b, out=mu_b)
+        np.add.reduce(mu_b, axis=0, out=self.total)
+        np.divide(mu_b, self.total, out=mu_b)
+        # Pads and the own slot gather the same -0.0 column, so their
+        # weight is mu_own's to the bit and their difference +0.0 or NaN.
+        np.copyto(self.mu_own[:filled], mu_b[:, -1:])
+        np.subtract(mu_b, self.mu_own[:filled], out=mu_b)
+        # The max is subtracted, so a pair's largest weight is exactly 1 and
+        # the weights, in [0, 1], cannot all underflow. NaN, their only
+        # non-finite value, marks pairs whose log-weights are all -inf or
+        # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
+        np.copyto(mu_b, 0.0, where=np.isnan(mu_b, out=self.nan[:filled]))
+        np.einsum("bjm,bdm->dm", mu_b.reshape(filled, len(self.peak), -1), operand[:filled], out=self.prior)
+        np.add(grad_k, np.divide(self.prior_rdn, self.sigma, out=self.prior_rdn), out=grad_k)
 
 
 def _combine(state: np.ndarray, a: np.ndarray, links: np.ndarray, finite: np.ndarray, out):
@@ -481,17 +547,8 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     travels one hop per combine, as the network would pass it.
 
     Every node's rings hold the same global history, the last B states,
-    newest first, so they are B slots of the window below. The prior
-    couples node k only with its cross neighbours, so its (B, S, V*R, N)
-    softmax lives on the slot table of `_neighbour_slots`. Its contraction,
-    one einsum over the flat window below (see the module docstring), reads
-    the weights as (B, S, V*R*N) and writes a (d, V*R*N) prior, which is
-    divided by sigma and added into the gradient through its (V*R, d, N)
-    view. It adds history * (mu_joint - mu_own) over (b, slot) from +0.0,
-    b outer and the own slot last: a dense
-    contraction over every pair (l, k) in the same order, minus products
-    history * (+-0) that leave a sum begun at +0.0 unchanged; the own slot's
-    zero weight still turns a non-finite history entry into that product's NaN.
+    newest first, so they are B slots of the window below. With B > 1, a
+    `_KernelPrior` adds the kernel prior into the kernel-MAP gradient.
 
     The states live in one window of the last RING + B, newest first (B = 1
     without a kernel-MAP record, and B at most T, since no run buffers more
@@ -560,21 +617,10 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     kmap_windows = []
     if values:
         step = config.npdlms_spec().step_size
-
-        def per_value(name, ndim, repeat=reals):
-            # A parameter all variants share stays a scalar, which numpy applies faster.
-            params = [getattr(variant, name) for variant in variants]
-            if len(set(params)) == 1:
-                return params[0]
-            return np.repeat(np.array(params, dtype=float), repeat).reshape((-1,) + (1,) * ndim)
-
-        eta = per_value("eta", 1)
-        sigma = per_value("sigma", 2)
-        lw_scale = -2.0 * per_value("sigma", 1)
-        h = per_value("h", 2)
-        delta = per_value("delta", 1, repeat=1)
-        index = _neighbour_slots(mask)
-        slots = index.shape[0]
+        eta = _per_value(variants, "eta", 1, reals)
+        h = _per_value(variants, "h", 2, reals)
+        delta = _per_value(variants, "delta", 1, 1)
+        prior = _KernelPrior(variants, mask, rows, n, d, buffer) if buffer > 1 else None
         states = window[:, fams:].reshape(-1, rows, d, n)  # (RING + buffer, V*R, d, N) view
         # The kernel-MAP blocks' states again, as (V*R, N, d) matrices: slot s - 1
         # holds the evaluation point until the step writes the next state there.
@@ -609,20 +655,6 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         open_gate = np.empty((rows, n))
         gate_dn = open_gate[:, None, :]
 
-        # Buffers of the prior term, each used through its first `filled` entries.
-        # The log-weights and the deviations reduce over a contiguous d axis:
-        # einsum adds a strided d in another order (see the module docstring).
-        diff = np.empty((buffer, 2, rows, n, d))
-        lw = np.full((buffer, 2, rows, n + 1), -0.0)  # column n stays -0.0 (see _neighbour_slots)
-        gather = np.arange(rows)[:, None] * (n + 1) + index[:, None, :]   # (S, V*R, N) into lw[b, 1]
-        mu = np.empty((buffer, slots, rows, n))
-        mu_own = np.empty((buffer, 1, rows, n))
-        nan = np.empty(mu.shape, dtype=bool)
-        peak = np.empty((slots, rows, n))
-        total = np.empty((slots, rows, n))
-        prior = np.empty((d, rows * n))
-        prior_rdn = prior.reshape(d, rows, n).transpose(1, 0, 2)   # grad_k's (V*R, d, N) layout
-
     views = [None] + [(window[s], window[s - 1]) for s in range(1, top + 1)]   # per slot s
     s = top
     with np.errstate(all="ignore"):  # divergence is flagged by _finish
@@ -654,32 +686,9 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
             if values:
                 np.divide(grad_k, h, out=grad_k)
                 evals, history, operand, copies = kmap_views[s]
-                filled = min(t + 1, buffer)
-                if filled >= 2:
+                if prior is not None and t:             # two or more states buffered
                     np.copyto(evals[0], point_nd if cta else evals[1])
-                    dv = np.subtract(history[:filled], evals, out=diff[:filled])
-                    lw_b = lw[:filled]
-                    np.einsum("bsrnd,bsrnd->bsrn", dv, dv, out=lw_b[..., :n])
-                    np.divide(lw_b[..., :n], lw_scale, out=lw_b[..., :n])
-                    # joint[b, j, r, k] = lw_own[b, r, k] + lw_nbr[b, r, index[j, k]]
-                    mu_b = lw_b[:, 1].reshape(filled, -1).take(gather, axis=1, out=mu[:filled], mode="clip")
-                    np.add(lw_b[:, :1, :, :n], mu_b, out=mu_b)
-                    np.maximum.reduce(mu_b, axis=0, out=peak)
-                    np.subtract(mu_b, peak, out=mu_b)
-                    np.exp(mu_b, out=mu_b)
-                    np.add.reduce(mu_b, axis=0, out=total)
-                    np.divide(mu_b, total, out=mu_b)
-                    # Pads and the own slot gather the same -0.0 column, so their
-                    # weight is mu_own's to the bit and their difference +0.0 or NaN.
-                    np.copyto(mu_own[:filled], mu_b[:, -1:])
-                    np.subtract(mu_b, mu_own[:filled], out=mu_b)
-                    # The max is subtracted, so a pair's largest weight is exactly 1 and
-                    # the weights, in [0, 1], cannot all underflow. NaN, their only
-                    # non-finite value, marks pairs whose log-weights are all -inf or
-                    # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
-                    np.copyto(mu_b, 0.0, where=np.isnan(mu_b, out=nan[:filled]))
-                    np.einsum("bjm,bdm->dm", mu_b.reshape(filled, slots, -1), operand[:filled], out=prior)
-                    np.add(grad_k, np.divide(prior_rdn, sigma, out=prior_rdn), out=grad_k)
+                    prior.add(grad_k, evals, history, operand, min(t + 1, buffer))
                 np.greater(eps, eta, out=fired[slot])
                 np.multiply(step, fired[slot], out=open_gate)
                 np.multiply(gate_dn, grad_k, out=grad_k)

@@ -229,13 +229,21 @@ def _parse_topology(text: str, source) -> NetworkTopology:
 
     number, first = rows[0]
     node_count = integer(first, number, "node count")
+    if node_count < 1:
+        raise IndexOutOfRange(f"node count {node_count} in {source}, line {number}, is not >= 1")
     edges = []
     for number, line in rows[1:]:
         parts = line.split()
         if len(parts) != 2:
             raise InvalidParameters(f"bad edge line {line!r} in {source}, line {number}")
         edges.append(tuple(integer(part, number, "node id") for part in parts))
-    return build_topology(node_count, edges)
+        for idx in edges[-1]:
+            if not 1 <= idx <= node_count:
+                raise IndexOutOfRange(f"node id {idx} in {source}, line {number}, is outside 1..{node_count}")
+    try:
+        return build_topology(node_count, edges)
+    except DisconnectedGraph as exc:
+        raise DisconnectedGraph(f"{exc} in {source}") from None
 
 
 def _data_text(name: str) -> str:

@@ -111,6 +111,9 @@ class TheoryInputs:
                             ("noise_variances", noise_variances), ("step_sizes", step_sizes)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+        combination = CombinationMatrix(self.combination.matrix.copy())
+        combination.matrix.flags.writeable = False
+        object.__setattr__(self, "combination", combination)
 
     @property
     def dim(self) -> int:

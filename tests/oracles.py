@@ -18,7 +18,9 @@ iterations skip the adapt step but still combine.
 
 `run_npdlms_dense_reference` and `run_baselines_dense_reference` are the
 batched engine's kernel-MAP and baseline steps in their earlier forms, over
-every node pair; the engine must reproduce their bits.
+every node pair; the engine must reproduce their bits. `dense_prior_term`
+is the dense kernel-MAP step's prior alone, which `harness._KernelPrior` must
+reproduce bit for bit.
 
 `transient_curves_reference` and `steady_fixed_point_reference` drive the
 closed-form theory's covariance recursion through its earlier step, which
@@ -478,6 +480,31 @@ def run_npdlms_reference(config, spec, data):
     return sq, updates
 
 
+def dense_prior_term(history, point, theta, cross, lw_scale, sigma):
+    """The kernel prior's gradient term (V*R, d, N) of the dense step, over
+    every node pair (l, k) with the off-neighbourhood pairs masked by `cross`
+    (N_k \\ {k}). `history` (B, V*R, N, d) holds the buffered states, newest
+    first, `point` the evaluation points and `theta` the current states
+    (V*R, N, d); the log-weights are divided by `lw_scale` = -2 sigma.
+    """
+    diff_own = history - point            # (B, V*R, N, d)
+    lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / lw_scale
+    diff_nbr = history - theta
+    lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / lw_scale
+    mu_own = np.exp(lw_own - lw_own.max(axis=0))
+    mu_own /= mu_own.sum(axis=0)
+    joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, V*R, l, k)
+    mu_joint = np.exp(joint - joint.max(axis=0))
+    mu_joint /= mu_joint.sum(axis=0)
+    mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
+    # The max is subtracted, so a pair's largest weight is exactly 1 and
+    # the weights, in [0, 1], cannot all underflow. NaN, their only
+    # non-finite value, marks pairs whose log-weights are all -inf or
+    # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
+    np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
+    return np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
+
+
 def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
     """The engine's kernel-MAP step as it stood before the neighbour-slot
     layout: the prior's softmax and contraction, and the pseudo-Huber gain,
@@ -539,22 +566,7 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
             grad = (u_tr[t] @ gain).reshape(rows, d, n) / h   # (V*R, d, N)
 
             if history.shape[0] >= 2:
-                diff_own = history - point            # (B, V*R, N, d)
-                lw_own = np.einsum("brnd,brnd->brn", diff_own, diff_own) / lw_scale
-                diff_nbr = history - theta
-                lw_nbr = np.einsum("brnd,brnd->brn", diff_nbr, diff_nbr) / lw_scale
-                mu_own = np.exp(lw_own - lw_own.max(axis=0))
-                mu_own /= mu_own.sum(axis=0)
-                joint = lw_own[:, :, None, :] + lw_nbr[:, :, :, None]   # (B, V*R, l, k)
-                mu_joint = np.exp(joint - joint.max(axis=0))
-                mu_joint /= mu_joint.sum(axis=0)
-                mu_diff = (mu_joint - mu_own[:, :, None, :]) * cross
-                # The max is subtracted, so a pair's largest weight is exactly 1 and
-                # the weights, in [0, 1], cannot all underflow. NaN, their only
-                # non-finite value, marks pairs whose log-weights are all -inf or
-                # hold a NaN (|dtheta| >~ 1e154); they carry no prior signal.
-                np.copyto(mu_diff, 0.0, where=np.isnan(mu_diff))
-                grad = grad + np.einsum("brkd,brlk->rdk", history, mu_diff) / sigma
+                grad = grad + dense_prior_term(history, point, theta, cross, lw_scale, sigma)
 
             fired = eps > eta
             open_gate = fired.astype(float)

@@ -97,21 +97,26 @@ def test_topology_file_round_trip(tmp_path):
 
 
 TOPOLOGY_FILE_ERRORS = {
-    "empty": ("# nothing here\n\n", "empty topology file"),
-    "three-token-edge": ("3\n1 2\n2 3 1\n", "bad edge line '2 3 1' in .*, line 3"),
-    "node-count": ("three\n1 2\n", "node count 'three' in .*, line 1, is not an integer"),
-    "node-id": ("3\n1 2\n2 x\n", "node id 'x' in .*, line 3, is not an integer"),
+    "empty": ("# nothing here\n\n", InvalidParameters, "empty topology file"),
+    "three-token-edge": ("3\n1 2\n2 3 1\n", InvalidParameters, "bad edge line '2 3 1' in .*, line 3"),
+    "node-count": ("three\n1 2\n", InvalidParameters, "node count 'three' in .*, line 1, is not an integer"),
+    "node-id": ("3\n1 2\n2 x\n", InvalidParameters, "node id 'x' in .*, line 3, is not an integer"),
+    "node-out-of-range": ("3\n1 5\n", IndexOutOfRange, "node id 5 in .*, line 2, is outside 1..3"),
+    "disconnected": ("3\n1 2\n", DisconnectedGraph, r"nodes \[3\] unreachable from node 1 in "),
+    "no-nodes": ("0\n1 2\n", IndexOutOfRange, "node count 0 in .*, line 1, is not >= 1"),
 }
 
 
-@pytest.mark.parametrize("text, message", TOPOLOGY_FILE_ERRORS.values(), ids=list(TOPOLOGY_FILE_ERRORS))
-def test_topology_file_errors_name_the_file_and_line(tmp_path, text, message):
-    """A bad topology file raises InvalidParameters naming the file and the
-    line, through `load_topology` and through a config that points at it;
-    a non-integer used to raise the bare ValueError of int()."""
+@pytest.mark.parametrize("text, error, message", TOPOLOGY_FILE_ERRORS.values(), ids=list(TOPOLOGY_FILE_ERRORS))
+def test_topology_file_errors_name_the_file_and_line(tmp_path, text, error, message):
+    """A bad topology file raises its error naming the file, and the line
+    where one line is at fault, through `load_topology` and through a config
+    that points at it; a non-integer used to raise the bare ValueError of
+    int(), and an out-of-range node, a disconnected graph or no nodes named
+    neither the file nor the line."""
     path = tmp_path / "topo.txt"
     path.write_text(text)
-    with pytest.raises(InvalidParameters, match=message) as caught:
+    with pytest.raises(error, match=message) as caught:
         load_topology(path)
     assert str(path) in str(caught.value)
     with pytest.raises(ConfigError, match=message) as caught:

@@ -1,5 +1,8 @@
 """Kernel-MAP update: kernels, mu weights, gradient oracle, gate, buffers."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from conftest import graphs, same_bits, small_config_dict
 from diffnet import harness
 from diffnet.diffusion import NPDLMS, bounded_error_gain
 from diffnet.errors import DimensionMismatch, InvalidParameters
+from diffnet.network import build_topology
 from oracles import (
     DegenerateDenominator,
     EmptyBuffer,
@@ -19,6 +23,7 @@ from oracles import (
     NonPositiveBandwidth,
     SharedData,
     conditional_kde,
+    dense_prior_term,
     gaussian_kernel,
     kde_prior,
     log_local_objective,
@@ -591,3 +596,59 @@ def test_slot_engine_matches_dense_step_on_random_graphs(graph, strategy, buffer
     nodes, edges = graph
     _assert_matches_dense_step(*_graph_config(nodes, edges, strategy, seed, buffer=buffer,
                                               sigma=sigma))
+
+
+# --- the kernel prior alone against the dense prior term, bit for bit ------
+
+
+SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 1e160, -1e160])
+
+
+@given(graph=graphs(), buffer=st.integers(2, 8), reals=st.integers(1, 3), d=st.integers(1, 4),
+       sigmas=st.lists(st.sampled_from([0.01, 0.3, 1.0, 2.0]), min_size=1, max_size=3),
+       cta=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_kernel_prior_matches_dense_prior_term_bit_for_bit(graph, buffer, reals, d, sigmas, cta, seed):
+    """`_KernelPrior.add` adds the dense step's prior term to the bit, NaN
+    positions and signs of zero included, over a partly and then a fully
+    filled buffer, with one sigma (a scalar) or a sweep of them (per row), and
+    with NaN, +-inf, -0.0 and +-1e160 in the history, the states and the
+    gradient."""
+    nodes, edges = graph
+    mask = build_topology(nodes, edges).adjacency_mask()
+    cross = mask.copy()
+    np.fill_diagonal(cross, 0.0)
+    rows = len(sigmas) * reals
+    rng = np.random.default_rng(seed)
+    # Slot 0 holds the evaluation points, slots 1.. the history, newest first,
+    # as the engine's (V*R, N, d) window does.
+    window = rng.standard_normal((buffer + 1, rows, nodes, d)) * rng.choice([0.1, 1.0, 10.0])
+    grad_k = rng.standard_normal((rows, d, nodes))
+    for x in (window, grad_k):
+        hit = rng.random(x.shape) < rng.choice([0.0, 0.02, 0.2])
+        x[hit] = rng.choice(SPECIALS, hit.sum())
+    if not cta:
+        window[0] = window[1]                      # ATC evaluates at the current states
+    operand = np.ascontiguousarray(window[1:].transpose(0, 3, 1, 2)).reshape(buffer, d, rows * nodes)
+    sigma = np.repeat(np.array(sigmas), reals)
+    prior = harness._KernelPrior([NPDLMS(sigma=value, buffer=buffer) for value in sigmas],
+                                 mask, rows, nodes, d, buffer)
+    for filled in (int(rng.integers(2, buffer + 1)), buffer):
+        got = grad_k.copy()
+        with np.errstate(all="ignore"):
+            expected = grad_k + dense_prior_term(window[1 : filled + 1], window[0], window[1], cross,
+                                                 -2.0 * sigma[:, None], sigma[:, None, None])
+            prior.add(got, window[:2], window[1:, None], operand, filled)
+        assert same_bits(got, expected)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_kernel_prior_bits_do_not_depend_on_the_blas_kernel(coretype):
+    """The test above, rerun with OpenBLAS on another CPU kernel: the prior
+    calls no BLAS, so its bits are the same on every kernel."""
+    root = Path(__file__).resolve().parent.parent
+    test = f"{Path(__file__).name}::test_kernel_prior_matches_dense_prior_term_bit_for_bit"
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"tests/{test}"],
+                          capture_output=True, text=True, cwd=root, timeout=600,
+                          env={**os.environ, "OPENBLAS_CORETYPE": coretype})
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

@@ -607,18 +607,21 @@ def test_theory_inputs_hold_read_only_copies():
     inputs than those it holds. The arrays used to be the caller's own."""
     topo = build_topology(2, [(1, 2)])
     covs, noise, steps, theta = [np.eye(2), np.eye(2)], np.full(2, 0.1), np.full(2, 0.02), np.ones(2)
-    inputs = TheoryInputs(topology=topo, combination=combination_weights(topo), regressor_covariances=covs,
+    combination = combination_weights(topo)
+    inputs = TheoryInputs(topology=topo, combination=combination, regressor_covariances=covs,
                           noise_variances=noise, step_sizes=steps, theta_o=theta)
     moments = build_moments(inputs)
-    for array in covs + [noise, steps, theta]:
+    for array in covs + [noise, steps, theta, combination.matrix]:
         array[...] = 7.0
     assert moments.inputs is inputs
+    assert np.array_equal(inputs.combination.matrix, np.full((2, 2), 0.5))
     assert np.array_equal(inputs.regressor_covariances, np.stack([np.eye(2), np.eye(2)]))
     assert np.array_equal(inputs.noise_variances, [0.1, 0.1])
     assert np.array_equal(inputs.step_sizes, [0.02, 0.02])
     assert np.array_equal(inputs.theta_o, [1.0, 1.0])
     with pytest.raises(FrozenInstanceError):
         inputs.step_sizes = 1.5 * inputs.step_sizes
-    for name in ("regressor_covariances", "noise_variances", "step_sizes", "theta_o"):
+    for array in (inputs.regressor_covariances, inputs.noise_variances, inputs.step_sizes, inputs.theta_o,
+                  inputs.combination.matrix):
         with pytest.raises(ValueError, match="read-only"):
-            getattr(inputs, name)[...] = 0.0
+            array[...] = 0.0
