@@ -632,19 +632,6 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         for w in kmap_windows:
             w[top] = 0.0
         point_nd = point[fams:].reshape(rows, d, n).transpose(0, 2, 1) if cta else None
-
-        def kmap_slot(s):
-            # The evaluation points (own, neighbours'), the history in both
-            # windows, and the (slot s - 1, state view) pairs that copy the next
-            # state into the kernel-MAP windows.
-            copies = [(window_nd[s - 1], states[s - 1].transpose(0, 2, 1))]
-            operand = None
-            if window_flat is not None:
-                operand = window_flat[s : s + buffer]
-                copies.append((window_flat[s - 1].reshape(d, rows, n), states[s - 1].transpose(1, 0, 2)))
-            return window_nd[s - 1 : s + 1], window_nd[s : s + buffer, None], operand, copies
-
-        kmap_views = [None] + [kmap_slot(s) for s in range(1, top + 1)]
         theta_path_nd = batch.theta_path[:, None, :, None, :]
         dev_k = np.empty((RING, values, reals, n, d))
         pair_err_k = pair_err[fams:]                      # (V, R*P): row r's pairs at r*P
@@ -655,11 +642,10 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
         open_gate = np.empty((rows, n))
         gate_dn = open_gate[:, None, :]
 
-    views = [None] + [(window[s], window[s - 1]) for s in range(1, top + 1)]   # per slot s
     s = top
     with np.errstate(all="ignore"):  # divergence is flagged by _finish
         for t in range(t_len):
-            theta, new = views[s]
+            theta, new = window[s], window[s - 1]
             if cta:
                 _combine(theta, a, links, finite, point)
             else:
@@ -685,10 +671,11 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
             slot = t % RING
             if values:
                 np.divide(grad_k, h, out=grad_k)
-                evals, history, operand, copies = kmap_views[s]
                 if prior is not None and t:             # two or more states buffered
+                    evals = window_nd[s - 1 : s + 1]    # (own, neighbours') evaluation points
                     np.copyto(evals[0], point_nd if cta else evals[1])
-                    prior.add(grad_k, evals, history, operand, min(t + 1, buffer))
+                    prior.add(grad_k, evals, window_nd[s : s + buffer, None], window_flat[s : s + buffer],
+                              min(t + 1, buffer))
                 np.greater(eps, eta, out=fired[slot])
                 np.multiply(step, fired[slot], out=open_gate)
                 np.multiply(gate_dn, grad_k, out=grad_k)
@@ -700,8 +687,9 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                 _combine(adapted, a, links, finite, new)
             s -= 1
             if values:
-                for slab, state in copies:
-                    np.copyto(slab, state)
+                np.copyto(window_nd[s], states[s].transpose(0, 2, 1))
+                if window_flat is not None:
+                    np.copyto(window_flat[s].reshape(d, rows, n), states[s].transpose(1, 0, 2))
                 if trace_out is not None:
                     trace_out[t] = window_nd[s]
             if slot == RING - 1 or t == t_len - 1:

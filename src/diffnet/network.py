@@ -91,7 +91,7 @@ def build_topology(node_count: int, edges) -> NetworkTopology:
     return NetworkTopology(node_count=node_count, edges=frozenset(normalized), neighborhoods=neighborhoods)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombinationMatrix:
     """Left-stochastic neighbour weights; matrix[l-1, k-1] is a_{l,k}."""
 
@@ -106,7 +106,7 @@ class CombinationMatrix:
         col_sums = a.sum(axis=0)
         if np.max(np.abs(col_sums - 1.0)) > COLUMN_SUM_TOL:
             raise InvalidParameters(f"columns must sum to 1 within {COLUMN_SUM_TOL}")
-        self.matrix = a
+        object.__setattr__(self, "matrix", a)
 
     @property
     def node_count(self) -> int:

@@ -166,8 +166,9 @@ class _Recursion:
     pairs (l, k), as positions in the traces tr(R_l Phi_kk) and in the (N, N)
     slopes, and the triples (l, k, k'), k != k'. The rest of the tensor stays
     zero in a buffer allocated once, as do Phi, the traces, Xi and the blocks.
-    Xi comes out of its product in the (k, k', i, j) layout, so Q is formed
-    there and moved into P's (k, i, k', j) layout by the one strided add.
+    Xi comes out of its product in the (k, k', i, j) layout; the step-size
+    multiply reads it through a transposed view and writes Q contiguous in
+    P's (k, i, k', j) layout, so the transient adds two contiguous arrays.
     Every matrix product keeps the operand shapes, and every elementwise
     expression the operand order, of the step that allocates each
     intermediate, so the two give the same bits; that step is the test
@@ -185,7 +186,8 @@ class _Recursion:
         self.eye = np.eye(d)
         self.neg_steps = -inputs.step_sizes[:, None, None]
         # alpha_k alpha_k' laid out as q, contiguous: a broadcast multiply takes over twice as long.
-        self.step_outer = np.outer(inputs.step_sizes, inputs.step_sizes).repeat(d * d).reshape(n, n, d, d)
+        outer = np.outer(inputs.step_sizes, inputs.step_sizes)[:, None, :, None]
+        self.step_outer = np.ascontiguousarray(np.broadcast_to(outer, (n, d, n, d)))
 
         l_idx, k_idx = np.nonzero(inputs.topology.adjacency_mask())
         self.pair_slope = l_idx * n + k_idx                # [l, k] in (N, N)
@@ -221,8 +223,8 @@ class _Recursion:
         self.pair = np.zeros((n, n, n))
         self.pair_t = self.pair.reshape(n, n * n).T
         self.xi = np.empty((n * n, d * d))
-        self.q = self.xi.reshape(n, n, d, d)            # [k, k', i, j]
-        self.q_dense = self.q.transpose(0, 2, 1, 3)     # [k, i, k', j]
+        self.xi_dense = self.xi.reshape(n, n, d, d).transpose(0, 2, 1, 3)   # [k, i, k', j]
+        self.q = np.empty((nd, nd))                       # Q = M Xi M in P's layout
         self.scaled_pairs = np.empty(l_idx.size)
         self.scaled = np.zeros((n, n))
         self.coeff = np.empty((n, d * d))
@@ -252,7 +254,7 @@ class _Recursion:
         np.multiply(self.entries, self.inv_h2, out=self.entries)
         np.put(self.pair, self.pair_entries, self.entries, mode="clip")
         np.matmul(self.pair_t, self.covs_flat, out=self.xi)
-        np.multiply(self.step_outer, self.q, out=self.q)
+        np.multiply(self.step_outer, self.xi_dense, out=self.q.reshape(self.step_outer.shape))
         # B = I + M C with C_k = -sum_l s_lk R_l / h
         np.multiply(self.slope, self.inv_h, out=self.scaled_pairs)
         np.put(self.scaled, self.pair_slope, self.scaled_pairs, mode="clip")
@@ -265,17 +267,16 @@ class _Recursion:
         np.matmul(self.blocks, self.phi_nodes, out=self.left_nodes)
         np.copyto(self.work, self.left.T)
         np.matmul(self.blocks, self.work_nodes, out=p.reshape(self.work_nodes.shape))
-        p_blocks = p.reshape(self.q_dense.shape)
-        np.add(p_blocks, self.q_dense, out=p_blocks)
+        np.add(p, self.q, out=p)
 
     def transition(self, f: np.ndarray) -> np.ndarray:
         """Write the dense F = B A_ext into `f`: block (k, l) is a_lk B_k."""
-        np.multiply(self.blocks[:, :, None, :], self.a_dense, out=f.reshape(self.q_dense.shape))
+        np.multiply(self.blocks[:, :, None, :], self.a_dense, out=f.reshape(self.step_outer.shape))
         return f
 
     def source(self, q: np.ndarray) -> np.ndarray:
         """Write the dense Q = M Xi M into `q`."""
-        np.copyto(q.reshape(self.q_dense.shape), self.q_dense)
+        np.copyto(q, self.q)
         return q
 
     def slopes(self) -> np.ndarray:

@@ -538,6 +538,7 @@ SLOT_CASES = {
     "sigma-sweep": lambda: _swept("sigma", (0.01, 0.1, 1.0, 10.0)),
     "buffer-1": lambda: _shipped("threshold_sweep", buffer=1),
     "buffer-8": lambda: _shipped("threshold_sweep", realizations=8, buffer=8, sigma=0.1),
+    "buffer-past-ring": lambda: _shipped("threshold_sweep", buffer=harness.RING + 1, sigma=0.1),
     "eta-150": lambda: _shipped("threshold_sweep", eta=150.0),
     "atc": lambda: _shipped("stationary_alpha_stable", strategy="atc"),
     "step-50": lambda: _shipped("threshold_sweep", step_size=50.0),

@@ -621,6 +621,8 @@ def test_theory_inputs_hold_read_only_copies():
     assert np.array_equal(inputs.theta_o, [1.0, 1.0])
     with pytest.raises(FrozenInstanceError):
         inputs.step_sizes = 1.5 * inputs.step_sizes
+    with pytest.raises(FrozenInstanceError):
+        moments.inputs.combination.matrix = np.eye(2)
     for array in (inputs.regressor_covariances, inputs.noise_variances, inputs.step_sizes, inputs.theta_o,
                   inputs.combination.matrix):
         with pytest.raises(ValueError, match="read-only"):
