@@ -354,12 +354,13 @@ def load_config(path) -> ExperimentConfig:
 # simulation core
 
 # Realizations simulated together. A chunk holds its draws stacked, about
-# 0.9 MB per realization at T = 1000, N = 16, d = 5, plus the squared
-# deviations of every algorithm.
+# 0.9 MB per realization at T = 1000, N = 16, d = 5, plus buffers of RING
+# iterations: besides the draws, none of its arrays spans both the horizon
+# and the realizations.
 CHUNK_REALIZATIONS = 16
 
 # Iterations whose states `_run_chunk` holds in its window before it
-# reduces their deviations to squared deviations in one einsum.
+# reduces their deviations to squared deviations in one einsum and flushes them.
 RING = 16
 
 
@@ -522,7 +523,7 @@ def _combine(state: np.ndarray, a: np.ndarray, links: np.ndarray, finite: np.nda
 
 
 def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch: RealizationData,
-               trace_out=None):
+               trace_out=None, flush=None):
     """Every family on one chunk of draws, in one synchronous time loop.
 
     `baselines` lists the A baseline specs and `variants` V kernel-MAP
@@ -563,14 +564,18 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     from slot s - 1 of the state window. Once per RING iterations and at the
     last, one subtract per layout forms those iterations' deviations from
     theta_path, and one einsum per layout with a leading time axis reduces
-    them into sq[t0 : t + 1] over d in the order of a per-iteration einsum
-    of that layout. The `fired` flags of those iterations are added into the
-    update counts, and the newest B states of every window are copied back
-    to the top.
+    them over d, in the order of a per-iteration einsum of that layout, into
+    a block sq[: t - t0 + 1] of a (RING, A + V, R, N) buffer, which
+    `flush(t0, block)` receives; the buffer is written over at the next
+    flush, so a flush keeps what it needs of the block, whose values it may
+    change. The `fired` flags of those iterations are added into the update
+    counts, and the newest B states of every window are copied back to the
+    top.
 
-    Returns squared deviations (A + V, R, T, N) and the kernel-MAP update
-    counts (V*R, N), row v*R + r for value v; `trace_out`, if given,
-    receives the kernel-MAP estimates (T, V*R, N, d).
+    Returns (squared deviations, kernel-MAP update counts (V*R, N), row
+    v*R + r for value v). Without a `flush`, the blocks are collected into
+    the squared deviations (A + V, R, T, N); with one, that entry is None.
+    `trace_out`, if given, receives the kernel-MAP estimates (T, V*R, N, d).
     """
     a = config.combination.matrix
     links = a != 0
@@ -594,7 +599,14 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     gains = np.zeros(err.shape)                           # written on the neighbour pairs only
     grad = np.empty(window.shape[1:])
     finite = np.empty(window.shape[1:], dtype=bool)
-    sq = np.empty((t_len, blocks, reals, n))
+    sq = np.empty((RING, blocks, reals, n))
+    if flush is None:
+        collected = np.empty((t_len,) + sq.shape[1:])
+
+        def flush(t0, block):
+            collected[t0 : t0 + len(block)] = block
+    else:
+        collected = None
     # Flat (block, row, l, k) indices of the neighbour pairs, one line per
     # block, and the (row, l) indices of their targets; every index is in
     # range, so take and put run with mode="clip", which skips their bounds
@@ -697,28 +709,33 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                 done, t0 = slot + 1, t - slot
                 if fams:
                     np.subtract(window[s : s + done, :fams][::-1], theta_path[t0 : t + 1], out=dev_b[:done])
-                    np.einsum("t...dk,t...dk->t...k", dev_b[:done], dev_b[:done], out=sq_b[t0 : t + 1])
+                    np.einsum("t...dk,t...dk->t...k", dev_b[:done], dev_b[:done], out=sq_b[:done])
                 if values:
                     recent = window_nd[s : s + done][::-1].reshape(done, values, reals, n, d)
                     np.subtract(recent, theta_path_nd[t0 : t + 1], out=dev_k[:done])
-                    np.einsum("tvrkd,tvrkd->tvrk", dev_k[:done], dev_k[:done], out=sq[t0 : t + 1, fams:])
+                    np.einsum("tvrkd,tvrkd->tvrk", dev_k[:done], dev_k[:done], out=sq[:done, fams:])
                     np.add(updates, np.add.reduce(fired[:done], axis=0), out=updates)
+                flush(t0, sq[:done])
                 if s == 0:
                     window[top : top + buffer] = window[:buffer]
                     for w in kmap_windows:
                         w[top : top + buffer] = w[:buffer]
                     s = top
-    return sq.transpose(1, 2, 0, 3), updates
+    return (None if collected is None else collected.transpose(1, 2, 0, 3)), updates
 
 
 def _finish(sq: np.ndarray) -> tuple:
-    """(sq, diverged flags (A + V, R)) of a chunk, the deviations capped at RECORD_CAP."""
-    broken = ~np.isfinite(sq)
+    """(sq, diverged flags (A + V, R)) of squared deviations sq (A + V, R, T, N),
+    or of a flushed block through its (A + V, R, t, N) view, capped at
+    RECORD_CAP in place. A realization diverged if a value is not finite or
+    the nodes' mean exceeds DIVERGENCE_MSD at one of the iterations, so a
+    realization's flags ORed over its blocks are its flags over the run."""
     with np.errstate(over="ignore", invalid="ignore"):
-        diverged = broken.any(axis=(-2, -1)) | (sq.mean(axis=-1) > DIVERGENCE_MSD).any(axis=-1)
-    np.copyto(sq, RECORD_CAP, where=broken)
-    np.minimum(sq, RECORD_CAP, out=sq)
-    return sq, diverged
+        # Squares are >= 0, +inf or NaN, so a mean is NaN or +inf exactly
+        # where a value is not finite or the sum overflows.
+        calm = np.add.reduce(sq, axis=-1) / sq.shape[-1] <= DIVERGENCE_MSD
+    np.fmin(sq, RECORD_CAP, out=sq)                 # NaN and +inf become RECORD_CAP
+    return sq, ~calm.all(axis=-1)
 
 
 def _blocks(config: ExperimentConfig, value: int = 0) -> tuple:
@@ -784,20 +801,43 @@ def _run_values(config: ExperimentConfig, variants: list) -> list:
     """One RunResult per kernel-MAP variant, or one where there is none, from
     one chunked pass.
 
-    Each chunk is one `_run_chunk` call, whose realization rows are added in
-    index order into one sum per block, so the baselines are summed once for
-    all variants. A realization whose draw raises is reported by index in
-    `PartialFailure` while the rest of its chunk runs on; if the batched run
-    of a chunk raises, the chunk is re-run one realization at a time with
-    every variant.
+    Each chunk is one `_run_chunk` call. As it flushes each block of
+    iterations, the block's rows are capped and added, one realization at a
+    time in index order, into one sum per block, so the baselines are summed
+    once for all variants and the sums get the bits of adding whole runs. A
+    realization whose draw raises is reported by index in `PartialFailure`
+    while the rest of its chunk runs on; if the batched run of a chunk
+    raises, what it flushed is dropped and the chunk is re-run one
+    realization at a time with every variant.
     """
     started = time.perf_counter()
     t_len, n = config.iterations, config.topology.node_count
     baselines = _blocks(config)[0]
-    sums = np.zeros((len(baselines) + len(variants), t_len, n))
+    # (T, A + V, N), as a block's rows: the sums of the runs that completed,
+    # and those plus the rows of the run under way, which replace them once
+    # it completes, so a run that raises adds nothing.
+    sums = np.zeros((t_len, len(baselines) + len(variants), n))
+    trial = np.empty_like(sums)
     counts = np.zeros((len(variants), n))
-    diverged = np.zeros(sums.shape[0], dtype=int)
+    diverged = np.zeros(sums.shape[1], dtype=int)
     failures = {}
+
+    def run(batch):
+        """(update counts, divergence flags) of `_run_chunk` on `batch`, whose
+        blocks are added to `sums` into `trial` as they are flushed."""
+        nonlocal sums, trial
+        flags = np.zeros((sums.shape[1], batch.targets.shape[1]), dtype=bool)
+
+        def flush(t0, block):
+            np.logical_or(flags, _finish(block.transpose(1, 2, 0, 3))[1], out=flags)
+            rows = np.add(sums[t0 : t0 + len(block)], block[:, :, 0], out=trial[t0 : t0 + len(block)])
+            for row in range(1, block.shape[2]):
+                rows += block[:, :, row]
+
+        updates = _run_chunk(config, baselines, variants, batch, flush=flush)[1]
+        sums, trial = trial, sums
+        return updates, flags
+
     for start in range(0, config.realizations, CHUNK_REALIZATIONS):
         indices = range(start, min(start + CHUNK_REALIZATIONS, config.realizations))
         batch, drawn, failed = _draw(config, indices)
@@ -805,20 +845,18 @@ def _run_values(config: ExperimentConfig, variants: list) -> list:
         if not drawn:
             continue
         try:
-            runs = [_run_chunk(config, baselines, variants, batch)]
+            runs = [run(batch)]
         except Exception:  # noqa: BLE001 - retried one realization at a time
             runs = []
             for index in drawn:
                 try:
-                    runs.append(_run_chunk(config, baselines, variants, _draw(config, [index])[0]))
+                    runs.append(run(_draw(config, [index])[0]))
                 except Exception as exc:  # noqa: BLE001 - reported via PartialFailure
                     failures.setdefault(index, exc)
-        for sq, updates in runs:
-            sq, flags = _finish(sq)
+        for updates, flags in runs:
             diverged += flags.sum(axis=1)
-            for row in range(sq.shape[1]):
-                sums += sq[:, row]
-                counts += updates[row :: sq.shape[1]]      # row `row` of every value
+            for row in range(flags.shape[1]):
+                counts += updates[row :: flags.shape[1]]   # row `row` of every value
     if failures:
         raise PartialFailure(sorted(failures.items(), key=lambda failure: failure[0]))
     wall_time = time.perf_counter() - started
@@ -829,7 +867,7 @@ def _run_values(config: ExperimentConfig, variants: list) -> list:
         blocks = _blocks(config, v)[2]
         results.append(RunResult(
             labels=list(blocks), iterations=t_len, realizations=config.realizations,
-            node_msd={label: sums[b] for label, b in blocks.items()},
+            node_msd={label: sums[:, b] for label, b in blocks.items()},
             kappa={label: counts[v] if b >= len(baselines) else None for label, b in blocks.items()},
             diverged={label: int(diverged[b]) for label, b in blocks.items()},
             wall_time_s=wall_time))
@@ -929,7 +967,7 @@ def export_sweep_csv(values, results, path) -> None:
     if len(values) != len(results):
         raise ConfigError(f"cannot export {len(results)} sweep results for {len(values)} values")
     labels = results[0].labels
-    header = "param_value,iteration," + ",".join(f"{label}_msd_db" for label in labels)
+    header = "param_value,iteration," + ",".join(csv_columns(labels))
     _write_lines(path, [header] + [_rows((float(value),), [result.network_msd_db(label) for label in labels])
                                    for value, result in zip(values, results)])
 

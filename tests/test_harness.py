@@ -637,9 +637,9 @@ def test_partial_failure_reports_indices(monkeypatch):
     run_chunk = harness_mod._run_chunk
     rows = []
 
-    def counting(config, baselines, variants, batch, trace_out=None):
+    def counting(config, baselines, variants, batch, *args, **kwargs):
         rows.append(batch.targets.shape[1])
-        return run_chunk(config, baselines, variants, batch, trace_out)
+        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "_run_chunk", counting)
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
@@ -662,11 +662,11 @@ def test_failed_chunk_reruns_one_realization_at_a_time(monkeypatch):
     bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
     run_chunk = harness_mod._run_chunk
 
-    def fragile(config, baselines, variants, batch, trace_out=None):
+    def fragile(config, baselines, variants, batch, *args, **kwargs):
         # any batch of several rows fails, and so does realization 3 alone
         if batch.targets.shape[1] > 1 or np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("batch failed")
-        return run_chunk(config, baselines, variants, batch, trace_out)
+        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
     monkeypatch.setattr(harness_mod, "_run_chunk", fragile)
@@ -995,9 +995,9 @@ def test_sweep_equals_run_experiment_per_value(monkeypatch, case):
     run_chunk = harness_mod._run_chunk
     calls = []
 
-    def counting(config, baselines, variants, batch, trace_out=None):
+    def counting(config, baselines, variants, batch, *args, **kwargs):
         calls.append((len(variants), batch.targets.shape[1]))
-        return run_chunk(config, baselines, variants, batch, trace_out)
+        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "_run_chunk", counting)
     swept = sweep(cfg, parameter, values)
@@ -1072,9 +1072,9 @@ def test_sweep_reports_a_failed_draw_once_and_runs_the_rest_of_its_chunk(monkeyp
     run_chunk = harness_mod._run_chunk
     calls = []
 
-    def counting(config, baselines, variants, batch, trace_out=None):
+    def counting(config, baselines, variants, batch, *args, **kwargs):
         calls.append((len(variants), batch.targets.shape[1]))
-        return run_chunk(config, baselines, variants, batch, trace_out)
+        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
     monkeypatch.setattr(harness_mod, "_run_chunk", counting)
@@ -1098,14 +1098,14 @@ def test_sweep_falls_back_per_realization(monkeypatch):
     run_chunk = harness_mod._run_chunk
     reruns = []
 
-    def fragile(config, baselines, variants, batch, trace_out=None):
+    def fragile(config, baselines, variants, batch, *args, **kwargs):
         # any run of several rows fails, and so does realization 3 alone
         if batch.targets.shape[1] > 1:
             raise FloatingPointError("batch failed")
         reruns.append([variant.eta for variant in variants])
         if np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("realization failed")
-        return run_chunk(config, baselines, variants, batch, trace_out)
+        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
     monkeypatch.setattr(harness_mod, "_run_chunk", fragile)
@@ -1117,6 +1117,66 @@ def test_sweep_falls_back_per_realization(monkeypatch):
     bad = None
     for result, reference in zip(sweep(cfg, "eta", values), expected):
         _assert_same_result(result, reference)
+
+
+SNR30 = Path(__file__).resolve().parent.parent / "configs" / "stationary_gaussian_snr30.yaml"
+
+
+def test_a_batched_chunk_that_fails_after_a_flush_leaves_no_partial_sums(monkeypatch):
+    """The batched run adds each flushed block into the sums as it goes. When
+    it raises after some blocks, the sums drop them before the chunk is re-run
+    one realization at a time, so the result has the bits of a clean run."""
+    from diffnet.diffusion import DLLAD
+
+    cfg = replace(load_config(SNR30), iterations=60, realizations=5)
+    expected = run_experiment(cfg)
+    gain = DLLAD.gain
+    calls = []
+
+    def failing(self, e):
+        calls.append(e.shape)
+        # The 40th call is step t = 39 of the batched run, after its flushes
+        # of iterations 0-15 and 16-31.
+        if len(calls) == 40:
+            raise FloatingPointError("gain failed")
+        return gain(self, e)
+
+    monkeypatch.setattr(DLLAD, "gain", failing)
+    result = run_experiment(cfg)
+    assert len(calls) == 40 + cfg.realizations * cfg.iterations   # then one rerun per realization
+    assert calls[0] != calls[-1]                                  # a batch of 5, then of 1
+    _assert_same_result(result, expected)
+
+
+def test_a_chunk_holds_its_draws_and_the_sums_but_no_deviations_of_its_horizon():
+    """The squared deviations are flushed into the sums every RING iterations,
+    so a chunk's memory grows with the horizon T only by its stacked draws and
+    the (A + V, T, N) sums (and their copy, which the bound's slack covers)."""
+    import tracemalloc
+
+    import diffnet.harness as harness_mod
+
+    # Stated before measuring: the traced peak grows from T = 500 to T = 2000
+    # by at most 1.2 times the growth of one chunk's draws plus the sums.
+    slack = 1.2
+    cfg = replace(load_config(SNR30), realizations=harness_mod.CHUNK_REALIZATIONS)
+    n, d = cfg.topology.node_count, cfg.dim
+    blocks = len(cfg.algorithms)
+
+    def held(t_len):
+        draws = t_len * cfg.realizations * (d + n * d + n)   # theta_path, regressors, targets
+        return 8 * (draws + blocks * t_len * n)
+
+    def peak(t_len):
+        tracemalloc.start()
+        try:
+            run_experiment(replace(cfg, iterations=t_len))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = peak(2000) - peak(500)
+    assert growth <= slack * (held(2000) - held(500)), growth / 2**20
 
 
 # --- configuration sections ------------------------------------------------------
