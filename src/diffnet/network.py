@@ -8,6 +8,7 @@ neighbourhood N_k always contains k itself.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from importlib import resources
@@ -36,9 +37,10 @@ class NetworkTopology:
     neighborhoods: tuple
 
     def neighbors(self, k: int) -> tuple:
-        """N_k as a sorted tuple of 1-based ids, k included."""
-        if not 1 <= k <= self.node_count:
-            raise IndexOutOfRange(f"node index {k} outside 1..{self.node_count}")
+        """N_k as a sorted tuple of 1-based ids, k included. `k` must be an
+        integer id; a bool, float or string is refused, not read as one."""
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= self.node_count:
+            raise IndexOutOfRange(f"node index {k!r} is not an integer in 1..{self.node_count}")
         return self.neighborhoods[k - 1]
 
     def degree(self, k: int) -> int:

@@ -43,6 +43,7 @@ a_lk B_k. Solves and recursions work on Nd x Nd matrices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,11 @@ FIXED_POINT_MAX_SOLVES = 500
 # over the steps' (N, d, d) stacks end to end, beside the covariances tiled
 # as often, since an einsum over a fourth, step axis adds in another order.
 METRIC_STEPS = 64
+
+# `transient_curves` holds P once a step moves it by at most this share of its
+# Frobenius norm, ~450 eps. Past that point the steps of the 16-node protocol
+# network only wander by rounding, 5e-15 to 7e-15 of the norm per step.
+TRANSIENT_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,8 @@ class TheoryInputs:
             raise InvalidParameters("step_sizes must be finite and > 0")
         for name in ("h", "delta"):
             value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise InvalidParameters(f"{name} must be a number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
         for name, value in (("regressor_covariances", np.stack(covs)), ("theta_o", theta_o),
@@ -397,7 +405,10 @@ class PerformanceCurves:
 
     Curve arrays are indexed by completed iterations: row 0 is the all-zero
     initialization (error equal to theta_o), row n the prediction after n
-    updates. Steady-state fields hold the n -> infinity limits.
+    updates. `settle_step` is the first step whose covariance moved by at most
+    `TRANSIENT_TOL` of its norm; the rows after it hold its row. It is None
+    when the recursion did not settle within the curves, and on steady-state
+    results. Steady-state fields hold the n -> infinity limits.
     """
 
     node_msd: np.ndarray | None = None
@@ -408,6 +419,7 @@ class PerformanceCurves:
     steady_node_emse: np.ndarray | None = None
     steady_network_msd: float | None = None
     steady_network_emse: float | None = None
+    settle_step: int | None = None
 
 
 def _require_stable(moments: MomentSet) -> None:
@@ -439,7 +451,9 @@ def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
     Carries the error second moment P_n forward from theta_bar theta_bar',
     re-linearizing the gain at every step:
     P_{n+1} = B_n Phi_n B_n' + M Xi_n M, with
-    Phi_n = A_ext P_n A_ext' and B_n = I + M C_n block-diagonal.
+    Phi_n = A_ext P_n A_ext' and B_n = I + M C_n block-diagonal. Stops at
+    the first step n with ||P_n - P_{n-1}||_F <= TRANSIENT_TOL ||P_n||_F and
+    holds row n through n_max.
     """
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise InvalidParameters(f"n_max must be an integer >= 0, got {n_max!r}")
@@ -454,20 +468,31 @@ def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
     diag = np.empty((METRIC_STEPS, n, d, d))
     covs = np.tile(inputs.regressor_covariances, (METRIC_STEPS, 1, 1))
     p = np.outer(theta_bar, theta_bar)
+    prev = np.empty_like(p)
+    settle_step = None
     for step in range(n_max + 1):
         if step:
+            np.copyto(prev, p)
             recursion.linearize(p)
             recursion.advance(p)
+            np.subtract(p, prev, out=prev)
+            if np.linalg.norm(prev) <= TRANSIENT_TOL * np.linalg.norm(p):
+                settle_step = step
         slot = step % METRIC_STEPS
         np.take(p, blocks, out=diag[slot], mode="clip")
-        if slot == METRIC_STEPS - 1 or step == n_max:
+        if slot == METRIC_STEPS - 1 or step == n_max or settle_step is not None:
             done, t0 = (slot + 1) * n, step - slot
             _node_metrics(diag.reshape(covs.shape)[:done], covs[:done], node_msd[t0 : step + 1].reshape(-1),
                           node_emse[t0 : step + 1].reshape(-1))
+        if settle_step is not None:
+            node_msd[step + 1 :] = node_msd[step]
+            node_emse[step + 1 :] = node_emse[step]
+            break
 
     return PerformanceCurves(
         node_msd=node_msd,
         node_emse=node_emse,
         network_msd=node_msd.mean(axis=1),
         network_emse=node_emse.mean(axis=1),
+        settle_step=settle_step,
     )

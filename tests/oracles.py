@@ -25,7 +25,10 @@ reproduce bit for bit.
 `transient_curves_reference` and `steady_fixed_point_reference` drive the
 closed-form theory's covariance recursion through its earlier step, which
 allocates every intermediate and forms the full (N, N, N) pair tensor; the
-in-place step of `diffnet.theory` must reproduce their bits.
+in-place step of `diffnet.theory` must reproduce their bits. The transient
+reference stops where `theory.transient_curves` does, once the covariance
+is stationary, or runs the full recursion that the held rows are checked
+against.
 
 Sign convention: `npdlms_gradient` returns the ascent direction of
 `log_local_objective`, and the update is always theta <- theta_eval +
@@ -687,8 +690,13 @@ def steady_fixed_point_reference(inputs):
     raise theory.NoConvergence("steady-state slopes did not settle")
 
 
-def transient_curves_reference(inputs, n_max):
-    """(node MSD, node EMSE) curves of `theory.transient_curves`, by the earlier step."""
+def transient_curves_reference(inputs, n_max, settle=True):
+    """(node MSD, node EMSE, settle step) of `theory.transient_curves`, by the
+    earlier step. With `settle`, the recursion stops at the first step whose
+    covariance differs from the one before by at most `theory.TRANSIENT_TOL`
+    of its Frobenius norm, and the later rows repeat that step's row; the
+    settle step is None when no step qualifies. Without it, all n_max steps
+    run and the settle step is None."""
     n, covs = inputs.topology.node_count, inputs.regressor_covariances
     theta_bar = np.tile(inputs.theta_o, n)
     node_msd = np.empty((n_max + 1, n))
@@ -699,6 +707,11 @@ def transient_curves_reference(inputs, n_max):
         phi = _combine(inputs, p)
         _, coeff, xi = linearize_reference(inputs, phi)
         q = _step_outer(inputs) * xi
-        p = _propagate(update_blocks_reference(inputs, coeff), phi) + q
-        node_msd[step], node_emse[step] = node_metrics_reference(p, covs)
-    return node_msd, node_emse
+        p_next = _propagate(update_blocks_reference(inputs, coeff), phi) + q
+        node_msd[step], node_emse[step] = node_metrics_reference(p_next, covs)
+        if settle and np.linalg.norm(p_next - p) <= theory.TRANSIENT_TOL * np.linalg.norm(p_next):
+            node_msd[step + 1 :] = node_msd[step]
+            node_emse[step + 1 :] = node_emse[step]
+            return node_msd, node_emse, step
+        p = p_next
+    return node_msd, node_emse, None

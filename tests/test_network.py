@@ -69,14 +69,21 @@ def test_bad_index_raises():
         build_topology(3, [(1, 5)])
 
 
-@pytest.mark.parametrize("k", [0, -1, 4])
+@pytest.mark.parametrize("k", [0, -1, 4, True, False, np.bool_(True), 1.5, 2.0, "1", None])
 def test_node_lookup_outside_network_raises(k):
-    # k <= 0 must not wrap round to another node through negative indexing
+    # k <= 0 must not wrap round to another node through negative indexing;
+    # True is not node 1, and a float or string id is refused by name
     topo = build_topology(3, [(1, 2), (2, 3)])
     with pytest.raises(IndexOutOfRange):
         topo.neighbors(k)
     with pytest.raises(IndexOutOfRange):
         topo.degree(k)
+
+
+def test_node_lookup_takes_numpy_integers():
+    topo = build_topology(3, [(1, 2), (2, 3)])
+    assert topo.neighbors(np.int64(2)) == (1, 2, 3)
+    assert topo.degree(np.int32(3)) == 2
 
 
 def test_default_topology_every_node_has_a_neighbor():

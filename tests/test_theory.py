@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import FrozenInstanceError, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -224,9 +225,10 @@ def test_bound_is_infinite_without_neighbour_covariance():
     assert math.isfinite(stepsize_upper_bound(inputs, 2))
 
 
-@pytest.mark.parametrize("k", [0, -1, 5])
+@pytest.mark.parametrize("k", [0, -1, 5, True, 1.5, "1"])
 def test_bound_rejects_node_outside_network(k):
-    # theory_small has 4 nodes; k <= 0 must not wrap round to another node's bound
+    # theory_small has 4 nodes; k <= 0 must not wrap round to another node's
+    # bound, True must not read as node 1, and a float or string id is refused
     with pytest.raises(IndexOutOfRange):
         stepsize_upper_bound(small_inputs(), k)
 
@@ -460,7 +462,8 @@ def assert_step_matches_reference(inputs, n_max=500):
     assert np.array_equal(moments.xi_vec, xi_vec)
     assert np.array_equal(moments.steady_covariance, steady_cov)
     curves = transient_curves(moments, n_max=n_max)
-    node_msd, node_emse = transient_curves_reference(inputs, n_max)
+    node_msd, node_emse, settle_step = transient_curves_reference(inputs, n_max)
+    assert curves.settle_step == settle_step
     assert np.array_equal(curves.node_msd, node_msd)
     assert np.array_equal(curves.node_emse, node_emse)
     steady = steady_state_metrics(moments)
@@ -504,19 +507,81 @@ def test_step_matches_reference_at_zero_noise():
     assert_step_matches_reference(small_inputs(noise_variances=np.zeros(4)))
 
 
-@pytest.mark.parametrize("seed,n_max", **_with_flush_steps((31, 33, 39, 40), (31,)))
-def test_step_matches_reference_with_full_covariances(seed, n_max):
+def full_covariance_inputs(seed):
+    """A random network with non-diagonal covariances at 0.4 of the step bounds."""
     inputs = random_inputs(seed)
     n = inputs.topology.node_count
-    inputs = replace(inputs, step_sizes=0.4 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)]))
+    return replace(inputs, step_sizes=0.4 * np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)]))
+
+
+FULL_COVARIANCE_SEEDS = (31, 33, 39, 40)
+
+
+@pytest.mark.parametrize("seed,n_max", **_with_flush_steps(FULL_COVARIANCE_SEEDS, (31,)))
+def test_step_matches_reference_with_full_covariances(seed, n_max):
+    inputs = full_covariance_inputs(seed)
     r0 = inputs.regressor_covariances[0]
     assert np.any(r0 != np.diag(np.diag(r0)))
     assert_step_matches_reference(inputs, n_max)
 
 
-@pytest.mark.parametrize("h, delta", [(2.0, 5.0), (1.7, 0.3)])
+KERNEL_WIDTHS = [(2.0, 5.0), (1.7, 0.3)]
+
+
+@pytest.mark.parametrize("h, delta", KERNEL_WIDTHS)
 def test_step_matches_reference_at_other_kernel_widths(h, delta):
     assert_step_matches_reference(small_inputs(h=h, delta=delta))
+
+
+# Held rows against the full recursion: the rows after the settle step
+# repeat it, where the full recursion still wanders by rounding.
+HELD_RTOL = 1e-12
+
+
+def _settle_cases():
+    """Every transient case above, as (inputs builder, n_max) params."""
+    def params(prefix, build, values, extended):
+        cases = _with_flush_steps(values, extended)
+        return [pytest.param(partial(build, value), n_max, id=f"{prefix}-{ident}")
+                for (value, n_max), ident in zip(cases["argvalues"], cases["ids"])]
+
+    return (params("n16", n16_inputs, N16_STEPS, (N16_STEPS[0], N16_STEPS[-1]))
+            + params("full", full_covariance_inputs, FULL_COVARIANCE_SEEDS, (31,))
+            + [pytest.param(small_inputs, 500, id="theory_small"),
+               pytest.param(partial(small_inputs, noise_variances=np.full(4, 1e-9)), 500, id="series"),
+               pytest.param(partial(small_inputs, noise_variances=np.zeros(4)), 500, id="zero_noise")]
+            + [pytest.param(partial(small_inputs, h=h, delta=delta), 500, id=f"h{h}-delta{delta}")
+               for h, delta in KERNEL_WIDTHS])
+
+
+@pytest.mark.parametrize("build,n_max", _settle_cases())
+def test_held_rows_track_the_full_recursion(build, n_max):
+    """Up to the settle step the curves are the full recursion's bit for bit,
+    after it within HELD_RTOL of it; cut one step short of the settle step,
+    they are the full recursion's bit for bit and record no settle step."""
+    inputs = build()
+    moments = build_moments(inputs)
+    curves = transient_curves(moments, n_max=n_max)
+    full_msd, full_emse, full_settle = transient_curves_reference(inputs, n_max, settle=False)
+    assert full_settle is None
+    s = n_max if curves.settle_step is None else curves.settle_step
+    for held, full in ((curves.node_msd, full_msd), (curves.node_emse, full_emse)):
+        assert np.array_equal(held[: s + 1], full[: s + 1])
+        np.testing.assert_allclose(held[s + 1 :], full[s + 1 :], rtol=HELD_RTOL, atol=0.0)
+    if curves.settle_step is not None:
+        assert 0 < s <= n_max
+        cut = transient_curves(moments, n_max=s - 1)
+        assert cut.settle_step is None
+        assert np.array_equal(cut.node_msd, full_msd[:s])
+        assert np.array_equal(cut.node_emse, full_emse[:s])
+
+
+def test_every_protocol_step_size_settles():
+    """The benchmark's ten step sizes all settle within 500 steps, and a
+    recursion decaying to zero (no noise) never does."""
+    steps = [transient_curves(build_moments(n16_inputs(mu))).settle_step for mu in N16_STEPS]
+    assert all(step is not None and step < 500 for step in steps)
+    assert transient_curves(build_moments(small_inputs(noise_variances=np.zeros(4)))).settle_step is None
 
 
 def test_monte_carlo_linearized_recursion_consistency():
@@ -577,11 +642,14 @@ def test_theory_inputs_validation():
         TheoryInputs(topology=topo, combination=combination_weights(topo),
                      regressor_covariances=[np.eye(2)], noise_variances=1.0,
                      step_sizes=0.1, theta_o=np.ones(2), delta=0.25)
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(InvalidParameters):
-            TheoryInputs(topology=topo, combination=combination_weights(topo),
-                         regressor_covariances=[np.eye(2), np.eye(2)], noise_variances=1.0,
-                         step_sizes=0.1, theta_o=np.ones(2), h=bad)
+    # h and delta must be positive finite numbers; a bool is refused, as the
+    # config parser refuses it, rather than kept as h = True.
+    for name in ("h", "delta"):
+        for bad in (0.0, -1.0, np.inf, np.nan, True, np.bool_(True), "1.0", None):
+            with pytest.raises(InvalidParameters, match=name):
+                TheoryInputs(topology=topo, combination=combination_weights(topo),
+                             regressor_covariances=[np.eye(2), np.eye(2)], noise_variances=1.0,
+                             step_sizes=0.1, theta_o=np.ones(2), **{name: bad})
     # Non-finite step sizes and noise variances are rejected by name, not left
     # to fail inside `build_moments` on a matrix the caller never passed.
     valid = {"step_sizes": 0.1, "noise_variances": 1.0}
