@@ -20,12 +20,15 @@ Both expectations have closed forms, kept beside the gain in `diffusion`
 the covariance recursion
 P_{n+1} = F_n P_n F_n' + M Xi_n M with the slopes refreshed every step. One
 `MomentSet` holds the `TheoryInputs` it was built from, the slopes, F and Xi at
-the steady state, and the steady covariance itself. `build_moments` finds the
-steady state as the recursion's fixed point by alternating Stein solves with
-slope updates, and the steady-state metrics read the last solve. The fixed
-point and the transient run one in-place step (`_Recursion`), built from the
-inputs once per call. The slopes tend to 1 as the error variance falls to 0,
-so any delta > 0 is admissible.
+the steady state, the steady covariance itself, and the transient's per-node
+rows. `build_moments` runs the recursion from theta_bar theta_bar' until it
+settles, at most `TRANSIENT_STEPS` steps, and keeps its rows; the transient
+curves read them. The steady state is the recursion's fixed point: Stein
+solves alternate with slope updates, from the settled covariance, where one
+solve confirms it, or from zero error when no step settled. The steady-state
+metrics read the last solve. The fixed point and the transient run one
+in-place step (`_Recursion`), built from the inputs once per call. The slopes
+tend to 1 as the error variance falls to 0, so any delta > 0 is admissible.
 
 Stability and the step-size bound use the small-error slopes E[g'(v_l)],
 v_l ~ N(0, sigma_v,l^2). A bounded gain contracts at every step size once the
@@ -61,10 +64,20 @@ FIXED_POINT_MAX_SOLVES = 500
 # as often, since an einsum over a fourth, step axis adds in another order.
 METRIC_STEPS = 64
 
-# `transient_curves` holds P once a step moves it by at most this share of its
+# The transient holds P once a step moves it by at most this share of its
 # Frobenius norm, ~450 eps. Past that point the steps of the 16-node protocol
 # network only wander by rounding, 5e-15 to 7e-15 of the norm per step.
 TRANSIENT_TOL = 1e-13
+
+# Steps `build_moments` runs the transient for, and `transient_curves`' default.
+TRANSIENT_STEPS = 500
+
+
+def _floats(value, name: str) -> np.ndarray:
+    """`value` as a float array; a boolean anywhere in it is refused, not read as 0 or 1."""
+    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat):
+        raise InvalidParameters(f"{name} must hold numbers, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -84,7 +97,7 @@ class TheoryInputs:
 
     def __post_init__(self):
         n = self.topology.node_count
-        covs = [np.asarray(r, dtype=float) for r in self.regressor_covariances]
+        covs = [_floats(r, "regressor_covariances") for r in self.regressor_covariances]
         if len(covs) != n:
             raise DimensionMismatch(f"need {n} regressor covariances, got {len(covs)}")
         d = covs[0].shape[0]
@@ -96,15 +109,15 @@ class TheoryInputs:
             tol = 1e-12 * np.linalg.norm(r)
             if np.linalg.norm(r - r.T) > tol or np.linalg.eigvalsh(r)[0] < -tol:
                 raise InvalidParameters("regressor covariances must be symmetric positive semidefinite")
-        theta_o = np.array(self.theta_o, dtype=float)
+        theta_o = _floats(self.theta_o, "theta_o").copy()
         if theta_o.shape != (d,):
             raise DimensionMismatch(f"theta_o must have length {d}")
         if not np.all(np.isfinite(theta_o)):
             raise InvalidParameters(f"theta_o must be finite, got {theta_o}")
         if self.combination.node_count != n:
             raise DimensionMismatch("combination matrix does not match topology size")
-        noise_variances = per_node(self.noise_variances, n, "noise_variances").copy()
-        step_sizes = per_node(self.step_sizes, n, "step_sizes").copy()
+        noise_variances = per_node(_floats(self.noise_variances, "noise_variances"), n, "noise_variances").copy()
+        step_sizes = per_node(_floats(self.step_sizes, "step_sizes"), n, "step_sizes").copy()
         if not np.all(np.isfinite(noise_variances) & (noise_variances >= 0)):
             raise InvalidParameters("noise_variances must be finite and >= 0")
         if not np.all(np.isfinite(step_sizes) & (step_sizes > 0)):
@@ -138,13 +151,17 @@ class TheoryInputs:
 
 @dataclass(frozen=True)
 class MomentSet:
-    """The steady state of the linearized error recursion of `inputs`.
+    """The transient and steady state of the linearized error recursion of `inputs`.
 
     When the small-error slopes are mean-stable, the slopes, F and Xi hold
     their values at the steady-state fixed point and `steady_covariance` is
     the Stein solution of `mean_transition` and `xi_vec`, both kept from the
-    last solve. Otherwise they hold the small-error values, the radius is
-    >= 1, `steady_covariance` is None, and the metrics raise UnstableSystem.
+    last solve. The transient rows are the per-node MSD and EMSE of steps
+    0..`settle_step`, or of steps 0..`TRANSIENT_STEPS` with `settle_step`
+    None when no step settled; only then is `last_covariance` kept, the P of
+    the last step, for a longer transient to continue from. Otherwise they
+    hold the small-error values, the radius is >= 1, the other fields are
+    None, and the metrics raise UnstableSystem.
     """
 
     inputs: TheoryInputs
@@ -153,6 +170,10 @@ class MomentSet:
     mean_transition: np.ndarray         # F = (I + M C) A_ext
     xi_vec: np.ndarray                  # vec(M Xi M)
     steady_covariance: np.ndarray | None
+    transient_msd: np.ndarray | None = None     # [step, k]
+    transient_emse: np.ndarray | None = None
+    settle_step: int | None = None
+    last_covariance: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -306,38 +327,89 @@ def _node_metrics(blocks: np.ndarray, covs: np.ndarray, msd: np.ndarray, emse: n
     np.einsum("kij,kji->k", blocks, covs, out=emse)
 
 
-def _steady_fixed_point(recursion: _Recursion, f: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _steady_fixed_point(recursion: _Recursion, f: np.ndarray, q: np.ndarray,
+                        p: np.ndarray | None = None) -> np.ndarray:
     """Alternate Stein solves with slope updates until the covariance settles.
 
-    Starts from the step last linearized and its dense F and Q, and writes
-    each update's F and Q over them, so they end as those of the last solve;
-    returns that solve's solution. Raises UnstableSystem when an iterate's F
-    has spectral radius >= 1.
+    Starts from the covariance `p` when given: linearizes there and compares
+    the first solve against it. Otherwise starts from the step last linearized
+    and its dense F and Q. Writes each update's F and Q over `f` and `q`, so
+    they end as those of the last solve; returns that solve's solution. Raises
+    UnstableSystem when an iterate's F has spectral radius >= 1.
     """
-    p = None
     for _ in range(FIXED_POINT_MAX_SOLVES):
+        if p is not None:
+            recursion.linearize(p)
+            recursion.transition(f)
+            recursion.source(q)
         p_next = _solve_stein(f, q)
         if p is not None and (np.linalg.norm(p_next - p)
                               <= FIXED_POINT_TOL * np.linalg.norm(p_next)):
             return p_next
         p = p_next
-        recursion.linearize(p)
-        recursion.transition(f)
-        recursion.source(q)
     raise NoConvergence(f"steady-state slopes did not settle in {FIXED_POINT_MAX_SOLVES} solves")
 
 
+def _run_transient(recursion: _Recursion, p: np.ndarray, node_msd: np.ndarray,
+                   node_emse: np.ndarray, first: int) -> int | None:
+    """Write the per-node MSD/EMSE rows first.. of the recursion, carrying `p` in place.
+
+    `p` is P_{first - 1}, or P_0 at `first` = 0, whose own row is written
+    without a step. Stops at the first step n with
+    ||P_n - P_{n-1}||_F <= TRANSIENT_TOL ||P_n||_F and returns n, leaving the
+    rows after it unwritten and `p` at P_n; returns None when no step up to
+    the last row settles.
+    """
+    n = node_msd.shape[1]
+    d = p.shape[0] // n
+    last = node_msd.shape[0] - 1
+    blocks = _diagonal_blocks(n, d)
+    diag = np.empty((METRIC_STEPS, n, d, d))
+    covs = np.tile(recursion.covs_flat.reshape(n, d, d), (METRIC_STEPS, 1, 1))
+    prev = np.empty_like(p)
+    settled = False
+    for step in range(first, last + 1):
+        if step:
+            np.copyto(prev, p)
+            recursion.linearize(p)
+            recursion.advance(p)
+            np.subtract(p, prev, out=prev)
+            settled = np.linalg.norm(prev) <= TRANSIENT_TOL * np.linalg.norm(p)
+        slot = (step - first) % METRIC_STEPS
+        np.take(p, blocks, out=diag[slot], mode="clip")
+        if slot == METRIC_STEPS - 1 or step == last or settled:
+            done, t0 = (slot + 1) * n, step - slot
+            _node_metrics(diag.reshape(covs.shape)[:done], covs[:done], node_msd[t0 : step + 1].reshape(-1),
+                          node_emse[t0 : step + 1].reshape(-1))
+        if settled:
+            return step
+    return None
+
+
 def build_moments(inputs: TheoryInputs) -> MomentSet:
-    """Linearize the recursion of `inputs` and solve for its steady state."""
-    nd = inputs.topology.node_count * inputs.dim
+    """Linearize the recursion of `inputs`, run its transient and solve for its steady state."""
+    n = inputs.topology.node_count
+    nd = n * inputs.dim
     recursion = _Recursion(inputs)
     recursion.linearize(np.zeros((nd, nd)))
     f = recursion.transition(np.empty((nd, nd)))
     q = recursion.source(np.empty((nd, nd)))
     radius = spectral_radius(f)
-    steady = _steady_fixed_point(recursion, f, q) if radius < 1.0 else None
+    if radius >= 1.0:
+        return MomentSet(inputs=inputs, slopes=recursion.slopes(), small_error_radius=radius,
+                         mean_transition=f, xi_vec=q.flatten(order="F"), steady_covariance=None)
+    theta_bar = np.tile(inputs.theta_o, n)
+    p = np.outer(theta_bar, theta_bar)
+    node_msd = np.empty((TRANSIENT_STEPS + 1, n))
+    node_emse = np.empty((TRANSIENT_STEPS + 1, n))
+    settle_step = _run_transient(recursion, p, node_msd, node_emse, 0)
+    settled = settle_step is not None
+    steady = _steady_fixed_point(recursion, f, q, p if settled else None)
+    rows = (settle_step if settled else TRANSIENT_STEPS) + 1
     return MomentSet(inputs=inputs, slopes=recursion.slopes(), small_error_radius=radius,
-                     mean_transition=f, xi_vec=q.flatten(order="F"), steady_covariance=steady)
+                     mean_transition=f, xi_vec=q.flatten(order="F"), steady_covariance=steady,
+                     transient_msd=node_msd[:rows].copy(), transient_emse=node_emse[:rows].copy(),
+                     settle_step=settle_step, last_covariance=None if settled else p)
 
 
 def stepsize_upper_bound(inputs: TheoryInputs, k: int) -> float:
@@ -445,7 +517,7 @@ def steady_state_metrics(moments: MomentSet) -> PerformanceCurves:
     )
 
 
-def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
+def transient_curves(moments: MomentSet, n_max: int = TRANSIENT_STEPS) -> PerformanceCurves:
     """Iteration-indexed MSD/EMSE predictions from the covariance recursion.
 
     Carries the error second moment P_n forward from theta_bar theta_bar',
@@ -453,41 +525,25 @@ def transient_curves(moments: MomentSet, n_max: int = 500) -> PerformanceCurves:
     P_{n+1} = B_n Phi_n B_n' + M Xi_n M, with
     Phi_n = A_ext P_n A_ext' and B_n = I + M C_n block-diagonal. Stops at
     the first step n with ||P_n - P_{n-1}||_F <= TRANSIENT_TOL ||P_n||_F and
-    holds row n through n_max.
+    holds row n through n_max. The rows up to `TRANSIENT_STEPS` are those
+    `build_moments` computed; only an unsettled recursion runs past them.
     """
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise InvalidParameters(f"n_max must be an integer >= 0, got {n_max!r}")
     _require_stable(moments)
-    inputs = moments.inputs
-    recursion = _Recursion(inputs)
-    n, d = inputs.regressor_covariances.shape[:2]
-    theta_bar = np.tile(inputs.theta_o, n)
-    node_msd = np.empty((n_max + 1, n))
-    node_emse = np.empty((n_max + 1, n))
-    blocks = _diagonal_blocks(n, d)
-    diag = np.empty((METRIC_STEPS, n, d, d))
-    covs = np.tile(inputs.regressor_covariances, (METRIC_STEPS, 1, 1))
-    p = np.outer(theta_bar, theta_bar)
-    prev = np.empty_like(p)
-    settle_step = None
-    for step in range(n_max + 1):
-        if step:
-            np.copyto(prev, p)
-            recursion.linearize(p)
-            recursion.advance(p)
-            np.subtract(p, prev, out=prev)
-            if np.linalg.norm(prev) <= TRANSIENT_TOL * np.linalg.norm(p):
-                settle_step = step
-        slot = step % METRIC_STEPS
-        np.take(p, blocks, out=diag[slot], mode="clip")
-        if slot == METRIC_STEPS - 1 or step == n_max or settle_step is not None:
-            done, t0 = (slot + 1) * n, step - slot
-            _node_metrics(diag.reshape(covs.shape)[:done], covs[:done], node_msd[t0 : step + 1].reshape(-1),
-                          node_emse[t0 : step + 1].reshape(-1))
-        if settle_step is not None:
-            node_msd[step + 1 :] = node_msd[step]
-            node_emse[step + 1 :] = node_emse[step]
-            break
+    stored = moments.transient_msd.shape[0] - 1
+    rows = min(n_max, stored) + 1
+    node_msd = np.empty((n_max + 1, moments.transient_msd.shape[1]))
+    node_emse = np.empty_like(node_msd)
+    node_msd[:rows] = moments.transient_msd[:rows]
+    node_emse[:rows] = moments.transient_emse[:rows]
+    settle_step = moments.settle_step if n_max >= stored else None
+    if settle_step is None and n_max > stored:
+        settle_step = _run_transient(_Recursion(moments.inputs), moments.last_covariance.copy(),
+                                     node_msd, node_emse, stored + 1)
+    if settle_step is not None:
+        node_msd[settle_step + 1 :] = node_msd[settle_step]
+        node_emse[settle_step + 1 :] = node_emse[settle_step]
 
     return PerformanceCurves(
         node_msd=node_msd,

@@ -28,7 +28,8 @@ allocates every intermediate and forms the full (N, N, N) pair tensor; the
 in-place step of `diffnet.theory` must reproduce their bits. The transient
 reference stops where `theory.transient_curves` does, once the covariance
 is stationary, or runs the full recursion that the held rows are checked
-against.
+against. The fixed-point reference starts where the transient settles, as
+`theory.build_moments` does.
 
 Sign convention: `npdlms_gradient` returns the ascent direction of
 `log_local_objective`, and the update is always theta <- theta_eval +
@@ -674,19 +675,24 @@ def node_metrics_reference(p, covs):
 def steady_fixed_point_reference(inputs):
     """(slopes, F, xi_vec, steady covariance) that `theory.build_moments` stores,
     found by the earlier step from `inputs`; the covariance is None when the
-    small-error slopes are not mean-stable."""
+    small-error slopes are not mean-stable. The alternation starts from the
+    covariance where `theory.TRANSIENT_STEPS` steps of the transient settle,
+    and from zero error when none does."""
     nd = inputs.topology.node_count * inputs.dim
     slope, f, q = _recursion(inputs, np.zeros((nd, nd)))
     if theory.spectral_radius(f) >= 1.0:
         return slope, f, q.flatten(order="F"), None
-    p = None
+    *_, settle_step, p = _transient_reference(inputs, theory.TRANSIENT_STEPS, settle=True)
+    if settle_step is None:
+        p = None
     for _ in range(theory.FIXED_POINT_MAX_SOLVES):
+        if p is not None:
+            slope, f, q = _recursion(inputs, _combine(inputs, p))
         p_next = theory._solve_stein(f, q)
         if p is not None and (np.linalg.norm(p_next - p)
                               <= theory.FIXED_POINT_TOL * np.linalg.norm(p_next)):
             return slope, f, q.flatten(order="F"), p_next
         p = p_next
-        slope, f, q = _recursion(inputs, _combine(inputs, p))
     raise theory.NoConvergence("steady-state slopes did not settle")
 
 
@@ -697,6 +703,11 @@ def transient_curves_reference(inputs, n_max, settle=True):
     of its Frobenius norm, and the later rows repeat that step's row; the
     settle step is None when no step qualifies. Without it, all n_max steps
     run and the settle step is None."""
+    return _transient_reference(inputs, n_max, settle)[:3]
+
+
+def _transient_reference(inputs, n_max, settle):
+    """`transient_curves_reference` and the covariance of its last step."""
     n, covs = inputs.topology.node_count, inputs.regressor_covariances
     theta_bar = np.tile(inputs.theta_o, n)
     node_msd = np.empty((n_max + 1, n))
@@ -712,6 +723,6 @@ def transient_curves_reference(inputs, n_max, settle=True):
         if settle and np.linalg.norm(p_next - p) <= theory.TRANSIENT_TOL * np.linalg.norm(p_next):
             node_msd[step + 1 :] = node_msd[step]
             node_emse[step + 1 :] = node_emse[step]
-            return node_msd, node_emse, step
+            return node_msd, node_emse, step, p_next
         p = p_next
-    return node_msd, node_emse, None
+    return node_msd, node_emse, None, p

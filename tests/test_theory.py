@@ -584,6 +584,129 @@ def test_every_protocol_step_size_settles():
     assert transient_curves(build_moments(small_inputs(noise_variances=np.zeros(4)))).settle_step is None
 
 
+# --- the transient's settled covariance as the fixed point's start ------------
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of `owner.name` from here on; returns the running list."""
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return wrapped(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+SEEDED_CASES = ([pytest.param(partial(n16_inputs, mu), id=f"n16-{mu:.2f}") for mu in N16_STEPS]
+                + [pytest.param(small_inputs, id="theory_small")])
+
+
+@pytest.mark.parametrize("build", SEEDED_CASES)
+def test_steady_covariance_is_a_fixed_point_of_the_step(build):
+    """One step of the recursion from the steady covariance moves it by at most
+    1e-13 of its norm. The alternation from zero error stopped 1e-13 to 3.6e-11
+    away; the settled transient's start is a tighter fixed point."""
+    inputs = build()
+    moments = build_moments(inputs)
+    p = moments.steady_covariance.copy()
+    recursion = theory._Recursion(inputs)
+    recursion.linearize(p)
+    recursion.advance(p)
+    assert np.linalg.norm(p - moments.steady_covariance) <= 1e-13 * np.linalg.norm(moments.steady_covariance)
+
+
+@pytest.mark.parametrize("build", SEEDED_CASES)
+def test_settled_start_needs_at_most_two_solves(build, monkeypatch):
+    """From where the transient settles, the first Stein solve confirms the
+    fixed point: 8 to 45 solves from zero error on the protocol network."""
+    solves = _counting(monkeypatch, theory, "_solve_stein")
+    moments = build_moments(build())
+    assert moments.settle_step is not None
+    assert 1 <= len(solves) <= 2
+
+
+@pytest.mark.parametrize("build", SEEDED_CASES)
+def test_transient_reads_the_settled_rows(build, monkeypatch):
+    """`transient_curves` takes the rows `build_moments` ran: no step again."""
+    moments = build_moments(build())
+    steps = _counting(monkeypatch, theory._Recursion, "linearize")
+    for n_max in (0, moments.settle_step - 1, theory.TRANSIENT_STEPS, 2 * theory.TRANSIENT_STEPS):
+        transient_curves(moments, n_max=n_max)
+    assert not steps
+    assert moments.last_covariance is None
+
+
+def test_transient_continues_past_the_stored_steps(monkeypatch):
+    """At a tenth of `theory_small`'s step the recursion settles at step 697,
+    past the steps `build_moments` runs: the steady state starts from zero
+    error, and a longer transient carries on from the last stored covariance
+    to the reference's rows and settle step, bit for bit."""
+    inputs = small_inputs(step_sizes=np.full(4, 0.01))
+    moments = build_moments(inputs)
+    assert moments.settle_step is None and moments.transient_msd.shape[0] == theory.TRANSIENT_STEPS + 1
+    assert np.array_equal(moments.steady_covariance, steady_fixed_point_reference(inputs)[3])
+    steps = _counting(monkeypatch, theory._Recursion, "linearize")
+    curves = transient_curves(moments, n_max=1000)
+    node_msd, node_emse, settle_step = transient_curves_reference(inputs, 1000)
+    assert curves.settle_step == settle_step == 697
+    assert len(steps) == settle_step - theory.TRANSIENT_STEPS
+    assert np.array_equal(curves.node_msd, node_msd)
+    assert np.array_equal(curves.node_emse, node_emse)
+
+
+def test_zero_noise_continues_past_the_stored_steps():
+    """Zero noise decays towards 0 and does not settle within the stored
+    steps: its steady state is zero, and the transient's rows past them are
+    the reference's. Both take step 608 for settled, where the norms of a P
+    near 1e-162 underflow to 0."""
+    inputs = small_inputs(noise_variances=np.zeros(4))
+    moments = build_moments(inputs)
+    assert moments.settle_step is None
+    assert steady_state_metrics(moments).steady_network_msd == 0.0
+    curves = transient_curves(moments, n_max=700)
+    node_msd, node_emse, settle_step = transient_curves_reference(inputs, 700)
+    assert curves.settle_step == settle_step == 608
+    assert np.array_equal(curves.node_msd, node_msd)
+    assert np.array_equal(curves.node_emse, node_emse)
+
+
+STRESS_SEEDS = range(100)
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9])
+def test_settled_start_on_random_networks(fraction, monkeypatch):
+    """Random 2- to 6-node networks at a fraction of their step bounds. Where
+    the transient settles, at most two Stein solves, and the steady covariance
+    within 1e-8 of the alternation from zero error; elsewhere, that
+    alternation itself."""
+    solves = _counting(monkeypatch, theory, "_solve_stein")
+    settled = 0
+    for seed in STRESS_SEEDS:
+        inputs = random_inputs(seed, n_max=6)
+        n = inputs.topology.node_count
+        inputs = replace(inputs, step_sizes=fraction * np.array(
+            [stepsize_upper_bound(inputs, k) for k in range(1, n + 1)]))
+        solves.clear()
+        moments = build_moments(inputs)
+        count = len(solves)
+        recursion = theory._Recursion(inputs)
+        nd = n * inputs.dim
+        recursion.linearize(np.zeros((nd, nd)))
+        f = recursion.transition(np.empty((nd, nd)))
+        zero_start = theory._steady_fixed_point(recursion, f, recursion.source(np.empty((nd, nd))))
+        if moments.settle_step is None:
+            assert np.array_equal(moments.steady_covariance, zero_start)
+            continue
+        settled += 1
+        assert count <= 2
+        gap = np.linalg.norm(moments.steady_covariance - zero_start)
+        assert gap <= 1e-8 * np.linalg.norm(zero_start)
+    assert settled >= len(STRESS_SEEDS) // 2
+
+
 def test_monte_carlo_linearized_recursion_consistency():
     """Simulate the statistically linearized error recursion directly and compare.
 
@@ -659,6 +782,18 @@ def test_theory_inputs_validation():
                 TheoryInputs(topology=topo, combination=combination_weights(topo),
                              regressor_covariances=[np.eye(2), np.eye(2)], theta_o=np.ones(2),
                              **{**valid, name: bad})
+    # A boolean in an array field is refused by name, as in h and delta, rather
+    # than read as 1.0 or 0.0: step_sizes=[True, 0.1] used to build as [1.0, 0.1].
+    fields = {"regressor_covariances": [np.eye(2), np.eye(2)], "noise_variances": 1.0,
+              "step_sizes": 0.1, "theta_o": np.ones(2)}
+    bools = {"regressor_covariances": ([np.eye(2), np.eye(2, dtype=bool)], [np.eye(2), [[True, 0.0], [0.0, 1.0]]]),
+             "noise_variances": (True, [np.bool_(True), 1.0]),
+             "step_sizes": ([True, 0.1], np.array([True, True])),
+             "theta_o": ([True, False], [1.0, np.bool_(False)])}
+    for name, values in bools.items():
+        for bad in values:
+            with pytest.raises(InvalidParameters, match=name):
+                TheoryInputs(topology=topo, combination=combination_weights(topo), **{**fields, name: bad})
     # Covariances must be finite, symmetric and positive semidefinite: a
     # non-symmetric matrix used to yield a steady MSD, and -I was reported as
     # an unstable system rather than as invalid input.
