@@ -159,9 +159,9 @@ class MomentSet:
     last solve. The transient rows are the per-node MSD and EMSE of steps
     0..`settle_step`, or of steps 0..`TRANSIENT_STEPS` with `settle_step`
     None when no step settled; only then is `last_covariance` kept, the P of
-    the last step, for a longer transient to continue from. Otherwise they
-    hold the small-error values, the radius is >= 1, the other fields are
-    None, and the metrics raise UnstableSystem.
+    the last step, for a longer transient to continue from. Otherwise the
+    slopes, F and Xi hold the small-error values, the radius is >= 1, the
+    other fields are None, and the metrics raise UnstableSystem.
     """
 
     inputs: TheoryInputs
