@@ -1,5 +1,5 @@
 """Slow reference implementations that the batched simulation engine and the
-in-place theory step are checked against.
+N x N theory recursion are checked against.
 
 The baseline runner and the kernel-MAP chain below work one node at a time,
 the way the algorithms are written down, and share nothing with the batched
@@ -23,13 +23,14 @@ is the dense kernel-MAP step's prior alone, which `harness._KernelPrior` must
 reproduce bit for bit.
 
 `transient_curves_reference` and `steady_fixed_point_reference` drive the
-closed-form theory's covariance recursion through its earlier step, which
-allocates every intermediate and forms the full (N, N, N) pair tensor; the
-in-place step of `diffnet.theory` must reproduce their bits. The transient
-reference stops where `theory.transient_curves` does, once the covariance
-is stationary, or runs the full recursion that the held rows are checked
-against. The fixed-point reference starts where the transient settles, as
-`theory.build_moments` does.
+closed-form theory's covariance recursion on the full Nd x Nd covariance,
+allocating every intermediate and forming the full (N, N, N) pair tensor,
+for any regressor covariances; `diffnet.theory`'s N x N recursion for white
+regressors must agree with them to rounding. The transient reference stops
+by the same scale-free rule as `theory.transient_curves`, once the
+covariance is stationary, or runs the full recursion that the held rows are
+checked against. The fixed-point reference starts where the transient
+settles, as `theory.build_moments` does.
 
 Sign convention: `npdlms_gradient` returns the ascent direction of
 `log_local_objective`, and the update is always theta <- theta_eval +
@@ -664,6 +665,20 @@ def _recursion(inputs, phi):
     return slope, _transition(inputs, update_blocks_reference(inputs, coeff)), q
 
 
+def step_reference(inputs, p):
+    """P_{n+1} = B Phi B' + M Xi M from P_n = `p`, Phi = A_ext P A_ext'."""
+    phi = _combine(inputs, p)
+    _, coeff, xi = linearize_reference(inputs, phi)
+    return _propagate(update_blocks_reference(inputs, coeff), phi) + _step_outer(inputs) * xi
+
+
+def moved_at_most(change, p, tol):
+    """||change||_F <= tol ||p||_F, both scaled first by the power of two that
+    brings max|p| into [0.5, 1), so that no square underflows or overflows."""
+    scale = -np.frexp(np.abs(p).max())[1]
+    return np.linalg.norm(np.ldexp(change, scale)) <= tol * np.linalg.norm(np.ldexp(p, scale))
+
+
 def node_metrics_reference(p, covs):
     """MSD tr(P_kk) and EMSE tr(P_kk R_k) from the diagonal blocks of P."""
     n, d = covs.shape[:2]
@@ -689,8 +704,7 @@ def steady_fixed_point_reference(inputs):
         if p is not None:
             slope, f, q = _recursion(inputs, _combine(inputs, p))
         p_next = theory._solve_stein(f, q)
-        if p is not None and (np.linalg.norm(p_next - p)
-                              <= theory.FIXED_POINT_TOL * np.linalg.norm(p_next)):
+        if p is not None and moved_at_most(p_next - p, p_next, theory.FIXED_POINT_TOL):
             return slope, f, q.flatten(order="F"), p_next
         p = p_next
     raise theory.NoConvergence("steady-state slopes did not settle")
@@ -715,12 +729,9 @@ def _transient_reference(inputs, n_max, settle):
     p = np.outer(theta_bar, theta_bar)
     node_msd[0], node_emse[0] = node_metrics_reference(p, covs)
     for step in range(1, n_max + 1):
-        phi = _combine(inputs, p)
-        _, coeff, xi = linearize_reference(inputs, phi)
-        q = _step_outer(inputs) * xi
-        p_next = _propagate(update_blocks_reference(inputs, coeff), phi) + q
+        p_next = step_reference(inputs, p)
         node_msd[step], node_emse[step] = node_metrics_reference(p_next, covs)
-        if settle and np.linalg.norm(p_next - p) <= theory.TRANSIENT_TOL * np.linalg.norm(p_next):
+        if settle and moved_at_most(p_next - p, p_next, theory.TRANSIENT_TOL):
             node_msd[step + 1 :] = node_msd[step]
             node_emse[step + 1 :] = node_emse[step]
             return node_msd, node_emse, step, p_next

@@ -93,7 +93,7 @@ def test_criterion_2_stability_bound_bidirectional():
         covs = []
         for _ in range(n):
             mat = r.standard_normal((d, d))
-            covs.append(mat @ mat.T + 0.3 * np.eye(d))
+            covs.append(np.trace(mat @ mat.T + 0.3 * np.eye(d)) / d * np.eye(d))   # white: r_l I
         inputs = TheoryInputs(
             topology=topo, combination=combination_weights(topo),
             regressor_covariances=covs, noise_variances=r.uniform(0.01, 1, n),
