@@ -174,7 +174,7 @@ def bounded_gain_moments(variance, delta: float):
     from scipy import special  # loaded on the first theory call
 
     c = np.asarray(variance, dtype=float) / (delta * delta)
-    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 falls to the series
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # tiny c falls to the series
         z = 0.25 / c
         slope = 2.0 * z * (special.k1e(z) - special.k0e(z)) / np.sqrt(2.0 * np.pi * c)
         second = 1.0 - np.sqrt(np.pi / (2.0 * c)) * special.erfcx(np.sqrt(2.0 * z))
