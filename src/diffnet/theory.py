@@ -57,6 +57,7 @@ A step is about 30 numpy calls on N x N arrays, ~50 us at N = 16 of which
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -151,13 +152,16 @@ class TheoryInputs:
         """r_l of each covariance R_l = r_l I."""
         return self.regressor_covariances[:, 0, 0]
 
+    @functools.cached_property
     def small_error_slopes(self) -> np.ndarray:
-        """E[g'(v_l)] with v_l ~ N(0, sigma_v,l^2), per node l.
+        """E[g'(v_l)] with v_l ~ N(0, sigma_v,l^2), per node l, read-only.
 
         The gain's expected slope once the estimation error is negligible next
         to the noise; 1 at zero noise. The step bound of every node uses it.
         """
-        return bounded_gain_moments(self.noise_variances, self.delta)[0]
+        slopes = bounded_gain_moments(self.noise_variances, self.delta)[0]
+        slopes.flags.writeable = False
+        return slopes
 
 
 @dataclass(frozen=True)
@@ -245,12 +249,13 @@ class _Recursion:
 
     def moved_at_most(self, change: np.ndarray, x: np.ndarray, tol: float) -> bool:
         """Whether ||change||_F <= tol ||x||_F for the P that the stacks stand
-        for. Both are scaled by the power of two that brings max|x| into
+        for. Both are scaled by the power of two 2^e that brings max|x| into
         [0.5, 1), which is exact, so the squares neither underflow nor overflow
-        at any scale of P, subnormal ones included."""
-        e = -np.frexp(np.abs(x).max())[1]
-        w = self.norm_weights
-        return np.linalg.norm(np.ldexp(change, e) * w) <= tol * np.linalg.norm(np.ldexp(x, e) * w)
+        at any scale of P. Below max|x| = 2^-1024, where 2^e would overflow,
+        e is capped at 1000, which still brings max|x| to 2^-74 or above."""
+        e = min(-math.frexp(np.abs(x).max())[1], 1000)
+        scale = self.norm_weights * math.ldexp(1.0, e)
+        return np.linalg.norm(change * scale) <= tol * np.linalg.norm(x * scale)
 
 
 def _steady_fixed_point(recursion: _Recursion, f: np.ndarray, q: np.ndarray,
@@ -325,7 +330,7 @@ def stepsize_upper_bound(inputs: TheoryInputs, k: int) -> float:
     """Largest mean-stable step size for node k at the small-error slopes:
     2 h / sum_{l in N_k} s_l r_l."""
     neighbors = [l - 1 for l in inputs.topology.neighbors(k)]
-    load = float(inputs.small_error_slopes()[neighbors] @ inputs.regressor_variances[neighbors])
+    load = float(inputs.small_error_slopes[neighbors] @ inputs.regressor_variances[neighbors])
     if load <= 0.0:
         return math.inf
     return 2.0 * inputs.h / load
