@@ -160,26 +160,48 @@ _SLOPE_SERIES = (258.3984375, -32.8125, 5.625, -1.5, 1.0)
 _SECOND_SERIES = (945.0, -105.0, 15.0, -3.0, 1.0)
 
 
+_special = None  # scipy.special, loaded on the first theory call
+_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+
+
 def bounded_gain_moments(variance, delta: float):
     """E[g'(e)] and E[g(e)^2] of the pseudo-Huber gain for e ~ N(0, variance).
 
-    With c = variance / delta^2 and z = 1 / (4c), elementwise:
-    E[g'(e)] = E[(1 + c Z^2)^(-3/2)] = 2 z (k1e(z) - k0e(z)) / sqrt(2 pi c), the
-    c-derivative form of E[(1 + c Z^2)^(-1/2)] = k0e(z) / sqrt(2 pi c); and
+    With c = variance / delta^2, z = 1 / (4c) and root = sqrt(2z) = 1 / sqrt(2c),
+    elementwise:
+    E[g'(e)] = E[(1 + c Z^2)^(-3/2)] = 2 z (k1e(z) - k0e(z)) / sqrt(2 pi c)
+    = (2 / sqrt(pi)) z root (k1e(z) - k0e(z)), the c-derivative form of
+    E[(1 + c Z^2)^(-1/2)] = k0e(z) / sqrt(2 pi c); and
     E[g(e)^2] = delta^2 (1 - E[(1 + c Z^2)^(-1)]) with
-    E[(1 + c Z^2)^(-1)] = sqrt(pi / (2c)) exp(1 / (2c)) erfc(1 / sqrt(2c)),
-    evaluated in its scaled form.
+    E[(1 + c Z^2)^(-1)] = sqrt(pi / (2c)) exp(1 / (2c)) erfc(1 / sqrt(2c))
+    = sqrt(pi) root erfcx(root), evaluated in its scaled form.
     The slope is 1 and the second moment 0 at zero variance.
     """
-    from scipy import special  # loaded on the first theory call
+    with moment_errstate():
+        return _bounded_gain_moments(np.asarray(variance, dtype=float), delta)
 
-    c = np.asarray(variance, dtype=float) / (delta * delta)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # tiny c falls to the series
-        z = 0.25 / c
-        slope = 2.0 * z * (special.k1e(z) - special.k0e(z)) / np.sqrt(2.0 * np.pi * c)
-        second = 1.0 - np.sqrt(np.pi / (2.0 * c)) * special.erfcx(np.sqrt(2.0 * z))
-    small = c < _SERIES_BELOW
-    if small.any():
+
+def moment_errstate():
+    """The floating-point error state `_bounded_gain_moments` runs under: at
+    tiny c its closed forms divide by zero and overflow, and the series takes
+    over. A caller that evaluates the moments in a loop enters it once."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
+
+def _bounded_gain_moments(variance: np.ndarray, delta: float):
+    """`bounded_gain_moments` of a float array, under `moment_errstate`."""
+    global _special
+    if _special is None:
+        from scipy import special as _special
+    dd = delta * delta
+    c = variance / dd
+    z = 0.25 / c
+    root = np.sqrt(2.0 * z)
+    slope = _TWO_OVER_SQRT_PI * z * root * (_special.k1e(z) - _special.k0e(z))
+    second = 1.0 - _SQRT_PI * root * _special.erfcx(root)
+    if not c.min(initial=np.inf) >= _SERIES_BELOW:  # NaN screens in too
+        small = c < _SERIES_BELOW
         slope = np.where(small, np.polyval(_SLOPE_SERIES, c), slope)
         second = np.where(small, c * np.polyval(_SECOND_SERIES, c), second)
-    return slope, delta * delta * second
+    return slope, dd * second

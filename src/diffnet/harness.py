@@ -1007,7 +1007,21 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
 
 
 def export_theory_csv(curves, steady, path) -> None:
-    """`n,msd_theory_db,emse_theory_db` rows plus a steady_state summary row."""
-    rows = _rows((), [to_db(curves.network_msd), to_db(curves.network_emse)], start=0)
+    """`n,msd_theory_db,emse_theory_db` rows plus a steady_state summary row.
+
+    The rows whose dB values repeat the last row's bit for bit, the held tail
+    of a settled transient, print the same numbers: they are formatted once.
+    The rows before them, and so a -0.0 or NaN that differs from the last
+    row's bits, go through `_rows`.
+    """
+    db = np.stack([to_db(curves.network_msd), to_db(curves.network_emse)])
+    bits = db.view(np.int64)
+    moved = np.flatnonzero((bits != bits[:, -1:]).any(axis=0))
+    held = moved[-1] + 1 if moved.size else 0
+    lines = ["n,msd_theory_db,emse_theory_db"]
+    if held:
+        lines.append(_rows((), list(db[:, :held]), start=0))
+    tail = ",%.17g,%.17g" % tuple(db[:, -1].tolist())
+    lines.append((tail + "\n").join(map(str, range(held, db.shape[1]))) + tail)
     steady_db = (float(to_db(steady.steady_network_msd)), float(to_db(steady.steady_network_emse)))
-    _write_lines(path, ["n,msd_theory_db,emse_theory_db", rows, "steady_state,%.17g,%.17g" % steady_db])
+    _write_lines(path, lines + ["steady_state,%.17g,%.17g" % steady_db])

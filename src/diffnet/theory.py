@@ -49,10 +49,14 @@ Xi_s[k, k] = sum_l r_l E[g(e_lk)^2] / h^2. The recursion carries the (2, N, N)
 stack (T, S), T = ||theta_o||^2 H in S's units: Phi = A' X A on both,
 T <- (b b') o Phi_T and S <- (b b') o Phi_S + d (mu mu') o Xi_s. MSD_k = S_kk,
 EMSE_k = r_k S_kk, and ||P||_F^2 = (1 - 1/d) ||T||_F^2 + ||S||_F^2 / d, exactly.
-A step is about 30 numpy calls on N x N arrays, ~50 us at N = 16 of which
-`bounded_gain_moments` takes ~20, where the Nd x Nd step took ~180 us. The
-`MomentSet` keeps the dense F, Xi and steady covariance, built once by
-`np.kron`; `tests/oracles.py` keeps the Nd x Nd recursion as the reference.
+A step is about 45 numpy calls on N x N arrays and pair vectors, ~47 us at
+N = 16 on a 2-core x86_64 box, ~13.5 us of it in the gain moments' special
+functions and arithmetic, where the Nd x Nd step took ~180 us. It writes Phi
+into buffers allocated once, the transient alternates two state buffers, and
+the error state the gain moments need (`moment_errstate`) is entered once
+per run. The `MomentSet` keeps the dense F, Xi and steady covariance, built
+once by `_kron_eye`; `tests/oracles.py` keeps the Nd x Nd recursion as the
+reference.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import bounded_gain_moments
+from .diffusion import _bounded_gain_moments, bounded_gain_moments, moment_errstate
 from .errors import DimensionMismatch, InvalidParameters, NoConvergence, UnstableSystem
 from .network import CombinationMatrix, NetworkTopology, per_node
 
@@ -82,8 +86,10 @@ TRANSIENT_STEPS = 500
 
 
 def _floats(value, name: str) -> np.ndarray:
-    """`value` as a float array; a boolean anywhere in it is refused, not read as 0 or 1."""
-    if any(isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat):
+    """`value` as a float array; a boolean anywhere in it is refused, not read as 0 or 1.
+    A float or integer ndarray holds none, so only other values are scanned."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "fiu") and any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat):
         raise InvalidParameters(f"{name} must hold numbers, got {value!r}")
     return np.asarray(value, dtype=float)
 
@@ -110,12 +116,15 @@ class TheoryInputs:
         if len(covs) != n:
             raise DimensionMismatch(f"need {n} regressor covariances, got {len(covs)}")
         d = covs[0].shape[0] if covs[0].ndim == 2 else 0
-        for r in covs:
-            if d < 1 or r.shape != (d, d):
-                raise DimensionMismatch("regressor covariances must share one square d x d shape, d >= 1")
-            if not (np.all(np.isfinite(r)) and r[0, 0] >= 0 and np.array_equal(r, r[0, 0] * np.eye(d))):
-                raise InvalidParameters("regressor covariances must be r I with r finite and >= 0: "
-                                        f"the theory models white regressors, got {r.tolist()}")
+        if d < 1 or any(r.shape != (d, d) for r in covs):
+            raise DimensionMismatch("regressor covariances must share one square d x d shape, d >= 1")
+        stack = np.stack(covs)
+        r = stack[:, :1, :1]
+        white = ((stack == np.where(np.eye(d, dtype=bool), r, 0.0)).all(axis=(1, 2))
+                 & np.isfinite(r[:, 0, 0]) & (r[:, 0, 0] >= 0))
+        if not white.all():
+            raise InvalidParameters("regressor covariances must be r I with r finite and >= 0: "
+                                    f"the theory models white regressors, got {covs[white.argmin()].tolist()}")
         theta_o = _floats(self.theta_o, "theta_o").copy()
         if theta_o.shape != (d,):
             raise DimensionMismatch(f"theta_o must have length {d}")
@@ -135,7 +144,7 @@ class TheoryInputs:
                 raise InvalidParameters(f"{name} must be a number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
-        for name, value in (("regressor_covariances", np.stack(covs)), ("theta_o", theta_o),
+        for name, value in (("regressor_covariances", stack), ("theta_o", theta_o),
                             ("noise_variances", noise_variances), ("step_sizes", step_sizes)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -219,17 +228,20 @@ class _Recursion:
         self.xi_weights = np.stack([r * inputs.noise_variances, r * r])[:, :, None]
         self.step_load = -mu / inputs.h
         self.source_weight = d * np.outer(mu, mu) / (inputs.h * inputs.h)
-        self.norm_weights = np.sqrt([1.0 - 1.0 / d, 1.0 / d])[:, None, None]
+        # per entry of the (2, N, N) stack, so the settle test multiplies without broadcasting
+        self.norm_weights = np.repeat(np.sqrt([1.0 - 1.0 / d, 1.0 / d]), n * n).reshape(2, n, n)
         self.slope = np.zeros((n, n))      # s_lk at [l, k], zero off the pairs
         self.second = np.zeros((n, n))     # E[g(e_lk)^2] at [l, k]
-        self.phi = self.b = self.q = None
+        self.a_t_x = np.empty((2, n, n))   # A' X, then Phi = A' X A
+        self.phi = np.empty((2, n, n))
+        self.b = self.q = None
 
     def linearize(self, x: np.ndarray) -> None:
-        """Evaluate the step at the (T, S) stack `x`."""
-        self.phi = self.a_t @ x @ self.a
+        """Evaluate the step at the (T, S) stack `x`, under `moment_errstate`."""
+        np.matmul(np.matmul(self.a_t, x, out=self.a_t_x), self.a, out=self.phi)
         phi_s = self.phi[1]
         variance = self.pair_noise + self.pair_r * phi_s.take(self.pair_kk)
-        slope, second = bounded_gain_moments(variance, self.delta)
+        slope, second = _bounded_gain_moments(variance, self.delta)
         self.slope.put(self.pair_lk, slope)
         self.second.put(self.pair_lk, second)
         self.b = 1.0 + self.step_load * (self.r @ self.slope)
@@ -240,7 +252,7 @@ class _Recursion:
 
     def advance(self, x: np.ndarray) -> None:
         """Overwrite `x` with the step from the last `linearize`."""
-        np.multiply(self.phi, self.b[:, None] * self.b, out=x)
+        np.multiply(self.phi, np.multiply.outer(self.b, self.b), out=x)
         x[1] += self.q
 
     def transition(self) -> np.ndarray:
@@ -255,7 +267,21 @@ class _Recursion:
         e is capped at 1000, which still brings max|x| to 2^-74 or above."""
         e = min(-math.frexp(np.abs(x).max())[1], 1000)
         scale = self.norm_weights * math.ldexp(1.0, e)
-        return np.linalg.norm(change * scale) <= tol * np.linalg.norm(x * scale)
+        return _norm(change * scale) <= tol * _norm(x * scale)
+
+
+def _norm(v: np.ndarray) -> float:
+    """Frobenius norm of a contiguous array, the bits of `np.linalg.norm`
+    without its dispatch."""
+    v = v.ravel()
+    return math.sqrt(v.dot(v))
+
+
+def _kron_eye(m: np.ndarray, d: int) -> np.ndarray:
+    """m (x) I_d, the bytes of `np.kron(m, np.eye(d))` (the same products,
+    -0.0 included) without its general set-up."""
+    n = m.shape[0]
+    return (m[:, None, :, None] * np.eye(d)[:, None, :]).reshape(n * d, n * d)
 
 
 def _steady_fixed_point(recursion: _Recursion, f: np.ndarray, q: np.ndarray,
@@ -280,48 +306,52 @@ def _steady_fixed_point(recursion: _Recursion, f: np.ndarray, q: np.ndarray,
     raise NoConvergence(f"steady-state slopes did not settle in {FIXED_POINT_MAX_SOLVES} solves")
 
 
-def _run_transient(recursion: _Recursion, x: np.ndarray, node_msd: np.ndarray, first: int) -> int | None:
-    """Write the per-node MSD rows first.. of the recursion, carrying `x` in place.
+def _run_transient(recursion: _Recursion, x: np.ndarray, node_msd: np.ndarray, first: int) -> tuple:
+    """Write the per-node MSD rows first.. of the recursion.
 
     `x` is the (T, S) stack of step first - 1, or of step 0 at `first` = 0,
-    whose own row is written without a step. Stops at the first step n with
-    ||P_n - P_{n-1}||_F <= TRANSIENT_TOL ||P_n||_F and returns n, leaving the
-    rows after it unwritten and `x` at step n; returns None when no step up to
-    the last row settles.
+    whose own row is written without a step; the run overwrites it. Each step
+    writes the next stack into a second buffer (`advance` does not read x),
+    then the change into the old one, and the two swap. Stops at the first
+    step n with ||P_n - P_{n-1}||_F <= TRANSIENT_TOL ||P_n||_F and returns
+    (n, the stack at n), leaving the rows after it unwritten; returns
+    (None, the stack at the last row) when no step up to it settles.
     """
     if first == 0:
         node_msd[0] = x[1].diagonal()
         first = 1
-    prev = np.empty_like(x)
-    for step in range(first, node_msd.shape[0]):
-        np.copyto(prev, x)
-        recursion.linearize(x)
-        recursion.advance(x)
-        node_msd[step] = x[1].diagonal()
-        np.subtract(x, prev, out=prev)
-        if recursion.moved_at_most(prev, x, TRANSIENT_TOL):
-            return step
-    return None
+    y = np.empty_like(x)
+    with moment_errstate():
+        for step in range(first, node_msd.shape[0]):
+            recursion.linearize(x)
+            recursion.advance(y)
+            node_msd[step] = y[1].diagonal()
+            np.subtract(y, x, out=x)
+            x, y = y, x
+            if recursion.moved_at_most(y, x, TRANSIENT_TOL):
+                return step, x
+    return None, x
 
 
 def build_moments(inputs: TheoryInputs) -> MomentSet:
     """Linearize the recursion of `inputs`, run its transient and solve for its steady state."""
-    n, eye = inputs.topology.node_count, np.eye(inputs.dim)
+    n, d = inputs.topology.node_count, inputs.dim
     recursion = _Recursion(inputs)
-    recursion.linearize(np.zeros((2, n, n)))
-    f, q = recursion.transition(), recursion.q
-    radius = spectral_radius(f)
     steady = x = node_msd = settle_step = None
-    if radius < 1.0:
-        x = np.full((2, n, n), inputs.theta_o @ inputs.theta_o)
-        node_msd = np.empty((TRANSIENT_STEPS + 1, n))
-        settle_step = _run_transient(recursion, x, node_msd, 0)
-        if settle_step is not None:
-            node_msd = node_msd[: settle_step + 1].copy()
-        s, f, q = _steady_fixed_point(recursion, f, q, None if settle_step is None else x)
-        steady = np.kron(s / inputs.dim, eye)
+    with moment_errstate():
+        recursion.linearize(np.zeros((2, n, n)))
+        f, q = recursion.transition(), recursion.q
+        radius = spectral_radius(f)
+        if radius < 1.0:
+            node_msd = np.empty((TRANSIENT_STEPS + 1, n))
+            settle_step, x = _run_transient(recursion, np.full((2, n, n), inputs.theta_o @ inputs.theta_o),
+                                            node_msd, 0)
+            if settle_step is not None:
+                node_msd = node_msd[: settle_step + 1].copy()
+            s, f, q = _steady_fixed_point(recursion, f, q, None if settle_step is None else x)
+            steady = _kron_eye(s / d, d)
     return MomentSet(inputs=inputs, slopes=recursion.slope.copy(), small_error_radius=radius,
-                     mean_transition=np.kron(f, eye), xi_vec=np.kron(q / inputs.dim, eye).flatten(order="F"),
+                     mean_transition=_kron_eye(f, d), xi_vec=_kron_eye(q / d, d).flatten(order="F"),
                      steady_covariance=steady, transient_msd=node_msd, settle_step=settle_step,
                      last_state=x if settle_step is None else None)
 
@@ -450,7 +480,7 @@ def transient_curves(moments: MomentSet, n_max: int = TRANSIENT_STEPS) -> Perfor
     node_msd[: min(n_max, stored) + 1] = moments.transient_msd[: n_max + 1]
     settle_step = moments.settle_step if n_max >= stored else None
     if settle_step is None and n_max > stored:
-        settle_step = _run_transient(_Recursion(moments.inputs), moments.last_state.copy(), node_msd, stored + 1)
+        settle_step = _run_transient(_Recursion(moments.inputs), moments.last_state.copy(), node_msd, stored + 1)[0]
     if settle_step is not None:
         node_msd[settle_step + 1 :] = node_msd[settle_step]
     node_emse = node_msd * moments.inputs.regressor_variances

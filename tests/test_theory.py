@@ -125,6 +125,32 @@ def test_gain_moments_match_quadrature(ratio):
     assert second == pytest.approx(expected_second, rel=1e-10)
 
 
+def test_gain_moments_match_mpmath():
+    """Both moments against their closed forms at 40 digits, on 321 c =
+    variance / delta^2 log-spaced over [1e-8, 1e8]. Relative error at most
+    1e-12 (slope) and 2e-12 (second moment) everywhere, and 5e-14 outside
+    [2e-4, 1e-2): just above the series switch the closed forms lose digits
+    to cancellation (3.9e-13 and 8.0e-13 measured); elsewhere both are within
+    a few ulps (8e-15 and 2.2e-14 measured). The theory and its reference in
+    `oracles` share this function, so this test vouches for its rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    c = np.logspace(-8, 8, 321)
+    delta = 0.5     # c * delta^2 and back are exact
+    expected = np.empty((2, c.size))
+    with mpmath.workdps(40):
+        for i, ci in enumerate(c.tolist()):
+            c_mp = mpmath.mpf(ci)
+            z = 1 / (4 * c_mp)
+            expected[0, i] = (2 * z * (mpmath.besselk(1, z) - mpmath.besselk(0, z)) * mpmath.exp(z)
+                              / mpmath.sqrt(2 * mpmath.pi * c_mp))
+            expected[1, i] = delta * delta * (1 - mpmath.sqrt(mpmath.pi / (2 * c_mp)) * mpmath.exp(2 * z)
+                                              * mpmath.erfc(1 / mpmath.sqrt(2 * c_mp)))
+    error = np.abs(np.stack(bounded_gain_moments(c * delta * delta, delta)) / expected - 1.0)
+    outside = (c < 2e-4) | (c >= 1e-2)
+    assert error[0].max() <= 1e-12 and error[1].max() <= 2e-12
+    assert error[:, outside].max() <= 5e-14
+
+
 # --- moment construction ----------------------------------------------------
 
 
@@ -669,6 +695,55 @@ def test_state_norm_identity():
             assert recursion.moved_at_most(x[0], x[1], tol) == (tol > ratio)
 
 
+# --- the theory CSV ------------------------------------------------------------
+
+
+def _plain_theory_csv(curves, steady, path, db):
+    """The reference bytes of `harness.export_theory_csv`, with `db` in place
+    of `to_db`: every row through `_rows`."""
+    rows = harness._rows((), [db(curves.network_msd), db(curves.network_emse)], start=0)
+    steady_db = (float(db(steady.steady_network_msd)), float(db(steady.steady_network_emse)))
+    harness._write_lines(path, ["n,msd_theory_db,emse_theory_db", rows, "steady_state,%.17g,%.17g" % steady_db])
+
+
+def test_theory_csv_matches_plain_rows(tmp_path, monkeypatch):
+    """`export_theory_csv` formats the rows that repeat the last row's bits
+    once; its bytes are those of every row through `_rows`, whatever the
+    settle step, and whatever -0.0, NaN or inf the tail holds. `to_db` never
+    yields -0.0, so the hand-made columns go in as the dB values themselves."""
+    protocol = build_moments(n16_inputs(N16_STEPS[0]))
+    zero_noise = build_moments(small_inputs(noise_variances=np.zeros(4)))
+    settle = protocol.settle_step
+    cases = [("mid-curve", transient_curves(protocol), protocol, settle),
+             ("at-n_max", transient_curves(protocol, n_max=settle), protocol, settle),
+             ("n_max-below", transient_curves(protocol, n_max=settle - 9), protocol, None),
+             ("one-row", transient_curves(protocol, n_max=0), protocol, None),
+             ("never", transient_curves(zero_noise), zero_noise, None)]
+    to_zero = transient_curves(zero_noise, n_max=1500)     # settles once P rounds to 0: -inf dB
+    assert to_zero.settle_step is not None and to_zero.network_msd[-1] == 0.0
+    cases.append(("to-zero", to_zero, zero_noise, to_zero.settle_step))
+    for name, curves, moments, settle_step in cases:
+        assert curves.settle_step == settle_step, name
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-plain.csv"
+        harness.export_theory_csv(curves, steady_state_metrics(moments), got)
+        _plain_theory_csv(curves, steady_state_metrics(moments), want, to_db)
+        assert got.read_bytes() == want.read_bytes(), name
+    monkeypatch.setattr(harness, "to_db", np.asarray)
+    steady = theory.PerformanceCurves(steady_network_msd=-30.0, steady_network_emse=-0.0)
+    nan = np.nan
+    hand = [("constant", [0.5] * 6, [0.25] * 6),
+            ("signed-zero", [2.0, 1.0, 0.0, -0.0, 0.0, 0.0], [1.0, -0.0, -0.0, 0.0, -0.0, -0.0]),
+            ("nan", [3.0, 2.0, nan, nan, nan], [1.0] * 5),
+            ("signed-nan", [3.0, -nan, nan, -nan, nan], [nan] * 5),
+            ("inf", [1.0, -np.inf, -np.inf], [np.inf] * 3)]
+    for name, msd, emse in hand:
+        curves = theory.PerformanceCurves(network_msd=np.array(msd), network_emse=np.array(emse))
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-plain.csv"
+        harness.export_theory_csv(curves, steady, got)
+        _plain_theory_csv(curves, steady, want, np.asarray)
+        assert got.read_bytes() == want.read_bytes(), name
+
+
 # --- scale: both tolerances are relative ---------------------------------------
 
 
@@ -946,6 +1021,16 @@ def test_theory_inputs_validation():
         for bad in values:
             with pytest.raises(InvalidParameters, match=name):
                 TheoryInputs(topology=topo, combination=combination_weights(topo), **{**fields, name: bad})
+    # The covariances as one (N, d, d) ndarray, as `dataclasses.replace` passes
+    # them on: a bool stack, or an object stack holding a np.bool_, is refused
+    # by name too.
+    object_stack = np.empty((2, 2, 2), dtype=object)
+    object_stack[...] = np.eye(2)
+    object_stack[1, 0, 0] = np.bool_(True)
+    for bad in (np.stack([np.eye(2, dtype=bool)] * 2), object_stack):
+        with pytest.raises(InvalidParameters, match="regressor_covariances"):
+            TheoryInputs(topology=topo, combination=combination_weights(topo),
+                         **{**fields, "regressor_covariances": bad})
     # Covariances must be r I with r finite and >= 0: a non-symmetric matrix
     # used to yield a steady MSD, and -I was reported as an unstable system
     # rather than as invalid input. The N x N recursion models white
@@ -953,10 +1038,11 @@ def test_theory_inputs_validation():
     # correlated R_l is refused too.
     for bad in (np.array([[1.0, 0.9], [0.0, 1.0]]), -np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]]),
                 np.diag([1.0, 2.0]), np.array([[1.0, 0.1], [0.1, 1.0]]), np.diag([1.0, 1.0 + 1e-15])):
-        with pytest.raises(InvalidParameters, match="regressor covariances"):
-            TheoryInputs(topology=topo, combination=combination_weights(topo),
-                         regressor_covariances=[np.eye(2), bad], noise_variances=1.0,
-                         step_sizes=0.1, theta_o=np.ones(2))
+        for covs in ([np.eye(2), bad], np.stack([np.eye(2), bad])):
+            with pytest.raises(InvalidParameters, match="regressor covariances"):
+                TheoryInputs(topology=topo, combination=combination_weights(topo),
+                             regressor_covariances=covs, noise_variances=1.0,
+                             step_sizes=0.1, theta_o=np.ones(2))
 
 
 def test_theory_inputs_hold_read_only_copies():
