@@ -14,7 +14,6 @@ from .harness import (
     config_from_dict,
     load_config,
     run_experiment,
-    run_realization,
     sweep,
 )
 from .network import (

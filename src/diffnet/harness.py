@@ -522,8 +522,7 @@ def _combine(state: np.ndarray, a: np.ndarray, links: np.ndarray, finite: np.nda
         out[rows] = np.where(reached, out[rows], np.where(ok, state[rows], 0.0) @ a)
 
 
-def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch: RealizationData,
-               trace_out=None, flush=None):
+def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch: RealizationData, flush):
     """Every family on one chunk of draws, in one synchronous time loop.
 
     `baselines` lists the A baseline specs and `variants` V kernel-MAP
@@ -565,17 +564,16 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     last, one subtract per layout forms those iterations' deviations from
     theta_path, and one einsum per layout with a leading time axis reduces
     them over d, in the order of a per-iteration einsum of that layout, into
-    a block sq[: t - t0 + 1] of a (RING, A + V, R, N) buffer, which
-    `flush(t0, block)` receives; the buffer is written over at the next
-    flush, so a flush keeps what it needs of the block, whose values it may
-    change. The `fired` flags of those iterations are added into the update
-    counts, and the newest B states of every window are copied back to the
-    top.
+    a block sq[: t - t0 + 1] of a (RING, A + V, R, N) buffer. The block
+    leaves the loop only through `flush(t0, block, states)`, with `states`
+    the (t - t0 + 1, A + V, R, d, N) window slots of those iterations'
+    states, oldest first. Both are views that the next block writes over,
+    so a flush copies what it keeps; it may change the block's values but
+    not the states, which the run reads on. The `fired` flags of those
+    iterations are added into the update counts, and the newest B states of
+    every window are copied back to the top.
 
-    Returns (squared deviations, kernel-MAP update counts (V*R, N), row
-    v*R + r for value v). Without a `flush`, the blocks are collected into
-    the squared deviations (A + V, R, T, N); with one, that entry is None.
-    `trace_out`, if given, receives the kernel-MAP estimates (T, V*R, N, d).
+    Returns the kernel-MAP update counts (V*R, N), row v*R + r for value v.
     """
     a = config.combination.matrix
     links = a != 0
@@ -600,13 +598,6 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
     grad = np.empty(window.shape[1:])
     finite = np.empty(window.shape[1:], dtype=bool)
     sq = np.empty((RING, blocks, reals, n))
-    if flush is None:
-        collected = np.empty((t_len,) + sq.shape[1:])
-
-        def flush(t0, block):
-            collected[t0 : t0 + len(block)] = block
-    else:
-        collected = None
     # Flat (block, row, l, k) indices of the neighbour pairs, one line per
     # block, and the (row, l) indices of their targets; every index is in
     # range, so take and put run with mode="clip", which skips their bounds
@@ -702,26 +693,25 @@ def _run_chunk(config: ExperimentConfig, baselines: list, variants: list, batch:
                 np.copyto(window_nd[s], states[s].transpose(0, 2, 1))
                 if window_flat is not None:
                     np.copyto(window_flat[s].reshape(d, rows, n), states[s].transpose(1, 0, 2))
-                if trace_out is not None:
-                    trace_out[t] = window_nd[s]
             if slot == RING - 1 or t == t_len - 1:
                 # The states of steps t0..t sit at slots s + slot..s, newest first.
                 done, t0 = slot + 1, t - slot
+                past = window[s : s + done][::-1]
                 if fams:
-                    np.subtract(window[s : s + done, :fams][::-1], theta_path[t0 : t + 1], out=dev_b[:done])
+                    np.subtract(past[:, :fams], theta_path[t0 : t + 1], out=dev_b[:done])
                     np.einsum("t...dk,t...dk->t...k", dev_b[:done], dev_b[:done], out=sq_b[:done])
                 if values:
                     recent = window_nd[s : s + done][::-1].reshape(done, values, reals, n, d)
                     np.subtract(recent, theta_path_nd[t0 : t + 1], out=dev_k[:done])
                     np.einsum("tvrkd,tvrkd->tvrk", dev_k[:done], dev_k[:done], out=sq[:done, fams:])
                     np.add(updates, np.add.reduce(fired[:done], axis=0), out=updates)
-                flush(t0, sq[:done])
+                flush(t0, sq[:done], past)
                 if s == 0:
                     window[top : top + buffer] = window[:buffer]
                     for w in kmap_windows:
                         w[top : top + buffer] = w[:buffer]
                     s = top
-    return (None if collected is None else collected.transpose(1, 2, 0, 3)), updates
+    return updates
 
 
 def _finish(sq: np.ndarray) -> tuple:
@@ -746,23 +736,6 @@ def _blocks(config: ExperimentConfig, value: int = 0) -> tuple:
     block = {spec.label: i for i, spec in enumerate(baselines)}
     return (baselines, [spec.kind for spec in config.algorithms if isinstance(spec.kind, NPDLMS)],
             {spec.label: block.get(spec.label, len(baselines) + value) for spec in config.algorithms})
-
-
-def run_realization(config: ExperimentConfig, index: int):
-    """All configured algorithms on one shared measurement stream.
-
-    A batch of one through the same engine as `run_experiment`. Returns
-    {label: (per-node squared deviations (T, N), update counts or None,
-    diverged flag)}, deviations capped at RECORD_CAP.
-    """
-    batch, _, failures = _draw(config, [index])
-    if failures:
-        raise failures[0][1]
-    baselines, variants, blocks = _blocks(config)
-    sq, updates = _run_chunk(config, baselines, variants, batch)
-    sq, diverged = _finish(sq)
-    return {label: (sq[b, 0], updates[0] if b >= len(baselines) else None, bool(diverged[b, 0]))
-            for label, b in blocks.items()}
 
 
 @dataclass
@@ -828,13 +801,13 @@ def _run_values(config: ExperimentConfig, variants: list) -> list:
         nonlocal sums, trial
         flags = np.zeros((sums.shape[1], batch.targets.shape[1]), dtype=bool)
 
-        def flush(t0, block):
+        def flush(t0, block, _states):
             np.logical_or(flags, _finish(block.transpose(1, 2, 0, 3))[1], out=flags)
             rows = np.add(sums[t0 : t0 + len(block)], block[:, :, 0], out=trial[t0 : t0 + len(block)])
             for row in range(1, block.shape[2]):
                 rows += block[:, :, row]
 
-        updates = _run_chunk(config, baselines, variants, batch, flush=flush)[1]
+        updates = _run_chunk(config, baselines, variants, batch, flush)
         sums, trial = trial, sums
         return updates, flags
 

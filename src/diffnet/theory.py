@@ -227,7 +227,7 @@ class _Recursion:
         # s' diag(w) s for the noise and the error parts of Xi_s, as one stack
         self.xi_weights = np.stack([r * inputs.noise_variances, r * r])[:, :, None]
         self.step_load = -mu / inputs.h
-        self.source_weight = d * np.outer(mu, mu) / (inputs.h * inputs.h)
+        self.source_weight = d * np.outer(mu / inputs.h, mu / inputs.h)
         # per entry of the (2, N, N) stack, so the settle test multiplies without broadcasting
         self.norm_weights = np.repeat(np.sqrt([1.0 - 1.0 / d, 1.0 / d]), n * n).reshape(2, n, n)
         self.slope = np.zeros((n, n))      # s_lk at [l, k], zero off the pairs
@@ -261,13 +261,17 @@ class _Recursion:
 
     def moved_at_most(self, change: np.ndarray, x: np.ndarray, tol: float) -> bool:
         """Whether ||change||_F <= tol ||x||_F for the P that the stacks stand
-        for. Both are scaled by the power of two 2^e that brings max|x| into
-        [0.5, 1), which is exact, so the squares neither underflow nor overflow
-        at any scale of P. Below max|x| = 2^-1024, where 2^e would overflow,
-        e is capped at 1000, which still brings max|x| to 2^-74 or above."""
-        e = min(-math.frexp(np.abs(x).max())[1], 1000)
-        scale = self.norm_weights * math.ldexp(1.0, e)
+        for, both scaled by `_unit_scale(x)`."""
+        scale = self.norm_weights * _unit_scale(x)
         return _norm(change * scale) <= tol * _norm(x * scale)
+
+
+def _unit_scale(x: np.ndarray) -> float:
+    """The power of two 2^e that brings max|x| into [0.5, 1). Scaling by it is
+    exact, so the squares of a norm neither underflow nor overflow at any
+    scale of x. Below max|x| = 2^-1024, where 2^e would overflow, e is capped
+    at 1000, which still brings max|x| to 2^-74 or above."""
+    return math.ldexp(1.0, min(-math.frexp(np.abs(x).max())[1], 1000))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -382,8 +386,9 @@ def _solve_stein(f: np.ndarray, q: np.ndarray) -> np.ndarray:
     After i squarings X holds the first 2^i terms of sum_j F^j Q F'^j. The
     iterate is accepted once its increment is at most STEIN_TOL of its
     Frobenius norm, with finite norms, and the residual of the equation
-    passes the same tolerance; both are relative, so the solve does not
-    depend on the scale of Q. Otherwise UnstableSystem is raised, naming
+    passes the same tolerance; both are relative, and all three are taken
+    after scaling by `_unit_scale(X)`, so the solve does not depend on the
+    scale of Q. Otherwise UnstableSystem is raised, naming
     rho(F): at rho(F) >= 1 the series does not settle unless Q avoids the
     unstable modes, and its norm may overflow while every entry is still
     finite.
@@ -393,14 +398,15 @@ def _solve_stein(f: np.ndarray, q: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(120):
             x_next = x + a @ x @ a.T
-            delta = np.linalg.norm(x_next - x, "fro")
+            scale = _unit_scale(x_next)
+            delta = _norm((x_next - x) * scale)
             x = x_next
-            norm = np.linalg.norm(x, "fro")
+            norm = _norm(x * scale)
             if not (np.isfinite(delta) and np.isfinite(norm)):
                 break
             tol = STEIN_TOL * norm
             if delta <= tol:
-                if np.linalg.norm(x - f @ x @ f.T - q, "fro") <= tol:
+                if _norm((x - f @ x @ f.T - q) * scale) <= tol:
                     return x
                 break
             a = a @ a

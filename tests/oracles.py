@@ -22,6 +22,11 @@ every node pair; the engine must reproduce their bits. `dense_prior_term`
 is the dense kernel-MAP step's prior alone, which `harness._KernelPrior` must
 reproduce bit for bit.
 
+`run_chunk` collects the blocks that `harness._run_chunk` flushes, the
+squared deviations and the states of a whole run, and checks the order the
+blocks arrive in; `run_realization` runs every configured algorithm on one
+realization through it.
+
 `transient_curves_reference` and `steady_fixed_point_reference` drive the
 closed-form theory's covariance recursion on the full Nd x Nd covariance,
 allocating every intermediate and forming the full (N, N, N) pair tensor,
@@ -46,6 +51,7 @@ from typing import Iterable
 import numpy as np
 from scipy.special import logsumexp
 
+from diffnet import harness
 from diffnet import noise as noise_models
 from diffnet import theory
 from diffnet.diffusion import DLMSF, DMCC, NPDLMS, bounded_error_gain, bounded_gain_moments
@@ -79,6 +85,50 @@ def replay_draws(config, rng):
     regressors = np.sqrt(config.regressor_variances)[None, :, None] * z
     noise = np.stack([noise_models.sample(spec, rng, t_len) for spec in config.noise_specs], axis=1)
     return theta_path, regressors, noise
+
+
+# --- the engine, through its flush ------------------------------------------
+
+
+def run_chunk(config, baselines, variants, batch):
+    """`harness._run_chunk` with its flushed blocks collected: (squared
+    deviations (A + V, R, T, N), update counts (V*R, N), states
+    (T, A + V, R, d, N)).
+
+    Checks the flush contract: the blocks arrive in order, each starts where
+    the last one ended, every one but the last is RING iterations long, and
+    together they cover 0..T-1 once.
+    """
+    t_len, reals, n, d = batch.regressors.shape
+    sq = np.empty((t_len, len(baselines) + len(variants), reals, n))
+    states = np.empty(sq.shape[:3] + (d, n))
+    ends = [0]
+
+    def flush(t0, block, past):
+        assert t0 == ends[-1] and block.shape[1:] == sq.shape[1:] and past.shape[1:] == states.shape[1:]
+        assert 0 < len(block) == len(past)
+        sq[t0 : t0 + len(block)] = block
+        states[t0 : t0 + len(block)] = past
+        ends.append(t0 + len(block))
+
+    updates = harness._run_chunk(config, baselines, variants, batch, flush)
+    lengths = np.diff(ends)
+    assert ends[-1] == t_len and (lengths[:-1] == harness.RING).all() and lengths[-1] <= harness.RING
+    return sq.transpose(1, 2, 0, 3), updates, states
+
+
+def run_realization(config, index):
+    """All configured algorithms on realization `index` alone, through the
+    engine: {label: (per-node squared deviations (T, N), update counts or
+    None, diverged flag)}, deviations capped at RECORD_CAP."""
+    batch, _, failures = harness._draw(config, [index])
+    if failures:
+        raise failures[0][1]
+    baselines, variants, blocks = harness._blocks(config)
+    sq, updates, _ = run_chunk(config, baselines, variants, batch)
+    sq, diverged = harness._finish(sq)
+    return {label: (sq[b, 0], updates[0] if b >= len(baselines) else None, bool(diverged[b, 0]))
+            for label, b in blocks.items()}
 
 
 # --- baseline families ------------------------------------------------------

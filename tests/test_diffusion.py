@@ -16,7 +16,7 @@ from diffnet import harness
 from diffnet.diffusion import DLLAD, DLMS, DLMSF, DMCC, DSELMS, FAMILIES, NPDLMS
 from diffnet.errors import ConfigError, InvalidParameters
 from diffnet.harness import RealizationData, config_from_dict, run_experiment
-from oracles import error_gain, run_baseline_reference, run_baselines_dense_reference
+from oracles import error_gain, run_baseline_reference, run_baselines_dense_reference, run_chunk
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -121,7 +121,7 @@ def test_single_node_cta_matches_standalone_lms(rng):
     u = rng.standard_normal((t_len, 1, 2))
     d = u @ theta_o + 0.1 * rng.standard_normal((t_len, 1))
     cfg = _config(1, [], [{"kind": "dlms", "step_size": alpha}], t_len)
-    sq = harness._run_chunk(cfg, cfg.algorithms, [], _batch(u, d, np.tile(theta_o, (t_len, 1))))[0]
+    sq = run_chunk(cfg, cfg.algorithms, [], _batch(u, d, np.tile(theta_o, (t_len, 1))))[0]
     theta_ref = np.zeros(2)
     expected = []
     for t in range(t_len):
@@ -138,7 +138,7 @@ def test_single_node_atc_equals_cta(rng):
     sq = {}
     for strategy in ("cta", "atc"):
         cfg = _config(1, [], _kind_specs(0.2), t_len, strategy)
-        sq[strategy] = harness._run_chunk(cfg, cfg.algorithms, [], batch)[0]
+        sq[strategy] = run_chunk(cfg, cfg.algorithms, [], batch)[0]
     assert np.allclose(sq["cta"], sq["atc"], rtol=0.0, atol=1e-15)
 
 
@@ -157,7 +157,7 @@ def test_zero_noise_truth_is_fixed_point(rng):
             assert np.array_equal(trace, np.broadcast_to(theta_o, trace.shape)), spec.label
         # The engine starts at zero; with a zero truth and zero noise it never moves.
         zero = _batch(u, np.zeros((t_len, 4)), np.zeros((t_len, 2)))
-        assert not harness._run_chunk(cfg, cfg.algorithms, [], zero)[0].any()
+        assert not run_chunk(cfg, cfg.algorithms, [], zero)[0].any()
 
 
 def test_identical_data_keeps_nodes_identical():
@@ -169,7 +169,7 @@ def test_identical_data_keeps_nodes_identical():
     d = np.repeat(u[:, :1] @ theta_o + 0.1 * rng.standard_normal((t_len, 1)), 3, axis=1)
     batch = _batch(u, d, np.tile(theta_o, (t_len, 1)))
     cfg = _config(3, [(1, 2), (2, 3), (1, 3)], [{"kind": "dlms", "step_size": 0.05}], t_len)
-    sq = harness._run_chunk(cfg, cfg.algorithms, [], batch)[0][0, 0]
+    sq = run_chunk(cfg, cfg.algorithms, [], batch)[0][0, 0]
     assert np.allclose(sq[:, 0], sq[:, 1], atol=1e-14)
     assert np.allclose(sq[:, 0], sq[:, 2], atol=1e-14)
     trace = run_baseline_reference(cfg, cfg.algorithms[0], _row(batch))
@@ -224,7 +224,7 @@ def test_vectorized_baselines_match_per_node_ops():
         raw["strategy"] = strategy
         cfg = config_from_dict(raw)
         batch, drawn, _ = harness._draw(cfg, range(cfg.realizations))
-        sq_fast = harness._run_chunk(cfg, cfg.algorithms, [], batch)[0]
+        sq_fast = run_chunk(cfg, cfg.algorithms, [], batch)[0]
         assert sq_fast.shape == (5, 2, cfg.iterations, 5)
         for r in drawn:
             data = harness.generate_realization_data(cfg, harness.realization_rng(cfg.base_seed, r))
@@ -285,7 +285,7 @@ def test_sparse_gain_evaluation_is_bit_identical_to_dense(monkeypatch):
         raw["strategy"] = strategy
         cfg = config_from_dict(raw)
         batch, _, _ = harness._draw(cfg, range(cfg.realizations))
-        sparse = harness._run_chunk(cfg, cfg.algorithms, [], batch)[0]
+        sparse = run_chunk(cfg, cfg.algorithms, [], batch)[0]
         with monkeypatch.context() as patch:
             patch.setattr(oracles, "_SPARSE_GAINS", ())
             dense = run_baselines_dense_reference(cfg, cfg.algorithms, batch)
@@ -301,7 +301,7 @@ def _assert_matches_dense_step(cfg):
     specs = [spec for spec in cfg.algorithms if not isinstance(spec.kind, NPDLMS)]
     batch, drawn, _ = harness._draw(cfg, range(cfg.realizations))
     assert drawn == list(range(cfg.realizations))
-    sq = harness._run_chunk(cfg, specs, [], batch)[0]
+    sq = run_chunk(cfg, specs, [], batch)[0]
     assert same_bits(sq, run_baselines_dense_reference(cfg, specs, batch))
     return sq
 

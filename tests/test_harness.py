@@ -20,12 +20,11 @@ from diffnet.harness import (
     load_config,
     realization_rng,
     run_experiment,
-    run_realization,
     sweep,
     theory_inputs_from_config,
 )
 from conftest import same_bits, small_config_dict
-from oracles import replay_draws
+from oracles import replay_draws, run_chunk, run_realization
 
 
 def test_zero_step_single_iteration_msd_is_initial_deviation():
@@ -634,12 +633,12 @@ def test_partial_failure_reports_indices(monkeypatch):
     assert [idx for idx, _ in err.value.failures] == [1]
 
     # A failed draw in the middle of a chunk: the rest of the chunk still runs.
-    run_chunk = harness_mod._run_chunk
+    engine = harness_mod._run_chunk
     rows = []
 
     def counting(config, baselines, variants, batch, *args, **kwargs):
         rows.append(batch.targets.shape[1])
-        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
+        return engine(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "_run_chunk", counting)
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
@@ -660,13 +659,13 @@ def test_failed_chunk_reruns_one_realization_at_a_time(monkeypatch):
     ]))
     expected = run_experiment(cfg)
     bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
-    run_chunk = harness_mod._run_chunk
+    engine = harness_mod._run_chunk
 
     def fragile(config, baselines, variants, batch, *args, **kwargs):
         # any batch of several rows fails, and so does realization 3 alone
         if batch.targets.shape[1] > 1 or np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("batch failed")
-        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
+        return engine(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
     monkeypatch.setattr(harness_mod, "_run_chunk", fragile)
@@ -722,11 +721,11 @@ def test_chunked_experiment_equals_index_order_sum_of_realizations(monkeypatch, 
     batch, _, _ = harness_mod._draw(cfg, [0, 1])
     batch.targets[50:, 0, 2] = np.inf
     # npdlms is listed last, so each label's block is its position in the list.
-    sq, updates = harness_mod._run_chunk(cfg, cfg.algorithms[:2], [cfg.npdlms_spec().kind], batch)
+    sq, updates, _ = run_chunk(cfg, cfg.algorithms[:2], [cfg.npdlms_spec().kind], batch)
     sq, flags = harness_mod._finish(sq)
     alone = run_realization(cfg, 1)
     assert flags[0, 0]
-    assert np.isnan(harness_mod._run_chunk(cfg, cfg.algorithms[:1], [], batch)[0][0, 0]).any()
+    assert np.isnan(run_chunk(cfg, cfg.algorithms[:1], [], batch)[0][0, 0]).any()
     for block, label in enumerate(result.labels):
         assert np.array_equal(sq[block, 1], alone[label][0])
         assert flags[block, 1] == alone[label][2]
@@ -755,15 +754,14 @@ def test_families_stay_isolated_in_the_one_time_loop(strategy):
     variants = [replace(spec.kind, eta=eta) for eta in (0.0, 0.3, 3.0)]
     batch, _, _ = harness_mod._draw(cfg, range(cfg.realizations))
     batch.targets[50:, 0, 2] = np.inf
-    sq, updates = harness_mod._run_chunk(cfg, baselines, variants, batch)
+    sq, updates, _ = run_chunk(cfg, baselines, variants, batch)
     sq, flags = harness_mod._finish(sq)
     assert flags[3, 1:].any() and not flags[0, 1:].any()
     assert flags[0, 0] and not flags[4, 0]
 
     def alone(entry, variant=None):
         single = replace(cfg, algorithms=[entry])
-        sq, updates = harness_mod._run_chunk(single, [] if variant else [entry],
-                                             [variant] if variant else [], batch)
+        sq, updates, _ = run_chunk(single, [] if variant else [entry], [variant] if variant else [], batch)
         return harness_mod._finish(sq) + (updates,)
 
     reals = cfg.realizations
@@ -805,7 +803,7 @@ def test_non_finite_values_spread_one_hop_per_step(strategy, gate):
     baselines = [entry for entry in cfg.algorithms if entry is not spec]
     batch, _, _ = harness_mod._draw(cfg, range(cfg.realizations))
     batch.targets[onset:, 0, source] = np.inf
-    sq, updates = harness_mod._run_chunk(cfg, baselines, [spec.kind], batch)
+    sq, updates, _ = run_chunk(cfg, baselines, [spec.kind], batch)
     broken = ~np.isfinite(sq)                      # (family, realization, t, node)
     assert not broken[:, 1].any() and not broken[:, 0, :onset].any()
     assert broken[0, 0, onset, source]             # dlms takes the inf at once
@@ -841,18 +839,22 @@ WINDOW_SWEEPS = {
                         {"eta": 3.0, "sigma": 2.0, "h": 0.5}]),
     "eta7": (1, False, [{"eta": eta} for eta in (0.0, 0.02, 0.05, 0.1, 0.3, 1.0, 3.0)]),
     "delta3": (2, True, [{"delta": delta} for delta in (0.1, 0.5, 2.0)]),
+    "baselines": (3, True, []),
 }
 WINDOW_CASES = [(t_len, buffer, strategy, "mixed", False) for t_len, buffer, strategy in _window_cases()]
 WINDOW_IDS = [f"T{t}-B{b}-{s}" for t, b, s, _, _ in WINDOW_CASES]
 # Past the second rewind, at every buffer length and strategy.
 SHAPE_CASES = [(2 * 16 + buffer + 1, buffer, strategy, name, False)
                for name in ("eta7", "delta3") for buffer in (1, 2, 3, 20) for strategy in ("cta", "atc")]
+# Without kernel-MAP rows, around the first and second flush.
+BASELINE_CASES = [(t_len, 1, strategy, "baselines", False)
+                  for t_len in (1, 15, 16, 17, 33) for strategy in ("cta", "atc")]
 
 
 @pytest.mark.parametrize("t_len,buffer,strategy,sweep_name,non_finite",
-                         WINDOW_CASES + SHAPE_CASES + [(35, 3, "cta", "mixed", True)],
+                         WINDOW_CASES + SHAPE_CASES + [(35, 3, "cta", "mixed", True)] + BASELINE_CASES,
                          ids=WINDOW_IDS + [f"T{t}-B{b}-{s}-{name}" for t, b, s, name, _ in SHAPE_CASES]
-                         + ["T35-B3-cta-non-finite"])
+                         + ["T35-B3-cta-non-finite"] + [f"T{t}-{s}-baselines" for t, _, s, _, _ in BASELINE_CASES])
 def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strategy, sweep_name, non_finite):
     """The engine keeps its states in one window of RING + B slots, and the
     kernel-MAP blocks' states in a (V*R, N, d) and a flat (d, V*R*N) one
@@ -863,11 +865,15 @@ def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strateg
     eta = 0.1 under ATC, in three sweeps: five baselines and 3 values whose
     eta, sigma and h are per-value arrays over 3 realizations; a 7-value eta
     sweep over one realization, the V*R = 7 rows of the benchmark's gate
-    sweep, whose gate opens on 100 % down to 8 % of the node-iterations; and
-    five baselines and a 3-value delta sweep over 2 realizations. The ground
-    truth is a random walk, so a flush that pairs a state with another
-    iteration's theta_path[t] shows. In the non-finite case node 3's
-    targets are inf from t = 20 in realization 0."""
+    sweep, whose gate opens on 100 % down to 8 % of the node-iterations;
+    five baselines and a 3-value delta sweep over 2 realizations; and five
+    baselines alone over 3 realizations. The ground truth is a random walk,
+    so a flush that pairs a state with another iteration's theta_path[t]
+    shows. In the non-finite case node 3's targets are inf from t = 20 in
+    realization 0. The kernel-MAP estimates are read back from the states
+    the engine flushes, and the collecting flush (`oracles.run_chunk`)
+    checks that the blocks arrive in order, RING iterations long but the
+    last, and cover the run once."""
     import diffnet.harness as harness_mod
     from oracles import run_baselines_dense_reference, run_npdlms_dense_reference
 
@@ -886,19 +892,22 @@ def test_window_matches_the_dense_steps_at_its_boundaries(t_len, buffer, strateg
     assert (np.diff(batch.theta_path, axis=0) != 0).all()     # every iteration its own theta
     if non_finite:
         batch.targets[20:, 0, 2] = np.inf
-    trace = np.empty((t_len, len(variants) * cfg.realizations) + batch.regressors.shape[2:])
-    sq, updates = harness_mod._run_chunk(cfg, baselines, variants, batch, trace_out=trace)
+    sq, updates, states = run_chunk(cfg, baselines, variants, batch)
     sq, flags = harness_mod._finish(sq)
     sq_base = run_baselines_dense_reference(cfg, baselines, batch)
-    trace_ref = np.empty(trace.shape)
-    sq_kmap, updates_ref = run_npdlms_dense_reference(cfg, variants, batch, trace_out=trace_ref)
     assert not non_finite or not np.isfinite(sq_base).all()
-    reference = np.concatenate((sq_base, sq_kmap.reshape(len(variants), cfg.realizations, t_len, -1)))
-    reference, flags_ref = harness_mod._finish(reference)
+    reference = [sq_base]
+    if variants:
+        # The kernel-MAP estimates (T, V*R, N, d), from the flushed (T, A + V, R, d, N) states.
+        trace = states[:, len(baselines):].reshape(t_len, -1, *states.shape[3:]).transpose(0, 1, 3, 2)
+        trace_ref = np.empty(trace.shape)
+        sq_kmap, updates_ref = run_npdlms_dense_reference(cfg, variants, batch, trace_out=trace_ref)
+        reference.append(sq_kmap.reshape(len(variants), cfg.realizations, t_len, -1))
+        assert same_bits(updates, updates_ref)
+        assert same_bits(trace, trace_ref)
+    reference, flags_ref = harness_mod._finish(np.concatenate(reference))
     assert same_bits(sq, reference)
     assert np.array_equal(flags, flags_ref)
-    assert same_bits(updates, updates_ref)
-    assert same_bits(trace, trace_ref)
 
 
 @pytest.mark.parametrize("slots", [2, 3, 6])
@@ -992,12 +1001,12 @@ def test_sweep_equals_run_experiment_per_value(monkeypatch, case):
     raw.update(overrides)
     cfg = config_from_dict(raw)
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
-    run_chunk = harness_mod._run_chunk
+    engine = harness_mod._run_chunk
     calls = []
 
     def counting(config, baselines, variants, batch, *args, **kwargs):
         calls.append((len(variants), batch.targets.shape[1]))
-        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
+        return engine(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "_run_chunk", counting)
     swept = sweep(cfg, parameter, values)
@@ -1069,12 +1078,12 @@ def test_sweep_reports_a_failed_draw_once_and_runs_the_rest_of_its_chunk(monkeyp
 
     cfg = config_from_dict(small_config_dict(realizations=6, algorithms=[
         {"kind": "dlms", "step_size": 0.05}, {"kind": "npdlms", "step_size": 0.05}]))
-    run_chunk = harness_mod._run_chunk
+    engine = harness_mod._run_chunk
     calls = []
 
     def counting(config, baselines, variants, batch, *args, **kwargs):
         calls.append((len(variants), batch.targets.shape[1]))
-        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
+        return engine(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 4)
     monkeypatch.setattr(harness_mod, "_run_chunk", counting)
@@ -1095,7 +1104,7 @@ def test_sweep_falls_back_per_realization(monkeypatch):
     values = [0.0, 0.5, 2.0]
     expected = sweep(cfg, "eta", values)
     bad = generate_realization_data(cfg, realization_rng(cfg.base_seed, 3)).targets
-    run_chunk = harness_mod._run_chunk
+    engine = harness_mod._run_chunk
     reruns = []
 
     def fragile(config, baselines, variants, batch, *args, **kwargs):
@@ -1105,7 +1114,7 @@ def test_sweep_falls_back_per_realization(monkeypatch):
         reruns.append([variant.eta for variant in variants])
         if np.array_equal(batch.targets[:, 0], bad):
             raise FloatingPointError("realization failed")
-        return run_chunk(config, baselines, variants, batch, *args, **kwargs)
+        return engine(config, baselines, variants, batch, *args, **kwargs)
 
     monkeypatch.setattr(harness_mod, "CHUNK_REALIZATIONS", 2)
     monkeypatch.setattr(harness_mod, "_run_chunk", fragile)

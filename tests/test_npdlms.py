@@ -32,6 +32,7 @@ from oracles import (
     npdlms_adapt,
     npdlms_gradient,
     pseudo_huber,
+    run_chunk,
     run_npdlms_dense_reference,
     run_npdlms_reference,
     threshold_gate,
@@ -371,15 +372,17 @@ def _single_node_config(strategy="cta", **algorithm):
     })
 
 
-def _run_variants(cfg, variants, batch, trace_out=None):
-    """The engine on kernel-MAP rows alone: squared deviations (V*R, T, N), update counts."""
-    sq, updates = harness._run_chunk(cfg, [], variants, batch, trace_out)
-    return sq.reshape(-1, *sq.shape[2:]), updates
+def _run_variants(cfg, variants, batch):
+    """The engine on kernel-MAP rows alone: squared deviations (V*R, T, N),
+    update counts and the estimates (T, V*R, N, d), read from the flushed states."""
+    sq, updates, states = run_chunk(cfg, [], variants, batch)
+    t_len, _, _, d, n = states.shape
+    return sq.reshape(-1, *sq.shape[2:]), updates, states.reshape(t_len, -1, d, n).transpose(0, 1, 3, 2)
 
 
 def _run_engine(cfg):
     batch, _, _ = harness._draw(cfg, range(cfg.realizations))
-    return batch, *_run_variants(cfg, [cfg.npdlms_spec().kind], batch)
+    return batch, *_run_variants(cfg, [cfg.npdlms_spec().kind], batch)[:2]
 
 
 def test_step_with_infinite_threshold_is_pure_combination(rng):
@@ -485,7 +488,7 @@ def test_batched_npdlms_matches_per_node_oracle(strategy, gate):
     spec = cfg.npdlms_spec()
     batch, drawn, failures = harness._draw(cfg, range(cfg.realizations))
     assert drawn == [0, 1, 2] and not failures
-    sq, updates = _run_variants(cfg, [spec.kind], batch)
+    sq, updates, _ = _run_variants(cfg, [spec.kind], batch)
     assert sq.shape == (3, cfg.iterations, 5) and updates.shape == (3, 5)
     for r in drawn:
         data = harness.generate_realization_data(cfg, harness.realization_rng(cfg.base_seed, r))
@@ -503,9 +506,9 @@ def _assert_matches_dense_step(cfg, variants):
     """The engine reproduces every bit of the dense step; returns (sq, trace)."""
     batch, drawn, _ = harness._draw(cfg, range(cfg.realizations))
     assert drawn == list(range(cfg.realizations))
-    shape = (cfg.iterations, len(variants) * cfg.realizations, cfg.topology.node_count, cfg.dim)
-    trace, trace_ref = np.empty(shape), np.empty(shape)
-    sq, updates = _run_variants(cfg, variants, batch, trace_out=trace)
+    sq, updates, trace = _run_variants(cfg, variants, batch)
+    assert trace.shape == (cfg.iterations, len(variants) * cfg.realizations, cfg.topology.node_count, cfg.dim)
+    trace_ref = np.empty(trace.shape)
     sq_ref, updates_ref = run_npdlms_dense_reference(cfg, variants, batch, trace_out=trace_ref)
     assert same_bits(sq, sq_ref)
     assert same_bits(updates, updates_ref)

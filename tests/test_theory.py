@@ -758,26 +758,40 @@ def scaled_small_inputs(k, **changes):
                    step_sizes=c * c * base.step_sizes)
 
 
-def test_settle_step_is_scale_free():
-    """At c = 2^-250, P starts near 1e-151 and its squares underflow: the
-    unscaled norms read 0 and 'settled' at step 48. Scaled norms settle at
-    the unscaled step, 68, in the code and in the reference, with every row
-    exactly c^2 times the unscaled one."""
+# Scale exponents k of c = 2^k. Before the fixes that make them exact, the
+# settle test underflowed at -250 ('settled' at step 48); the Stein norms
+# underflowed from -262, where a truncated solve passed (24.6 % off at -265);
+# and (mu mu') / h^2 left the float range at +-300, which raised
+# UnstableSystem; -20 took an absolute Stein tolerance 25 % off.
+SCALE_EXPONENTS = [-300, -265, -250, -20, 260, 300]
+
+
+@pytest.mark.parametrize("k", SCALE_EXPONENTS)
+def test_settle_step_is_scale_free(k):
+    """At c = 2^k every transient row is exactly c^2 times the unscaled one,
+    and P settles at the unscaled step, 68: the settle test scales its
+    norms by a power of two, so their squares neither underflow (from
+    P ~ 1e-151 at k = -250) nor overflow. The reference agrees on the step
+    while its own products stay in range, to |k| = 250."""
+    c2 = 2.0 ** (2 * k)
     base = transient_curves(build_moments(scaled_small_inputs(0)))
-    scaled = transient_curves(build_moments(scaled_small_inputs(-250)))
+    scaled = transient_curves(build_moments(scaled_small_inputs(k)))
     assert base.settle_step == scaled.settle_step == 68
-    assert transient_curves_reference(scaled_small_inputs(-250), 500)[2] == 68
-    assert np.array_equal(scaled.node_msd, 2.0 ** -500 * base.node_msd)
-    assert np.array_equal(scaled.node_emse, 2.0 ** -500 * base.node_emse)
+    if abs(k) <= 250:
+        assert transient_curves_reference(scaled_small_inputs(k), 500)[2] == 68
+    assert np.array_equal(scaled.node_msd, c2 * base.node_msd)
+    assert np.array_equal(scaled.node_emse, c2 * base.node_emse)
 
 
-def test_steady_state_is_scale_free():
-    """At c = 2^-20 the steady MSD is c^2 times the unscaled one. With an
-    absolute Stein tolerance it was 25 % off: a Q that small passed on the
-    first squaring."""
+@pytest.mark.parametrize("k", SCALE_EXPONENTS)
+def test_steady_state_is_scale_free(k):
+    """At c = 2^k the steady MSD is exactly c^2 times the unscaled one: the
+    Stein solve's tolerance is relative and its norms are scaled by a power
+    of two, and the recursion's source weight d (mu/h)(mu/h)' stays in range."""
     base = steady_state_metrics(build_moments(scaled_small_inputs(0)))
-    scaled = steady_state_metrics(build_moments(scaled_small_inputs(-20)))
-    np.testing.assert_allclose(scaled.steady_node_msd, 2.0 ** -40 * base.steady_node_msd, rtol=1e-9, atol=0.0)
+    scaled = steady_state_metrics(build_moments(scaled_small_inputs(k)))
+    assert np.array_equal(scaled.steady_node_msd, 2.0 ** (2 * k) * base.steady_node_msd)
+    assert np.array_equal(scaled.steady_node_emse, 2.0 ** (2 * k) * base.steady_node_emse)
 
 
 def test_steady_state_matches_lyapunov_at_high_snr():
