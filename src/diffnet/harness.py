@@ -970,7 +970,7 @@ def theory_inputs_from_config(config: ExperimentConfig) -> TheoryInputs:
     return TheoryInputs(
         topology=config.topology,
         combination=config.combination,
-        regressor_covariances=[v * np.eye(config.dim) for v in config.regressor_variances],
+        regressor_variances=config.regressor_variances,
         noise_variances=np.array([ns.variance for ns in config.noise_specs]),
         step_sizes=np.full(config.topology.node_count, spec.step_size),
         theta_o=config.theta_o,

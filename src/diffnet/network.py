@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from itertools import accumulate
 from pathlib import Path
@@ -39,9 +39,7 @@ class NetworkTopology:
     def neighbors(self, k: int) -> tuple:
         """N_k as a sorted tuple of 1-based ids, k included. `k` must be an
         integer id; a bool, float or string is refused, not read as one."""
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= self.node_count:
-            raise IndexOutOfRange(f"node index {k!r} is not an integer in 1..{self.node_count}")
-        return self.neighborhoods[k - 1]
+        return self.neighborhoods[_node_id(k, self.node_count) - 1]
 
     def degree(self, k: int) -> int:
         return len(self.neighbors(k))
@@ -54,20 +52,25 @@ class NetworkTopology:
         return mask
 
 
+def _node_id(k, node_count, what: str = "node index") -> int:
+    """`k` as an int, which must be an integer in 1..node_count; a bool,
+    float or string is refused with IndexOutOfRange, not read as one."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= node_count:
+        raise IndexOutOfRange(f"{what} {k!r} is not an integer in 1..{node_count}")
+    return int(k)
+
+
 def build_topology(node_count: int, edges) -> NetworkTopology:
     """Validate and freeze a topology from an edge list.
 
-    Duplicate edges and explicit self-loops are coalesced away; the graph must
-    come out connected.
+    `node_count` and the node ids must be integers, not bools, floats or
+    strings. Duplicate edges and explicit self-loops are coalesced away; the
+    graph must come out connected.
     """
-    if node_count < 1:
-        raise IndexOutOfRange(f"node_count must be >= 1, got {node_count}")
+    node_count = _node_id(node_count, math.inf, "node_count")
     normalized = set()
     for edge in edges:
-        l, k = int(edge[0]), int(edge[1])
-        for idx in (l, k):
-            if not 1 <= idx <= node_count:
-                raise IndexOutOfRange(f"node index {idx} outside 1..{node_count}")
+        l, k = _node_id(edge[0], node_count), _node_id(edge[1], node_count)
         if l == k:
             continue  # self-loops are implicit
         normalized.add((min(l, k), max(l, k)))
@@ -145,6 +148,15 @@ def per_node(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def refuse_bools(record) -> None:
+    """A bool in a dataclass field is refused, not read as 0 or 1, as the
+    config parser refuses it."""
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if isinstance(value, (bool, np.bool_)):
+            raise InvalidParameters(f"{field.name} must be a number, got {value!r}")
+
+
 def noise_variance_from_snr(snr_db: float, r_u: np.ndarray, theta_o: np.ndarray) -> float:
     """Model-noise variance for a target SNR, with sigma_d^2 = theta_o' R_u theta_o."""
     theta_o = np.asarray(theta_o, dtype=float)
@@ -171,6 +183,7 @@ class RandomWalk:
     q_variance: float
 
     def __post_init__(self):
+        refuse_bools(self)
         if not (math.isfinite(self.q_variance) and self.q_variance >= 0.0):
             raise InvalidParameters(f"q_variance must be finite and >= 0, got {self.q_variance}")
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters
+from .network import refuse_bools
 
 
 @dataclass(frozen=True)
@@ -27,6 +28,7 @@ class Gaussian:
     variance: float
 
     def __post_init__(self):
+        refuse_bools(self)
         if not (math.isfinite(self.variance) and self.variance >= 0.0):
             raise InvalidParameters(f"gaussian variance must be finite and >= 0, got {self.variance}")
 
@@ -41,6 +43,7 @@ class AlphaStable:
     delta: float = 0.0
 
     def __post_init__(self):
+        refuse_bools(self)
         if not 0.0 < self.alpha <= 2.0:
             raise InvalidParameters(f"alpha must lie in (0, 2], got {self.alpha}")
         if not -1.0 <= self.beta <= 1.0:

@@ -23,25 +23,27 @@ P_{n+1} = F_n P_n F_n' + M Xi_n M with the slopes refreshed every step. One
 the steady state, the steady covariance itself, and the transient's per-node
 MSD rows. `build_moments` runs the recursion from theta_bar theta_bar' until it
 settles, at most `TRANSIENT_STEPS` steps, and keeps its rows; the transient
-curves read them. The steady state is the recursion's fixed point: Stein
-solves alternate with slope updates, from the settled covariance, where one
-solve confirms it, or from zero error when no step settled. The steady-state
-metrics read the last solve. The slopes tend to 1 as the error variance
-falls to 0, so any delta > 0 is admissible.
+curves read them, and run it again from step 0 only when it did not settle
+and more rows are asked for. The steady state is the recursion's fixed
+point: Stein solves alternate with slope updates, from the settled
+covariance, where one solve confirms it, or from zero error when no step
+settled. The steady-state metrics read the last solve. The slopes tend to 1
+as the error variance falls to 0, so any delta > 0 is admissible.
 
 Stability and the step-size bound use the small-error slopes E[g'(v_l)],
 v_l ~ N(0, sigma_v,l^2). A bounded gain contracts at every step size once the
 error is large, so only the small-error linearization separates stable from
 unstable step sizes.
 
-White regressors. The theory takes R_l = r_l I only, the regressors the
-simulator draws; `TheoryInputs` refuses any other covariance, which no
-simulation could check. Then the stacked error's second moment keeps the form
-P = H (x) theta_o theta_o' + G (x) I_d at every step (the global error is
-col{theta_o - theta_k} with d-sized blocks, and the combine applies A' to the
-node blocks; Cattivelli & Sayed, IEEE TSP 58(3), 2010). Every Nd x Nd block
-reduces to N x N matrices: tr(R_l Phi_kk') = r_l Phi_S[k, k'] with
-S = ||theta_o||^2 H + d G, the update B = I + M C is diag(b) (x) I_d with
+White regressors. The theory models R_l = r_l I only, the regressors the
+simulator draws: `TheoryInputs` takes the variances r_l themselves, so no
+other covariance can be passed, and d = len(theta_o). Then the stacked
+error's second moment keeps the form P = H (x) theta_o theta_o' + G (x) I_d
+at every step (the global error is col{theta_o - theta_k} with d-sized
+blocks, and the combine applies A' to the node blocks; Cattivelli & Sayed,
+IEEE TSP 58(3), 2010). Every Nd x Nd block reduces to N x N matrices:
+tr(R_l Phi_kk') = r_l Phi_S[k, k'] with S = ||theta_o||^2 H + d G, the
+update B = I + M C is diag(b) (x) I_d with
 b_k = 1 - mu_k sum_l s_lk r_l / h, F = diag(b) A' (x) I_d and
 M Xi M = (mu mu' o Xi_s) (x) I_d, with
 Xi_s[k, k'] = sum_l r_l s_lk s_lk' (sigma_v,l^2 + r_l Phi_S[k, k']) / h^2 and
@@ -96,14 +98,14 @@ def _floats(value, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TheoryInputs:
-    """Everything the moment construction needs, validated; the regressor
-    covariances as one (N, d, d) stack, each r_l I with r_l >= 0. Frozen with
-    read-only array copies, so a `MomentSet` keeps its inputs;
+    """Everything the moment construction needs, validated; node l's
+    regressors have covariance r_l I, r_l >= 0, and d = len(theta_o). Frozen
+    with read-only array copies, so a `MomentSet` keeps its inputs;
     `dataclasses.replace` validates a changed copy."""
 
     topology: NetworkTopology
     combination: CombinationMatrix
-    regressor_covariances: np.ndarray
+    regressor_variances: np.ndarray
     noise_variances: np.ndarray
     step_sizes: np.ndarray
     theta_o: np.ndarray
@@ -112,31 +114,19 @@ class TheoryInputs:
 
     def __post_init__(self):
         n = self.topology.node_count
-        covs = [_floats(r, "regressor_covariances") for r in self.regressor_covariances]
-        if len(covs) != n:
-            raise DimensionMismatch(f"need {n} regressor covariances, got {len(covs)}")
-        d = covs[0].shape[0] if covs[0].ndim == 2 else 0
-        if d < 1 or any(r.shape != (d, d) for r in covs):
-            raise DimensionMismatch("regressor covariances must share one square d x d shape, d >= 1")
-        stack = np.stack(covs)
-        r = stack[:, :1, :1]
-        white = ((stack == np.where(np.eye(d, dtype=bool), r, 0.0)).all(axis=(1, 2))
-                 & np.isfinite(r[:, 0, 0]) & (r[:, 0, 0] >= 0))
-        if not white.all():
-            raise InvalidParameters("regressor covariances must be r I with r finite and >= 0: "
-                                    f"the theory models white regressors, got {covs[white.argmin()].tolist()}")
         theta_o = _floats(self.theta_o, "theta_o").copy()
-        if theta_o.shape != (d,):
-            raise DimensionMismatch(f"theta_o must have length {d}")
+        if theta_o.ndim != 1 or theta_o.size < 1:
+            raise DimensionMismatch(f"theta_o must be a non-empty vector, got shape {theta_o.shape}")
         if not np.all(np.isfinite(theta_o)):
             raise InvalidParameters(f"theta_o must be finite, got {theta_o}")
         if self.combination.node_count != n:
             raise DimensionMismatch("combination matrix does not match topology size")
-        noise_variances = per_node(_floats(self.noise_variances, "noise_variances"), n, "noise_variances").copy()
-        step_sizes = per_node(_floats(self.step_sizes, "step_sizes"), n, "step_sizes").copy()
-        if not np.all(np.isfinite(noise_variances) & (noise_variances >= 0)):
-            raise InvalidParameters("noise_variances must be finite and >= 0")
-        if not np.all(np.isfinite(step_sizes) & (step_sizes > 0)):
+        arrays = {"theta_o": theta_o}
+        for name in ("regressor_variances", "noise_variances", "step_sizes"):
+            value = arrays[name] = per_node(_floats(getattr(self, name), name), n, name).copy()
+            if not np.all(np.isfinite(value) & (value >= 0)):
+                raise InvalidParameters(f"{name} must be finite and >= 0")
+        if not np.all(arrays["step_sizes"] > 0):
             raise InvalidParameters("step_sizes must be finite and > 0")
         for name in ("h", "delta"):
             value = getattr(self, name)
@@ -144,8 +134,7 @@ class TheoryInputs:
                 raise InvalidParameters(f"{name} must be a number, got {value!r}")
             if not (math.isfinite(value) and value > 0):
                 raise InvalidParameters(f"{name} must be finite and > 0, got {value}")
-        for name, value in (("regressor_covariances", stack), ("theta_o", theta_o),
-                            ("noise_variances", noise_variances), ("step_sizes", step_sizes)):
+        for name, value in arrays.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         combination = CombinationMatrix(self.combination.matrix.copy())
@@ -154,12 +143,7 @@ class TheoryInputs:
 
     @property
     def dim(self) -> int:
-        return self.regressor_covariances.shape[1]
-
-    @property
-    def regressor_variances(self) -> np.ndarray:
-        """r_l of each covariance R_l = r_l I."""
-        return self.regressor_covariances[:, 0, 0]
+        return self.theta_o.shape[0]
 
     @functools.cached_property
     def small_error_slopes(self) -> np.ndarray:
@@ -182,10 +166,9 @@ class MomentSet:
     the Stein solution of `mean_transition` and `xi_vec`, both kept from the
     last solve. The transient rows are the per-node MSD of steps
     0..`settle_step`, or of steps 0..`TRANSIENT_STEPS` with `settle_step`
-    None when no step settled; only then is `last_state` kept, the (T, S)
-    stack of the last step, for a longer transient to continue from.
-    Otherwise the slopes, F and Xi hold the small-error values, the radius is
-    >= 1, the other fields are None, and the metrics raise UnstableSystem.
+    None when no step settled. Otherwise the slopes, F and Xi hold the
+    small-error values, the radius is >= 1, the other fields are None, and
+    the metrics raise UnstableSystem.
     """
 
     inputs: TheoryInputs
@@ -196,7 +179,6 @@ class MomentSet:
     steady_covariance: np.ndarray | None
     transient_msd: np.ndarray | None = None     # [step, k]
     settle_step: int | None = None
-    last_state: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -220,6 +202,7 @@ class _Recursion:
         self.a, self.a_t = inputs.combination.matrix, inputs.combination.matrix.T
         self.r = r
         self.delta = inputs.delta
+        self.start = inputs.theta_o @ inputs.theta_o   # T = S = ||theta_o||^2 at step 0
         pair_l, pair_k = np.nonzero(inputs.topology.adjacency_mask())
         self.pair_lk, self.pair_kk = pair_l * n + pair_k, pair_k * (n + 1)   # flat [l, k] and [k, k]
         self.pair_noise = inputs.noise_variances[pair_l]
@@ -310,23 +293,22 @@ def _steady_fixed_point(recursion: _Recursion, f: np.ndarray, q: np.ndarray,
     raise NoConvergence(f"steady-state slopes did not settle in {FIXED_POINT_MAX_SOLVES} solves")
 
 
-def _run_transient(recursion: _Recursion, x: np.ndarray, node_msd: np.ndarray, first: int) -> tuple:
-    """Write the per-node MSD rows first.. of the recursion.
+def _run_transient(recursion: _Recursion, node_msd: np.ndarray) -> tuple:
+    """Write the per-node MSD rows of the recursion from theta_bar theta_bar'.
 
-    `x` is the (T, S) stack of step first - 1, or of step 0 at `first` = 0,
-    whose own row is written without a step; the run overwrites it. Each step
-    writes the next stack into a second buffer (`advance` does not read x),
-    then the change into the old one, and the two swap. Stops at the first
-    step n with ||P_n - P_{n-1}||_F <= TRANSIENT_TOL ||P_n||_F and returns
-    (n, the stack at n), leaving the rows after it unwritten; returns
-    (None, the stack at the last row) when no step up to it settles.
+    Row 0 is that start, written without a step. Each step writes the next
+    (T, S) stack into a second buffer (`advance` does not read x), then the
+    change into the old one, and the two swap. Stops at the first step n with
+    ||P_n - P_{n-1}||_F <= TRANSIENT_TOL ||P_n||_F and returns (n, the stack
+    at n), leaving the rows after it unwritten; returns (None, the stack at
+    the last row) when no step up to it settles.
     """
-    if first == 0:
-        node_msd[0] = x[1].diagonal()
-        first = 1
+    n = node_msd.shape[1]
+    x = np.full((2, n, n), recursion.start)
+    node_msd[0] = x[1].diagonal()
     y = np.empty_like(x)
     with moment_errstate():
-        for step in range(first, node_msd.shape[0]):
+        for step in range(1, node_msd.shape[0]):
             recursion.linearize(x)
             recursion.advance(y)
             node_msd[step] = y[1].diagonal()
@@ -341,23 +323,21 @@ def build_moments(inputs: TheoryInputs) -> MomentSet:
     """Linearize the recursion of `inputs`, run its transient and solve for its steady state."""
     n, d = inputs.topology.node_count, inputs.dim
     recursion = _Recursion(inputs)
-    steady = x = node_msd = settle_step = None
+    steady = node_msd = settle_step = None
     with moment_errstate():
         recursion.linearize(np.zeros((2, n, n)))
         f, q = recursion.transition(), recursion.q
         radius = spectral_radius(f)
         if radius < 1.0:
             node_msd = np.empty((TRANSIENT_STEPS + 1, n))
-            settle_step, x = _run_transient(recursion, np.full((2, n, n), inputs.theta_o @ inputs.theta_o),
-                                            node_msd, 0)
+            settle_step, x = _run_transient(recursion, node_msd)
             if settle_step is not None:
                 node_msd = node_msd[: settle_step + 1].copy()
             s, f, q = _steady_fixed_point(recursion, f, q, None if settle_step is None else x)
             steady = _kron_eye(s / d, d)
     return MomentSet(inputs=inputs, slopes=recursion.slope.copy(), small_error_radius=radius,
                      mean_transition=_kron_eye(f, d), xi_vec=_kron_eye(q / d, d).flatten(order="F"),
-                     steady_covariance=steady, transient_msd=node_msd, settle_step=settle_step,
-                     last_state=x if settle_step is None else None)
+                     steady_covariance=steady, transient_msd=node_msd, settle_step=settle_step)
 
 
 def stepsize_upper_bound(inputs: TheoryInputs, k: int) -> float:
@@ -476,17 +456,19 @@ def transient_curves(moments: MomentSet, n_max: int = TRANSIENT_STEPS) -> Perfor
     Phi_n = A_ext P_n A_ext' and B_n = I + M C_n block-diagonal. Stops at
     the first step n with ||P_n - P_{n-1}||_F <= TRANSIENT_TOL ||P_n||_F and
     holds row n through n_max. The rows up to `TRANSIENT_STEPS` are those
-    `build_moments` computed; only an unsettled recursion runs past them.
+    `build_moments` computed; only an unsettled recursion asked for more runs
+    again, once from step 0.
     """
     if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)) or n_max < 0:
         raise InvalidParameters(f"n_max must be an integer >= 0, got {n_max!r}")
     _require_stable(moments)
     stored = moments.transient_msd.shape[0] - 1
     node_msd = np.empty((n_max + 1, moments.transient_msd.shape[1]))
-    node_msd[: min(n_max, stored) + 1] = moments.transient_msd[: n_max + 1]
-    settle_step = moments.settle_step if n_max >= stored else None
-    if settle_step is None and n_max > stored:
-        settle_step = _run_transient(_Recursion(moments.inputs), moments.last_state.copy(), node_msd, stored + 1)[0]
+    if moments.settle_step is None and n_max > stored:
+        settle_step = _run_transient(_Recursion(moments.inputs), node_msd)[0]
+    else:
+        node_msd[: min(n_max, stored) + 1] = moments.transient_msd[: n_max + 1]
+        settle_step = moments.settle_step if n_max >= stored else None
     if settle_step is not None:
         node_msd[settle_step + 1 :] = node_msd[settle_step]
     node_emse = node_msd * moments.inputs.regressor_variances

@@ -638,12 +638,17 @@ def run_npdlms_dense_reference(config, variants, batch, trace_out=None):
 # --- closed-form theory -------------------------------------------------------
 
 
+def regressor_covariances(inputs):
+    """The (N, d, d) stack of R_l = r_l I that `inputs` stands for."""
+    return inputs.regressor_variances[:, None, None] * np.eye(inputs.dim)
+
+
 def gain_statistics_reference(inputs, phi):
     """(slope, second moment, variance, traces) when the error at the
     evaluation point has second moment `phi`. The first three hold one entry
     per e_lk, each (N, N) indexed [l, k] and zero where l is not in N_k;
     traces[l, k, k'] is the cross trace tr(R_l Phi_kk')."""
-    covs = inputs.regressor_covariances
+    covs = regressor_covariances(inputs)
     n, d = covs.shape[:2]
     phi4 = np.asarray(phi, dtype=float).reshape(n, d, n, d)
     traces = (covs.reshape(n, d * d) @ phi4.transpose(3, 1, 0, 2).reshape(d * d, n * n)).reshape(n, n, n)
@@ -658,15 +663,16 @@ def gain_statistics_reference(inputs, phi):
 
 
 def linearize_reference(inputs, phi):
-    """Slopes s_lk, the blocks of C, and the noise covariance Xi at Phi = `phi`."""
-    covs = inputs.regressor_covariances
+    """Slopes s_lk, the blocks of C, and h^2 times the noise covariance Xi at
+    Phi = `phi`: the 1/h^2 goes into `_step_outer`, so that no product
+    leaves the float range at any scale of h."""
+    covs = regressor_covariances(inputs)
     n, d = covs.shape[:2]
     inv_h = 1.0 / inputs.h
     slope, second, _, traces = gain_statistics_reference(inputs, phi)
     diag = np.arange(n)
     pair = slope[:, :, None] * slope[:, None, :] * (inputs.noise_variances[:, None, None] + traces)
     pair[:, diag, diag] = second
-    pair *= inv_h * inv_h
     xi = ((pair.reshape(n, n * n).T @ covs.reshape(n, d * d))
           .reshape(n, n, d, d).transpose(0, 2, 1, 3).reshape(n * d, n * d))
     coeff = -((slope * inv_h).T @ covs.reshape(n, d * d)).reshape(n, d, d)
@@ -679,8 +685,10 @@ def update_blocks_reference(inputs, coeff):
 
 
 def _step_outer(inputs):
-    """alpha_k alpha_k' spread over the d x d blocks of an Nd x Nd matrix."""
-    step_diag = np.repeat(inputs.step_sizes, inputs.dim)
+    """(alpha_k / h)(alpha_k' / h) spread over the d x d blocks of an Nd x Nd
+    matrix, so that `_step_outer(inputs) * xi` of `linearize_reference` is
+    M Xi M."""
+    step_diag = np.repeat(inputs.step_sizes / inputs.h, inputs.dim)
     return np.outer(step_diag, step_diag)
 
 
@@ -772,7 +780,7 @@ def transient_curves_reference(inputs, n_max, settle=True):
 
 def _transient_reference(inputs, n_max, settle):
     """`transient_curves_reference` and the covariance of its last step."""
-    n, covs = inputs.topology.node_count, inputs.regressor_covariances
+    n, covs = inputs.topology.node_count, regressor_covariances(inputs)
     theta_bar = np.tile(inputs.theta_o, n)
     node_msd = np.empty((n_max + 1, n))
     node_emse = np.empty((n_max + 1, n))

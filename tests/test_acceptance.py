@@ -90,13 +90,13 @@ def test_criterion_2_stability_bound_bidirectional():
             if i != j:
                 edges.append((int(i), int(j)))
         topo = build_topology(n, edges)
-        covs = []
+        variances = []
         for _ in range(n):
             mat = r.standard_normal((d, d))
-            covs.append(np.trace(mat @ mat.T + 0.3 * np.eye(d)) / d * np.eye(d))   # white: r_l I
+            variances.append(np.trace(mat @ mat.T + 0.3 * np.eye(d)) / d)   # white: r_l I
         inputs = TheoryInputs(
             topology=topo, combination=combination_weights(topo),
-            regressor_covariances=covs, noise_variances=r.uniform(0.01, 1, n),
+            regressor_variances=variances, noise_variances=r.uniform(0.01, 1, n),
             step_sizes=np.ones(n), theta_o=r.standard_normal(d), delta=0.25,
         )
         bounds = np.array([stepsize_upper_bound(inputs, k) for k in range(1, n + 1)])
@@ -361,7 +361,7 @@ def test_criterion_10_transient_meets_steady_state():
     topo = build_topology(3, [(1, 2), (2, 3), (1, 3)])
     inputs = TheoryInputs(
         topology=topo, combination=combination_weights(topo),
-        regressor_covariances=[np.eye(2), 1.2 * np.eye(2), 0.9 * np.eye(2)],
+        regressor_variances=[1.0, 1.2, 0.9],
         noise_variances=np.array([0.02, 0.03, 0.025]),
         step_sizes=0.02, theta_o=np.ones(2) / np.sqrt(2), delta=0.25,
     )

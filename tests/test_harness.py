@@ -547,6 +547,8 @@ def test_theory_inputs_from_config():
     raw = small_config_dict(algorithms=[{"kind": "npdlms", "step_size": 0.02, "delta": 0.3}])
     cfg = config_from_dict(raw)
     inputs = theory_inputs_from_config(cfg)
+    assert np.array_equal(inputs.regressor_variances, cfg.regressor_variances)
+    assert inputs.dim == cfg.dim
     assert inputs.delta == 0.3
     assert inputs.step_sizes[0] == 0.02
     assert inputs.noise_variances.shape == (5,)
@@ -563,8 +565,7 @@ def test_theory_inputs_ignore_kernel_prior(sigma, buffer):
     got, ref = inputs(sigma=sigma, buffer=buffer), inputs(buffer=1)
     assert np.array_equal(got.topology.adjacency_mask(), ref.topology.adjacency_mask())
     assert np.array_equal(got.combination.matrix, ref.combination.matrix)
-    assert np.array_equal(got.regressor_covariances, ref.regressor_covariances)
-    for name in ("noise_variances", "step_sizes", "theta_o", "h", "delta"):
+    for name in ("regressor_variances", "noise_variances", "step_sizes", "theta_o", "h", "delta"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
 
 

@@ -65,8 +65,16 @@ def test_disconnected_raises():
 
 
 def test_bad_index_raises():
-    with pytest.raises(IndexOutOfRange):
-        build_topology(3, [(1, 5)])
+    # A float id is not truncated to a node (1.7 used to become node 1), and a
+    # bool or string is not read as node 1, as in `neighbors`.
+    for edge in ((1, 5), (0, 1), (1, 1.7), (1.0, 2), (True, 2), (1, "2"), (np.bool_(True), 2)):
+        with pytest.raises(IndexOutOfRange):
+            build_topology(3, [edge, (2, 3)])
+    # node_count=True used to build a topology whose node_count was True, and
+    # 3.0 raised a bare TypeError.
+    for node_count in (0, -1, True, 3.0, "3", None):
+        with pytest.raises(IndexOutOfRange, match="node_count"):
+            build_topology(node_count, [])
 
 
 @pytest.mark.parametrize("k", [0, -1, 4, True, False, np.bool_(True), 1.5, 2.0, "1", None])
@@ -81,7 +89,8 @@ def test_node_lookup_outside_network_raises(k):
 
 
 def test_node_lookup_takes_numpy_integers():
-    topo = build_topology(3, [(1, 2), (2, 3)])
+    topo = build_topology(np.int64(3), [(np.int32(1), np.int64(2)), (2, 3)])
+    assert type(topo.node_count) is int and topo.edges == frozenset({(1, 2), (2, 3)})
     assert topo.neighbors(np.int64(2)) == (1, 2, 3)
     assert topo.degree(np.int32(3)) == 2
 
@@ -338,3 +347,7 @@ def test_zero_step_path_is_empty_and_keeps_the_state(drift):
 def test_negative_walk_variance_rejected():
     with pytest.raises(InvalidParameters):
         RandomWalk(q_variance=-1e-3)
+    # a bool is refused, as the config parser refuses it, not read as 1 or 0
+    for q_variance in (True, False, np.bool_(True)):
+        with pytest.raises(InvalidParameters, match="must be a number"):
+            RandomWalk(q_variance=q_variance)

@@ -29,6 +29,15 @@ def test_parameter_validation():
         AlphaStable(alpha=1.5, beta=1.5, gamma=1, delta=0)
     with pytest.raises(InvalidParameters):
         AlphaStable(alpha=1.5, beta=0, gamma=0, delta=0)
+    # A bool is refused, as the config parser refuses it, not read as 1 or 0:
+    # Gaussian(True) and AlphaStable(alpha=True, ...) used to build.
+    stable = {"alpha": 1.5, "beta": 0.0, "gamma": 1.0, "delta": 0.0}
+    for value in (True, False, np.bool_(True)):
+        with pytest.raises(InvalidParameters, match="variance must be a number"):
+            Gaussian(value)
+        for name in stable:
+            with pytest.raises(InvalidParameters, match=f"{name} must be a number"):
+                AlphaStable(**{**stable, name: value})
 
 
 def test_gaussian_sample_variance(rng):
